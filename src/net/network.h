@@ -12,8 +12,12 @@
 // Scaling: each recompute is restricted to the connected component of the
 // link<->flow graph actually touched since the last recompute (flows join,
 // leave, get armed, or a link's capacity scales), and only flows whose rate
-// changes are settled and rescheduled. The full-network recompute survives
-// behind NetworkOptions::incremental_recompute = false as the reference
+// changes are settled and rescheduled. Within the component, water-filling
+// is candidate-driven: each pass replays the reference pass's id-ordered
+// freeze sequence from per-link id-ordered flow lists, so its cost follows
+// the flows it freezes rather than pending flows times passes. The
+// full-network recompute with the original pass loop survives behind
+// NetworkOptions::incremental_recompute = false as the reference
 // implementation; both paths produce bit-identical rates and event times
 // (see DESIGN.md "Incremental max-min recompute"), which the differential
 // tests enforce.
@@ -29,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/stats_registry.h"
@@ -176,6 +181,12 @@ class Network {
   [[nodiscard]] std::uint64_t recompute_flow_visits() const {
     return recompute_flow_visits_;
   }
+  /// Water-filling passes (bottleneck levels) across all recomputes. The
+  /// reference path's passes span every component at once, so the two
+  /// paths' counts differ; each is deterministic.
+  [[nodiscard]] std::uint64_t recompute_passes() const {
+    return recompute_passes_;
+  }
   /// Transferring flows water-filling failed to rate and the network had
   /// to rescue with a rescheduled recompute (should stay 0).
   [[nodiscard]] std::uint64_t starvation_rescues() const {
@@ -205,7 +216,6 @@ class Network {
     Tick created_at = 0;   // when start_flow admitted it (span listener)
     Tick last_update = 0;  // when `remaining` was last settled
     bool transferring = false;
-    bool in_component = false;  // scratch flag owned by recompute_now
     std::function<void(FlowId)> done;
     sim::Engine::EventHandle completion;
     sim::Engine::EventHandle setup;
@@ -217,14 +227,32 @@ class Network {
     LinkStats stats;
     std::int32_t active = 0;  // flows currently allocated on this link
     double scale = 1.0;       // fault-injected capacity factor
-    /// Ids of the transferring flows allocated here (unordered), so a
-    /// recompute can walk the touched component instead of every flow.
-    std::vector<FlowId> flows;
+    /// Slot indices of the transferring flows allocated here (unordered),
+    /// so a recompute can walk the touched component instead of every flow.
+    std::vector<std::int32_t> flows;
     bool dirty = false;    // touched since the last recompute
     bool visited = false;  // scratch flag owned by recompute_now
-    // Water-filling state, valid only inside recompute_now.
+    // Water-filling state, valid only inside recompute_now: the reference
+    // pass works on these; the candidate pass on wf_links_[wf_index].
     double wf_capacity = 0;
     std::int32_t wf_unfrozen = 0;
+    std::int32_t wf_index = 0;
+  };
+
+  /// Dense per-link state of the candidate-driven pass. The run
+  /// [head, end) of wf_members_ holds the component positions (ascending)
+  /// of the link's flows; everything before `head` is frozen. The fair
+  /// share capacity / unfrozen lives apart, in wf_share_, so the per-pass
+  /// bottleneck scan reads one packed array.
+  struct WfLink {
+    double capacity = 0;  // unallocated capacity, as Link::wf_capacity
+    std::int32_t unfrozen = 0;
+    std::int32_t head = 0;
+    std::int32_t end = 0;
+    std::int32_t cursor = 0;  // next freeze candidate while in H
+    /// The pass in which the link is in H (share <= that pass's
+    /// bottleneck share); 0 once it leaves.
+    std::uint32_t h_pass = 0;
   };
 
   // --- flow table --------------------------------------------------------
@@ -239,10 +267,20 @@ class Network {
   Flow& create_flow(FlowId id);
   void destroy_flow(FlowId id);
 
+  [[nodiscard]] std::int32_t slot_of(const Flow& flow) const {
+    return static_cast<std::int32_t>(&flow - slots_.data());
+  }
+
   void begin_transfer(FlowId id);
   void finish_flow(FlowId id);
   void request_recompute();
   void recompute_now();
+  /// Fill comp_links_/comp_flows_ (id order); false = nothing to do.
+  bool collect_component();
+  void water_fill_reference(bool starve);
+  void water_fill_candidates(bool starve);
+  void enter_h(std::int32_t link, std::int32_t after, std::uint32_t pass);
+  void push_candidate(std::int32_t link, std::int32_t after);
   void settle_flow(Flow& flow);
   void attribute_bytes(Flow& flow, std::uint64_t bytes);
   void release_links(Flow& flow);
@@ -269,6 +307,8 @@ class Network {
   FlowId window_base_ = 1;
   // vine-snapshot: derived(count over slots_, itself derived)
   std::size_t live_flows_ = 0;
+  // vine-snapshot: derived(index over slots_, itself derived)
+  std::vector<std::pair<FlowId, std::int32_t>> transferring_;  // (id, slot)
 
   // vine-snapshot: derived(monotone id allocator; replays with the stream)
   FlowId next_flow_id_ = 1;
@@ -293,6 +333,26 @@ class Network {
   std::vector<Flow*> still_pending_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<double> old_rates_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::uint8_t> in_component_;  // by slot
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<WfLink> wf_links_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<double> wf_share_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> wf_live_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> wf_bottlenecks_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> wf_members_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> wf_paths_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> wf_path_begin_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::uint8_t> wf_frozen_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::uint64_t> wf_candidates_;
 
   // Statistics: recomputed verbatim by replay, exported via RunReport.
   // vine-snapshot: derived(statistic, reproduced by replay)
@@ -309,6 +369,8 @@ class Network {
   std::uint64_t recomputes_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_flow_visits_ = 0;
+  // vine-snapshot: derived(statistic, reproduced by replay)
+  std::uint64_t recompute_passes_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t starvation_rescues_ = 0;
   // vine-snapshot: derived(closure; rewired by the owning run at startup)

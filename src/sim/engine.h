@@ -15,6 +15,12 @@
 // O(1) per event instead of a heap round-trip. Both containers pop in
 // strict (at, seq) order, so the firing sequence is bit-identical to the
 // single priority-queue implementation this replaces.
+//
+// Each slot records where its entry sits in the heap, so a reschedule of a
+// live heap event sifts that entry in place (and a move to the current tick
+// lifts it out into the bucket) instead of leaving a superseded tombstone
+// behind; only moves of now-bucket events, whose FIFO order cannot be
+// edited in place, still leave one.
 #pragma once
 
 #include <cstddef>
@@ -42,13 +48,20 @@ class Engine {
     static constexpr std::uint32_t kChunkShift = 12;  // 4096 slots per slab
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+    static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
+
     struct Slot {
       Callback fn;
       /// Seq of the queue entry that currently owns this slot. A
-      /// reschedule enqueues a fresh entry for the same slot; older
-      /// entries see a seq mismatch at pop time and are discarded without
-      /// firing or releasing (the slot still belongs to the new entry).
+      /// reschedule of a now-bucket event enqueues a fresh entry for the
+      /// same slot; the older entry sees a seq mismatch at pop time and is
+      /// discarded without firing or releasing (the slot still belongs to
+      /// the new entry).
       std::uint64_t live_seq = 0;
+      /// Index of this slot's entry in the heap, or kNotInHeap while it
+      /// sits in the now-bucket (or is free).
+      // vine-snapshot: derived(heap index; replay rebuilds the queue)
+      std::uint32_t heap_pos = kNotInHeap;
       std::uint32_t gen = 0;
       bool cancelled = false;
     };
@@ -79,6 +92,7 @@ class Engine {
       Slot& s = slot(idx);
       s.fn = nullptr;
       s.cancelled = false;
+      s.heap_pos = kNotInHeap;
       ++s.gen;
       free_slots.push_back(idx);
     }
@@ -106,6 +120,9 @@ class Engine {
   /// Handle to a scheduled event; allows cancellation. Copyable; all copies
   /// refer to the same underlying event. Safe to hold across engine
   /// destruction (goes inert) and across slot reuse (generation mismatch).
+  /// Code that holds the engine should prefer Engine::is_pending/cancel,
+  /// which answer the same questions without weak_ptr::lock() refcount
+  /// traffic.
   class EventHandle {
    public:
     EventHandle() = default;
@@ -144,6 +161,24 @@ class Engine {
   /// Schedule `fn` to run at absolute time `at` (clamped to now()).
   EventHandle schedule_at(Tick at, Callback fn);
 
+  /// Same answer as handle.pending(), checked against this engine: a
+  /// handle from another (or a destroyed) engine is never pending here.
+  /// Arena identity is a control-block comparison, so unlike
+  /// weak_ptr::lock() it costs no atomic refcount operations.
+  [[nodiscard]] bool is_pending(const EventHandle& handle) const noexcept {
+    if (!owns(handle)) return false;
+    const auto& s = arena_->slot(handle.slot_);
+    return s.gen == handle.gen_ && !s.cancelled;
+  }
+
+  /// Same effect as handle.cancel() for this engine's handles (no-op for
+  /// others), without refcount traffic. A heap entry is removed in place
+  /// and its slot recycled at once; a now-bucket entry is left as a
+  /// tombstone, as handle.cancel() leaves every entry.
+  void cancel(const EventHandle& handle) {
+    if (is_pending(handle)) cancel_slot(handle.slot_);
+  }
+
   /// Schedule `fn` to run `delay` ticks from now (delay < 0 clamps to 0).
   EventHandle schedule_after(Tick delay, Callback fn) {
     return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(fn));
@@ -162,41 +197,45 @@ class Engine {
   /// one seq like cancel()+schedule_at, so the fired-event order is
   /// bit-identical to that pattern; what it saves is the per-reschedule
   /// std::function construction, move, and destruction — the dominant cost
-  /// when the flow network re-rates hundreds of transfers per recompute.
-  /// Templated on the callable for exactly that reason: the lambda is only
-  /// wrapped into a std::function on the cold not-live path, so the hot
-  /// path passes two words in registers. All copies of the handle refer to
-  /// the moved event afterwards.
+  /// when the flow network re-rates hundreds of transfers per recompute —
+  /// and, for a heap entry, the tombstone: the entry is re-keyed and sifted
+  /// in place. Templated on the callable for exactly that reason: the
+  /// lambda is only wrapped into a std::function on the cold not-live path,
+  /// so the hot path passes two words in registers. All copies of the
+  /// handle refer to the moved event afterwards.
   template <typename F>
   EventHandle reschedule_at(const EventHandle& handle, Tick at, F&& fn) {
-    if (at < now_) at = now_;
-    maybe_purge_cancelled();
-    // Arena identity via control-block comparison: no refcount traffic,
-    // unlike weak_ptr::lock(). A handle from a destroyed engine keeps its
-    // (expired) control block, so it can never alias a live arena's.
-    if (!handle.arena_.owner_before(arena_) &&
-        !arena_.owner_before(handle.arena_)) {
-      const auto& s = arena_->slot(handle.slot_);
-      if (s.gen == handle.gen_ && !s.cancelled) {
-        // Live: hand the slot to a fresh queue entry. The superseded entry
-        // goes stale (seq mismatch) and is discarded at pop or purge time —
-        // it is a tombstone exactly like a cancelled entry, and must count
-        // toward the purge trigger or the heap bloats with dead entries.
-        ++arena_->cancelled_pending;
-        enqueue(at, next_seq_++, handle.slot_);
-        return handle;
-      }
-    }
-    const std::uint32_t slot = arena_->allocate(Callback(std::forward<F>(fn)));
-    const std::uint32_t gen = arena_->slot(slot).gen;
-    enqueue(at, next_seq_++, slot);
-    return EventHandle(arena_, slot, gen);
+    EventHandle moved = handle;
+    rearm_at(moved, at, std::forward<F>(fn));
+    return moved;
   }
   template <typename F>
   EventHandle reschedule_after(const EventHandle& handle, Tick delay,
                                F&& fn) {
     return reschedule_at(handle, now_ + (delay > 0 ? delay : 0),
                          std::forward<F>(fn));
+  }
+
+  /// reschedule_at for a handle the caller stores: same event semantics,
+  /// but `handle` is updated in place, and only when a fresh event had to
+  /// be scheduled. Returning a handle copies its weak_ptr (atomic refcount
+  /// operations), which the flow network's re-rate loop would otherwise pay
+  /// on every move.
+  template <typename F>
+  void rearm_at(EventHandle& handle, Tick at, F&& fn) {
+    if (at < now_) at = now_;
+    maybe_purge_cancelled();
+    if (is_pending(handle)) {
+      move_slot(handle.slot_, at);
+      return;
+    }
+    const std::uint32_t slot = arena_->allocate(Callback(std::forward<F>(fn)));
+    handle = EventHandle(arena_, slot, arena_->slot(slot).gen);
+    enqueue(at, next_seq_++, slot);
+  }
+  template <typename F>
+  void rearm_after(EventHandle& handle, Tick delay, F&& fn) {
+    rearm_at(handle, now_ + (delay > 0 ? delay : 0), std::forward<F>(fn));
   }
 
   /// Execute the next pending event. Returns false if the queue is empty.
@@ -223,6 +262,14 @@ class Engine {
   }
 
  private:
+  /// Arena identity via control-block comparison: no refcount traffic,
+  /// unlike weak_ptr::lock(). A handle from a destroyed engine keeps its
+  /// (expired) control block, so it can never alias a live arena's.
+  [[nodiscard]] bool owns(const EventHandle& handle) const noexcept {
+    return !handle.arena_.owner_before(arena_) &&
+           !arena_.owner_before(handle.arena_);
+  }
+
   struct QueueEntry {
     Tick at = 0;
     std::uint64_t seq = 0;
@@ -236,8 +283,8 @@ class Engine {
   };
 
   /// Drop cancelled-but-unpopped entries when they dominate the queue.
-  /// Heavy users (the flow network) cancel and reschedule completion
-  /// events constantly; without compaction those tombstones accumulate.
+  /// Handle-side cancels and now-bucket moves leave tombstones; without
+  /// compaction those accumulate under cancel-heavy load.
   /// The guard is inline — it runs on every schedule — while the purge
   /// itself (in-place remove + re-heapify, O(n) against the old pop/push
   /// rebuild's O(n log n)) stays out of line.
@@ -257,6 +304,24 @@ class Engine {
 
   /// Pop the next entry in (at, seq) order. Pre: pending() > 0.
   QueueEntry pop_next();
+
+  /// Re-key a live slot's entry to (at, fresh seq). Pre: the slot is live.
+  void move_slot(std::uint32_t slot, Tick at);
+  /// Cancel a live slot: in place for heap entries, tombstone in the bucket.
+  void cancel_slot(std::uint32_t slot);
+
+  // Binary min-heap on (at, seq) that keeps every slot's heap_pos current.
+  void heap_push(QueueEntry entry);
+  QueueEntry heap_pop_front();
+  void heap_erase(std::uint32_t pos);
+  void heap_place(std::uint32_t pos, const QueueEntry& entry) {
+    heap_[pos] = entry;
+    arena_->slot(entry.slot).heap_pos = pos;
+  }
+  void sift_up(std::uint32_t pos, QueueEntry entry);
+  void sift_down(std::uint32_t pos, QueueEntry entry);
+  /// Re-heapify the whole vector and re-index every slot (bulk paths).
+  void heap_rebuild();
 
   // The event queue is deliberately NOT snapshot-bearing state: its
   // entries hold closures (they capture `this` and cannot move between

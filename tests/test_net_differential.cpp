@@ -7,13 +7,27 @@
 //
 // This is the acceptance gate for NetworkOptions::incremental_recompute:
 // the optimization must be observationally invisible.
+//
+// The WaterFillDifferential cases below drive net::Network directly with
+// hand-built float corner cases of the exact-comparison water-filling
+// pass, and require the candidate-driven pass (incremental path) and the
+// reference progressive-filling loop to produce the same rate bits after
+// every fired event and the same fired-event sequence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "dd/dask_distributed.h"
+#include "net/network.h"
 #include "scheduler_test_util.h"
+#include "sim/engine.h"
 #include "vine/vine_scheduler.h"
 #include "wq/work_queue.h"
 
@@ -123,6 +137,258 @@ TEST_P(NetDifferential, StochasticChaosWithBatchPreemption) {
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, NetDifferential,
                          ::testing::Values("taskvine", "work-queue",
                                            "dask.distributed"));
+
+// ---------------------------------------------------------------------
+// Water-filling corner cases, network level.
+// ---------------------------------------------------------------------
+
+/// Everything one run of a scenario exposes: per fired event, the tick
+/// and the rate bits of every active flow; every flow teardown; warnings.
+struct WfTrace {
+  std::vector<Tick> ticks;
+  std::vector<std::vector<std::uint64_t>> rate_bits;
+  std::vector<std::tuple<Tick, net::FlowId, char, std::uint64_t>> spans;
+  std::vector<std::tuple<Tick, net::FlowId>> warns;
+  std::uint64_t executed = 0;
+  std::uint64_t rescues = 0;
+};
+
+/// A scenario adds links and flows (returning the flow ids it started)
+/// and may schedule capacity changes on the engine.
+using WfScenario =
+    std::function<std::vector<net::FlowId>(sim::Engine&, net::Network&)>;
+
+WfTrace replay(bool incremental, const WfScenario& scenario) {
+  sim::Engine engine;
+  net::NetworkOptions options;
+  options.incremental_recompute = incremental;
+  net::Network network(engine, options);
+  WfTrace trace;
+  network.set_span_listener([&](Tick, Tick ended, net::FlowId id,
+                                std::uint64_t, std::uint64_t carried,
+                                char outcome) {
+    trace.spans.emplace_back(ended, id, outcome, carried);
+  });
+  network.set_warn_listener([&](Tick at, net::FlowId id, const char*) {
+    trace.warns.emplace_back(at, id);
+  });
+  const std::vector<net::FlowId> ids = scenario(engine, network);
+  while (engine.step()) {
+    trace.ticks.push_back(engine.now());
+    std::vector<std::uint64_t> bits;
+    for (const net::FlowId id : ids) {
+      if (network.flow_active(id)) {
+        bits.push_back(std::bit_cast<std::uint64_t>(network.flow_rate(id)));
+      }
+    }
+    trace.rate_bits.push_back(std::move(bits));
+  }
+  trace.executed = engine.executed();
+  trace.rescues = network.starvation_rescues();
+  return trace;
+}
+
+/// Run both paths and require identical traces; returns the incremental
+/// one for scenario-specific checks.
+WfTrace expect_same_water_fill(const WfScenario& scenario) {
+  const WfTrace inc = replay(true, scenario);
+  const WfTrace ref = replay(false, scenario);
+  EXPECT_EQ(inc.ticks, ref.ticks);
+  EXPECT_EQ(inc.rate_bits, ref.rate_bits);
+  EXPECT_EQ(inc.spans, ref.spans);
+  EXPECT_EQ(inc.warns, ref.warns);
+  EXPECT_EQ(inc.executed, ref.executed);
+  EXPECT_EQ(inc.rescues, ref.rescues);
+  EXPECT_FALSE(inc.spans.empty());
+  return inc;
+}
+
+/// Distinct rate bit patterns in the first fired event's snapshot that
+/// has any flow rated.
+std::set<std::uint64_t> first_rates(const WfTrace& trace) {
+  for (const auto& bits : trace.rate_bits) {
+    std::set<std::uint64_t> rated;
+    for (const std::uint64_t b : bits) {
+      if (b != 0) rated.insert(b);
+    }
+    if (!rated.empty()) return rated;
+  }
+  return {};
+}
+
+std::vector<net::FlowId> shared_link_flows(net::Network& network,
+                                           double capacity, int flows) {
+  const net::LinkId shared = network.add_link("shared", capacity);
+  std::vector<net::FlowId> ids;
+  for (int i = 0; i < flows; ++i) {
+    const net::LinkId own = network.add_link("own", 1e12);
+    ids.push_back(network.start_flow(
+        {shared, own}, 40'000'000 + 3'000'000 * static_cast<std::uint64_t>(i),
+        0, [](net::FlowId) {}));
+  }
+  return ids;
+}
+
+TEST(WaterFillDifferential, BottleneckShareDriftsAbovePartwayThroughPass) {
+  // 1e9 / 13: after two sequential `capacity -= share` steps the link's
+  // remaining share rounds above the pass's bottleneck share, so it leaves
+  // the freeze set mid-pass and the rest of its flows freeze in later
+  // passes at a share some ulps higher.
+  const WfTrace drifted = expect_same_water_fill(
+      [](sim::Engine&, net::Network& network) {
+        return shared_link_flows(network, 1e9, 13);
+      });
+  EXPECT_GT(first_rates(drifted).size(), 1u);
+  // 1e9 / 7 drifts the other way and stays in the freeze set throughout.
+  const WfTrace level = expect_same_water_fill(
+      [](sim::Engine&, net::Network& network) {
+        return shared_link_flows(network, 1e9, 7);
+      });
+  EXPECT_EQ(first_rates(level).size(), 1u);
+}
+
+TEST(WaterFillDifferential, NonBottleneckShareDriftsDownMidPass) {
+  // `wide` starts with a fair share a few ulps above the bottleneck share
+  // b = 1e9 / 9 of `narrow`. Freezing the flows the two links share rounds
+  // wide's share down to <= b after the third one, so wide joins the
+  // freeze set mid-pass and all its flows freeze at b in the first pass.
+  // (Exact arithmetic would keep wide's share above b; a pass that only
+  // froze links found at its start would take five passes and four
+  // distinct rates here.)
+  constexpr double kNarrow = 1e9;
+  constexpr double kWide = 1333333333.3333335;
+  ASSERT_GT(kWide / 12, kNarrow / 9);
+  const WfTrace trace = expect_same_water_fill(
+      [&](sim::Engine&, net::Network& network) {
+        const net::LinkId narrow = network.add_link("narrow", kNarrow);
+        const net::LinkId wide = network.add_link("wide", kWide);
+        std::vector<net::FlowId> ids;
+        auto start = [&](net::LinkId link, net::LinkId other, int i) {
+          const auto bytes =
+              50'000'000 + 4'000'000 * static_cast<std::uint64_t>(i);
+          ids.push_back(
+              network.start_flow({link, other}, bytes, 0, [](net::FlowId) {}));
+        };
+        for (int i = 0; i < 5; ++i) start(narrow, wide, i);
+        for (int i = 0; i < 7; ++i) {
+          start(wide, network.add_link("in", 1e12), i);
+        }
+        for (int i = 0; i < 4; ++i) {
+          start(narrow, network.add_link("out", 1e12), i);
+        }
+        return ids;
+      });
+  const std::set<std::uint64_t> rates = first_rates(trace);
+  ASSERT_EQ(rates.size(), 1u);
+  EXPECT_EQ(*rates.begin(), std::bit_cast<std::uint64_t>(kNarrow / 9));
+}
+
+TEST(WaterFillDifferential, NearTieDoesNotFreezeEarly) {
+  // `near` has a fair share one ulp above the bottleneck share b of
+  // `narrow`. The exact comparison keeps it out of the first pass, so its
+  // flows freeze one pass later at their own share, not at b.
+  constexpr double kNarrow = 1e9;
+  constexpr double kNear = 444444444.4444445;
+  ASSERT_GT(kNear / 4, kNarrow / 9);
+  const WfTrace trace = expect_same_water_fill(
+      [&](sim::Engine&, net::Network& network) {
+        const net::LinkId narrow = network.add_link("narrow", kNarrow);
+        const net::LinkId near = network.add_link("near", kNear);
+        std::vector<net::FlowId> ids;
+        for (int i = 0; i < 13; ++i) {
+          ids.push_back(network.start_flow(
+              {i % 3 == 0 && i < 12 ? near : narrow,
+               network.add_link("own", 1e12)},
+              30'000'000 + 2'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        return ids;
+      });
+  EXPECT_EQ(first_rates(trace).count(std::bit_cast<std::uint64_t>(kNear / 4)),
+            1u);
+}
+
+TEST(WaterFillDifferential, LaterBottleneckSkipsFlowsFrozenEarlier) {
+  // Flows 3 and 6 of `shared` freeze in the first pass on their narrow
+  // private links; `shared` becomes the bottleneck one pass later with
+  // those two frozen flows in the middle of its id-ordered flow list.
+  const WfTrace trace = expect_same_water_fill(
+      [](sim::Engine&, net::Network& network) {
+        const net::LinkId shared = network.add_link("shared", 1e9);
+        std::vector<net::FlowId> ids;
+        for (int i = 1; i <= 10; ++i) {
+          const double own = (i == 3 || i == 6) ? 1e7 : 1e12;
+          ids.push_back(network.start_flow(
+              {shared, network.add_link("own", own)},
+              20'000'000 + 1'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        return ids;
+      });
+  const std::set<std::uint64_t> rates = first_rates(trace);
+  EXPECT_EQ(rates.size(), 2u);
+  EXPECT_EQ(rates.count(std::bit_cast<std::uint64_t>(1e7)), 1u);
+}
+
+TEST(WaterFillDifferential, HundredsOfDownlinksTiedAtTheBottleneckShare) {
+  // 300 worker downlinks, each alone on its flow, tie bit-exactly with the
+  // source link's share (3.75e11 / 300 = 1.25e9): the freeze set starts
+  // with 301 links. A few doubled-up downlinks freeze first, one pass
+  // earlier, at half the share.
+  const WfTrace trace = expect_same_water_fill(
+      [](sim::Engine&, net::Network& network) {
+        const net::LinkId source = network.add_link("source", 3.75e11);
+        std::vector<net::FlowId> ids;
+        for (int i = 0; i < 300; ++i) {
+          const net::LinkId down = network.add_link("down", 1.25e9);
+          const auto bytes =
+              100'000'000 + 1'000'000 * static_cast<std::uint64_t>(i % 17);
+          ids.push_back(
+              network.start_flow({source, down}, bytes, 0, [](net::FlowId) {}));
+          if (i % 50 == 0) {
+            ids.push_back(network.start_flow(
+                {down, network.add_link("peer", 1e12)}, bytes / 2, 0,
+                [](net::FlowId) {}));
+          }
+        }
+        return ids;
+      });
+  EXPECT_EQ(first_rates(trace).size(), 2u);
+}
+
+TEST(WaterFillDifferential, ScaleZeroOutageStallsAndResumesIdentically) {
+  expect_same_water_fill([](sim::Engine& engine, net::Network& network) {
+    const net::LinkId fs = network.add_link("fs", 2.5e9);
+    std::vector<net::FlowId> ids;
+    for (int i = 0; i < 40; ++i) {
+      const net::LinkId down = network.add_link("down", 1.25e9);
+      ids.push_back(network.start_flow(
+          {fs, down}, 20'000'000 + 2'500'000 * static_cast<std::uint64_t>(i),
+          util::seconds(0.01) * (i % 7), [](net::FlowId) {}));
+    }
+    engine.schedule_at(util::seconds(0.2),
+                       [&network, fs] { network.set_link_scale(fs, 0.0); });
+    engine.schedule_at(util::seconds(1),
+                       [&network, fs] { network.set_link_scale(fs, 0.25); });
+    engine.schedule_at(util::seconds(2),
+                       [&network, fs] { network.set_link_scale(fs, 1.0); });
+    return ids;
+  });
+}
+
+TEST(WaterFillDifferential, StarvationRescueSeamReplaysIdentically) {
+  const WfTrace trace =
+      expect_same_water_fill([](sim::Engine& engine, net::Network& network) {
+        std::vector<net::FlowId> ids = shared_link_flows(network, 1e9, 13);
+        engine.schedule_at(util::seconds(0.005), [&network] {
+          network.debug_starve_next_water_fill();
+          network.cancel_flow(1);
+        });
+        return ids;
+      });
+  EXPECT_EQ(trace.rescues, 12u);
+  EXPECT_EQ(trace.warns.size(), 12u);
+}
 
 }  // namespace
 }  // namespace hepvine
