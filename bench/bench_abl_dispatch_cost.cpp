@@ -37,8 +37,9 @@ int main() {
     options.mode = exec::ExecMode::kStandardTasks;
     const auto report = run_workload(scheduler, workload, config, options);
 
-    const auto occupancy = report.trace.worker_occupancy(
-        static_cast<std::int32_t>(config.workers), 0, report.makespan);
+    const auto occupancy = metrics::worker_occupancy(
+        report.profile, static_cast<std::int32_t>(config.workers), 0,
+        report.makespan);
     double mean = 0;
     for (double o : occupancy) mean += o;
     mean /= static_cast<double>(occupancy.size());

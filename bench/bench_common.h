@@ -14,6 +14,7 @@
 #include "cluster/calibration.h"
 #include "dd/dask_distributed.h"
 #include "exec/scheduler.h"
+#include "metrics/attempt_views.h"
 #include "obs/attribution.h"
 #include "storage/shared_fs.h"
 #include "util/env.h"

@@ -60,7 +60,7 @@ int main() {
     std::printf("\n%s (completes at %.0fs):\n", stack.label,
                 report.makespan_seconds());
     const auto series =
-        report.trace.concurrency_series(2 * util::kSec, window);
+        metrics::concurrency_series(report.profile, 2 * util::kSec, window);
     std::printf("%s", metrics::render_concurrency(series, 10, 72).c_str());
 
     // The paper's diagnosis, re-derived from the attribution ledger: which

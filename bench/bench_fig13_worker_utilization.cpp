@@ -61,7 +61,7 @@ int main() {
                   workers, label, report.makespan_seconds(), mean * 100,
                   report.manager_busy_fraction * 100);
       std::printf("%s",
-                  metrics::TaskTrace::render_occupancy(occupancy).c_str());
+                  metrics::render_occupancy(occupancy).c_str());
       print_blame_line("blame:", report);
     }
   }

@@ -32,15 +32,19 @@ int main() {
       exec::RunOptions vine_opts;
       vine_opts.seed = 14;
       vine_opts.mode = exec::ExecMode::kFunctionCalls;
+      apply_txn_capture(vine_opts);
       vine::VineScheduler vine_sched;
       const auto vine_report =
           run_workload(vine_sched, workload, config, vine_opts);
+      maybe_write_spans(vine_report);
 
       exec::RunOptions dd_opts;
       dd_opts.seed = 14;
+      apply_txn_capture(dd_opts);
       dd::DaskDistScheduler dd_sched;
       const auto dd_report =
           run_workload(dd_sched, workload, config, dd_opts);
+      maybe_write_spans(dd_report);
 
       std::printf("  %8u %13.1fs%s %18.1fs%s %8.2f\n", c,
                   vine_report.makespan_seconds(),

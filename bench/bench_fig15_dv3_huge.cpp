@@ -32,11 +32,12 @@ int main() {
 
   print_report_line("DV3-Huge", report);
   std::printf("  peak concurrency: %lld tasks (cores available: %u)\n",
-              static_cast<long long>(report.trace.peak_concurrency()),
+              static_cast<long long>(metrics::peak_concurrency(report.profile)),
               config.workers * 12);
 
   const auto series =
-      report.trace.concurrency_series(report.makespan / 72, report.makespan);
+      metrics::concurrency_series(report.profile, report.makespan / 72,
+                                  report.makespan);
   std::vector<double> running;
   std::vector<double> waiting;
   running.reserve(series.size());

@@ -35,33 +35,34 @@ int main() {
 
   std::printf("\nStandard tasks (makespan %.0fs):\n",
               std_report.makespan_seconds());
-  std::printf("%s", metrics::TaskTrace::render_histogram(
-                        std_report.trace.exec_time_histogram(0.1, 100, 3))
+  std::printf("%s", metrics::render_histogram(
+                        metrics::exec_time_histogram(std_report.profile, 0.1,
+                                                     100, 3))
                         .c_str());
 
   std::printf("\nFunction calls (makespan %.0fs):\n",
               fc_report.makespan_seconds());
-  std::printf("%s", metrics::TaskTrace::render_histogram(
-                        fc_report.trace.exec_time_histogram(0.1, 100, 3))
+  std::printf("%s", metrics::render_histogram(
+                        metrics::exec_time_histogram(fc_report.profile, 0.1,
+                                                     100, 3))
                         .c_str());
 
   // Shape checks: majority of function-call tasks within 1-10 s; standard
   // tasks shifted right by the per-invocation overhead.
-  auto fraction_in = [](const metrics::TaskTrace& trace, double lo,
-                        double hi) {
+  auto fraction_in = [](const obs::SpanLog& log, double lo, double hi) {
     std::size_t in = 0;
     std::size_t total = 0;
-    for (const auto& rec : trace.records()) {
-      if (rec.failed) continue;
+    for (const auto& a : log.attempts()) {
+      if (a.failed) continue;
       ++total;
-      const double secs = util::to_seconds(rec.exec_time());
+      const double secs = util::to_seconds(a.exec_end_at - a.exec_at);
       if (secs >= lo && secs < hi) ++in;
     }
     return total ? static_cast<double>(in) / static_cast<double>(total) : 0.0;
   };
   std::printf("\nfraction of tasks in [1s,10s): standard %.2f, "
               "function-calls %.2f (paper: majority in 1-10s)\n",
-              fraction_in(std_report.trace, 1, 10),
-              fraction_in(fc_report.trace, 1, 10));
+              fraction_in(std_report.profile, 1, 10),
+              fraction_in(fc_report.profile, 1, 10));
   return 0;
 }

@@ -12,7 +12,7 @@
 #include "dag/evaluate.h"
 #include "hep/histogram.h"
 #include "hep/processors.h"
-#include "metrics/task_trace.h"
+#include "metrics/attempt_views.h"
 #include "vine/vine_scheduler.h"
 
 using namespace hepvine;
@@ -83,8 +83,8 @@ int main() {
               peak_center);
 
   std::printf("\ntask execution time distribution:\n%s",
-              metrics::TaskTrace::render_histogram(
-                  report.trace.exec_time_histogram(0.5, 50, 3))
+              metrics::render_histogram(
+                  metrics::exec_time_histogram(report.profile, 0.5, 50, 3))
                   .c_str());
 
   if (report.observation) {

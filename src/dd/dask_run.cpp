@@ -7,15 +7,13 @@
 #include <vector>
 
 #include "dd/dask_distributed.h"
+#include "exec/run_shell.h"
 #include "exec/serial_resource.h"
 #include "fault/backoff_ledger.h"
-#include "fault/fault_injector.h"
-#include "ha/factory.h"
 #include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
 #include "exec/time_model.h"
-#include "obs/attribution.h"
 #include "obs/observer.h"
 #include "obs/span.h"
 #include "sim/rng.h"
@@ -45,164 +43,16 @@ class DaskRun {
         table_(graph),
         rng_(options.seed, "dask-run"),
         scheduler_(cluster.engine()),
-        obs_(obs::make_observation(options.observability)) {
-    report_.scheduler = "dask.distributed";
-    report_.tasks_total = graph.size();
-    report_.transfers = metrics::TransferMatrix(cluster.endpoint_count());
-    report_.cache = metrics::CacheTrace(cluster.worker_count());
+        obs_(obs::make_observation(options.observability)),
+        shell_(graph, cluster, options_, table_, rng_, scheduler_, obs_,
+               exec::RunShell::Identity{
+                   "dask.distributed", "scheduler", "node ", "dask_run",
+                   "event queue drained before completion", false},
+               hooks()) {
     build_tables();
   }
 
-  exec::RunReport execute() {
-    for (TaskId sink : graph_.sinks()) {
-      is_sink_[static_cast<std::size_t>(sink)] = true;
-      ++sinks_outstanding_;
-    }
-    begin_observation();
-    begin_fault_injection();
-    begin_profile();
-    // With the elastic factory on, only min_workers slots start matching;
-    // the factory starts parked slots as queue depth demands.
-    const std::uint32_t initial_workers =
-        options_.ha.factory.enabled()
-            ? std::max(options_.ha.factory.min_workers, 1U)
-            : 0xffffffffU;
-    cluster_.request_workers([this](WorkerId w) { on_node_up(w); },
-                             [this](WorkerId w) { on_node_down(w); },
-                             initial_workers);
-    begin_factory();
-    engine_.schedule_at(options_.max_sim_time, [this] {
-      if (!finished_) fail_run("exceeded max simulated time");
-    });
-    // Graph submission: the scheduler loop ingests every task definition
-    // before it can dispatch or service heartbeats.
-    scheduler_.acquire(static_cast<Tick>(graph_.size()) *
-                       tun_.graph_intake_cost_per_task);
-    schedule_heartbeats();
-    schedule_snapshot();
-
-    while (!finished_ && engine_.step()) {
-    }
-    if (!finished_) fail_run("event queue drained before completion");
-
-    if (injector_) {
-      injector_->stop();
-      report_.faults = injector_->stats();
-    }
-    if (factory_) {
-      factory_->stop();
-      report_.ha.factory_grow_events = factory_->grow_events();
-      report_.ha.factory_shrink_events = factory_->shrink_events();
-      report_.ha.workers_started = factory_->workers_started();
-      report_.ha.workers_released = factory_->workers_released();
-    }
-    report_.worker_preemptions = cluster_.batch().preemptions();
-    report_.task_attempts = total_attempts_;
-    report_.task_failures = report_.trace.failures();
-    report_.lineage_resets = lineage_resets_;
-    if (report_.makespan > 0) {
-      report_.manager_busy_fraction_legacy =
-          std::min(1.0, static_cast<double>(scheduler_.total_busy_time()) /
-                            static_cast<double>(report_.makespan));
-    }
-    finish_profile();
-    if (obs_->enabled()) {
-      obs_->txn().manager_end(engine_.now());
-      obs_->finalize(engine_.now());
-      report_.observation = obs_;
-    }
-    return std::move(report_);
-  }
-
-  [[nodiscard]] bool txn_on() const { return obs_->txn_enabled(); }
-  [[nodiscard]] bool trace_on() const { return obs_->trace_enabled(); }
-
-  void begin_observation() {
-    if (!obs_->enabled()) return;
-
-    if (txn_on()) {
-      obs_->txn().manager_start(engine_.now());
-      table_.set_ready_listener([this](TaskId t, Tick now) {
-        obs_->txn().task_waiting(now, t, graph_.task(t).spec.category,
-                                 table_.at(t).attempts);
-      });
-      for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-        const auto& st = table_.at(t);
-        if (st.state == TaskState::kReady) {
-          obs_->txn().task_waiting(st.ready_at, t,
-                                   graph_.task(t).spec.category, st.attempts);
-        }
-      }
-    }
-
-    if (trace_on()) {
-      obs_->trace().set_lane_name(
-          static_cast<std::int32_t>(cluster_.manager_endpoint()),
-          "scheduler");
-      for (WorkerId w = 0;
-           w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-        obs_->trace().set_lane_name(
-            static_cast<std::int32_t>(cluster_.worker_endpoint(w)),
-            "node " + std::to_string(w));
-      }
-      obs_->trace().set_lane_name(
-          static_cast<std::int32_t>(cluster_.fs_endpoint()), "shared-fs");
-    }
-
-    if (obs_->perf_enabled()) {
-      auto& stats = obs_->stats();
-      stats.gauge("tasks.total",
-                  [this] { return static_cast<double>(graph_.size()); });
-      stats.gauge("tasks.done", [this] {
-        return static_cast<double>(table_.done_count());
-      });
-      stats.gauge("tasks.ready", [this] {
-        return static_cast<double>(table_.ready_count());
-      });
-      stats.gauge("tasks.inflight", [this] {
-        return static_cast<double>(attempts_live_);
-      });
-      stats.gauge("procs.alive", [this] {
-        std::size_t n = 0;
-        for (const Proc& p : procs_) n += p.alive ? 1 : 0;
-        return static_cast<double>(n);
-      });
-      stats.gauge("procs.busy", [this] {
-        std::size_t n = 0;
-        for (const Proc& p : procs_) n += (p.alive && p.busy) ? 1 : 0;
-        return static_cast<double>(n);
-      });
-      stats.gauge("scheduler.backlog", [this] {
-        return static_cast<double>(scheduler_.backlog());
-      });
-      stats.gauge("scheduler.busy_fraction", [this] {
-        const Tick now = engine_.now();
-        if (now <= 0) return 0.0;
-        return std::min(1.0,
-                        static_cast<double>(scheduler_.total_busy_time()) /
-                            static_cast<double>(now));
-      });
-      stats.gauge("engine.events_executed", [this] {
-        return static_cast<double>(engine_.executed());
-      });
-      stats.gauge("engine.events_pending", [this] {
-        return static_cast<double>(engine_.pending());
-      });
-      cluster_.batch().register_stats(stats);
-      cluster_.network().register_stats(stats);
-      cluster_.fs().register_stats(stats);
-      obs_->perf().bind(stats);
-      schedule_perf_sample();
-    }
-  }
-
-  void schedule_perf_sample() {
-    engine_.schedule_after(obs_->config().perf_sample_interval, [this] {
-      if (finished_) return;
-      obs_->perf().sample(engine_.now(), obs_->stats());
-      schedule_perf_sample();
-    });
-  }
+  exec::RunReport run() { return shell_.execute(); }
 
  private:
   // --------------------------------------------------------------------
@@ -243,22 +93,11 @@ class DaskRun {
       files_[static_cast<std::size_t>(task.output_file)].producer = task.id;
       files_[static_cast<std::size_t>(task.output_file)].consumers_left =
           static_cast<std::uint32_t>(task.dependents.size());
-      for (TaskId dep : task.spec.deps) {
-        (void)dep;
-      }
     }
     cores_per_node_ = cluster_.spec().worker.cores;
     procs_.resize(static_cast<std::size_t>(cluster_.worker_count()) *
                   cores_per_node_);
-    is_sink_.assign(graph_.size(), false);
-    attempts_.clear();
-    attempts_.resize(graph_.size());
-    attempts_live_ = 0;
     running_on_.assign(procs_.size(), dag::kInvalidTask);
-    sink_gathered_.assign(graph_.size(), 0);
-    reset_counts_.assign(graph_.size(), 0);
-    pending_crash_.assign(cluster_.worker_count(), false);
-    pending_release_.assign(cluster_.worker_count(), false);
     mem_per_proc_ = cluster_.spec().worker.memory / cores_per_node_;
   }
 
@@ -276,159 +115,90 @@ class DaskRun {
     return files_[static_cast<std::size_t>(f)];
   }
 
-  // --------------------------------------------------------------------
-  // Tokens (task attempt validity), as in the vine engine.
-  // --------------------------------------------------------------------
-  struct Token {
-    TaskId task = 0;
-    std::uint32_t attempt = 0;
-  };
-  [[nodiscard]] bool token_valid(const Token& t) const {
-    const auto& st = table_.at(t.task);
-    return st.attempts == t.attempt &&
-           (st.state == TaskState::kDispatched ||
-            st.state == TaskState::kRunning);
-  }
+  using Token = exec::AttemptToken;
 
-  struct Attempt {
+  struct Attempt : exec::AttemptBase {
     std::int32_t proc = kNoProc;
     std::uint32_t staging_outstanding = 0;
     std::vector<dag::ValuePtr> inputs;
-    /// Lifecycle phase boundaries for the profiler (obs/span.h); -1 until
-    /// the attempt reaches the phase. span_exec_end is stamped at process
-    /// exit in complete_exec (dd has no exec_finished_at equivalent).
-    Tick span_ready = -1;
-    Tick span_dispatched = -1;
-    Tick span_staged = -1;
-    Tick span_exec = -1;
-    Tick span_compute = -1;
-    Tick span_exec_end = -1;
   };
-  /// Live attempts, dense by TaskId (presence = non-null slot). The
-  /// unique_ptr indirection keeps Attempt addresses stable while other
-  /// slots churn, so references held across staging callbacks stay valid;
-  /// attempts_live_ tracks the population for gauges and the factory
-  /// queue-depth hook.
-  std::vector<std::unique_ptr<Attempt>> attempts_;
-  // vine-snapshot: derived(count of non-null attempts_ slots)
-  std::size_t attempts_live_ = 0;
 
-  [[nodiscard]] Attempt& attempt_at(TaskId t) {
-    auto& slot = attempts_[static_cast<std::size_t>(t)];
-    assert(slot);
-    return *slot;
-  }
-  [[nodiscard]] Attempt* attempt_find(TaskId t) {
-    return attempts_[static_cast<std::size_t>(t)].get();
-  }
-  void attempt_erase(TaskId t) {
-    attempts_[static_cast<std::size_t>(t)].reset();
-    --attempts_live_;
-  }
-
-  /// Capture one finished attempt into the profiler span log (and the
-  /// transaction log as a SPAN line), before the Attempt is erased.
-  void record_attempt_span(TaskId t, std::int32_t pid, const Attempt& a,
-                           bool failed) {
-    obs::AttemptSpan s;
-    s.task = t;
-    s.attempt = table_.at(t).attempts;
-    s.worker = pid == kNoProc ? -1 : static_cast<std::int32_t>(node_of(pid));
-    s.ready_at = a.span_ready;
-    s.dispatched_at = a.span_dispatched;
-    s.staged_at = a.span_staged;
-    s.exec_at = a.span_exec;
-    s.compute_at = a.span_compute;
-    s.exec_end_at = a.span_exec_end;
-    s.retrieved_at = engine_.now();
-    s.failed = failed;
-    s.category = graph_.task(t).spec.category;
-    if (txn_on()) {
-      obs_->txn().span_attempt(engine_.now(), t, s.attempt, s.worker,
-                               s.ready_at, s.dispatched_at, s.staged_at,
-                               s.exec_at, s.compute_at, s.exec_end_at,
-                               !failed, s.category);
-    }
-    report_.profile.add_attempt(std::move(s));
+  /// The engine's side of the run lifecycle (exec/run_shell.h).
+  exec::RunShell::Hooks hooks() {
+    exec::RunShell::Hooks h;
+    // Graph submission: the scheduler loop ingests every task definition
+    // before it can dispatch or service heartbeats.
+    h.start = [this] {
+      scheduler_.acquire(static_cast<Tick>(graph_.size()) *
+                         tun_.graph_intake_cost_per_task);
+      schedule_heartbeats();
+    };
+    h.node_up = [this](WorkerId w) { on_node_up(w); };
+    h.node_down = [this](WorkerId w) { on_node_down(w); };
+    h.lose_cached_file = [this](WorkerId w, FileId f) {
+      return lose_held_key(w, f);
+    };
+    h.output_available = [this](TaskId p) {
+      return key_available(graph_.task(p).output_file);
+    };
+    h.place = [this](TaskId t) { return choose_proc(t); };
+    h.dispatch = [this](TaskId t, std::int32_t pid) { dispatch(t, pid); };
+    h.releasable = [this](WorkerId w) { return node_releasable(w); };
+    h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
+    h.snapshot_sections = [this] { return snapshot_sections(); };
+    h.chrome_args = [this](TaskId t) {
+      return ",\"proc\":" +
+             std::to_string(shell_.attempt_at<Attempt>(t).proc);
+    };
+    return h;
   }
 
-  /// Arm the profiler: static cluster/DAG shape plus the wire-level flow
-  /// span listener. Node up/down and attempt spans are recorded at their
-  /// natural call sites.
-  void begin_profile() {
-    std::vector<std::uint32_t> cores;
-    cores.reserve(cluster_.worker_count());
-    for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
-         ++w) {
-      cores.push_back(cluster_.worker(w).cores);
-    }
-    report_.profile.set_worker_cores(std::move(cores));
-    for (const auto& task : graph_.tasks()) {
-      report_.profile.set_deps(task.id, task.spec.deps);
-    }
-    cluster_.network().set_span_listener(
-        [this](Tick started, Tick ended, net::FlowId id, std::uint64_t bytes,
-               std::uint64_t carried, char outcome) {
-          obs::FlowSpan fs;
-          fs.flow = id;
-          fs.bytes = bytes;
-          fs.carried = carried;
-          fs.started_at = started;
-          fs.ended_at = ended;
-          fs.outcome = outcome;
-          report_.profile.add_flow(fs);
-        });
-  }
+  [[nodiscard]] bool txn_on() const { return shell_.txn_on(); }
 
-  /// Seal the span log once the makespan is known and derive the
-  /// attribution ledger, which supplies the reported busy fraction.
-  void finish_profile() {
-    report_.profile.set_manager(scheduler_.total_busy_time(),
-                                scheduler_.operations());
-    report_.profile.set_run(report_.makespan, report_.scheduler,
-                            report_.success);
-    const obs::AttributionLedger ledger = obs::attribute(report_.profile);
-    report_.manager_busy_fraction = ledger.manager_busy_fraction;
-    assert(ledger.identity_ok());
-    if (trace_on() && obs_->config().trace_lifecycle_spans) {
-      obs::emit_lifecycle_trace(report_.profile, obs_->trace());
-    }
+  void add_gauges(obs::StatsRegistry& stats) {
+    stats.gauge("procs.alive", [this] {
+      std::size_t n = 0;
+      for (const Proc& p : procs_) n += p.alive ? 1 : 0;
+      return static_cast<double>(n);
+    });
+    stats.gauge("procs.busy", [this] {
+      std::size_t n = 0;
+      for (const Proc& p : procs_) n += (p.alive && p.busy) ? 1 : 0;
+      return static_cast<double>(n);
+    });
+    stats.gauge("scheduler.backlog", [this] {
+      return static_cast<double>(scheduler_.backlog());
+    });
+    stats.gauge("scheduler.busy_fraction", [this] {
+      const Tick now = engine_.now();
+      if (now <= 0) return 0.0;
+      return std::min(1.0, static_cast<double>(scheduler_.total_busy_time()) /
+                               static_cast<double>(now));
+    });
+    shell_.add_engine_gauges(stats);
   }
 
   // --------------------------------------------------------------------
   // Node / process lifecycle.
   // --------------------------------------------------------------------
   void on_node_up(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) obs_->txn().worker_connection(engine_.now(), w);
-    report_.profile.worker_up(engine_.now(), w);
     for (std::uint32_t k = 0; k < cores_per_node_; ++k) {
       auto& p = proc(proc_id(w, k));
       p = Proc{};
       p.alive = true;
       p.last_heartbeat_served = engine_.now();
     }
-    pump();
+    shell_.pump();
   }
 
   void on_node_down(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) {
-      const bool crashed = pending_crash_[static_cast<std::size_t>(w)];
-      const bool released = pending_release_[static_cast<std::size_t>(w)];
-      obs_->txn().worker_disconnection(
-          engine_.now(), w,
-          crashed ? "FAILURE" : released ? "RELEASED" : "PREEMPTED");
-    }
-    pending_crash_[static_cast<std::size_t>(w)] = false;
-    pending_release_[static_cast<std::size_t>(w)] = false;
-    report_.profile.worker_down(engine_.now(), w);
     for (std::uint32_t k = 0; k < cores_per_node_; ++k) {
       kill_proc(proc_id(w, k), /*restart=*/false);
-      if (finished_) return;
+      if (shell_.finished()) return;
     }
-    report_.cache.mark_failure(static_cast<std::size_t>(w), engine_.now());
-    pump();
+    shell_.report().cache.mark_failure(static_cast<std::size_t>(w),
+                                       engine_.now());
+    shell_.pump();
   }
 
   [[nodiscard]] std::int32_t proc_id(WorkerId node, std::uint32_t k) const {
@@ -460,22 +230,22 @@ class DaskRun {
       const TaskId t = running_on(pid);
       running_on(pid) = dag::kInvalidTask;
       fail_attempt(t);
-      if (finished_) return;
+      if (shell_.finished()) return;
     }
     p.busy = false;
 
     if (p.restarts > tun_.max_restarts_per_proc) {
-      fail_run("worker process crash loop (proc " + std::to_string(pid) +
+      shell_.fail_run("worker process crash loop (proc " + std::to_string(pid) +
                " restarted " + std::to_string(p.restarts) + " times)");
       return;
     }
     if (restart) {
-      report_.worker_crashes += 1;
+      shell_.report().worker_crashes += 1;
       const std::uint32_t incarnation = p.incarnation;
       const WorkerId node = node_of(pid);
       engine_.schedule_after(tun_.restart_delay, [this, pid, incarnation,
                                                   node] {
-        if (finished_) return;
+        if (shell_.finished()) return;
         Proc& q = proc(pid);
         if (q.incarnation != incarnation || !cluster_.worker(node).alive) {
           return;
@@ -483,7 +253,7 @@ class DaskRun {
         q.alive = true;
         q.busy = false;
         q.last_heartbeat_served = engine_.now();
-        pump();
+        shell_.pump();
       });
     }
   }
@@ -492,37 +262,14 @@ class DaskRun {
   // Fault injection. Node crashes route through the batch system like
   // vine's; "cache loss" drops in-memory result keys; only transfers with
   // a retry closure (dataset reads, peer key fetches, client pulls, sink
-  // gathers) register as kill targets. Null injector_ = all no-ops.
+  // gathers) register as kill targets. No injector = all no-ops.
   // --------------------------------------------------------------------
-  void begin_fault_injection() {
-    if (options_.faults.empty()) return;
-    injector_ = std::make_unique<fault::FaultInjector>(
-        cluster_, options_.faults, options_.fault_retry, obs_.get());
-    fault::FaultInjector::Hooks hooks;
-    hooks.crash_worker = [this](std::int32_t w) {
-      if (finished_ || !cluster_.worker(w).alive) return false;
-      if (pending_crash_[static_cast<std::size_t>(w)]) return false;
-      report_.worker_crashes += 1;
-      pending_crash_[static_cast<std::size_t>(w)] = true;
-      cluster_.batch().force_preempt(static_cast<std::uint32_t>(w));
-      return true;
-    };
-    hooks.lose_cached_file = [this](std::int32_t w, std::int64_t f) {
-      return lose_held_key(w, static_cast<FileId>(f));
-    };
-    hooks.crash_manager = [this] {
-      if (finished_) return false;
-      on_manager_crash();
-      return true;
-    };
-    injector_->arm(std::move(hooks));
-  }
-
   /// Drop the in-memory result key `f` from every process on node `w`
   /// (w = kNoWorker: from every holder). Lost keys are rediscovered at the
   /// next precheck or fetch and lineage-reset their producer.
   std::size_t lose_held_key(WorkerId w, FileId f) {
-    if (finished_ || f < 0 || static_cast<std::size_t>(f) >= files_.size()) {
+    if (shell_.finished() || f < 0 ||
+        static_cast<std::size_t>(f) >= files_.size()) {
       return 0;
     }
     auto& info = file(f);
@@ -543,44 +290,20 @@ class DaskRun {
     return lost;
   }
 
-  void forget_flow(net::FlowId flow) {
-    if (injector_ && flow != net::kInvalidFlow) {
-      injector_->forget_transfer(flow);
-    }
-  }
-
-  void lineage_reset(TaskId producer) {
-    const std::size_t reset = table_.reset_lost(
-        producer, engine_.now(), [this](TaskId p) {
-          return key_available(graph_.task(p).output_file);
-        });
-    lineage_resets_ += reset;
-    if (reset == 0) return;
-    auto& count = reset_counts_[static_cast<std::size_t>(producer)];
-    count += 1;
-    const std::uint32_t limit = options_.fault_retry.poisoned_reset_threshold;
-    if (limit > 0 && count > limit) {
-      fail_run("task " + std::to_string(producer) +
-               " poisoned: output lost " + std::to_string(count) +
-               " times, exceeding the reset threshold of " +
-               std::to_string(limit));
-    }
-  }
-
   // --------------------------------------------------------------------
   // Heartbeats: the scheduler loop must service every process's heartbeat
   // within the timeout, or the process is declared dead.
   // --------------------------------------------------------------------
   void schedule_heartbeats() {
     engine_.schedule_after(tun_.heartbeat_interval, [this] {
-      if (finished_) return;
+      if (shell_.finished()) return;
       for (std::int32_t pid = 0;
            pid < static_cast<std::int32_t>(procs_.size()); ++pid) {
         if (!proc(pid).alive) continue;
         const std::uint32_t incarnation = proc(pid).incarnation;
         scheduler_.acquire_then(tun_.heartbeat_cost, [this, pid,
                                                       incarnation] {
-          if (finished_) return;
+          if (shell_.finished()) return;
           Proc& p = proc(pid);
           if (!p.alive || p.incarnation != incarnation) return;
           p.last_heartbeat_served = engine_.now();
@@ -594,7 +317,7 @@ class DaskRun {
         if (p.alive && engine_.now() - p.last_heartbeat_served >
                            tun_.heartbeat_timeout) {
           kill_proc(pid, /*restart=*/true);
-          if (finished_) return;
+          if (shell_.finished()) return;
         }
       }
       schedule_heartbeats();
@@ -612,41 +335,14 @@ class DaskRun {
         bytes += proc(proc_id(w, k)).mem_used;
       }
       if (cluster_.worker(w).alive) {
-        report_.cache.sample(static_cast<std::size_t>(w), now, bytes);
+        shell_.report().cache.sample(static_cast<std::size_t>(w), now, bytes);
       }
     }
   }
 
   // --------------------------------------------------------------------
-  // Pump: dispatch ready tasks to free processes.
+  // Placement: a free process, preferring nodes holding input bytes.
   // --------------------------------------------------------------------
-  void pump() {
-    if (finished_ || pumping_) return;
-    pumping_ = true;
-    while (!finished_) {
-      const TaskId t = table_.peek_ready();
-      if (t == dag::kInvalidTask) break;
-      if (!precheck_inputs(t)) continue;
-      const std::int32_t pid = choose_proc(t);
-      if (pid == kNoProc) break;
-      const TaskId popped = table_.pop_ready();
-      assert(popped == t);
-      (void)popped;
-      dispatch(t, pid);
-    }
-    pumping_ = false;
-  }
-
-  bool precheck_inputs(TaskId t) {
-    for (TaskId dep : graph_.task(t).spec.deps) {
-      const FileId f = graph_.task(dep).output_file;
-      if (table_.at(dep).state == TaskState::kDone && !key_available(f)) {
-        lineage_reset(dep);
-      }
-    }
-    return table_.at(t).state == TaskState::kReady;
-  }
-
   [[nodiscard]] bool key_available(FileId f) {
     return file(f).at_client || !file(f).holders.empty();
   }
@@ -678,10 +374,10 @@ class DaskRun {
     if (best != kNoProc) return best;
     const auto n = static_cast<std::int32_t>(procs_.size());
     for (std::int32_t i = 0; i < n; ++i) {
-      const std::int32_t pid = (rr_cursor_ + i) % n;
+      const std::int32_t pid = (shell_.rr_cursor() + i) % n;
       Proc& p = proc(pid);
       if (p.alive && !p.busy && cluster_.worker(node_of(pid)).alive) {
-        rr_cursor_ = (pid + 1) % n;
+        shell_.rr_cursor() = (pid + 1) % n;
         return pid;
       }
     }
@@ -692,25 +388,16 @@ class DaskRun {
   // Dispatch, staging, execution.
   // --------------------------------------------------------------------
   void dispatch(TaskId t, std::int32_t pid) {
-    table_.mark_dispatched(t, node_of(pid), engine_.now());
-    ++total_attempts_;
+    auto& attempt = shell_.begin_attempt<Attempt>(t, node_of(pid));
     Proc& p = proc(pid);
     p.busy = true;
     running_on(pid) = t;
-
-    Attempt attempt;
     attempt.proc = pid;
     attempt.inputs = table_.gather_inputs(t);
-    attempt.span_ready = table_.at(t).ready_at;
-    attempt.span_dispatched = engine_.now();
-    auto& slot = attempts_[static_cast<std::size_t>(t)];
-    assert(!slot);
-    slot = std::make_unique<Attempt>(std::move(attempt));
-    ++attempts_live_;
-    const Token token{t, table_.at(t).attempts};
+    const Token token = shell_.token(t);
 
     scheduler_.acquire_then(tun_.dispatch_cost, [this, token, pid] {
-      if (!token_valid(token)) return;
+      if (!shell_.token_valid(token)) return;
       record_transfer(cluster_.manager_endpoint(),
                       cluster_.worker_endpoint(node_of(pid)),
                       options_.python.argument_bytes);
@@ -721,9 +408,9 @@ class DaskRun {
   }
 
   void begin_staging(const Token& token, std::int32_t pid) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const auto& task = graph_.task(token.task);
-    auto& attempt = attempt_at(token.task);
+    auto& attempt = shell_.attempt_at<Attempt>(token.task);
     attempt.span_staged = engine_.now();
 
     std::vector<std::pair<FileId, bool>> needed;  // (file, is_dataset)
@@ -750,21 +437,21 @@ class DaskRun {
                  const Token& token) {
     const WorkerId dst_node = node_of(pid);
     auto arrival = [this, token, pid, f](bool ok) {
-      if (!token_valid(token)) return;
+      if (!shell_.token_valid(token)) return;
       if (!ok) {
         // Lost key: fail this attempt and lineage-reset the producer.
         const TaskId t = token.task;
-        fail_attempt_requeue(t);
-        if (finished_) return;
+        fail_attempt(t);
+        if (shell_.finished()) return;
         const TaskId producer = file(f).producer;
         if (producer != dag::kInvalidTask &&
             table_.at(producer).state == TaskState::kDone) {
-          lineage_reset(producer);
+          shell_.lineage_reset(producer);
         }
-        pump();
+        shell_.pump();
         return;
       }
-      auto& att = attempt_at(token.task);
+      auto& att = shell_.attempt_at<Attempt>(token.task);
       if (--att.staging_outstanding == 0) start_exec(token, pid);
     };
 
@@ -780,7 +467,7 @@ class DaskRun {
         *flow = cluster_.read_fs_to_worker(
             dst_node, file(f).size,
             [this, f, dst_node, arrival, flow, slot = std::move(slot)] {
-              forget_flow(*flow);
+              shell_.forget_flow(*flow);
               record_transfer(cluster_.fs_endpoint(),
                               cluster_.worker_endpoint(dst_node),
                               file(f).size);
@@ -813,7 +500,7 @@ class DaskRun {
         *flow = cluster_.send_manager_to_worker(
             dst_node, file(f).size, cluster_.control_rtt() / 2,
             [this, f, dst_node, arrival, flow] {
-              forget_flow(*flow);
+              shell_.forget_flow(*flow);
               record_transfer(cluster_.manager_endpoint(),
                               cluster_.worker_endpoint(dst_node),
                               file(f).size);
@@ -844,7 +531,7 @@ class DaskRun {
     *flow = cluster_.send_peer(
         src_node, dst_node, file(f).size, cluster_.control_rtt() / 2,
         [this, f, src_node, dst_node, arrival, t0, flow] {
-          forget_flow(*flow);
+          shell_.forget_flow(*flow);
           record_transfer(cluster_.worker_endpoint(src_node),
                           cluster_.worker_endpoint(dst_node), file(f).size);
           if (txn_on()) {
@@ -852,7 +539,7 @@ class DaskRun {
                 engine_.now(), cluster_.worker_endpoint(src_node),
                 cluster_.worker_endpoint(dst_node), f, file(f).size);
           }
-          if (trace_on()) {
+          if (shell_.trace_on()) {
             obs_->trace().add_flow(
                 static_cast<std::int32_t>(cluster_.worker_endpoint(src_node)),
                 static_cast<std::int32_t>(cluster_.worker_endpoint(dst_node)),
@@ -873,8 +560,8 @@ class DaskRun {
                        std::int32_t pid, const Token& token,
                        std::function<void(bool)> arrival,
                        std::size_t src_ep) {
-    if (!injector_ || flow_id == net::kInvalidFlow) return;
-    injector_->offer_transfer(
+    if (!shell_.injector() || flow_id == net::kInvalidFlow) return;
+    shell_.injector()->offer_transfer(
         flow_id, file(f).size,
         [this, f, is_dataset, pid, token, arrival = std::move(arrival),
          src_ep] {
@@ -883,35 +570,35 @@ class DaskRun {
                 engine_.now(), src_ep,
                 cluster_.worker_endpoint(node_of(pid)), f, file(f).size);
           }
-          if (!token_valid(token)) return;
+          if (!shell_.token_valid(token)) return;
           // Budget check: the Nth kill (N = max_transfer_retries)
           // exhausts it — N-1 backoff re-fetches happen before the
           // attempt takes the lost-input path.
           const std::uint32_t kills =
               transfer_backoff_.next_attempt(token.task);
           if (kills >= options_.fault_retry.max_transfer_retries) {
-            injector_->record_giveup(
+            shell_.injector()->record_giveup(
                 "task=" + std::to_string(token.task) + " file=" +
                 std::to_string(f) + " kills=" + std::to_string(kills));
             arrival(false);
             return;
           }
-          const Tick delay = injector_->backoff_delay(kills);
+          const Tick delay = shell_.injector()->backoff_delay(kills);
           engine_.schedule_after(delay, [this, f, is_dataset, pid, token] {
-            if (token_valid(token)) fetch_key(f, is_dataset, pid, token);
+            if (shell_.token_valid(token)) fetch_key(f, is_dataset, pid, token);
           });
         });
   }
 
   void start_exec(const Token& token, std::int32_t pid) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     // All inputs staged: the transfer episode (if any) ended in success.
     transfer_backoff_.reset(token.task);
-    table_.mark_running(token.task, engine_.now());
+    table_.mark_running(token.task);
     if (txn_on()) {
       obs_->txn().task_running(engine_.now(), token.task, node_of(pid));
     }
-    attempt_at(token.task).span_exec = engine_.now();
+    shell_.attempt_at<Attempt>(token.task).span_exec = engine_.now();
     const auto& task = graph_.task(token.task);
     const auto& node = cluster_.worker(node_of(pid));
     Proc& p = proc(pid);
@@ -934,16 +621,16 @@ class DaskRun {
       engine_.schedule_after(
           pre + options_.python.interpreter_startup,
           [this, token, pid, incarnation, compute] {
-            if (!token_valid(token)) return;
+            if (!shell_.token_valid(token)) return;
             if (proc(pid).incarnation != incarnation) return;
             cluster_.fs().metadata_ops(
                 options_.imports.total_metadata_ops(),
                 [this, token, pid, incarnation, compute] {
-                  if (!token_valid(token)) return;
+                  if (!shell_.token_valid(token)) return;
                   if (proc(pid).incarnation != incarnation) return;
                   fs_gate_.submit([this, token, pid, incarnation, compute](
                                       net::FlowGate::SlotToken slot) {
-                    if (!token_valid(token)) return;
+                    if (!shell_.token_valid(token)) return;
                     const std::uint64_t code =
                         options_.imports.total_code_bytes();
                     const WorkerId node_id = node_of(pid);
@@ -951,14 +638,14 @@ class DaskRun {
                         node_id, code,
                         [this, token, pid, incarnation, compute, code,
                          node_id, slot = std::move(slot)] {
-                          if (!token_valid(token)) return;
+                          if (!shell_.token_valid(token)) return;
                           if (proc(pid).incarnation != incarnation) return;
                           record_transfer(cluster_.fs_endpoint(),
                                           cluster_.worker_endpoint(node_id),
                                           code);
                           const Tick cpu =
                               options_.imports.total_cpu_cost();
-                          attempt_at(token.task).span_compute =
+                          shell_.attempt_at<Attempt>(token.task).span_compute =
                               engine_.now() + cpu;
                           engine_.schedule_after(
                               cpu + compute,
@@ -972,14 +659,14 @@ class DaskRun {
       return;
     }
 
-    attempt_at(token.task).span_compute = engine_.now() + pre;
+    shell_.attempt_at<Attempt>(token.task).span_compute = engine_.now() + pre;
     engine_.schedule_after(pre + compute, [this, token, pid] {
       complete_exec(token, pid);
     });
   }
 
   void complete_exec(const Token& token, std::int32_t pid) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
     const auto& task = graph_.task(t);
     Proc& p = proc(pid);
@@ -989,13 +676,13 @@ class DaskRun {
     p.mem_used += task.spec.output_bytes;
     if (p.mem_used > mem_per_proc_) {
       kill_proc(pid, /*restart=*/true);
-      pump();
+      shell_.pump();
       return;
     }
     p.holding.push_back(task.output_file);
     file(task.output_file).holders.push_back(pid);
 
-    auto& attempt = attempt_at(t);
+    auto& attempt = shell_.attempt_at<Attempt>(t);
     attempt.span_exec_end = engine_.now();
     dag::ValuePtr value =
         task.spec.fn ? task.spec.fn(attempt.inputs) : nullptr;
@@ -1012,33 +699,14 @@ class DaskRun {
 
   void finalize_task(const Token& token, std::int32_t pid,
                      dag::ValuePtr value) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
 
-    const auto& st = table_.at(t);
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = node_of(pid);
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.started_at;
-    rec.finished_at = engine_.now();
-    rec.category = graph_.task(t).spec.category;
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    if (trace_on() && rec.started_at > 0) {
-      obs_->trace().add_span(
-          static_cast<std::int32_t>(
-              cluster_.worker_endpoint(node_of(pid))),
-          rec.category, rec.category, rec.started_at,
-          rec.finished_at - rec.started_at,
-          "{\"task\":" + std::to_string(t) + ",\"proc\":" +
-              std::to_string(pid) + "}");
-    }
-    report_.trace.add(std::move(rec));
-    record_attempt_span(t, pid, attempt_at(t), /*failed=*/false);
+    shell_.record_attempt_span(t, node_of(pid), /*failed=*/false);
 
     table_.mark_done(t, std::move(value), engine_.now());
-    attempt_erase(t);
+    shell_.attempt_erase(t);
     if (txn_on()) obs_->txn().task_done(engine_.now(), t, "SUCCESS");
 
     // Release dependency keys whose consumers are all finished.
@@ -1046,11 +714,9 @@ class DaskRun {
       release_consumer(graph_.task(dep).output_file);
     }
 
-    if (is_sink_[static_cast<std::size_t>(t)]) {
-      gather_sink(t, node_of(pid));
-    }
-    check_completion();
-    pump();
+    if (shell_.is_sink(t)) gather_sink(t, node_of(pid));
+    shell_.check_completion();
+    shell_.pump();
   }
 
   void release_consumer(FileId f) {
@@ -1082,7 +748,7 @@ class DaskRun {
       *flow = cluster_.send_worker_to_manager(
           node, file(f).size, cluster_.control_rtt() / 2,
           [this, t, node, flow, slot = std::move(slot)] {
-            forget_flow(*flow);
+            shell_.forget_flow(*flow);
             record_transfer(cluster_.worker_endpoint(node),
                             cluster_.manager_endpoint(),
                             file(graph_.task(t).output_file).size);
@@ -1093,12 +759,10 @@ class DaskRun {
                   file(graph_.task(t).output_file).size);
             }
             file(graph_.task(t).output_file).at_client = true;
-            if (!sink_gathered_[static_cast<std::size_t>(t)]) {
-              sink_gathered_[static_cast<std::size_t>(t)] = 1;
+            if (shell_.mark_sink_done(t)) {
               sink_backoff_.reset(t);  // gather episode over
-              --sinks_outstanding_;
             }
-            check_completion();
+            shell_.check_completion();
           });
       offer_sink_gather(*flow, t, node);
     });
@@ -1108,9 +772,10 @@ class DaskRun {
   /// cap: the result key stays in the source process's memory, so the
   /// stream can simply re-open.
   void offer_sink_gather(net::FlowId flow_id, TaskId t, WorkerId node) {
-    if (!injector_ || flow_id == net::kInvalidFlow) return;
+    if (!shell_.injector() || flow_id == net::kInvalidFlow) return;
     const FileId f = graph_.task(t).output_file;
-    injector_->offer_transfer(flow_id, file(f).size, [this, t, node, f] {
+    shell_.injector()->offer_transfer(flow_id, file(f).size,
+                                      [this, t, node, f] {
       if (txn_on()) {
         obs_->txn().transfer_failed(engine_.now(),
                                     cluster_.worker_endpoint(node),
@@ -1118,84 +783,21 @@ class DaskRun {
                                     file(f).size);
       }
       const Tick delay =
-          injector_->backoff_delay(sink_backoff_.next_attempt(t));
+          shell_.injector()->backoff_delay(sink_backoff_.next_attempt(t));
       engine_.schedule_after(delay, [this, t, node] {
-        if (!finished_ && !sink_gathered_[static_cast<std::size_t>(t)]) {
+        if (!shell_.finished() && !shell_.sink_done(t)) {
           gather_sink(t, node);
         }
       });
     });
   }
 
-  void check_completion() {
-    if (finished_) return;
-    if (table_.all_done() && sinks_outstanding_ == 0) {
-      finished_ = true;
-      report_.success = true;
-      report_.makespan = engine_.now();
-      for (TaskId sink : graph_.sinks()) {
-        report_.results[sink] = table_.at(sink).result;
-      }
-      cluster_.batch().drain();
-    }
-  }
-
   // --------------------------------------------------------------------
-  // Manager HA: crash handling, checkpointing, elastic factory. Mirrors
-  // the vine engine's scheme (vine_run.cpp); the snapshot schema differs
-  // because dd's state lives in process memory, not worker disks.
+  // Manager HA. The shell snapshots the run and task state; dd adds the
+  // sections for state that lives in process memory, not worker disks.
   // --------------------------------------------------------------------
-  void on_manager_crash() {
-    report_.ha.manager_crashed = true;
-    report_.ha.crash_tick = engine_.now();
-    fail_run("manager crashed (injected manager_crash fault)");
-  }
-
-  void schedule_snapshot() {
-    if (!options_.ha.snapshots_enabled()) return;
-    engine_.schedule_after(options_.ha.snapshot_interval, [this] {
-      if (finished_) return;
-      take_snapshot();
-      schedule_snapshot();
-    });
-  }
-
-  void take_snapshot() {
+  ha::SnapshotBuilder snapshot_sections() {
     ha::SnapshotBuilder b;
-
-    b.section("run");
-    b.field("tasks_total", graph_.size());
-    b.field("tasks_done", table_.done_count());
-    b.field("task_attempts", total_attempts_);
-    b.field("lineage_resets", lineage_resets_);
-    b.field("sinks_outstanding", sinks_outstanding_);
-    b.field("worker_crashes", report_.worker_crashes);
-    // The process round-robin cursor is real scheduler state: two
-    // schedulers that agree on everything else but disagree on the cursor
-    // assign the next task to different processes.
-    b.field_i("rr_cursor", rr_cursor_);
-
-    b.section("tasks");
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const auto& st = table_.at(t);
-      b.field_s("t" + std::to_string(t),
-                std::to_string(static_cast<int>(st.state)) + "/" +
-                    std::to_string(st.attempts) + "/" +
-                    std::to_string(st.worker));
-    }
-    // Sparse task-keyed state: per-producer lineage-reset counts (the
-    // poisoned-task detector's memory) and sink-gather completion bits.
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-      if (n != 0) b.field("r" + std::to_string(t), n);
-    }
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      if (is_sink_[static_cast<std::size_t>(t)] &&
-          sink_gathered_[static_cast<std::size_t>(t)] != 0) {
-        b.field("s" + std::to_string(t), 1);
-      }
-    }
-
     b.section("keys");
     for (FileId f = 0; f < static_cast<FileId>(files_.size()); ++f) {
       const auto& info = files_[static_cast<std::size_t>(f)];
@@ -1235,136 +837,49 @@ class DaskRun {
     sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
       b.field("sink." + std::to_string(t), n);
     });
-
-    // Unconditional (zeros without an injector): a run whose only fault
-    // was the manager crash itself must snapshot byte-identically to its
-    // crash-stripped recovery rerun, which has no injector at all.
-    {
-      const fault::InjectionStats zero;
-      const fault::InjectionStats& fs =
-          injector_ ? injector_->stats() : zero;
-      b.section("injector");
-      b.field("faults_injected", fs.faults_injected);
-      b.field("worker_crashes", fs.worker_crashes);
-      b.field("cache_losses", fs.cache_losses);
-      b.field("cache_loss_noops", fs.cache_loss_noops);
-      b.field("transfers_killed", fs.transfers_killed);
-      b.field("fs_degradations", fs.fs_degradations);
-      b.field("stragglers", fs.stragglers);
-      b.field("manager_crashes", fs.manager_crashes);
-      b.field("transfer_retries", fs.transfer_retries);
-      b.field("transfer_giveups", fs.transfer_giveups);
-      b.field("backoff_wait", static_cast<std::uint64_t>(fs.backoff_wait));
-      b.field("fs_degraded_time",
-              static_cast<std::uint64_t>(fs.fs_degraded_time));
-    }
-
-    b.section("rng");
-    b.field_rng("dask_run", rng_.state());
-
-    ha::SnapshotRecord rec = b.finish(engine_.now(), snapshot_seq_++);
-    scheduler_.acquire(options_.ha.snapshot_cost(rec.bytes));
-    if (txn_on()) {
-      obs_->txn().snapshot_write(engine_.now(), rec.seq, rec.bytes,
-                                 rec.digest);
-    }
-    report_.ha.snapshots.push_back(std::move(rec));
+    return b;
   }
 
-  void begin_factory() {
-    if (!options_.ha.factory.enabled()) return;
-    ha::Factory::Hooks hooks;
-    hooks.queue_depth = [this]() -> std::size_t {
-      return table_.ready_count() + attempts_live_;
-    };
-    hooks.connected_workers = [this] { return cluster_.alive_workers(); };
-    hooks.grow = [this](std::uint32_t n) {
-      return cluster_.batch().start_slots(n);
-    };
-    hooks.shrink = [this](std::uint32_t n) {
-      return release_idle_nodes(n);
-    };
-    factory_ = std::make_unique<ha::Factory>(engine_, options_.ha.factory,
-                                             std::move(hooks));
-    factory_->start();
-  }
-
-  /// Factory shrink: release nodes whose processes are all idle and hold
-  /// no result keys (releasing a holder would force lineage resets).
-  /// Highest ids go first, keeping the stable low-id core of the pool.
-  std::uint32_t release_idle_nodes(std::uint32_t n) {
-    std::uint32_t released = 0;
-    for (WorkerId w = static_cast<WorkerId>(cluster_.worker_count()) - 1;
-         w >= 0 && released < n; --w) {
-      if (!cluster_.worker(w).alive) continue;
-      bool idle = true;
-      for (std::uint32_t k = 0; k < cores_per_node_ && idle; ++k) {
-        const Proc& p = procs_[static_cast<std::size_t>(proc_id(w, k))];
-        if (p.alive && (p.busy || !p.holding.empty())) idle = false;
-      }
-      if (!idle) continue;
-      pending_release_[static_cast<std::size_t>(w)] = true;
-      if (cluster_.batch().release_slot(static_cast<std::uint32_t>(w))) {
-        ++released;
-      } else {
-        pending_release_[static_cast<std::size_t>(w)] = false;
-      }
+  /// Factory shrink: a node may go when all its processes are idle and
+  /// hold no result keys (releasing a holder would force lineage resets).
+  [[nodiscard]] bool node_releasable(WorkerId w) const {
+    for (std::uint32_t k = 0; k < cores_per_node_; ++k) {
+      const Proc& p = procs_[static_cast<std::size_t>(proc_id(w, k))];
+      if (p.alive && (p.busy || !p.holding.empty())) return false;
     }
-    return released;
+    return true;
   }
 
   // --------------------------------------------------------------------
   // Failures.
   // --------------------------------------------------------------------
-  void fail_attempt(TaskId t) { fail_attempt_requeue(t); }
-
-  void fail_attempt_requeue(TaskId t) {
+  void fail_attempt(TaskId t) {
     const auto& st = table_.at(t);
     if (st.state != TaskState::kDispatched &&
         st.state != TaskState::kRunning) {
       return;
     }
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = st.worker;
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.state == TaskState::kRunning ? st.started_at
-                                                     : st.dispatched_at;
-    rec.finished_at = engine_.now();
-    rec.failed = true;
-    rec.category = graph_.task(t).spec.category;
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-    report_.trace.add(std::move(rec));
-
-    if (Attempt* a = attempt_find(t)) {
+    if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
       const std::int32_t pid = a->proc;
       if (pid != kNoProc) {
         running_on(pid) = dag::kInvalidTask;
         if (proc(pid).alive) proc(pid).busy = false;
       }
-      record_attempt_span(t, pid, *a, /*failed=*/true);
-      attempt_erase(t);
+      shell_.record_attempt_span(t, pid == kNoProc ? -1 : node_of(pid),
+                                 /*failed=*/true);
+      shell_.attempt_erase(t);
     }
     if (table_.at(t).attempts >= options_.max_task_retries) {
-      fail_run("task " + std::to_string(t) + " exceeded retry limit");
+      shell_.fail_run("task " + std::to_string(t) + " exceeded retry limit");
       return;
     }
     table_.requeue(t, engine_.now());
   }
 
-  void fail_run(std::string reason) {
-    if (finished_) return;
-    finished_ = true;
-    report_.success = false;
-    report_.failure_reason = std::move(reason);
-    report_.makespan = engine_.now();
-    cluster_.batch().drain();
-  }
-
   void record_transfer(std::size_t src, std::size_t dst,
                        std::uint64_t bytes) {
-    report_.transfers.record(src, dst, bytes);
+    shell_.report().transfers.record(src, dst, bytes);
   }
 
   // --------------------------------------------------------------------
@@ -1387,43 +902,21 @@ class DaskRun {
   /// the slot is idle.
   // vine-snapshot: derived(inverse of the per-task worker column in the tasks section)
   std::vector<TaskId> running_on_;
-  /// Sink gather completion, dense by TaskId (only sink ids are ever set).
-  std::vector<char> sink_gathered_;
-  // vine-snapshot: derived(graph property, rebuilt at startup)
-  std::vector<bool> is_sink_;
 
   std::shared_ptr<obs::RunObservation> obs_;
 
-  // Fault-injection state (null/empty when RunOptions::faults is empty).
   // Backoff ledgers reset on success, so escalation counts consecutive
   // failures of the current episode, never a task's lifetime kills.
-  std::unique_ptr<fault::FaultInjector> injector_;
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_crash_;
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_release_;
-  std::vector<std::uint32_t> reset_counts_;
   fault::BackoffLedger<TaskId> transfer_backoff_;
   fault::BackoffLedger<TaskId> sink_backoff_;
-  std::size_t lineage_resets_ = 0;
 
-  // Manager-HA state (see vine_run.cpp for the scheme; dd mirrors it).
-  // vine-snapshot: derived(sizing re-derived from queue depth each poll)
-  std::unique_ptr<ha::Factory> factory_;
-  std::uint64_t snapshot_seq_ = 0;
-
-  exec::RunReport report_;
   // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint32_t cores_per_node_ = 1;
   // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint64_t mem_per_proc_ = 0;
-  std::size_t sinks_outstanding_ = 0;
-  std::size_t total_attempts_ = 0;
-  std::int32_t rr_cursor_ = 0;
-  // vine-snapshot: derived(re-entrancy latch, always false between events)
-  bool pumping_ = false;
-  // vine-snapshot: derived(teardown latch; no snapshots are taken after finish)
-  bool finished_ = false;
+
+  // vine-snapshot: serialized(the shell writes its run and tasks sections itself)
+  exec::RunShell shell_;
 };
 
 }  // namespace
@@ -1431,8 +924,8 @@ class DaskRun {
 exec::RunReport DaskDistScheduler::run(const dag::TaskGraph& graph,
                                        cluster::Cluster& cluster,
                                        const exec::RunOptions& options) {
-  DaskRun run(graph, cluster, options, tun_);
-  return run.execute();
+  DaskRun engine(graph, cluster, options, tun_);
+  return engine.run();
 }
 
 }  // namespace hepvine::dd

@@ -12,7 +12,6 @@
 #include "fault/fault_schedule.h"
 #include "ha/ha_options.h"
 #include "metrics/cache_trace.h"
-#include "metrics/task_trace.h"
 #include "metrics/transfer_matrix.h"
 #include "obs/observer.h"
 #include "obs/span.h"
@@ -92,7 +91,7 @@ struct RunReport {
 
   std::size_t tasks_total = 0;
   std::size_t task_attempts = 0;
-  std::size_t task_failures = 0;
+  std::size_t task_failures = 0;  // failed attempts in `profile`
   /// Completed tasks that had to re-execute because their output (and all
   /// replicas) were lost to worker failures.
   std::size_t lineage_resets = 0;
@@ -139,19 +138,17 @@ struct RunReport {
   /// Fraction of the makespan the manager's control loop was busy
   /// (dispatching, ingesting results, brokering transfers). Near 1.0 means
   /// the run was dispatch-bound — the Stack-3 regime of Fig 13. Derived
-  /// from the attribution ledger (obs::attribute over `profile`);
-  /// `manager_busy_fraction_legacy` keeps the backend's direct measurement
-  /// for cross-checking, and the two must agree exactly.
+  /// from the attribution ledger (obs::attribute over `profile`).
   double manager_busy_fraction = 0.0;
-  double manager_busy_fraction_legacy = 0.0;
 
   /// Per-attempt lifecycle spans, worker capacity timeline, wire flows and
-  /// cache drops — the raw material for core-second blame accounting and
-  /// critical-path extraction (obs/attribution.h, obs/critical_path.h).
-  /// Always recorded; serialize with profile.write_file for vine_profile.
+  /// cache drops — the raw material for core-second blame accounting,
+  /// critical-path extraction (obs/attribution.h, obs/critical_path.h) and
+  /// the figure views (metrics/attempt_views.h). Each attempt is recorded
+  /// once, as an AttemptSpan. Always recorded; serialize with
+  /// profile.write_file for vine_profile.
   obs::SpanLog profile;
 
-  metrics::TaskTrace trace;
   metrics::TransferMatrix transfers;
   metrics::CacheTrace cache;
 

@@ -62,21 +62,18 @@ dag::TaskId TaskStateTable::peek_ready() {
   return dag::kInvalidTask;
 }
 
-void TaskStateTable::mark_dispatched(dag::TaskId id, std::int32_t worker,
-                                     Tick now) {
+void TaskStateTable::mark_dispatched(dag::TaskId id, std::int32_t worker) {
   auto& st = states_[static_cast<std::size_t>(id)];
   assert(st.state == TaskState::kReady);
   st.state = TaskState::kDispatched;
   st.worker = worker;
-  st.dispatched_at = now;
   st.attempts += 1;
 }
 
-void TaskStateTable::mark_running(dag::TaskId id, Tick now) {
+void TaskStateTable::mark_running(dag::TaskId id) {
   auto& st = states_[static_cast<std::size_t>(id)];
   assert(st.state == TaskState::kDispatched);
   st.state = TaskState::kRunning;
-  st.started_at = now;
 }
 
 void TaskStateTable::mark_done(dag::TaskId id, dag::ValuePtr result,

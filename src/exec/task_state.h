@@ -27,9 +27,7 @@ struct TaskRuntime {
   TaskState state = TaskState::kWaiting;
   std::uint32_t deps_remaining = 0;
   std::uint32_t attempts = 0;
-  Tick ready_at = 0;
-  Tick dispatched_at = 0;
-  Tick started_at = 0;
+  Tick ready_at = 0;  // phase times past readiness live in obs::AttemptSpan
   std::int32_t worker = -1;
   dag::ValuePtr result;  // set when kDone
 };
@@ -86,8 +84,8 @@ class TaskStateTable {
 
   /// Mark a task dispatched/running/done; `mark_done` decrements dependents'
   /// counters and enqueues newly ready tasks (recording ready_at = now).
-  void mark_dispatched(dag::TaskId id, std::int32_t worker, Tick now);
-  void mark_running(dag::TaskId id, Tick now);
+  void mark_dispatched(dag::TaskId id, std::int32_t worker);
+  void mark_running(dag::TaskId id);
   void mark_done(dag::TaskId id, dag::ValuePtr result, Tick now);
 
   /// Return a dispatched/running task to the ready queue (worker failed

@@ -39,6 +39,8 @@ class SnapshotBuilder {
   /// One RNG stream's four state words as a single hex field.
   void field_rng(const std::string& key,
                  const std::array<std::uint64_t, 4>& words);
+  /// Continue with everything `part` wrote (fields and sections).
+  void append(const SnapshotBuilder& part) { text_ += part.text_; }
 
   /// Seal the snapshot: digest the accumulated text and stamp identity.
   [[nodiscard]] SnapshotRecord finish(Tick tick, std::uint64_t seq) const;

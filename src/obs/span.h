@@ -13,11 +13,13 @@
 // (obs/critical_path.h) without re-running anything.
 //
 // SpanLog is embedded by value in exec::RunReport and always on: recording
-// is a push_back per attempt/flow/drop, cheap enough to leave enabled like
-// metrics::TaskTrace. The log serializes to a line-oriented text format
-// (".spans") that round-trips exactly, so the `vine_profile` CLI and CI
-// replay gates operate on files; a run's serialized log is bit-identical
-// across replays under the determinism contract (DESIGN.md §5).
+// is a push_back per attempt/flow/drop, cheap enough to leave enabled. The
+// AttemptSpan is a run's only per-attempt record; the figure views
+// (metrics/attempt_views.h) read it too. The log serializes to a
+// line-oriented text format (".spans") that round-trips exactly, so the
+// `vine_profile` CLI and CI replay gates operate on files; a run's
+// serialized log is bit-identical across replays under the determinism
+// contract (DESIGN.md §5).
 //
 // Layering: obs depends only on util, so the dependency edges a critical-
 // path walk needs are copied in via set_deps rather than referencing

@@ -2,12 +2,15 @@
 // VineScheduler (and, via DataPolicy, the Work Queue baseline).
 //
 // Everything is event-driven: the manager reacts to worker arrivals,
-// fetch completions, task completions, and failures; `pump()` greedily
-// dispatches ready tasks whenever capacity may have appeared. All
-// callbacks that land after asynchronous delays validate an attempt token
-// (task id + attempt counter) or a worker incarnation before acting, which
-// makes preemption/crash handling uniform: invalidate the token, requeue
-// the task, and let stale events fall on the floor.
+// fetch completions, task completions, and failures; the run shell's
+// `pump()` greedily dispatches ready tasks whenever capacity may have
+// appeared, asking this engine where to place each one. All callbacks that
+// land after asynchronous delays validate an attempt token (task id +
+// attempt counter) or a worker incarnation before acting, which makes
+// preemption/crash handling uniform: invalidate the token, requeue the
+// task, and let stale events fall on the floor. The run lifecycle itself
+// (observability, profiling, faults, snapshots, completion) lives in
+// exec::RunShell (exec/run_shell.h).
 
 #include <algorithm>
 #include <cassert>
@@ -21,16 +24,14 @@
 
 #include "cluster/cluster.h"
 #include "dag/task_graph.h"
+#include "exec/run_shell.h"
 #include "exec/serial_resource.h"
 #include "fault/backoff_ledger.h"
-#include "fault/fault_injector.h"
-#include "ha/factory.h"
 #include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
 #include "exec/time_model.h"
 #include "objstore/object_store.h"
-#include "obs/attribution.h"
 #include "obs/observer.h"
 #include "obs/span.h"
 #include "sim/rng.h"
@@ -60,90 +61,26 @@ class VineRun {
         options_(options),
         policy_(policy),
         tun_(tunables),
-        name_(std::move(name)),
         table_(graph, policy.depth_priority),
         rng_(options.seed, "vine-run"),
         manager_(cluster.engine()),
         workers_rt_(cluster.worker_count()),
         obs_(obs::make_observation(options.observability)),
-        pending_crash_(cluster.worker_count(), false),
-        pending_release_(cluster.worker_count(), false) {
+        shell_(graph, cluster, options_, table_, rng_, manager_, obs_,
+               exec::RunShell::Identity{
+                   std::move(name), "manager", "worker ", "vine_run",
+                   "event queue drained before workflow completion", true},
+               hooks()) {
     build_file_table();
     store_.reset(cluster.worker_count(), tunables.object_store_bytes);
-    report_.scheduler = name_;
-    report_.tasks_total = graph.size();
-    report_.transfers = metrics::TransferMatrix(cluster.endpoint_count());
-    report_.cache = metrics::CacheTrace(cluster.worker_count());
   }
 
-  exec::RunReport execute() {
-    const std::vector<TaskId> sinks = graph_.sinks();
-    sinks_outstanding_ = sinks.size();
-    for (TaskId sink : sinks) {
-      is_sink_[static_cast<std::size_t>(sink)] = true;
-    }
-
-    begin_observation();
-    begin_fault_injection();
-    begin_profile();
-
+  exec::RunReport run() {
     cluster_.network().set_warn_listener(
         [this](Tick t, net::FlowId f, const char* detail) {
-          if (txn_on()) obs_->txn().net_warn(t, f, detail);
+          if (shell_.txn_on()) obs_->txn().net_warn(t, f, detail);
         });
-
-    // With the elastic factory on, only min_workers slots start matching;
-    // the factory starts parked slots as queue depth demands.
-    const std::uint32_t initial_workers =
-        options_.ha.factory.enabled()
-            ? std::max(options_.ha.factory.min_workers, 1U)
-            : 0xffffffffU;
-    cluster_.request_workers([this](WorkerId w) { on_worker_up(w); },
-                             [this](WorkerId w) { on_worker_down(w); },
-                             initial_workers);
-    begin_factory();
-
-    engine_.schedule_at(options_.max_sim_time, [this] {
-      if (!finished_) fail_run("exceeded max simulated time");
-    });
-    schedule_cache_sample();
-    schedule_snapshot();
-
-    while (!finished_ && engine_.step()) {
-    }
-    if (!finished_) {
-      // Event queue drained without completing: nothing left can make
-      // progress (e.g. no workers ever arrived).
-      fail_run("event queue drained before workflow completion");
-    }
-
-    if (injector_) {
-      injector_->stop();
-      report_.faults = injector_->stats();
-    }
-    if (factory_) {
-      factory_->stop();
-      report_.ha.factory_grow_events = factory_->grow_events();
-      report_.ha.factory_shrink_events = factory_->shrink_events();
-      report_.ha.workers_started = factory_->workers_started();
-      report_.ha.workers_released = factory_->workers_released();
-    }
-    report_.worker_preemptions = cluster_.batch().preemptions();
-    report_.task_attempts = total_attempts_;
-    report_.task_failures = report_.trace.failures();
-    report_.lineage_resets = lineage_resets_;
-    if (report_.makespan > 0) {
-      report_.manager_busy_fraction_legacy =
-          std::min(1.0, static_cast<double>(manager_.total_busy_time()) /
-                            static_cast<double>(report_.makespan));
-    }
-    finish_profile();
-    if (obs_->enabled()) {
-      obs_->txn().manager_end(engine_.now());
-      obs_->finalize(engine_.now());
-      report_.observation = obs_;
-    }
-    return std::move(report_);
+    return shell_.execute();
   }
 
  private:
@@ -191,11 +128,6 @@ class VineRun {
     for (const auto& [fn, file] : function_bodies_) {
       replicas_->set_at_manager(file);
     }
-    is_sink_.assign(graph_.size(), false);
-    reset_counts_.assign(graph_.size(), 0);
-    attempts_.resize(graph_.size());
-    sink_fetched_.assign(graph_.size(), 0);
-
     const std::size_t workers = cluster_.worker_count();
     eligible_bits_.assign((workers + 63) / 64, 0);
     dispatch_index_.reset(workers);
@@ -243,36 +175,12 @@ class VineRun {
     return files_[static_cast<std::size_t>(id)];
   }
 
-  // ---------------------------------------------------------------------
-  // Attempt tokens.
-  // ---------------------------------------------------------------------
-  struct Token {
-    TaskId task = dag::kInvalidTask;
-    std::uint32_t attempt = 0;
-  };
+  using Token = exec::AttemptToken;
 
-  [[nodiscard]] bool token_valid(const Token& token) const {
-    const auto& st = table_.at(token.task);
-    return st.attempts == token.attempt &&
-           (st.state == TaskState::kDispatched ||
-            st.state == TaskState::kRunning);
-  }
-
-  struct Attempt {
-    std::uint32_t attempt = 0;
+  struct Attempt : exec::AttemptBase {
     std::uint32_t staging_outstanding = 0;
     std::vector<dag::ValuePtr> inputs;
     bool resources_released = false;
-    Tick exec_finished_at = 0;  // when the worker-side process exited
-    /// Lifecycle phase boundaries for the profiler (obs/span.h): when the
-    /// attempt became dispatchable, left the manager, finished input
-    /// staging, started its worker process, and began user compute.
-    /// -1 until the attempt reaches the phase.
-    Tick span_ready = -1;
-    Tick span_dispatched = -1;
-    Tick span_staged = -1;
-    Tick span_exec = -1;
-    Tick span_compute = -1;
     /// Disk bytes this attempt expects to add to its worker (missing
     /// inputs + output); reserved logically at dispatch so concurrent
     /// dispatches cannot over-commit a scratch disk.
@@ -289,22 +197,6 @@ class VineRun {
     /// object off the spill-victim list while the consumer runs.
     std::vector<FileId> store_refs;
   };
-
-  /// Live attempt for `t`; the caller has already established one exists
-  /// (token_valid or the task's state machine).
-  [[nodiscard]] Attempt& attempt_at(TaskId t) {
-    assert(attempts_[static_cast<std::size_t>(t)] && "no live attempt");
-    return *attempts_[static_cast<std::size_t>(t)];
-  }
-  [[nodiscard]] Attempt* attempt_find(TaskId t) {
-    return attempts_[static_cast<std::size_t>(t)].get();
-  }
-  void attempt_erase(TaskId t) {
-    auto& slot = attempts_[static_cast<std::size_t>(t)];
-    if (!slot) return;
-    slot.reset();
-    --attempts_live_;
-  }
 
   // ---------------------------------------------------------------------
   // Per-worker runtime state (cache membership, library, transfer slots).
@@ -456,7 +348,7 @@ class VineRun {
   /// scratch disk? Sink outputs always materialize: they are fetched back
   /// to the manager immediately and backing them with memory buys nothing.
   [[nodiscard]] bool store_output(TaskId t) const {
-    return store_enabled() && !is_sink_[static_cast<std::size_t>(t)] &&
+    return store_enabled() && !shell_.is_sink(t) &&
            file(graph_.task(t).output_file).kind ==
                data::FileKind::kIntermediate;
   }
@@ -493,8 +385,8 @@ class VineRun {
   bool store_put_object(WorkerId w, FileId f) {
     const std::uint64_t bytes = file(f).size;
     store_.put(w, f, bytes, engine_.now());
-    report_.store_puts += 1;
-    report_.store_put_bytes += bytes;
+    shell_.report().store_puts += 1;
+    shell_.report().store_put_bytes += bytes;
     if (txn_on()) obs_->txn().store_put(engine_.now(), w, f, bytes);
     while (store_.over_capacity(w)) {
       const FileId victim = store_.spill_victim(w);
@@ -514,14 +406,14 @@ class VineRun {
   /// worker.
   bool spill_object(WorkerId w, FileId f) {
     const std::uint64_t bytes = store_.object_bytes(w, f);
-    if (!reserve_or_crash(w, bytes, "cache overflow spilling store object")) {
+    if (!reserve_or_crash(w, bytes)) {
       return false;  // crash_worker already wiped w's store
     }
     store_.erase(w, f);
     store_.counters().spills += 1;
     store_.counters().spill_bytes += bytes;
-    report_.store_spills += 1;
-    report_.store_spill_bytes += bytes;
+    shell_.report().store_spills += 1;
+    shell_.report().store_spill_bytes += bytes;
     if (txn_on()) obs_->txn().store_spill(engine_.now(), w, f, bytes);
     cache_insert(w, f);
     maybe_replicate(f);
@@ -534,7 +426,7 @@ class VineRun {
     const std::uint64_t bytes = store_.object_bytes(w, f);
     if (!store_.erase(w, f)) return;
     store_.counters().drops += 1;
-    report_.store_drops += 1;
+    shell_.report().store_drops += 1;
     if (txn_on()) obs_->txn().store_drop(engine_.now(), w, f, bytes);
   }
 
@@ -542,14 +434,13 @@ class VineRun {
   /// the policy allows. Returns false when the partition overflowed anyway
   /// (nothing evictable was enough): the worker is already crashing — the
   /// paper's Fig 11 pathology — and the caller must stop touching it.
-  [[nodiscard]] bool reserve_or_crash(WorkerId w, std::uint64_t bytes,
-                                      const char* why) {
+  [[nodiscard]] bool reserve_or_crash(WorkerId w, std::uint64_t bytes) {
     auto& node = cluster_.worker(w);
     if (policy_.evict_on_pressure && bytes > node.disk.available()) {
       evict_for_pressure(w, bytes - node.disk.available());
     }
     if (!node.disk.try_reserve(bytes)) {
-      crash_worker(w, why);
+      shell_.crash_worker(w);
       return false;
     }
     index_touch(w);
@@ -580,7 +471,7 @@ class VineRun {
         continue;
       }
       if (info.producer != dag::kInvalidTask &&
-          is_sink_[static_cast<std::size_t>(info.producer)] &&
+          shell_.is_sink(info.producer) &&
           !replicas_->at_manager(f)) {
         continue;
       }
@@ -838,9 +729,6 @@ class VineRun {
   // Worker lifecycle.
   // ---------------------------------------------------------------------
   void on_worker_up(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) obs_->txn().worker_connection(engine_.now(), w);
-    report_.profile.worker_up(engine_.now(), w);
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
     rt = WorkerRt{};
     rt.in_cache.assign(files_.size(), false);
@@ -850,21 +738,10 @@ class VineRun {
     if (options_.mode == exec::ExecMode::kFunctionCalls) {
       install_library(w);
     }
-    pump();
+    shell_.pump();
   }
 
   void on_worker_down(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) {
-      const bool crashed = pending_crash_[static_cast<std::size_t>(w)];
-      const bool released = pending_release_[static_cast<std::size_t>(w)];
-      obs_->txn().worker_disconnection(
-          engine_.now(), w,
-          crashed ? "FAILURE" : released ? "RELEASED" : "PREEMPTED");
-    }
-    pending_crash_[static_cast<std::size_t>(w)] = false;
-    pending_release_[static_cast<std::size_t>(w)] = false;
-    report_.profile.worker_down(engine_.now(), w);
     eligible_erase(w);
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
 
@@ -873,7 +750,7 @@ class VineRun {
     rt.here.clear();
     for (TaskId t : here) {
       fail_attempt(t, /*requeue=*/true);
-      if (finished_) return;
+      if (shell_.finished()) return;
     }
 
     // Drop replicas and wipe the node's object store; lost intermediates
@@ -882,7 +759,8 @@ class VineRun {
     replicas_->drop_worker(w);
     store_.drop_node(w);
     rt = WorkerRt{};
-    report_.cache.mark_failure(static_cast<std::size_t>(w), engine_.now());
+    shell_.report().cache.mark_failure(static_cast<std::size_t>(w),
+                                       engine_.now());
 
     // Cancel fetches touching this worker: everything staging to it (its
     // own shard) and, across the other shards, anything peer-sourced from
@@ -904,7 +782,7 @@ class VineRun {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) continue;  // cascaded away already
       if (fetch->flow != net::kInvalidFlow) {
-        forget_flow(fetch->flow);
+        shell_.forget_flow(fetch->flow);
         cluster_.network().cancel_flow(fetch->flow);
         if (fetch->src_ep != static_cast<std::size_t>(-1)) {
           txn_xfer_failed(fetch->src_ep, cluster_.worker_endpoint(w),
@@ -922,7 +800,7 @@ class VineRun {
     for (const FetchKey& key : from_src) {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) continue;
-      forget_flow(fetch->flow);
+      shell_.forget_flow(fetch->flow);
       cluster_.network().cancel_flow(fetch->flow);
       txn_xfer_failed(cluster_.worker_endpoint(w),
                       cluster_.worker_endpoint(fetch->dst), fetch->file,
@@ -940,7 +818,7 @@ class VineRun {
       if (flow_src.second == w) broken_sinks.push_back(t);
     }
     for (TaskId t : broken_sinks) {
-      forget_flow(sink_flows_.at(t).first);
+      shell_.forget_flow(sink_flows_.at(t).first);
       cluster_.network().cancel_flow(sink_flows_.at(t).first);
       txn_xfer_failed(cluster_.worker_endpoint(w),
                       cluster_.manager_endpoint(),
@@ -950,20 +828,7 @@ class VineRun {
       fetch_sink_result(t);
     }
 
-    pump();
-  }
-
-  /// A worker destroyed itself (scratch disk overflow) or was crashed by an
-  /// injected fault. Routed through the batch system so replacement
-  /// matching applies. A crash requested while one is already pending for
-  /// the same worker is the same death — counting it again would double
-  /// report_.worker_crashes for one disconnect.
-  void crash_worker(WorkerId w, const char* /*reason*/) {
-    if (!cluster_.worker(w).alive) return;
-    if (pending_crash_[static_cast<std::size_t>(w)]) return;
-    report_.worker_crashes += 1;
-    pending_crash_[static_cast<std::size_t>(w)] = true;
-    cluster_.batch().force_preempt(static_cast<std::uint32_t>(w));
+    shell_.pump();
   }
 
   // ---------------------------------------------------------------------
@@ -973,34 +838,13 @@ class VineRun {
   // so killing them would strand the run. With an empty schedule no
   // injector exists and every hook below is a null check.
   // ---------------------------------------------------------------------
-  void begin_fault_injection() {
-    if (options_.faults.empty()) return;
-    injector_ = std::make_unique<fault::FaultInjector>(
-        cluster_, options_.faults, options_.fault_retry, obs_.get());
-    fault::FaultInjector::Hooks hooks;
-    hooks.crash_worker = [this](std::int32_t w) {
-      if (finished_ || !cluster_.worker(w).alive) return false;
-      if (pending_crash_[static_cast<std::size_t>(w)]) return false;
-      crash_worker(w, "injected crash");
-      return true;
-    };
-    hooks.lose_cached_file = [this](std::int32_t w, std::int64_t f) {
-      return lose_cached_file(w, static_cast<FileId>(f));
-    };
-    hooks.crash_manager = [this] {
-      if (finished_) return false;
-      on_manager_crash();
-      return true;
-    };
-    injector_->arm(std::move(hooks));
-  }
-
   /// Drop `f` from `w`'s cache (w = kNoWorker: from every holder). Future
   /// consumers rediscover the loss at precheck/fetch time and lineage-reset
   /// the producer; values already gathered for dispatched attempts are
   /// unaffected (they live in the task table, not in the file).
   std::size_t lose_cached_file(WorkerId w, FileId f) {
-    if (finished_ || f < 0 || static_cast<std::size_t>(f) >= files_.size()) {
+    if (shell_.finished() || f < 0 ||
+        static_cast<std::size_t>(f) >= files_.size()) {
       return 0;
     }
     std::vector<WorkerId> targets;
@@ -1018,22 +862,12 @@ class VineRun {
     return lost;
   }
 
-  [[nodiscard]] const fault::RetryPolicy& retry_policy() const {
-    return options_.fault_retry;
-  }
-
-  void forget_flow(net::FlowId flow) {
-    if (injector_ && flow != net::kInvalidFlow) {
-      injector_->forget_transfer(flow);
-    }
-  }
-
   /// Register a fetch's live flow as a kill target.
   void offer_fetch(const FetchKey& key) {
-    if (!injector_) return;
+    if (!shell_.injector()) return;
     Fetch* fetch = fetch_find(key);
     if (fetch == nullptr || fetch->flow == net::kInvalidFlow) return;
-    injector_->offer_transfer(fetch->flow, file(key.first).size,
+    shell_.injector()->offer_transfer(fetch->flow, file(key.first).size,
                               [this, key] { on_fetch_killed(key); });
   }
 
@@ -1055,74 +889,19 @@ class VineRun {
     fetch.flow = net::kInvalidFlow;
     fetch.src_ep = static_cast<std::size_t>(-1);
     fetch.kill_retries += 1;
-    if (fetch.kill_retries >= retry_policy().max_transfer_retries) {
+    if (fetch.kill_retries >= options_.fault_retry.max_transfer_retries) {
       // The budget counts kills tolerated: the Nth kill exhausts it after
       // N-1 backoff re-fetches (RetryPolicy::max_transfer_retries).
-      injector_->record_giveup(
+      shell_.injector()->record_giveup(
           "file=" + std::to_string(fetch.file) +
           " dst=" + std::to_string(fetch.dst) +
           " kills=" + std::to_string(fetch.kill_retries));
       fail_fetch(key);
-      pump();
+      shell_.pump();
       return;
     }
-    const Tick delay = injector_->backoff_delay(fetch.kill_retries);
+    const Tick delay = shell_.injector()->backoff_delay(fetch.kill_retries);
     engine_.schedule_after(delay, [this, key] { start_fetch_transfer(key); });
-  }
-
-  // ---------------------------------------------------------------------
-  // The pump: dispatch ready tasks while capacity allows.
-  // ---------------------------------------------------------------------
-  void pump() {
-    if (finished_ || pumping_) return;
-    pumping_ = true;
-    while (!finished_) {
-      const TaskId t = table_.peek_ready();
-      if (t == dag::kInvalidTask) break;
-      if (!precheck_inputs(t)) continue;  // task was demoted; next
-      const WorkerId w = choose_worker(t);
-      if (w == cluster::kNoWorker) break;  // no capacity right now
-      const TaskId popped = table_.pop_ready();
-      assert(popped == t);
-      (void)popped;
-      dispatch(t, w);
-    }
-    pumping_ = false;
-  }
-
-  /// Verify that every dependency's output still exists somewhere. Done-
-  /// but-lost producers get lineage-reset, which demotes `t` back to
-  /// waiting as a side effect. Returns true if `t` is still dispatchable.
-  bool precheck_inputs(TaskId t) {
-    for (TaskId dep : graph_.task(t).spec.deps) {
-      const FileId f = graph_.task(dep).output_file;
-      if (table_.at(dep).state == TaskState::kDone && !output_available(f)) {
-        lineage_reset(dep);
-      }
-    }
-    return table_.at(t).state == TaskState::kReady;
-  }
-
-  void lineage_reset(TaskId producer) {
-    const std::size_t reset = table_.reset_lost(
-        producer, engine_.now(), [this](TaskId p) {
-          return output_available(graph_.task(p).output_file);
-        });
-    lineage_resets_ += reset;
-    if (reset == 0) return;
-    // Poisoned-task detector: a task whose output keeps vanishing no matter
-    // how often it re-runs must not loop forever; fail with the exact task
-    // and count so the operator can see what to pin down.
-    auto& count = reset_counts_[static_cast<std::size_t>(producer)];
-    count += 1;
-    const std::uint32_t limit = retry_policy().poisoned_reset_threshold;
-    if (limit > 0 && count > limit) {
-      fail_run("task " + std::to_string(producer) + " (" +
-               graph_.task(producer).spec.category +
-               ") poisoned: output lost " + std::to_string(count) +
-               " times, exceeding the reset threshold of " +
-               std::to_string(limit));
-    }
   }
 
   /// Files the task needs staged into the worker's cache.
@@ -1164,7 +943,7 @@ class VineRun {
 
   void advance_cursor(WorkerId w) {
     const auto n = static_cast<WorkerId>(cluster_.worker_count());
-    rr_cursor_ = static_cast<WorkerId>((w + 1) % n);
+    shell_.rr_cursor() = static_cast<WorkerId>((w + 1) % n);
   }
 
   WorkerId choose_worker(TaskId t) {
@@ -1232,7 +1011,7 @@ class VineRun {
   /// by full scan. Kept as the differential oracle for rr_indexed.
   WorkerId rr_reference(const dag::Task& task) {
     std::uint64_t best_capacity = 0;
-    const WorkerId hit = walk_eligible(rr_cursor_, [&](WorkerId w) {
+    const WorkerId hit = walk_eligible(shell_.rr_cursor(), [&](WorkerId w) {
       best_capacity = std::max(best_capacity, cluster_.worker(w).disk.capacity());
       return worker_eligible(w, task) && disk_fits(w, task, scratch_files_);
     });
@@ -1260,7 +1039,7 @@ class VineRun {
     constexpr std::size_t kProbe = 64;
     std::size_t visited = 0;
     WorkerId bound_stop = cluster::kNoWorker;
-    WorkerId hit = walk_eligible(rr_cursor_, [&](WorkerId w) {
+    WorkerId hit = walk_eligible(shell_.rr_cursor(), [&](WorkerId w) {
       if (worker_eligible(w, task) && disk_fits(w, task, scratch_files_)) {
         return true;
       }
@@ -1349,7 +1128,7 @@ class VineRun {
     std::uint64_t footprint = task.spec.output_bytes;
     for (FileId f : scratch_files_) footprint += file(f).size;
     const bool could_ever_fit = footprint <= best_capacity;
-    if (could_ever_fit && attempts_live_ != 0) {
+    if (could_ever_fit && shell_.attempts_live() != 0) {
       return cluster::kNoWorker;  // wait for space
     }
     const WorkerId fallback = pick_fallback();
@@ -1381,8 +1160,7 @@ class VineRun {
   }
 
   void dispatch(TaskId t, WorkerId w) {
-    table_.mark_dispatched(t, w, engine_.now());
-    ++total_attempts_;
+    auto& attempt = shell_.begin_attempt<Attempt>(t, w);
     auto& node = cluster_.worker(w);
     node.cores_in_use += 1;
     if (node.cores_free() == 0) eligible_erase(w);
@@ -1390,8 +1168,6 @@ class VineRun {
     rt.mem_in_use += graph_.task(t).spec.memory_bytes;
     rt.here.push_back(t);
 
-    Attempt attempt;
-    attempt.attempt = table_.at(t).attempts;
     attempt.inputs = table_.gather_inputs(t);
     needed_files(t, scratch_files_);
     attempt.disk_committed =
@@ -1404,8 +1180,6 @@ class VineRun {
     attempt.pin_worker = w;
     attempt.pin_incarnation = node.incarnation;
     attempt.pinned = scratch_files_;
-    attempt.span_ready = table_.at(t).ready_at;
-    attempt.span_dispatched = engine_.now();
     for (FileId f : scratch_files_) pin_file(w, f);
     if (store_enabled()) {
       // Inputs already mapped in w's object store are consumed by
@@ -1415,15 +1189,11 @@ class VineRun {
         if (!store_.holds(w, f)) continue;
         store_.add_ref(w, f);
         attempt.store_refs.push_back(f);
-        report_.store_ref_hits += 1;
+        shell_.report().store_ref_hits += 1;
         if (txn_on()) obs_->txn().store_ref(engine_.now(), w, f, file(f).size);
       }
     }
-    auto& slot = attempts_[static_cast<std::size_t>(t)];
-    assert(!slot && "dispatching a task with a live attempt");
-    slot = std::make_unique<Attempt>(std::move(attempt));
-    ++attempts_live_;
-    const Token token{t, table_.at(t).attempts};
+    const Token token = shell_.token(t);
 
     // Serialize + enqueue the dispatch on the manager thread. The argument
     // payload (plus the function body, when bodies are not cacheable
@@ -1436,7 +1206,7 @@ class VineRun {
       wire_bytes += options_.python.function_body_bytes;
     }
     manager_.acquire_then(dispatch_cost(), [this, token, w, wire_bytes] {
-      if (!token_valid(token)) return;
+      if (!shell_.token_valid(token)) return;
       record_transfer(cluster_.manager_endpoint(),
                       cluster_.worker_endpoint(w), wire_bytes);
       engine_.schedule_after(cluster_.control_rtt() / 2,
@@ -1445,9 +1215,9 @@ class VineRun {
   }
 
   void begin_staging(const Token& token, WorkerId w) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     needed_files(token.task, scratch_files_);
-    auto& attempt = *attempts_[static_cast<std::size_t>(token.task)];
+    auto& attempt = shell_.attempt_at<Attempt>(token.task);
     attempt.span_staged = engine_.now();
     std::vector<FileId> missing;
     for (FileId f : scratch_files_) {
@@ -1460,7 +1230,7 @@ class VineRun {
     }
     for (FileId f : missing) {
       stage_file(f, w, [this, token, w](bool ok) {
-        if (!token_valid(token)) return;
+        if (!shell_.token_valid(token)) return;
         if (!ok) {
           // Input is unrecoverable right now: abort this attempt and
           // lineage-reset the producer; the dependents-fix inside
@@ -1468,7 +1238,7 @@ class VineRun {
           abort_attempt_for_lost_input(token);
           return;
         }
-        auto& att = *attempts_[static_cast<std::size_t>(token.task)];
+        auto& att = shell_.attempt_at<Attempt>(token.task);
         assert(att.staging_outstanding > 0);
         if (--att.staging_outstanding == 0) {
           maybe_start_exec(token, w);
@@ -1480,16 +1250,10 @@ class VineRun {
   void abort_attempt_for_lost_input(const Token& token) {
     const TaskId t = token.task;
     fail_attempt(t, /*requeue=*/true);
-    if (finished_) return;
-    // Every done dep with no surviving replica gets reset; each reset
-    // demotes t (currently kReady from the requeue) back to waiting.
-    for (TaskId dep : graph_.task(t).spec.deps) {
-      const FileId f = graph_.task(dep).output_file;
-      if (table_.at(dep).state == TaskState::kDone && !output_available(f)) {
-        lineage_reset(dep);
-      }
-    }
-    pump();
+    if (shell_.finished()) return;
+    // t is kReady from the requeue; resetting its lost inputs demotes it.
+    shell_.precheck_inputs(t);
+    shell_.pump();
   }
 
   // --- stage_file: ensure `f` lands in w's cache, then notify ------------
@@ -1595,7 +1359,7 @@ class VineRun {
               txn_xfer_done(cluster_.worker_endpoint(src),
                             cluster_.worker_endpoint(key.second), key.first,
                             file(key.first).size);
-              if (trace_on()) {
+              if (shell_.trace_on()) {
                 obs_->trace().add_flow(
                     lane(cluster_.worker_endpoint(src)),
                     lane(cluster_.worker_endpoint(key.second)),
@@ -1702,7 +1466,7 @@ class VineRun {
     auto& rt = workers_rt_[static_cast<std::size_t>(src)];
     unpin_file(src, f);
     if (rt.active_out == 0) {
-      report_.peer_slot_underflows += 1;
+      shell_.report().peer_slot_underflows += 1;
       assert(false && "peer-transfer slot double release");
       return;
     }
@@ -1772,7 +1536,7 @@ class VineRun {
           file(f).size, [this, f, slot = std::move(slot)] {
             if (auto mit = manager_fs_flows_.find(f);
                 mit != manager_fs_flows_.end()) {
-              forget_flow(mit->second);
+              shell_.forget_flow(mit->second);
               manager_fs_flows_.erase(mit);
             }
             record_transfer(cluster_.fs_endpoint(),
@@ -1795,17 +1559,17 @@ class VineRun {
   /// callback dies with it, which releases its fs_gate_ slot; the retry
   /// queues for a fresh one.
   void offer_manager_fs_read(FileId f) {
-    if (!injector_) return;
+    if (!shell_.injector()) return;
     auto it = manager_fs_flows_.find(f);
     if (it == manager_fs_flows_.end()) return;
-    injector_->offer_transfer(it->second, file(f).size, [this, f] {
+    shell_.injector()->offer_transfer(it->second, file(f).size, [this, f] {
       manager_fs_flows_.erase(f);
       txn_xfer_failed(cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
                       file(f).size);
       const Tick delay =
-          injector_->backoff_delay(manager_fs_backoff_.next_attempt(f));
+          shell_.injector()->backoff_delay(manager_fs_backoff_.next_attempt(f));
       engine_.schedule_after(delay, [this, f] {
-        if (!finished_ && manager_inflight_.count(f) > 0) {
+        if (!shell_.finished() && manager_inflight_.count(f) > 0) {
           submit_manager_fs_read(f);
         }
       });
@@ -1864,7 +1628,7 @@ class VineRun {
             [this, f, holder, incarnation,
              slot = std::move(slot)]() mutable {
               if (auto rit = relay_flows_.find(f); rit != relay_flows_.end()) {
-                forget_flow(rit->second.first);
+                shell_.forget_flow(rit->second.first);
                 relay_flows_.erase(rit);
               }
               if (worker_current(holder, incarnation)) {
@@ -1893,21 +1657,21 @@ class VineRun {
   /// each retry, and if every replica is gone by then the pull reports
   /// failure to its waiters (the lost-input path) rather than spinning.
   void offer_relay(FileId f) {
-    if (!injector_) return;
+    if (!shell_.injector()) return;
     auto it = relay_flows_.find(f);
     if (it == relay_flows_.end()) return;
     const WorkerId holder = it->second.second;
     const std::uint32_t holder_inc = cluster_.worker(holder).incarnation;
-    injector_->offer_transfer(it->second.first, file(f).size,
+    shell_.injector()->offer_transfer(it->second.first, file(f).size,
                               [this, f, holder, holder_inc] {
       relay_flows_.erase(f);
       if (worker_current(holder, holder_inc)) unpin_file(holder, f);
       txn_xfer_failed(cluster_.worker_endpoint(holder),
                       cluster_.manager_endpoint(), f, file(f).size);
       const Tick delay =
-          injector_->backoff_delay(relay_backoff_.next_attempt(f));
+          shell_.injector()->backoff_delay(relay_backoff_.next_attempt(f));
       engine_.schedule_after(delay, [this, f] {
-        if (finished_ || manager_inflight_.count(f) == 0) return;
+        if (shell_.finished() || manager_inflight_.count(f) == 0) return;
         mgr_gate_.submit([this, f](net::FlowGate::SlotToken slot) {
           start_relay_pull(f, std::move(slot));
         });
@@ -1920,7 +1684,7 @@ class VineRun {
     if (fetch == nullptr) return;
     const FileId f = key.first;
     const WorkerId w = key.second;
-    forget_flow(fetch->flow);
+    shell_.forget_flow(fetch->flow);
     auto waiters = std::move(fetch->waiters);
     fetch_erase(key);
 
@@ -1932,7 +1696,7 @@ class VineRun {
       for (auto& cb : waiters) cb(false);
       return;
     }
-    if (!reserve_or_crash(w, file(f).size, "cache overflow during staging")) {
+    if (!reserve_or_crash(w, file(f).size)) {
       // Scratch partition overflowed and nothing evictable was enough: the
       // worker dies (paper Fig 11). crash_worker tears it down
       // synchronously, so every waiter token is already invalid — but the
@@ -1947,7 +1711,7 @@ class VineRun {
   void fail_fetch(const FetchKey& key) {
     Fetch* fetch = fetch_find(key);
     if (fetch == nullptr) return;
-    forget_flow(fetch->flow);
+    shell_.forget_flow(fetch->flow);
     auto waiters = std::move(fetch->waiters);
     fetch_erase(key);
     for (auto& cb : waiters) cb(false);
@@ -1957,7 +1721,7 @@ class VineRun {
   // Execution.
   // ---------------------------------------------------------------------
   void maybe_start_exec(const Token& token, WorkerId w) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     if (options_.mode == exec::ExecMode::kFunctionCalls) {
       auto& rt = workers_rt_[static_cast<std::size_t>(w)];
       if (rt.lib != LibState::kReady) {
@@ -1969,11 +1733,11 @@ class VineRun {
   }
 
   void start_exec(const Token& token, WorkerId w) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
-    table_.mark_running(t, engine_.now());
+    table_.mark_running(t);
     if (txn_on()) obs_->txn().task_running(engine_.now(), t, w);
-    attempt_at(t).span_exec = engine_.now();
+    shell_.attempt_at<Attempt>(t).span_exec = engine_.now();
     const auto& task = graph_.task(t);
     const auto& node = cluster_.worker(w);
 
@@ -2018,25 +1782,25 @@ class VineRun {
 
     if (shared_imports) {
       engine_.schedule_after(pre, [this, token, w, compute, write] {
-        if (!token_valid(token)) return;
+        if (!shell_.token_valid(token)) return;
         cluster_.fs().metadata_ops(
             options_.imports.total_metadata_ops(),
             [this, token, w, compute, write] {
-              if (!token_valid(token)) return;
+              if (!shell_.token_valid(token)) return;
               fs_gate_.submit([this, token, w, compute,
                                write](net::FlowGate::SlotToken slot) {
-                if (!token_valid(token)) return;
+                if (!shell_.token_valid(token)) return;
                 const std::uint64_t code =
                     options_.imports.total_code_bytes();
                 cluster_.read_fs_to_worker(
                     w, code,
                     [this, token, w, compute, write, code,
                      slot = std::move(slot)] {
-                      if (!token_valid(token)) return;
+                      if (!shell_.token_valid(token)) return;
                       record_transfer(cluster_.fs_endpoint(),
                                       cluster_.worker_endpoint(w), code);
                       const Tick cpu = options_.imports.total_cpu_cost();
-                      attempt_at(token.task).span_compute =
+                      shell_.attempt_at<Attempt>(token.task).span_compute =
                           engine_.now() + cpu;
                       engine_.schedule_after(
                           cpu + compute + write,
@@ -2046,7 +1810,7 @@ class VineRun {
             });
       });
     } else {
-      attempt_at(t).span_compute = engine_.now() + pre;
+      shell_.attempt_at<Attempt>(t).span_compute = engine_.now() + pre;
       engine_.schedule_after(pre + compute + write, [this, token, w] {
         complete_exec(token, w);
       });
@@ -2054,7 +1818,7 @@ class VineRun {
   }
 
   void complete_exec(const Token& token, WorkerId w) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
     const auto& task = graph_.task(t);
 
@@ -2064,18 +1828,18 @@ class VineRun {
     // A capacity spill inside store_put_object can crash the worker —
     // re-validate the token like any other asynchronous hazard.
     if (store_output(t)) {
-      if (!store_put_object(w, task.output_file) || !token_valid(token)) {
+      if (!store_put_object(w, task.output_file) ||
+          !shell_.token_valid(token)) {
         return;
       }
     } else {
-      if (!reserve_or_crash(w, task.spec.output_bytes,
-                            "cache overflow writing task output")) {
+      if (!reserve_or_crash(w, task.spec.output_bytes)) {
         return;
       }
       cache_insert(w, task.output_file);
     }
     // Run the real computation.
-    auto& attempt = attempt_at(t);
+    auto& attempt = shell_.attempt_at<Attempt>(t);
     // The fresh output is pinned until the attempt finalizes: eviction
     // must not destroy a result the manager has not ingested yet. For a
     // store object the pin arms lazily — it starts protecting the disk
@@ -2083,7 +1847,7 @@ class VineRun {
     attempt.pinned.push_back(task.output_file);
     pin_file(w, task.output_file);
     if (!store_output(t)) maybe_replicate(task.output_file);
-    attempt.exec_finished_at = engine_.now();
+    attempt.span_exec_end = engine_.now();
     dag::ValuePtr value =
         task.spec.fn ? task.spec.fn(attempt.inputs) : nullptr;
     attempt.inputs.clear();
@@ -2105,7 +1869,7 @@ class VineRun {
       mgr_gate_.submit([this, token, w, bytes, t,
                         value = std::move(value)](
                            net::FlowGate::SlotToken slot) mutable {
-        if (!token_valid(token)) return;
+        if (!shell_.token_valid(token)) return;
         txn_xfer_start(cluster_.worker_endpoint(w),
                        cluster_.manager_endpoint(),
                        graph_.task(t).output_file, bytes);
@@ -2113,7 +1877,7 @@ class VineRun {
             w, bytes, cluster_.control_rtt() / 2,
             [this, token, w, bytes, value = std::move(value),
              slot = std::move(slot)]() mutable {
-              if (!token_valid(token)) return;
+              if (!shell_.token_valid(token)) return;
               record_transfer(cluster_.worker_endpoint(w),
                               cluster_.manager_endpoint(), bytes);
               const FileId f = graph_.task(token.task).output_file;
@@ -2137,16 +1901,17 @@ class VineRun {
   /// the attempt — there is nothing left to re-send.
   void offer_return(TaskId t, const Token& token, WorkerId w,
                     std::uint64_t bytes) {
-    if (!injector_) return;
+    if (!shell_.injector()) return;
     auto it = return_flows_.find(t);
     if (it == return_flows_.end()) return;
-    injector_->offer_transfer(it->second, bytes, [this, t, token, w, bytes] {
+    shell_.injector()->offer_transfer(it->second, bytes,
+                                      [this, t, token, w, bytes] {
       return_flows_.erase(t);
       txn_xfer_failed(cluster_.worker_endpoint(w), cluster_.manager_endpoint(),
                       graph_.task(t).output_file, bytes);
-      if (token_valid(token)) {
+      if (shell_.token_valid(token)) {
         fail_attempt(t, /*requeue=*/true);
-        pump();
+        shell_.pump();
       }
     });
   }
@@ -2179,14 +1944,14 @@ class VineRun {
     char span_verb = 'G';
     switch (why) {
       case DropReason::kGc:
-        report_.cache_gc_drops += 1;
+        shell_.report().cache_gc_drops += 1;
         if (txn_on()) obs_->txn().cache_gc(engine_.now(), w, f, bytes);
         span_verb = 'G';
         break;
       case DropReason::kEvict:
-        report_.cache_evictions += 1;
-        report_.cache_evicted_bytes += bytes;
-        report_.cache.mark_eviction(static_cast<std::size_t>(w),
+        shell_.report().cache_evictions += 1;
+        shell_.report().cache_evicted_bytes += bytes;
+        shell_.report().cache.mark_eviction(static_cast<std::size_t>(w),
                                     engine_.now(), bytes);
         if (txn_on()) obs_->txn().cache_evict(engine_.now(), w, f, bytes);
         span_verb = 'E';
@@ -2206,48 +1971,26 @@ class VineRun {
     cs.file = f;
     cs.bytes = bytes;
     cs.verb = span_verb;
-    report_.profile.add_cache(cs);
+    shell_.report().profile.add_cache(cs);
   }
 
   void finalize_task(const Token& token, WorkerId w, dag::ValuePtr value) {
-    if (!token_valid(token)) return;
+    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
     if (auto rit = return_flows_.find(t); rit != return_flows_.end()) {
-      forget_flow(rit->second);
+      shell_.forget_flow(rit->second);
       return_flows_.erase(rit);
     }
     remove_from_here(w, t);
 
-    const auto& st = table_.at(t);
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = w;
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.started_at;
-    // Execution time is worker-side (process exit), not when the manager
-    // got around to ingesting the result — otherwise manager backlog
-    // masquerades as task time in the Fig 8 distributions.
-    const Tick exec_end = attempt_at(t).exec_finished_at;
-    rec.finished_at = exec_end > 0 ? exec_end : engine_.now();
-    rec.category = graph_.task(t).spec.category;
     if (txn_on()) {
       obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
     }
-    if (trace_on() && rec.started_at > 0) {
-      obs_->trace().add_span(
-          lane(cluster_.worker_endpoint(w)), rec.category, rec.category,
-          rec.started_at, rec.finished_at - rec.started_at,
-          "{\"task\":" + std::to_string(t) + "}");
-    }
-    report_.trace.add(std::move(rec));
-    record_attempt_span(t, w, attempt_at(t),
-                        exec_end > 0 ? exec_end : engine_.now(),
-                        /*failed=*/false);
+    shell_.record_attempt_span(t, w, /*failed=*/false);
 
     table_.mark_done(t, std::move(value), engine_.now());
-    unpin_attempt(attempt_at(t));
-    attempt_erase(t);
+    unpin_attempt(shell_.attempt_at<Attempt>(t));
+    shell_.attempt_erase(t);
     if (txn_on()) obs_->txn().task_done(engine_.now(), t, "SUCCESS");
 
     // This completion consumed its dependency outputs and dataset inputs
@@ -2262,11 +2005,9 @@ class VineRun {
       release_consumer_ref(f);
     }
 
-    if (is_sink_[static_cast<std::size_t>(t)]) {
-      fetch_sink_result(t);
-    }
-    check_completion();
-    pump();
+    if (shell_.is_sink(t)) fetch_sink_result(t);
+    shell_.check_completion();
+    shell_.pump();
   }
 
   /// Proactively replicate a freshly produced intermediate onto additional
@@ -2324,14 +2065,14 @@ class VineRun {
         return;
       }
       // Output lost between completion and fetch: recompute.
-      lineage_reset(t);
-      pump();
+      shell_.lineage_reset(t);
+      shell_.pump();
       return;
     }
     const WorkerId src = holders.front();
     const std::uint64_t bytes = file(f).size;
     mgr_gate_.submit([this, t, f, src, bytes](net::FlowGate::SlotToken slot) {
-      if (sink_fetched_[static_cast<std::size_t>(t)] != 0) return;
+      if (shell_.sink_done(t)) return;
       if (!cluster_.worker(src).alive) {
         fetch_sink_result(t);  // re-resolve a live holder
         return;
@@ -2353,7 +2094,7 @@ class VineRun {
                               cluster_.manager_endpoint(), f, bytes);
                 replicas_->set_at_manager(f);
                 sink_backoff_.reset(t);
-                forget_flow(sink_flows_.at(t).first);
+                shell_.forget_flow(sink_flows_.at(t).first);
                 sink_flows_.erase(t);
                 on_sink_fetched(t);
               }),
@@ -2366,13 +2107,13 @@ class VineRun {
   /// without a cap; if every replica is gone by then, fetch_sink_result
   /// falls through to a lineage reset of the sink itself.
   void offer_sink(TaskId t) {
-    if (!injector_) return;
+    if (!shell_.injector()) return;
     auto it = sink_flows_.find(t);
     if (it == sink_flows_.end()) return;
     const WorkerId src = it->second.second;
     const std::uint32_t src_inc = cluster_.worker(src).incarnation;
     const std::uint64_t bytes = file(graph_.task(t).output_file).size;
-    injector_->offer_transfer(it->second.first, bytes,
+    shell_.injector()->offer_transfer(it->second.first, bytes,
                               [this, t, src, src_inc, bytes] {
       sink_flows_.erase(t);
       if (worker_current(src, src_inc)) {
@@ -2382,9 +2123,9 @@ class VineRun {
                       cluster_.manager_endpoint(),
                       graph_.task(t).output_file, bytes);
       const Tick delay =
-          injector_->backoff_delay(sink_backoff_.next_attempt(t));
+          shell_.injector()->backoff_delay(sink_backoff_.next_attempt(t));
       engine_.schedule_after(delay, [this, t] {
-        if (!finished_ && sink_fetched_[static_cast<std::size_t>(t)] == 0) {
+        if (!shell_.finished() && !shell_.sink_done(t)) {
           fetch_sink_result(t);
         }
       });
@@ -2392,24 +2133,7 @@ class VineRun {
   }
 
   void on_sink_fetched(TaskId t) {
-    if (sink_fetched_[static_cast<std::size_t>(t)] != 0) return;
-    sink_fetched_[static_cast<std::size_t>(t)] = 1;
-    assert(sinks_outstanding_ > 0);
-    --sinks_outstanding_;
-    check_completion();
-  }
-
-  void check_completion() {
-    if (finished_) return;
-    if (table_.all_done() && sinks_outstanding_ == 0) {
-      finished_ = true;
-      report_.success = true;
-      report_.makespan = engine_.now();
-      for (TaskId sink : graph_.sinks()) {
-        report_.results[sink] = table_.at(sink).result;
-      }
-      cluster_.batch().drain();
-    }
+    if (shell_.mark_sink_done(t)) shell_.check_completion();
   }
 
   // ---------------------------------------------------------------------
@@ -2484,9 +2208,9 @@ class VineRun {
     auto waiting = std::move(rt.waiting_for_lib);
     rt.waiting_for_lib.clear();
     for (const Token& token : waiting) {
-      if (token_valid(token)) start_exec(token, w);
+      if (shell_.token_valid(token)) start_exec(token, w);
     }
-    pump();
+    shell_.pump();
   }
 
   [[nodiscard]] bool worker_current(WorkerId w,
@@ -2499,7 +2223,7 @@ class VineRun {
   // Failure plumbing.
   // ---------------------------------------------------------------------
   void release_resources(TaskId t, WorkerId w) {
-    Attempt* attempt = attempt_find(t);
+    Attempt* attempt = shell_.attempt_find<Attempt>(t);
     if (attempt == nullptr || attempt->resources_released) return;
     attempt->resources_released = true;
     auto& node = cluster_.worker(w);
@@ -2514,7 +2238,7 @@ class VineRun {
       eligible_insert(w);  // touches the index with the released state
     }
     index_touch(w);  // committed bytes changed even if already eligible
-    pump();
+    shell_.pump();
   }
 
   void remove_from_here(WorkerId w, TaskId t) {
@@ -2522,9 +2246,9 @@ class VineRun {
     here.erase(std::remove(here.begin(), here.end(), t), here.end());
   }
 
-  /// Fail the current attempt of a dispatched/running task. Records a
-  /// failed trace entry, releases worker resources, cancels any output-
-  /// return flow, and (optionally) requeues the task.
+  /// Fail the current attempt of a dispatched/running task. Records the
+  /// failed attempt, releases worker resources, cancels any output-return
+  /// flow, and (optionally) requeues the task.
   void fail_attempt(TaskId t, bool requeue) {
     const auto& st = table_.at(t);
     if (st.state != TaskState::kDispatched &&
@@ -2532,26 +2256,7 @@ class VineRun {
       return;
     }
     const WorkerId w = st.worker;
-
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = w;
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.state == TaskState::kRunning ? st.started_at
-                                                     : st.dispatched_at;
-    rec.finished_at = engine_.now();
-    rec.failed = true;
-    rec.category = graph_.task(t).spec.category;
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-    if (trace_on() && w != cluster::kNoWorker &&
-        st.state == TaskState::kRunning) {
-      obs_->trace().add_span(
-          lane(cluster_.worker_endpoint(w)), rec.category + " (failed)",
-          rec.category, rec.started_at, rec.finished_at - rec.started_at,
-          "{\"task\":" + std::to_string(t) + ",\"failed\":true}");
-    }
-    report_.trace.add(std::move(rec));
 
     if (auto it = return_flows_.find(t); it != return_flows_.end()) {
       cluster_.network().cancel_flow(it->second);
@@ -2567,16 +2272,14 @@ class VineRun {
       release_resources(t, w);
       remove_from_here(w, t);
     }
-    if (Attempt* a = attempt_find(t)) {
-      record_attempt_span(t, w, *a,
-                          a->exec_finished_at > 0 ? a->exec_finished_at : -1,
-                          /*failed=*/true);
+    if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
+      shell_.record_attempt_span(t, w, /*failed=*/true);
       unpin_attempt(*a);
-      attempt_erase(t);
+      shell_.attempt_erase(t);
     }
 
     if (table_.at(t).attempts >= options_.max_task_retries) {
-      fail_run("task " + std::to_string(t) + " (" +
+      shell_.fail_run("task " + std::to_string(t) + " (" +
                graph_.task(t).spec.category + ") exceeded " +
                std::to_string(options_.max_task_retries) + " attempts");
       return;
@@ -2586,21 +2289,12 @@ class VineRun {
     }
   }
 
-  void fail_run(std::string reason) {
-    if (finished_) return;
-    finished_ = true;
-    report_.success = false;
-    report_.failure_reason = std::move(reason);
-    report_.makespan = engine_.now();
-    cluster_.batch().drain();
-  }
-
   // ---------------------------------------------------------------------
   // Instrumentation.
   // ---------------------------------------------------------------------
   void record_transfer(std::size_t src, std::size_t dst,
                        std::uint64_t bytes) {
-    report_.transfers.record(src, dst, bytes);
+    shell_.report().transfers.record(src, dst, bytes);
     if (bytes_via_manager_ != nullptr) {
       if (src == cluster_.manager_endpoint() ||
           dst == cluster_.manager_endpoint()) {
@@ -2629,210 +2323,94 @@ class VineRun {
     }
   }
 
-  [[nodiscard]] bool txn_on() const { return obs_->txn_enabled(); }
-  [[nodiscard]] bool trace_on() const { return obs_->trace_enabled(); }
+  [[nodiscard]] bool txn_on() const { return shell_.txn_on(); }
   [[nodiscard]] std::int32_t lane(std::size_t endpoint) const {
     return static_cast<std::int32_t>(endpoint);
   }
 
-  /// Capture one finished attempt into the profiler span log (and the
-  /// transaction log as a SPAN line). Called from finalize_task and
-  /// fail_attempt, before the Attempt record is erased.
-  void record_attempt_span(TaskId t, WorkerId w, const Attempt& a,
-                           Tick exec_end, bool failed) {
-    obs::AttemptSpan s;
-    s.task = t;
-    s.attempt = a.attempt;
-    s.worker = w == cluster::kNoWorker ? -1 : static_cast<std::int32_t>(w);
-    s.ready_at = a.span_ready;
-    s.dispatched_at = a.span_dispatched;
-    s.staged_at = a.span_staged;
-    s.exec_at = a.span_exec;
-    s.compute_at = a.span_compute;
-    s.exec_end_at = exec_end;
-    s.retrieved_at = engine_.now();
-    s.failed = failed;
-    s.category = graph_.task(t).spec.category;
-    if (txn_on()) {
-      obs_->txn().span_attempt(engine_.now(), t, s.attempt, s.worker,
-                               s.ready_at, s.dispatched_at, s.staged_at,
-                               s.exec_at, s.compute_at, s.exec_end_at,
-                               !failed, s.category);
-    }
-    report_.profile.add_attempt(std::move(s));
+  /// The engine's side of the run lifecycle (exec/run_shell.h).
+  exec::RunShell::Hooks hooks() {
+    exec::RunShell::Hooks h;
+    h.start = [this] { schedule_cache_sample(); };
+    h.node_up = [this](WorkerId w) { on_worker_up(w); };
+    h.node_down = [this](WorkerId w) { on_worker_down(w); };
+    h.lose_cached_file = [this](WorkerId w, FileId f) {
+      return lose_cached_file(w, f);
+    };
+    h.output_available = [this](TaskId p) {
+      return output_available(graph_.task(p).output_file);
+    };
+    h.place = [this](TaskId t) { return choose_worker(t); };
+    h.dispatch = [this](TaskId t, WorkerId w) { dispatch(t, w); };
+    h.releasable = [this](WorkerId w) { return worker_releasable(w); };
+    h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
+    h.snapshot_run_fields = [this] {
+      ha::SnapshotBuilder b;
+      b.field("cache_evictions", shell_.report().cache_evictions);
+      b.field("cache_evicted_bytes", shell_.report().cache_evicted_bytes);
+      b.field("cache_gc_drops", shell_.report().cache_gc_drops);
+      return b;
+    };
+    h.snapshot_sections = [this] { return snapshot_sections(); };
+    return h;
   }
 
-  /// Arm the profiler at the start of execute(): static cluster/DAG shape
-  /// plus the network span listener (worker up/down and attempt spans are
-  /// recorded at their natural call sites).
-  void begin_profile() {
-    std::vector<std::uint32_t> cores;
-    cores.reserve(cluster_.worker_count());
-    for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
-         ++w) {
-      cores.push_back(cluster_.worker(w).cores);
-    }
-    report_.profile.set_worker_cores(std::move(cores));
-    for (const auto& task : graph_.tasks()) {
-      report_.profile.set_deps(task.id, task.spec.deps);
-    }
-    cluster_.network().set_span_listener(
-        [this](Tick started, Tick ended, net::FlowId id, std::uint64_t bytes,
-               std::uint64_t carried, char outcome) {
-          obs::FlowSpan fs;
-          fs.flow = id;
-          fs.bytes = bytes;
-          fs.carried = carried;
-          fs.started_at = started;
-          fs.ended_at = ended;
-          fs.outcome = outcome;
-          report_.profile.add_flow(fs);
-        });
-  }
-
-  /// Seal the span log once the makespan is known, derive the attribution
-  /// ledger (which replaces the legacy busy-fraction scalar), and emit the
-  /// lifecycle Chrome-trace events when opted in.
-  void finish_profile() {
-    report_.profile.set_manager(manager_.total_busy_time(),
-                                manager_.operations());
-    report_.profile.set_run(report_.makespan, name_, report_.success);
-    const obs::AttributionLedger ledger = obs::attribute(report_.profile);
-    report_.manager_busy_fraction = ledger.manager_busy_fraction;
-    assert(ledger.identity_ok());
-    if (trace_on() && obs_->config().trace_lifecycle_spans) {
-      obs::emit_lifecycle_trace(report_.profile, obs_->trace());
-    }
-  }
-
-  void begin_observation() {
-    if (!obs_->enabled()) return;
-
-    if (txn_on()) {
-      obs_->txn().manager_start(engine_.now());
-      // WAITING lines fire on every waiting->ready transition; replay the
-      // tasks that were already ready when the table was built (the
-      // listener cannot see those).
-      table_.set_ready_listener([this](TaskId t, Tick now) {
-        obs_->txn().task_waiting(now, t, graph_.task(t).spec.category,
-                                 table_.at(t).attempts);
-      });
-      for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-        const auto& st = table_.at(t);
-        if (st.state == TaskState::kReady) {
-          obs_->txn().task_waiting(st.ready_at, t,
-                                   graph_.task(t).spec.category, st.attempts);
-        }
-      }
-    }
-
-    if (trace_on()) {
-      obs_->trace().set_lane_name(lane(cluster_.manager_endpoint()),
-                                  "manager");
+  void add_gauges(obs::StatsRegistry& stats) {
+    stats.gauge("tasks.waiting", [this] {
+      const std::size_t accounted = table_.done_count() +
+                                    table_.ready_count() +
+                                    shell_.attempts_live();
+      return accounted >= graph_.size()
+                 ? 0.0
+                 : static_cast<double>(graph_.size() - accounted);
+    });
+    stats.gauge("workers.connected", [this] {
+      std::size_t n = 0;
       for (WorkerId w = 0;
            w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-        obs_->trace().set_lane_name(
-            lane(cluster_.worker_endpoint(w)),
-            "worker " + std::to_string(w));
+        if (cluster_.worker(w).alive) ++n;
       }
-      obs_->trace().set_lane_name(lane(cluster_.fs_endpoint()), "shared-fs");
-    }
-
-    if (obs_->perf_enabled()) {
-      auto& stats = obs_->stats();
-      stats.gauge("tasks.total",
-                  [this] { return static_cast<double>(graph_.size()); });
-      stats.gauge("tasks.done", [this] {
-        return static_cast<double>(table_.done_count());
-      });
-      stats.gauge("tasks.ready", [this] {
-        return static_cast<double>(table_.ready_count());
-      });
-      stats.gauge("tasks.inflight", [this] {
-        return static_cast<double>(attempts_live_);
-      });
-      stats.gauge("tasks.waiting", [this] {
-        const std::size_t accounted =
-            table_.done_count() + table_.ready_count() + attempts_live_;
-        return accounted >= graph_.size()
-                   ? 0.0
-                   : static_cast<double>(graph_.size() - accounted);
-      });
-      stats.gauge("workers.connected", [this] {
-        std::size_t n = 0;
-        for (WorkerId w = 0;
-             w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-          if (cluster_.worker(w).alive) ++n;
-        }
-        return static_cast<double>(n);
-      });
-      stats.gauge("workers.busy", [this] {
-        std::size_t n = 0;
-        for (WorkerId w = 0;
-             w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-          const auto& node = cluster_.worker(w);
-          if (node.alive && node.cores_in_use > 0) ++n;
-        }
-        return static_cast<double>(n);
-      });
-      stats.gauge("manager.backlog", [this] {
-        return static_cast<double>(manager_.backlog());
-      });
-      stats.gauge("manager.ops", [this] {
-        return static_cast<double>(manager_.operations());
-      });
-      stats.gauge("manager.busy_fraction", [this] {
-        const Tick now = engine_.now();
-        if (now <= 0) return 0.0;
-        return std::min(1.0, static_cast<double>(manager_.total_busy_time()) /
-                                 static_cast<double>(now));
-      });
-      stats.gauge("engine.events_executed", [this] {
-        return static_cast<double>(engine_.executed());
-      });
-      stats.gauge("engine.events_pending", [this] {
-        return static_cast<double>(engine_.pending());
-      });
-      stats.gauge("store.objects", [this] {
-        return static_cast<double>(store_.total_objects());
-      });
-      stats.gauge("store.puts", [this] {
-        return static_cast<double>(store_.counters().puts);
-      });
-      stats.gauge("store.spills", [this] {
-        return static_cast<double>(store_.counters().spills);
-      });
-      bytes_via_manager_ = stats.counter("xfer.bytes_via_manager");
-      bytes_peer_ = stats.counter("xfer.bytes_peer");
-      bytes_via_fs_ = stats.counter("xfer.bytes_via_fs");
-      cluster_.batch().register_stats(stats);
-      cluster_.network().register_stats(stats);
-      cluster_.fs().register_stats(stats);
-      obs_->perf().bind(stats);
-      schedule_perf_sample();
-    }
-  }
-
-  void schedule_perf_sample() {
-    engine_.schedule_after(obs_->config().perf_sample_interval, [this] {
-      if (finished_) return;
-      const Tick now = engine_.now();
-      obs_->perf().sample(now, obs_->stats());
-      if (trace_on()) {
-        obs_->trace().add_counter(
-            lane(cluster_.manager_endpoint()), "tasks inflight", now,
-            static_cast<double>(attempts_live_));
-        obs_->trace().add_counter(
-            lane(cluster_.manager_endpoint()), "tasks done", now,
-            static_cast<double>(table_.done_count()));
-      }
-      schedule_perf_sample();
+      return static_cast<double>(n);
     });
+    stats.gauge("workers.busy", [this] {
+      std::size_t n = 0;
+      for (WorkerId w = 0;
+           w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
+        const auto& node = cluster_.worker(w);
+        if (node.alive && node.cores_in_use > 0) ++n;
+      }
+      return static_cast<double>(n);
+    });
+    stats.gauge("manager.backlog", [this] {
+      return static_cast<double>(manager_.backlog());
+    });
+    stats.gauge("manager.ops", [this] {
+      return static_cast<double>(manager_.operations());
+    });
+    stats.gauge("manager.busy_fraction", [this] {
+      const Tick now = engine_.now();
+      if (now <= 0) return 0.0;
+      return std::min(1.0, static_cast<double>(manager_.total_busy_time()) /
+                               static_cast<double>(now));
+    });
+    shell_.add_engine_gauges(stats);
+    stats.gauge("store.objects", [this] {
+      return static_cast<double>(store_.total_objects());
+    });
+    stats.gauge("store.puts", [this] {
+      return static_cast<double>(store_.counters().puts);
+    });
+    stats.gauge("store.spills", [this] {
+      return static_cast<double>(store_.counters().spills);
+    });
+    bytes_via_manager_ = stats.counter("xfer.bytes_via_manager");
+    bytes_peer_ = stats.counter("xfer.bytes_peer");
+    bytes_via_fs_ = stats.counter("xfer.bytes_via_fs");
   }
 
   void schedule_cache_sample() {
     engine_.schedule_after(options_.cache_sample_interval, [this] {
-      if (finished_) return;
+      if (shell_.finished()) return;
       const Tick now = engine_.now();
       if (cache_sample_last_.size() < cluster_.worker_count()) {
         cache_sample_last_.assign(cluster_.worker_count(), kNoCacheSample);
@@ -2846,79 +2424,18 @@ class VineRun {
         const std::uint64_t used = node.disk.used();
         if (cache_sample_last_[w] == used) continue;
         cache_sample_last_[w] = used;
-        report_.cache.sample(w, now, used);
+        shell_.report().cache.sample(w, now, used);
       }
       schedule_cache_sample();
     });
   }
 
   // ---------------------------------------------------------------------
-  // Manager HA: crash handling, checkpointing, elastic factory.
+  // Manager HA. The shell snapshots the run and task state; the engine
+  // adds worker disks, the object store, live flows and backoff ledgers.
   // ---------------------------------------------------------------------
-
-  /// An injected MANAGER_CRASH landed. The crash tick and the snapshot
-  /// series already sit in report_.ha; ending the run here leaves the txn
-  /// log with its tail intact, which is exactly what ha::recover() replays.
-  void on_manager_crash() {
-    report_.ha.manager_crashed = true;
-    report_.ha.crash_tick = engine_.now();
-    fail_run("manager crashed (injected manager_crash fault)");
-  }
-
-  void schedule_snapshot() {
-    if (!options_.ha.snapshots_enabled()) return;
-    engine_.schedule_after(options_.ha.snapshot_interval, [this] {
-      if (finished_) return;
-      take_snapshot();
-      schedule_snapshot();
-    });
-  }
-
-  /// Serialize the manager's logical state (ha/snapshot.h documents what is
-  /// deliberately excluded). Field order is fixed by construction so two
-  /// runs that agree on state produce byte-identical snapshots; the digest
-  /// lands on a SNAPSHOT txn anchor line and the serialization cost is
-  /// charged to the manager's serial control loop.
-  void take_snapshot() {
+  ha::SnapshotBuilder snapshot_sections() {
     ha::SnapshotBuilder b;
-
-    b.section("run");
-    b.field("tasks_total", graph_.size());
-    b.field("tasks_done", table_.done_count());
-    b.field("task_attempts", total_attempts_);
-    b.field("lineage_resets", lineage_resets_);
-    b.field("sinks_outstanding", sinks_outstanding_);
-    b.field("worker_crashes", report_.worker_crashes);
-    b.field("cache_evictions", report_.cache_evictions);
-    b.field("cache_evicted_bytes", report_.cache_evicted_bytes);
-    b.field("cache_gc_drops", report_.cache_gc_drops);
-    // The dispatch round-robin cursor is real scheduler state: two
-    // managers that agree on everything else but disagree on the cursor
-    // dispatch the next task to different workers.
-    b.field_i("rr_cursor", rr_cursor_);
-
-    b.section("tasks");
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const auto& st = table_.at(t);
-      // One compact line per task: state/attempts/worker.
-      b.field_s("t" + std::to_string(t),
-                std::to_string(static_cast<int>(st.state)) + "/" +
-                    std::to_string(st.attempts) + "/" +
-                    std::to_string(st.worker));
-    }
-    // Sparse task-keyed state: per-producer lineage-reset counts (the
-    // poisoned-task detector's memory) and sink-gather completion bits.
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-      if (n != 0) b.field("r" + std::to_string(t), n);
-    }
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      if (is_sink_[static_cast<std::size_t>(t)] &&
-          sink_fetched_[static_cast<std::size_t>(t)] != 0) {
-        b.field("s" + std::to_string(t), 1);
-      }
-    }
-
     b.section("replicas");
     for (FileId f = 0; f < static_cast<FileId>(files_.size()); ++f) {
       const bool at_mgr = replicas_->at_manager(f);
@@ -3035,79 +2552,15 @@ class VineRun {
     sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
       b.field("sink." + std::to_string(t), n);
     });
-
-    // Unconditional (zeros without an injector): a run whose only fault
-    // was the manager crash itself must snapshot byte-identically to its
-    // crash-stripped recovery rerun, which has no injector at all.
-    {
-      const fault::InjectionStats zero;
-      const fault::InjectionStats& fs =
-          injector_ ? injector_->stats() : zero;
-      b.section("injector");
-      b.field("faults_injected", fs.faults_injected);
-      b.field("worker_crashes", fs.worker_crashes);
-      b.field("cache_losses", fs.cache_losses);
-      b.field("cache_loss_noops", fs.cache_loss_noops);
-      b.field("transfers_killed", fs.transfers_killed);
-      b.field("fs_degradations", fs.fs_degradations);
-      b.field("stragglers", fs.stragglers);
-      b.field("manager_crashes", fs.manager_crashes);
-      b.field("transfer_retries", fs.transfer_retries);
-      b.field("transfer_giveups", fs.transfer_giveups);
-      b.field("backoff_wait", static_cast<std::uint64_t>(fs.backoff_wait));
-      b.field("fs_degraded_time",
-              static_cast<std::uint64_t>(fs.fs_degraded_time));
-    }
-
-    b.section("rng");
-    b.field_rng("vine_run", rng_.state());
-
-    ha::SnapshotRecord rec = b.finish(engine_.now(), snapshot_seq_++);
-    manager_.acquire(options_.ha.snapshot_cost(rec.bytes));
-    if (txn_on()) {
-      obs_->txn().snapshot_write(engine_.now(), rec.seq, rec.bytes,
-                                 rec.digest);
-    }
-    report_.ha.snapshots.push_back(std::move(rec));
+    return b;
   }
 
-  void begin_factory() {
-    if (!options_.ha.factory.enabled()) return;
-    ha::Factory::Hooks hooks;
-    hooks.queue_depth = [this]() -> std::size_t {
-      return table_.ready_count() + attempts_live_;
-    };
-    hooks.connected_workers = [this] { return cluster_.alive_workers(); };
-    hooks.grow = [this](std::uint32_t n) {
-      return cluster_.batch().start_slots(n);
-    };
-    hooks.shrink = [this](std::uint32_t n) {
-      return release_idle_workers(n);
-    };
-    factory_ = std::make_unique<ha::Factory>(engine_, options_.ha.factory,
-                                             std::move(hooks));
-    factory_->start();
-  }
-
-  /// Factory shrink: voluntarily release up to `n` idle workers — alive,
-  /// running nothing, sourcing no peer transfer. Highest ids go first so
-  /// the stable low-id core of the pool keeps its warm caches.
-  std::uint32_t release_idle_workers(std::uint32_t n) {
-    std::uint32_t released = 0;
-    for (WorkerId w = static_cast<WorkerId>(cluster_.worker_count()) - 1;
-         w >= 0 && released < n; --w) {
-      const auto& node = cluster_.worker(w);
-      if (!node.alive || node.cores_in_use > 0) continue;
-      const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-      if (rt.active_out > 0 || !rt.here.empty()) continue;
-      pending_release_[static_cast<std::size_t>(w)] = true;
-      if (cluster_.batch().release_slot(static_cast<std::uint32_t>(w))) {
-        ++released;
-      } else {
-        pending_release_[static_cast<std::size_t>(w)] = false;
-      }
-    }
-    return released;
+  /// Factory shrink: a worker may go when it runs nothing and sources no
+  /// peer transfer.
+  [[nodiscard]] bool worker_releasable(WorkerId w) const {
+    const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
+    return cluster_.worker(w).cores_in_use == 0 && rt.active_out == 0 &&
+           rt.here.empty();
   }
 
   // ---------------------------------------------------------------------
@@ -3117,7 +2570,6 @@ class VineRun {
   const exec::RunOptions options_;
   const DataPolicy policy_;
   const VineTunables tun_;
-  const std::string name_;
 
   exec::TaskStateTable table_;
   sim::Rng rng_;
@@ -3141,48 +2593,22 @@ class VineRun {
   // vine-snapshot: derived(fixed at startup from RunOptions)
   FileId env_file_ = data::kInvalidFile;
 
-  /// In-flight attempts, indexed by TaskId (null = no live attempt). Dense
-  /// so the hot dispatch/completion paths are O(1) with no tree walks; the
-  /// slot is freed at teardown so steady-state memory tracks concurrency,
-  /// not total task count.
-  std::vector<std::unique_ptr<Attempt>> attempts_;
-  // vine-snapshot: derived(count of non-null attempts_ slots)
-  std::size_t attempts_live_ = 0;
   /// Pending consumers per file (graph-derived; see build_file_table).
   std::vector<std::uint32_t> consumers_left_;
   std::map<FileId, std::vector<std::function<void(bool)>>> manager_inflight_;
   std::map<FileId, std::pair<net::FlowId, WorkerId>> relay_flows_;
   std::map<TaskId, net::FlowId> return_flows_;
   std::map<TaskId, std::pair<net::FlowId, WorkerId>> sink_flows_;
-  std::vector<char> sink_fetched_;  // indexed by TaskId
-  // vine-snapshot: derived(graph property, rebuilt at startup)
-  std::vector<bool> is_sink_;
 
-  // Fault-injection state. injector_ stays null (and every hook a no-op)
-  // when RunOptions::faults is empty. The backoff ledgers feed the capped
-  // exponential backoff for paths that retry without a cap; each resets on
-  // success so escalation counts consecutive failures, not lifetime kills.
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::vector<std::uint32_t> reset_counts_;  // lineage resets per producer
+  // The backoff ledgers feed the capped exponential backoff for paths that
+  // retry without a cap; each resets on success so escalation counts
+  // consecutive failures, not lifetime kills.
   std::map<FileId, net::FlowId> manager_fs_flows_;
   fault::BackoffLedger<FileId> manager_fs_backoff_;
   fault::BackoffLedger<FileId> relay_backoff_;
   fault::BackoffLedger<TaskId> sink_backoff_;
 
-  // Manager-HA state: the elastic factory (null unless enabled) and the
-  // checkpoint sequence counter feeding SNAPSHOT txn anchors.
-  // vine-snapshot: derived(sizing re-derived from queue depth each poll)
-  std::unique_ptr<ha::Factory> factory_;
-  std::uint64_t snapshot_seq_ = 0;
-
   std::shared_ptr<obs::RunObservation> obs_;
-  // Workers destroyed by the run itself (disk overflow) rather than batch
-  // preemption; consulted when the disconnect lands to attribute a reason.
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_crash_;
-  // Workers the factory is releasing voluntarily (shrink, not a fault).
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_release_;
   // Perf counters (owned by the stats registry; null when perf is off).
   // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_via_manager_ = nullptr;
@@ -3191,16 +2617,11 @@ class VineRun {
   // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_via_fs_ = nullptr;
 
-  exec::RunReport report_;
   /// Last disk usage recorded per worker by the cache sampler (sentinel =
   /// never sampled); the sampler skips workers whose usage is unchanged.
   static constexpr std::uint64_t kNoCacheSample = ~0ull;
   // vine-snapshot: derived(trace-sampler dedup memo, observability only)
   std::vector<std::uint64_t> cache_sample_last_;
-  std::size_t sinks_outstanding_ = 0;
-  std::size_t total_attempts_ = 0;
-  std::size_t lineage_resets_ = 0;
-  WorkerId rr_cursor_ = 0;
   // Workers that are alive with at least one free core, as a bitmap over
   // worker ids (see eligible_insert/walk_eligible); the dispatch
   // round-robin scans set bits instead of every configured worker. The
@@ -3216,10 +2637,6 @@ class VineRun {
   std::vector<WorkerId> index_dirty_;
   // vine-snapshot: derived(index over snapshotted worker state)
   std::vector<std::uint8_t> index_dirty_flag_;
-  // vine-snapshot: derived(re-entrancy latch, always false between events)
-  bool pumping_ = false;
-  // vine-snapshot: derived(teardown latch; no snapshots are taken after finish)
-  bool finished_ = false;
 
   // Scratch buffers reused across dispatches to avoid per-task allocation.
   // Locality scoring stamps loc_epoch_ per candidate instead of clearing a
@@ -3235,6 +2652,9 @@ class VineRun {
   std::vector<std::uint32_t> loc_epoch_;
   // vine-snapshot: derived(scratch, dead between dispatches)
   std::uint32_t loc_epoch_cur_ = 0;
+
+  // vine-snapshot: serialized(the shell writes its run and tasks sections itself)
+  exec::RunShell shell_;
 };
 
 }  // namespace
@@ -3242,8 +2662,8 @@ class VineRun {
 exec::RunReport VineScheduler::run(const dag::TaskGraph& graph,
                                    cluster::Cluster& cluster,
                                    const exec::RunOptions& options) {
-  VineRun run(graph, cluster, options, policy_, tunables_, name_);
-  return run.execute();
+  VineRun engine(graph, cluster, options, policy_, tunables_, name_);
+  return engine.run();
 }
 
 }  // namespace hepvine::vine

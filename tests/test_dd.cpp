@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/attempt_views.h"
 #include "scheduler_test_util.h"
 
 namespace hepvine::dd {
@@ -41,7 +42,7 @@ TEST_F(DdEndToEnd, UsesAllCoresViaSingleCoreProcesses) {
   const auto report = run(tiny_dv3(48), fast_options(), 2);
   ASSERT_TRUE(report.success);
   // 2 nodes x 12 procs: peak concurrency must exceed one proc per node.
-  EXPECT_GT(report.trace.peak_concurrency(), 2);
+  EXPECT_GT(metrics::peak_concurrency(report.profile), 2);
 }
 
 TEST_F(DdEndToEnd, MemoryOverflowKillsAndRestartsProcesses) {
@@ -82,6 +83,40 @@ TEST_F(DdEndToEnd, SmallScaleHealthyNoCrashes) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.worker_crashes, 0u);
   EXPECT_EQ(report.task_failures, 0u);
+}
+
+TEST_F(DdEndToEnd, ExecTimeEndsAtProcessExitNotIngestion) {
+  // A slow result handler backlogs the scheduler loop, so results are
+  // ingested well after their processes exit. That backlog is scheduler
+  // time: an attempt's execution time stops at process exit.
+  DaskTunables tunables;
+  tunables.result_cost = util::kSec;
+  const auto report = run(tiny_dv3(24), fast_options(), 2, tunables);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+
+  const auto buckets = metrics::exec_time_histogram(report.profile);
+  const auto bucket_of = [&buckets](util::Tick ticks) {
+    const double secs = util::to_seconds(ticks);
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      if (secs >= buckets[i].lo_sec && secs < buckets[i].hi_sec) return i;
+    }
+    return buckets.size();
+  };
+  std::vector<std::uint64_t> expected(buckets.size() + 1, 0);
+  std::size_t backlogged = 0;
+  std::size_t rebinned = 0;  // would land elsewhere if timed to ingestion
+  for (const auto& a : report.profile.attempts()) {
+    if (a.failed) continue;
+    if (a.exec_end_at < a.retrieved_at) ++backlogged;
+    const std::size_t b = bucket_of(a.exec_end_at - a.exec_at);
+    ++expected[b];
+    if (bucket_of(a.retrieved_at - a.exec_at) != b) ++rebinned;
+  }
+  EXPECT_GT(backlogged, 0u) << "no ingestion backlog to tell apart";
+  EXPECT_GT(rebinned, 0u) << "backlog too small to move any bucket";
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    EXPECT_EQ(buckets[i].count, expected[i]) << "bucket " << i;
+  }
 }
 
 TEST_F(DdEndToEnd, PerProcessImportsMakeFirstWaveSlow) {

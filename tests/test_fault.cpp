@@ -114,11 +114,11 @@ TEST(FaultSchedule, EmptyDetection) {
 
 // --- end-to-end regressions ----------------------------------------------
 
-/// Successful trace record for `t`, or nullptr.
-const metrics::TaskRecord* find_success(const exec::RunReport& report,
-                                        dag::TaskId t) {
-  for (const auto& rec : report.trace.records()) {
-    if (rec.task_id == t && !rec.failed) return &rec;
+/// Successful attempt of `t`, or nullptr.
+const obs::AttemptSpan* find_success(const exec::RunReport& report,
+                                     dag::TaskId t) {
+  for (const auto& a : report.profile.attempts()) {
+    if (a.task == t && !a.failed) return &a;
   }
   return nullptr;
 }
@@ -175,11 +175,11 @@ TEST(VineFaults, ChainedLineageResetCountsEachTaskOnce) {
   ASSERT_TRUE(probe.success) << probe.failure_reason;
   const auto* rec = find_success(probe, sink);
   ASSERT_NE(rec, nullptr);
-  ASSERT_LT(rec->started_at, rec->finished_at);
+  ASSERT_LT(rec->exec_at, rec->exec_end_at);
 
   // The fault run replays the probe timeline exactly until the crash, so
   // the midpoint of the probe's sink execution is mid-R3 here too.
-  options.faults.crash_worker((rec->started_at + rec->finished_at) / 2, 0);
+  options.faults.crash_worker((rec->exec_at + rec->exec_end_at) / 2, 0);
   const auto report = run_vine(graph, options, 1);
   ASSERT_TRUE(report.success) << report.failure_reason;
   EXPECT_EQ(report.faults.worker_crashes, 1u);
@@ -202,7 +202,7 @@ TEST(VineFaults, PoisonedTaskDetectorFailsRunWithPreciseReason) {
   ASSERT_TRUE(probe0.success) << probe0.failure_reason;
   const auto* rec0 = find_success(probe0, sink);
   ASSERT_NE(rec0, nullptr);
-  const Tick crash1 = (rec0->started_at + rec0->finished_at) / 2;
+  const Tick crash1 = (rec0->exec_at + rec0->exec_end_at) / 2;
 
   exec::RunOptions once = options;
   once.faults.crash_worker(crash1, 0);
@@ -210,11 +210,11 @@ TEST(VineFaults, PoisonedTaskDetectorFailsRunWithPreciseReason) {
   ASSERT_TRUE(probe1.success) << probe1.failure_reason;
   const auto* rec1 = find_success(probe1, sink);  // the post-crash re-run
   ASSERT_NE(rec1, nullptr);
-  ASSERT_GT(rec1->started_at, crash1);
+  ASSERT_GT(rec1->exec_at, crash1);
 
   exec::RunOptions twice = options;
   twice.faults.crash_worker(crash1, 0)
-      .crash_worker((rec1->started_at + rec1->finished_at) / 2, 0);
+      .crash_worker((rec1->exec_at + rec1->exec_end_at) / 2, 0);
   twice.fault_retry.poisoned_reset_threshold = 1;
   const auto report = run_vine(graph, twice, 1);
   EXPECT_FALSE(report.success);
@@ -254,14 +254,14 @@ TEST(VineFaults, RelayRetrySurvivesSourceWorkerCrash) {
   // Crash a worker that ran a process task on another node than the sink:
   // its retained output is mid-relay (or about to be) while the sink stages.
   std::int32_t victim = -1;
-  for (const auto& r : probe.trace.records()) {
+  for (const auto& r : probe.profile.attempts()) {
     if (!r.failed && r.worker >= 0 && r.worker != rec->worker) {
       victim = r.worker;
       break;
     }
   }
   ASSERT_GE(victim, 0);
-  const Tick staging_mid = (rec->dispatched_at + rec->started_at) / 2;
+  const Tick staging_mid = (rec->dispatched_at + rec->exec_at) / 2;
   options.faults.crash_worker(
       staging_mid > rec->dispatched_at ? staging_mid : rec->dispatched_at + 1,
       victim);

@@ -5,6 +5,7 @@
 // schedule + seed twice gives identical makespan, counters, and txn log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -71,10 +72,10 @@ class FaultMatrix : public ::testing::TestWithParam<const char*> {
     EXPECT_EQ(a.faults.backoff_wait, b.faults.backoff_wait);
   }
 
-  const metrics::TaskRecord* find_success(const exec::RunReport& report,
-                                          dag::TaskId t) const {
-    for (const auto& rec : report.trace.records()) {
-      if (rec.task_id == t && !rec.failed) return &rec;
+  const obs::AttemptSpan* find_success(const exec::RunReport& report,
+                                       dag::TaskId t) const {
+    for (const auto& a : report.profile.attempts()) {
+      if (a.task == t && !a.failed) return &a;
     }
     return nullptr;
   }
@@ -101,13 +102,20 @@ TEST_P(FaultMatrix, CrashDuringFinalReduction) {
   exec::RunOptions options = base_options();
   // The fault run replays the probe until the crash tick, so the sink's
   // worker is mid-reduction exactly then — the crash is guaranteed to land.
-  options.faults.crash_worker((sink->started_at + sink->finished_at) / 2,
+  options.faults.crash_worker((sink->exec_at + sink->exec_end_at) / 2,
                               sink->worker);
   const auto report = run(options);
   expect_exact_result(report);
   EXPECT_EQ(report.faults.worker_crashes, 1u);
   EXPECT_EQ(report.faults.faults_injected, 1u);
   EXPECT_EQ(report.worker_crashes, 1u);
+  // The crash fails the running reduction; the failure count is read off
+  // the attempt record, so the two can never disagree.
+  const auto failed = static_cast<std::size_t>(std::count_if(
+      report.profile.attempts().begin(), report.profile.attempts().end(),
+      [](const obs::AttemptSpan& a) { return a.failed; }));
+  EXPECT_GE(failed, 1u);
+  EXPECT_EQ(report.task_failures, failed);
 }
 
 TEST_P(FaultMatrix, FsOutageDuringImportStorm) {

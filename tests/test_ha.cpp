@@ -104,11 +104,11 @@ exec::RunReport run_backend(const std::string& kind,
   return s.run(graph, cluster, options);
 }
 
-/// Successful trace record for `t`, or nullptr.
-const metrics::TaskRecord* find_success(const exec::RunReport& report,
-                                        dag::TaskId t) {
-  for (const auto& rec : report.trace.records()) {
-    if (rec.task_id == t && !rec.failed) return &rec;
+/// Successful attempt of `t`, or nullptr.
+const obs::AttemptSpan* find_success(const exec::RunReport& report,
+                                     dag::TaskId t) {
+  for (const auto& a : report.profile.attempts()) {
+    if (a.task == t && !a.failed) return &a;
   }
   return nullptr;
 }
@@ -296,8 +296,8 @@ TEST(ManagerHa, SnapshotCarriesCursorResetAndInjectorState) {
   ASSERT_TRUE(probe.success) << probe.failure_reason;
   const auto* rec = find_success(probe, sink);
   ASSERT_NE(rec, nullptr);
-  ASSERT_LT(rec->started_at, rec->finished_at);
-  options.faults.crash_worker((rec->started_at + rec->finished_at) / 2, 0);
+  ASSERT_LT(rec->exec_at, rec->exec_end_at);
+  options.faults.crash_worker((rec->exec_at + rec->exec_end_at) / 2, 0);
 
   const auto baseline = run_backend("vine", graph, options, 1);
   ASSERT_TRUE(baseline.success) << baseline.failure_reason;

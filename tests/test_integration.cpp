@@ -153,16 +153,16 @@ TEST(Integration, TraceAccountsForEveryTask) {
   vine::VineScheduler scheduler;
   const auto report = scheduler.run(graph, cluster, options);
   ASSERT_TRUE(report.success);
-  // Every task has exactly one successful trace record; timestamps are
-  // ordered ready <= dispatched <= started <= finished.
+  // Every task has exactly one successful attempt; timestamps are
+  // ordered ready <= dispatched <= exec < exec end.
   std::size_t successes = 0;
-  for (const auto& rec : report.trace.records()) {
-    if (rec.failed) continue;
+  for (const auto& a : report.profile.attempts()) {
+    if (a.failed) continue;
     ++successes;
-    EXPECT_LE(rec.ready_at, rec.dispatched_at);
-    EXPECT_LE(rec.dispatched_at, rec.started_at);
-    EXPECT_LT(rec.started_at, rec.finished_at);
-    EXPECT_GE(rec.worker, 0);
+    EXPECT_LE(a.ready_at, a.dispatched_at);
+    EXPECT_LE(a.dispatched_at, a.exec_at);
+    EXPECT_LT(a.exec_at, a.exec_end_at);
+    EXPECT_GE(a.worker, 0);
   }
   EXPECT_EQ(successes, graph.size());
 }

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "metrics/cache_trace.h"
-#include "metrics/task_trace.h"
+#include "metrics/attempt_views.h"
 #include "metrics/transfer_matrix.h"
 #include "util/units.h"
 
@@ -63,55 +63,66 @@ TEST(TransferMatrix, HeatmapAndCsvRender) {
   EXPECT_NE(csv.find("3,4,500"), std::string::npos);
 }
 
-TaskRecord rec(std::int64_t id, std::int32_t worker, double ready,
-               double start, double finish, bool failed = false) {
-  TaskRecord r;
-  r.task_id = id;
-  r.worker = worker;
-  r.ready_at = seconds(ready);
-  r.dispatched_at = seconds(ready);
-  r.started_at = seconds(start);
-  r.finished_at = seconds(finish);
-  r.failed = failed;
-  r.category = "test";
-  return r;
+/// One attempt that became ready at `ready`, started executing at `start`
+/// and exited (or, when failed, was observed failing) at `finish`.
+obs::AttemptSpan span(std::int64_t id, std::int32_t worker, double ready,
+                      double start, double finish, bool failed = false) {
+  obs::AttemptSpan a;
+  a.task = id;
+  a.worker = worker;
+  a.ready_at = seconds(ready);
+  a.dispatched_at = seconds(ready);
+  a.exec_at = seconds(start);
+  if (failed) {
+    a.retrieved_at = seconds(finish);
+  } else {
+    a.exec_end_at = seconds(finish);
+    a.retrieved_at = seconds(finish) + seconds(100.0);  // manager backlog
+  }
+  a.failed = failed;
+  a.category = "test";
+  return a;
+}
+
+obs::SpanLog log_of(std::initializer_list<obs::AttemptSpan> attempts) {
+  obs::SpanLog log;
+  for (const auto& a : attempts) log.add_attempt(a);
+  return log;
 }
 
 TEST(TaskTrace, ConcurrencySeriesCountsRunningAndWaiting) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0.0, 1.0, 5.0));
-  trace.add(rec(1, 1, 0.0, 2.0, 6.0));
-  const auto series = trace.concurrency_series(seconds(1.0), seconds(8.0));
+  const obs::SpanLog log =
+      log_of({span(0, 0, 0.0, 1.0, 5.0), span(1, 1, 0.0, 2.0, 6.0)});
+  const auto series = concurrency_series(log, seconds(1.0), seconds(8.0));
   ASSERT_EQ(series.size(), 9u);
   EXPECT_EQ(series[0].waiting, 2);  // both ready, none started
   EXPECT_EQ(series[0].running, 0);
   EXPECT_EQ(series[1].running, 1);  // task 0 started at t=1
   EXPECT_EQ(series[1].waiting, 1);
   EXPECT_EQ(series[3].running, 2);
-  EXPECT_EQ(series[5].running, 1);  // task 0 finished at t=5
-  EXPECT_EQ(series[7].running, 0);
+  EXPECT_EQ(series[5].running, 1);  // task 0 exited at t=5
+  EXPECT_EQ(series[7].running, 0);  // ingestion backlog is not running
 }
 
 TEST(TaskTrace, PeakConcurrency) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0.0, 10.0));
-  trace.add(rec(1, 1, 0, 2.0, 4.0));
-  trace.add(rec(2, 2, 0, 3.0, 5.0));
-  EXPECT_EQ(trace.peak_concurrency(), 3);
+  const obs::SpanLog log =
+      log_of({span(0, 0, 0, 0.0, 10.0), span(1, 1, 0, 2.0, 4.0),
+              span(2, 2, 0, 3.0, 5.0)});
+  EXPECT_EQ(peak_concurrency(log), 3);
 }
 
 TEST(TaskTrace, FailureCounting) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0, 1));
-  trace.add(rec(1, 0, 0, 0, 1, /*failed=*/true));
-  EXPECT_EQ(trace.failures(), 1u);
+  const obs::SpanLog log =
+      log_of({span(0, 0, 0, 0, 1), span(1, 0, 0, 0, 1, /*failed=*/true)});
+  EXPECT_EQ(failed_attempts(log), 1u);
 }
 
 TEST(TaskTrace, WorkerOccupancyMeasuresBusyFraction) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0.0, 5.0));   // worker 0 busy 5 of 10 s
-  trace.add(rec(1, 1, 0, 0.0, 10.0));  // worker 1 busy all 10 s
-  const auto occ = trace.worker_occupancy(3, 0, seconds(10.0));
+  const obs::SpanLog log = log_of({
+      span(0, 0, 0, 0.0, 5.0),   // worker 0 busy 5 of 10 s
+      span(1, 1, 0, 0.0, 10.0),  // worker 1 busy all 10 s
+  });
+  const auto occ = worker_occupancy(log, 3, 0, seconds(10.0));
   ASSERT_EQ(occ.size(), 3u);
   EXPECT_NEAR(occ[0], 0.5, 1e-9);
   EXPECT_NEAR(occ[1], 1.0, 1e-9);
@@ -119,20 +130,41 @@ TEST(TaskTrace, WorkerOccupancyMeasuresBusyFraction) {
 }
 
 TEST(TaskTrace, OccupancyMergesOverlappingIntervals) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0.0, 6.0));
-  trace.add(rec(1, 0, 0, 4.0, 8.0));  // overlaps the first
-  const auto occ = trace.worker_occupancy(1, 0, seconds(10.0));
+  const obs::SpanLog log = log_of({
+      span(0, 0, 0, 0.0, 6.0),
+      span(1, 0, 0, 4.0, 8.0),  // overlaps the first
+  });
+  const auto occ = worker_occupancy(log, 1, 0, seconds(10.0));
   EXPECT_NEAR(occ[0], 0.8, 1e-9);
 }
 
+TEST(TaskTrace, StagingFailureOccupiesFromDispatch) {
+  // Failed while staging inputs: never executed (exec_at == -1), so the
+  // core is held from dispatch until the failure was observed.
+  obs::AttemptSpan staging = span(0, 0, 0, 0, 0, /*failed=*/true);
+  staging.dispatched_at = seconds(2.0);
+  staging.exec_at = -1;
+  staging.retrieved_at = seconds(6.0);
+  const obs::SpanLog log = log_of({staging});
+  const auto occ = worker_occupancy(log, 1, 0, seconds(10.0));
+  EXPECT_NEAR(occ[0], 0.4, 1e-9);
+  EXPECT_EQ(run_start(staging), seconds(2.0));
+  EXPECT_EQ(run_end(staging), seconds(6.0));
+  const auto series = concurrency_series(log, seconds(1.0), seconds(8.0));
+  EXPECT_EQ(series[1].running, 0);
+  EXPECT_EQ(series[1].waiting, 1);  // ready at 0, waiting until dispatch
+  EXPECT_EQ(series[2].running, 1);
+  EXPECT_EQ(series[6].running, 0);
+}
+
 TEST(TaskTrace, ExecTimeHistogramBucketsLogarithmically) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0.0, 0.05));  // 0.05 s
-  trace.add(rec(1, 0, 0, 0.0, 1.2));   // 1.2 s
-  trace.add(rec(2, 0, 0, 0.0, 3.0));   // 3.0 s: same half-decade as 1.2
-  trace.add(rec(3, 0, 0, 0.0, 200.0, true));  // failed: excluded
-  const auto buckets = trace.exec_time_histogram(0.01, 100.0, 2);
+  const obs::SpanLog log = log_of({
+      span(0, 0, 0, 0.0, 0.05),  // 0.05 s
+      span(1, 0, 0, 0.0, 1.2),   // 1.2 s
+      span(2, 0, 0, 0.0, 3.0),   // 3.0 s: same half-decade as 1.2
+      span(3, 0, 0, 0.0, 200.0, true),  // failed: excluded
+  });
+  const auto buckets = exec_time_histogram(log, 0.01, 100.0, 2);
   std::uint64_t total = 0;
   for (const auto& b : buckets) total += b.count;
   EXPECT_EQ(total, 3u);
@@ -142,16 +174,28 @@ TEST(TaskTrace, ExecTimeHistogramBucketsLogarithmically) {
   EXPECT_EQ(maxc, 2u);
 }
 
+TEST(TaskTrace, ExecTimeHistogramExcludesFailedAttempts) {
+  // A failed attempt that ran 2 s before its worker died shares its
+  // bucket with a successful 2 s attempt, but only the success counts —
+  // even when the failure carries a process-exit stamp.
+  obs::AttemptSpan died = span(1, 0, 0, 0.0, 2.0, /*failed=*/true);
+  died.exec_end_at = seconds(2.0);
+  const obs::SpanLog log = log_of({span(0, 0, 0, 0.0, 2.0), died});
+  const auto buckets = exec_time_histogram(log, 1.0, 10.0, 1);
+  ASSERT_EQ(buckets.size(), 1u);
+  EXPECT_EQ(buckets[0].count, 1u);
+  const obs::SpanLog only_failed = log_of({died});
+  EXPECT_EQ(exec_time_histogram(only_failed, 1.0, 10.0, 1)[0].count, 0u);
+}
+
 TEST(TaskTrace, RendersProduceNonEmptyOutput) {
-  TaskTrace trace;
-  trace.add(rec(0, 0, 0, 0.0, 2.0));
-  const auto buckets = trace.exec_time_histogram();
-  EXPECT_FALSE(TaskTrace::render_histogram(buckets).empty());
-  const auto occ = trace.worker_occupancy(4, 0, seconds(2.0));
-  EXPECT_FALSE(TaskTrace::render_occupancy(occ).empty());
-  const auto series = trace.concurrency_series(seconds(0.5), seconds(4.0));
+  const obs::SpanLog log = log_of({span(0, 0, 0, 0.0, 2.0)});
+  const auto buckets = exec_time_histogram(log);
+  EXPECT_FALSE(render_histogram(buckets).empty());
+  const auto occ = worker_occupancy(log, 4, 0, seconds(2.0));
+  EXPECT_FALSE(render_occupancy(occ).empty());
+  const auto series = concurrency_series(log, seconds(0.5), seconds(4.0));
   EXPECT_FALSE(render_concurrency(series).empty());
-  EXPECT_FALSE(trace.to_csv().empty());
 }
 
 TEST(Render, SeriesSpansFullWidthWhenPointsExceedColumns) {
@@ -171,7 +215,7 @@ TEST(Render, SeriesSpansFullWidthWhenPointsExceedColumns) {
 }
 
 TEST(Render, ConcurrencySpansFullWidth) {
-  std::vector<TaskTrace::ConcurrencyPoint> series;
+  std::vector<ConcurrencyPoint> series;
   for (int i = 0; i <= 72; ++i) {
     series.push_back({seconds(i), 10, 0});
   }
@@ -216,28 +260,28 @@ TEST(CacheTrace, OutOfRangeWorkerIgnored) {
 
 TEST(Render, HistogramHandlesEmptySinglePointAndAllEqual) {
   // Empty bucket list: must not crash or emit garbage.
-  EXPECT_TRUE(TaskTrace::render_histogram({}).empty());
+  EXPECT_TRUE(render_histogram({}).empty());
 
   // All-zero counts: rendering is defined (no divide-by-zero on max=0).
-  std::vector<TaskTrace::TimeBucket> zeros(3);
+  std::vector<TimeBucket> zeros(3);
   zeros[0] = {0.1, 1.0, 0};
   zeros[1] = {1.0, 10.0, 0};
   zeros[2] = {10.0, 100.0, 0};
-  const std::string z = TaskTrace::render_histogram(zeros);
+  const std::string z = render_histogram(zeros);
   EXPECT_EQ(z.find('#'), std::string::npos);
 
   // Single populated bucket gets the full bar width.
-  std::vector<TaskTrace::TimeBucket> one(1);
+  std::vector<TimeBucket> one(1);
   one[0] = {1.0, 10.0, 7};
-  const std::string s = TaskTrace::render_histogram(one, 10);
+  const std::string s = render_histogram(one, 10);
   EXPECT_NE(s.find("##########"), std::string::npos);
 
   // All-equal counts: every bucket renders an identical full-width bar.
-  std::vector<TaskTrace::TimeBucket> eq(3);
+  std::vector<TimeBucket> eq(3);
   eq[0] = {0.1, 1.0, 5};
   eq[1] = {1.0, 10.0, 5};
   eq[2] = {10.0, 100.0, 5};
-  const std::string e = TaskTrace::render_histogram(eq, 8);
+  const std::string e = render_histogram(eq, 8);
   std::istringstream lines(e);
   std::string line;
   int full = 0;
@@ -260,19 +304,19 @@ TEST(Render, ConcurrencyHandlesEmptySinglePointAndAllEqual) {
   EXPECT_EQ(render_concurrency({}), "(no data)\n");
 
   // A single point must produce a chart with a running mark in the body.
-  std::vector<TaskTrace::ConcurrencyPoint> single = {{seconds(1), 3, 1}};
+  std::vector<ConcurrencyPoint> single = {{seconds(1), 3, 1}};
   const std::string s = render_concurrency(single, 4, 20);
   EXPECT_NE(chart_body(s).find('r'), std::string::npos);
 
   // All-equal running/waiting: flat line, rendered as '*' (both series),
   // with no divide-by-zero on the value range.
-  std::vector<TaskTrace::ConcurrencyPoint> flat;
+  std::vector<ConcurrencyPoint> flat;
   for (int i = 0; i < 10; ++i) flat.push_back({seconds(i), 4, 4});
   const std::string f = render_concurrency(flat, 4, 20);
   EXPECT_NE(chart_body(f).find('*'), std::string::npos);
 
   // All-zero values: defined output, no marks above the axis.
-  std::vector<TaskTrace::ConcurrencyPoint> zero;
+  std::vector<ConcurrencyPoint> zero;
   for (int i = 0; i < 10; ++i) zero.push_back({seconds(i), 0, 0});
   const std::string body = chart_body(render_concurrency(zero, 4, 20));
   EXPECT_EQ(body.find('r'), std::string::npos);

@@ -364,8 +364,8 @@ TEST(DispatchBugfix, LocalityWinsStillRotateRoundRobinCursor) {
   ASSERT_TRUE(report.success);
 
   std::map<std::int32_t, std::size_t> per_worker;
-  for (const metrics::TaskRecord& rec : report.trace.records()) {
-    if (!rec.failed) ++per_worker[rec.worker];
+  for (const obs::AttemptSpan& a : report.profile.attempts()) {
+    if (!a.failed) ++per_worker[a.worker];
   }
   EXPECT_GE(per_worker.size(), 4u)
       << "round-robin cursor stuck: dispatches collapsed onto "

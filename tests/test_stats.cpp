@@ -1,12 +1,11 @@
 // Tests for the statistics helpers added on top of the core metrics/hep
-// modules: per-category trace statistics, chi-squared histogram
-// compatibility, and manager-utilization reporting.
+// modules: chi-squared histogram compatibility and manager-utilization
+// reporting.
 #include <gtest/gtest.h>
 
 #include "hep/events.h"
 #include "hep/histogram.h"
 #include "hep/processors.h"
-#include "metrics/task_trace.h"
 #include "scheduler_test_util.h"
 #include "vine/vine_scheduler.h"
 
@@ -14,40 +13,6 @@ namespace hepvine {
 namespace {
 
 using namespace hepvine::testutil;
-using util::seconds;
-
-metrics::TaskRecord make_record(const char* category, double exec_sec,
-                                bool failed = false) {
-  metrics::TaskRecord r;
-  r.category = category;
-  r.started_at = 0;
-  r.finished_at = seconds(exec_sec);
-  r.failed = failed;
-  return r;
-}
-
-TEST(CategoryStats, ComputesPerCategoryQuantiles) {
-  metrics::TaskTrace trace;
-  for (double t : {1.0, 2.0, 3.0, 4.0, 100.0}) {
-    trace.add(make_record("process", t));
-  }
-  trace.add(make_record("accumulate", 10.0));
-  trace.add(make_record("process", 999.0, /*failed=*/true));  // excluded
-
-  const auto stats = trace.category_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  const auto& process = stats.at("process");
-  EXPECT_EQ(process.count, 5u);
-  EXPECT_DOUBLE_EQ(process.mean_sec, 22.0);
-  EXPECT_DOUBLE_EQ(process.median_sec, 3.0);
-  EXPECT_DOUBLE_EQ(process.max_sec, 100.0);
-  EXPECT_DOUBLE_EQ(stats.at("accumulate").mean_sec, 10.0);
-}
-
-TEST(CategoryStats, EmptyTraceYieldsNothing) {
-  metrics::TaskTrace trace;
-  EXPECT_TRUE(trace.category_stats().empty());
-}
 
 TEST(Chi2, IdenticalHistogramsAreZero) {
   hep::Histogram1D a(20, 0, 10);

@@ -44,8 +44,8 @@ TEST(TaskState, RootsStartReady) {
 TEST(TaskState, DoneUnblocksDependents) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 1, 0);
-  table.mark_running(0, 1);
+  table.mark_dispatched(0, 1);
+  table.mark_running(0);
   table.mark_done(0, scalar(1), 2);
   EXPECT_EQ(table.pop_ready(), 1);
   EXPECT_EQ(table.pop_ready(), 2);
@@ -55,12 +55,12 @@ TEST(TaskState, DoneUnblocksDependents) {
 TEST(TaskState, JoinWaitsForAllDeps) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 1);
-  table.mark_dispatched(1, 0, 1);
+  table.mark_dispatched(1, 0);
   table.mark_done(1, scalar(2), 2);
   EXPECT_EQ(table.at(3).state, TaskState::kWaiting);
-  table.mark_dispatched(2, 0, 2);
+  table.mark_dispatched(2, 0);
   table.mark_done(2, scalar(3), 3);
   EXPECT_EQ(table.at(3).state, TaskState::kReady);
   EXPECT_EQ(table.at(3).ready_at, 3);
@@ -72,8 +72,8 @@ TEST(TaskState, AllDoneAfterFullExecution) {
   for (TaskId t : {0, 1, 2, 3}) {
     const TaskId popped = table.pop_ready();
     ASSERT_EQ(popped, t);
-    table.mark_dispatched(t, 0, 0);
-    table.mark_running(t, 0);
+    table.mark_dispatched(t, 0);
+    table.mark_running(t);
     table.mark_done(t, scalar(1), 0);
   }
   EXPECT_TRUE(table.all_done());
@@ -83,11 +83,11 @@ TEST(TaskState, AllDoneAfterFullExecution) {
 TEST(TaskState, GatherInputsInDeclarationOrder) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(10), 0);
-  table.mark_dispatched(1, 0, 0);
+  table.mark_dispatched(1, 0);
   table.mark_done(1, scalar(20), 0);
-  table.mark_dispatched(2, 0, 0);
+  table.mark_dispatched(2, 0);
   table.mark_done(2, scalar(30), 0);
   const auto inputs = table.gather_inputs(3);
   ASSERT_EQ(inputs.size(), 2u);
@@ -101,12 +101,12 @@ TEST(TaskState, RequeueReturnsTaskToReadyAndAttemptsCount) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
   table.pop_ready();
-  table.mark_dispatched(0, 5, 10);
+  table.mark_dispatched(0, 5);
   EXPECT_EQ(table.at(0).attempts, 1u);
   table.requeue(0, 20);
   EXPECT_EQ(table.at(0).state, TaskState::kReady);
   EXPECT_EQ(table.pop_ready(), 0);
-  table.mark_dispatched(0, 6, 21);
+  table.mark_dispatched(0, 6);
   EXPECT_EQ(table.at(0).attempts, 2u);
 }
 
@@ -116,10 +116,10 @@ TEST(TaskState, StaleReadyQueueEntriesSkipped) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
   ASSERT_EQ(table.pop_ready(), 0);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.requeue(0, 1);
   ASSERT_EQ(table.pop_ready(), 0);
-  table.mark_dispatched(0, 0, 2);
+  table.mark_dispatched(0, 0);
   // The deque is now empty of valid entries.
   EXPECT_EQ(table.pop_ready(), dag::kInvalidTask);
   EXPECT_EQ(table.peek_ready(), dag::kInvalidTask);
@@ -128,7 +128,7 @@ TEST(TaskState, StaleReadyQueueEntriesSkipped) {
 TEST(TaskState, ResetLostSingleProducer) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 0);
   // b and c are now ready. Simulate loss of a's output.
   const std::size_t reset =
@@ -140,7 +140,7 @@ TEST(TaskState, ResetLostSingleProducer) {
   EXPECT_EQ(table.at(1).deps_remaining, 1u);
   // Re-run a: b and c become ready again.
   EXPECT_EQ(table.pop_ready(), 0);
-  table.mark_dispatched(0, 0, 6);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 7);
   EXPECT_EQ(table.at(1).state, TaskState::kReady);
   EXPECT_EQ(table.at(2).state, TaskState::kReady);
@@ -166,9 +166,9 @@ TEST(TaskState, ResetLostCascadesThroughLostAncestors) {
   graph.add_task(std::move(c));
 
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 0);
-  table.mark_dispatched(1, 0, 0);
+  table.mark_dispatched(1, 0);
   table.mark_done(1, scalar(2), 0);
 
   const std::size_t reset =
@@ -189,9 +189,9 @@ TEST(TaskState, ResetLostStopsAtAvailableAncestors) {
   graph.add_task(std::move(b));
 
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 0);
-  table.mark_dispatched(1, 0, 0);
+  table.mark_dispatched(1, 0);
   table.mark_done(1, scalar(2), 0);
 
   // Only b's output lost; a's replica survives.
@@ -205,11 +205,11 @@ TEST(TaskState, ResetLostStopsAtAvailableAncestors) {
 TEST(TaskState, ResetLostLeavesRunningDependentsAlone) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 0);
   table.pop_ready();
-  table.mark_dispatched(1, 2, 0);
-  table.mark_running(1, 0);  // b is running with its staged copy
+  table.mark_dispatched(1, 2);
+  table.mark_running(1);  // b is running with its staged copy
 
   table.reset_lost(0, 1, [](TaskId) { return false; });
   EXPECT_EQ(table.at(1).state, TaskState::kRunning)
@@ -225,7 +225,7 @@ TEST(TaskState, ResetLostLeavesRunningDependentsAlone) {
 TEST(TaskState, DoubleResetDoesNotDoubleCountDeps) {
   const TaskGraph graph = diamond();
   TaskStateTable table(graph);
-  table.mark_dispatched(0, 0, 0);
+  table.mark_dispatched(0, 0);
   table.mark_done(0, scalar(1), 0);
   table.reset_lost(0, 1, [](TaskId) { return false; });
   // Second reset attempt: producer is no longer done -> noop.

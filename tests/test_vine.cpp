@@ -73,7 +73,8 @@ TEST_F(VineEndToEnd, CompletesAndMatchesSerialReference) {
   ASSERT_TRUE(report.success) << report.failure_reason;
   EXPECT_EQ(sink_digest(report), reference_digest(graph));
   EXPECT_GE(report.task_attempts, graph.size());
-  EXPECT_EQ(report.trace.size() - report.trace.failures(), graph.size());
+  EXPECT_EQ(report.profile.attempts().size() - report.task_failures,
+            graph.size());
 }
 
 TEST_F(VineEndToEnd, ServerlessModeMatchesReferenceAndIsFaster) {

@@ -125,7 +125,7 @@ TEST(DepthPriority, ReadyReductionsDispatchBeforeReadyMapTasks) {
   for (int i = 0; i < 8; ++i) {
     const dag::TaskId t = table.pop_ready();
     ASSERT_LT(t, 8);
-    table.mark_dispatched(t, 0, 0);
+    table.mark_dispatched(t, 0);
     table.mark_done(t, std::make_shared<dag::ScalarValue>(1.0), 0);
   }
   const dag::TaskId next = table.pop_ready();
@@ -200,13 +200,13 @@ TEST(DispatchFallback, OverflowDispatchSparesWorkerWithCommittedBytes) {
 
   ASSERT_FALSE(report.success);
   EXPECT_EQ(report.worker_crashes, 1u);
-  const metrics::TaskRecord* small_rec = nullptr;
-  const metrics::TaskRecord* doomed_rec = nullptr;
+  const obs::AttemptSpan* small_rec = nullptr;
+  const obs::AttemptSpan* doomed_rec = nullptr;
   bool blob_failed = false;
-  for (const auto& rec : report.trace.records()) {
-    if (rec.task_id == t_small && !rec.failed) small_rec = &rec;
-    if (rec.task_id == t_doomed) doomed_rec = &rec;
-    if (rec.task_id == t_blob && rec.failed) blob_failed = true;
+  for (const auto& a : report.profile.attempts()) {
+    if (a.task == t_small && !a.failed) small_rec = &a;
+    if (a.task == t_doomed) doomed_rec = &a;
+    if (a.task == t_blob && a.failed) blob_failed = true;
   }
   ASSERT_NE(small_rec, nullptr);
   ASSERT_NE(doomed_rec, nullptr);
