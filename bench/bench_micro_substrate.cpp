@@ -89,6 +89,41 @@ void BM_Dv3Process(benchmark::State& state) {
 }
 BENCHMARK(BM_Dv3Process)->Arg(1'000)->Arg(10'000);
 
+void BM_TriphotonProcess(benchmark::State& state) {
+  const hep::EventChunk chunk =
+      hep::generate_chunk(7, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const hep::HistogramSet out = hep::triphoton_process(chunk);
+    benchmark::DoNotOptimize(out.count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(chunk.events) *
+                          state.iterations());
+}
+BENCHMARK(BM_TriphotonProcess)->Arg(1'000)->Arg(10'000);
+
+// Generation plus analysis in one streamed pass (what a process task
+// runs): compare with BM_GenerateChunk + BM_Dv3Process / _TriphotonProcess.
+void stream_analysis(benchmark::State& state, hep::Analysis analysis) {
+  const auto events = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const hep::HistogramSet out = hep::run_analysis(analysis, seed++, events);
+    benchmark::DoNotOptimize(out.count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events) *
+                          state.iterations());
+}
+
+void BM_Dv3Stream(benchmark::State& state) {
+  stream_analysis(state, hep::Analysis::kDv3);
+}
+BENCHMARK(BM_Dv3Stream)->Arg(1'000)->Arg(10'000);
+
+void BM_TriphotonStream(benchmark::State& state) {
+  stream_analysis(state, hep::Analysis::kTriPhoton);
+}
+BENCHMARK(BM_TriphotonStream)->Arg(1'000)->Arg(10'000);
+
 void BM_HistogramMerge(benchmark::State& state) {
   hep::Histogram1D a(1'000, 0, 100);
   hep::Histogram1D b(1'000, 0, 100);

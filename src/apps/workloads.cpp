@@ -199,9 +199,7 @@ dag::TaskGraph build_workload(const WorkloadSpec& spec, std::uint64_t seed) {
     for (const data::ChunkRef& chunk : chunks) {
       dag::TaskSpec process;
       process.category = spec.variations ? "preprocess" : "process";
-      process.function = spec.analysis == Analysis::kDv3
-                             ? "dv3_processor"
-                             : "triphoton_processor";
+      process.function = hep::processor_name(spec.analysis);
       process.input_files = {chunk.file_id};
       process.cpu_seconds = lognormal_cpu(cpu_rng, spec.process_cpu_median,
                                           spec.process_cpu_sigma);
@@ -215,11 +213,8 @@ dag::TaskGraph build_workload(const WorkloadSpec& spec, std::uint64_t seed) {
         const Analysis analysis = spec.analysis;
         process.fn = [chunk_seed, events,
                       analysis](const std::vector<dag::ValuePtr>&) {
-          const hep::EventChunk data = hep::generate_chunk(chunk_seed, events);
-          auto out = std::make_shared<hep::HistogramSet>();
-          *out = analysis == Analysis::kDv3 ? hep::dv3_process(data)
-                                            : hep::triphoton_process(data);
-          return out;
+          return std::make_shared<hep::HistogramSet>(
+              hep::run_analysis(analysis, chunk_seed, events));
         };
         partials.push_back(graph.add_task(std::move(process)));
       } else {

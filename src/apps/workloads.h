@@ -26,10 +26,11 @@
 #include <string>
 
 #include "dag/task_graph.h"
+#include "hep/processors.h"
 
 namespace hepvine::apps {
 
-enum class Analysis : std::uint8_t { kDv3, kTriPhoton };
+using hep::Analysis;
 
 enum class ReductionShape : std::uint8_t {
   kTree,        // hierarchical (the paper's fix)

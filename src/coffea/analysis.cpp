@@ -5,7 +5,6 @@
 
 #include "dag/builders.h"
 #include "data/dataset.h"
-#include "hep/processors.h"
 #include "vine/vine_scheduler.h"
 
 namespace hepvine::coffea {
@@ -30,23 +29,18 @@ Analysis& Analysis::events_per_chunk(std::uint64_t events) {
 }
 
 Analysis& Analysis::processor(Processor which) {
-  if (which == Processor::kDv3) {
-    processor_name_ = "dv3_processor";
-    processor_fn_ = [](const hep::EventChunk& chunk) {
-      return hep::dv3_process(chunk);
-    };
-  } else {
-    processor_name_ = "triphoton_processor";
-    processor_fn_ = [](const hep::EventChunk& chunk) {
-      return hep::triphoton_process(chunk);
-    };
-  }
+  processor_name_ = hep::processor_name(which);
+  process_ = [which](std::uint64_t seed, std::uint64_t events) {
+    return hep::run_analysis(which, seed, events);
+  };
   return *this;
 }
 
 Analysis& Analysis::processor(std::string name, ProcessorFn fn) {
   processor_name_ = std::move(name);
-  processor_fn_ = std::move(fn);
+  process_ = [fn = std::move(fn)](std::uint64_t seed, std::uint64_t events) {
+    return fn(hep::generate_chunk(seed, events));
+  };
   return *this;
 }
 
@@ -76,7 +70,7 @@ Analysis& Analysis::seed(std::uint64_t seed) {
 }
 
 dag::TaskGraph Analysis::build() const {
-  if (!processor_fn_) {
+  if (!process_) {
     throw std::logic_error("Analysis::processor() must be set before build()");
   }
   dag::TaskGraph graph;
@@ -94,11 +88,9 @@ dag::TaskGraph Analysis::build() const {
     task.cpu_seconds = cpu_seconds_;
     task.output_bytes = output_bytes_;
     task.memory_bytes = memory_bytes_;
-    task.fn = [fn = processor_fn_, seed = chunk.seed,
+    task.fn = [process = process_, seed = chunk.seed,
                events = chunk.events](const std::vector<dag::ValuePtr>&) {
-      auto out = std::make_shared<hep::HistogramSet>();
-      *out = fn(hep::generate_chunk(seed, events));
-      return out;
+      return std::make_shared<hep::HistogramSet>(process(seed, events));
     };
     partials.push_back(graph.add_task(std::move(task)));
   }

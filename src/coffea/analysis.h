@@ -25,11 +25,12 @@
 #include "exec/scheduler.h"
 #include "hep/events.h"
 #include "hep/histogram.h"
+#include "hep/processors.h"
 
 namespace hepvine::coffea {
 
 /// Built-in processors (user-defined functions also accepted).
-enum class Processor : std::uint8_t { kDv3, kTriPhoton };
+using Processor = hep::Analysis;
 
 /// A user-defined physics processor: chunk of events in, histograms out.
 using ProcessorFn = std::function<hep::HistogramSet(const hep::EventChunk&)>;
@@ -84,7 +85,10 @@ class Analysis {
   std::uint32_t chunks_per_file_ = 5;
   std::uint64_t events_per_chunk_ = 1000;
   std::string processor_name_ = "dv3_processor";
-  ProcessorFn processor_fn_;
+  /// One process task's work, from its chunk's (seed, events): a built-in
+  /// processor streams them through hep::run_analysis; a custom one gets
+  /// the materialized chunk.
+  std::function<hep::HistogramSet(std::uint64_t, std::uint64_t)> process_;
   double cpu_seconds_ = 3.5;
   std::uint64_t output_bytes_ = 50 * util::kMB;
   std::uint64_t memory_bytes_ = 2 * util::kGB;

@@ -1,29 +1,38 @@
 #include "hep/events.h"
 
-#include <cmath>
-
-#include "sim/rng.h"
-
 namespace hepvine::hep {
 
 namespace {
 
-constexpr double kTwoPi = 6.283185307179586;
+/// The materializing sink: every column, appended in generation order.
+class ChunkBuilder {
+ public:
+  static constexpr CollectionReads kAllColumns{true, true, true, true, true};
+  static constexpr EventReads kReads{true, kAllColumns, kAllColumns};
 
-/// Falling-exponential pT spectrum with a floor, truncated to float for
-/// platform-stable content.
-float sample_pt(sim::Rng& rng, double floor_gev, double slope_gev) {
-  return static_cast<float>(floor_gev + rng.exponential(slope_gev));
-}
+  explicit ChunkBuilder(EventChunk& chunk) : chunk_(chunk) {}
 
-void push_particle(ParticleColumns& cols, float pt, float eta, float phi,
-                   float mass, float quality) {
-  cols.pt.push_back(pt);
-  cols.eta.push_back(eta);
-  cols.phi.push_back(phi);
-  cols.mass.push_back(mass);
-  cols.quality.push_back(quality);
-}
+  void met(const LazyPt& pt) { chunk_.met_pt.push_back(pt.value()); }
+  void jet(const Particle& p) { push(chunk_.jets, p); }
+  void photon(const Particle& p) { push(chunk_.photons, p); }
+  void end_event() {
+    chunk_.jets.event_offsets.push_back(
+        static_cast<std::uint32_t>(chunk_.jets.count()));
+    chunk_.photons.event_offsets.push_back(
+        static_cast<std::uint32_t>(chunk_.photons.count()));
+  }
+
+ private:
+  static void push(ParticleColumns& cols, const Particle& p) {
+    cols.pt.push_back(p.pt.value());
+    cols.eta.push_back(p.eta);
+    cols.phi.push_back(p.phi);
+    cols.mass.push_back(p.mass);
+    cols.quality.push_back(p.quality);
+  }
+
+  EventChunk& chunk_;
+};
 
 }  // namespace
 
@@ -34,71 +43,11 @@ EventChunk generate_chunk(std::uint64_t seed, std::size_t events) {
   chunk.met_pt.reserve(events);
   chunk.jets.event_offsets.reserve(events + 1);
   chunk.photons.event_offsets.reserve(events + 1);
+  chunk.jets.event_offsets.push_back(0);
+  chunk.photons.event_offsets.push_back(0);
 
-  sim::Rng rng(seed);
-  for (std::size_t e = 0; e < events; ++e) {
-    chunk.jets.event_offsets.push_back(
-        static_cast<std::uint32_t>(chunk.jets.count()));
-    chunk.photons.event_offsets.push_back(
-        static_cast<std::uint32_t>(chunk.photons.count()));
-
-    chunk.met_pt.push_back(sample_pt(rng, 0.0, 35.0));
-
-    // QCD background jets.
-    const auto njets = static_cast<std::size_t>(rng.uniform_int(2, 6));
-    for (std::size_t j = 0; j < njets; ++j) {
-      push_particle(chunk.jets, sample_pt(rng, 20.0, 45.0),
-                    static_cast<float>(rng.uniform(-2.5, 2.5)),
-                    static_cast<float>(rng.uniform(0.0, kTwoPi)),
-                    static_cast<float>(rng.uniform(5.0, 30.0)),
-                    static_cast<float>(rng.uniform(0.0, 1.0)));
-    }
-
-    // ~3% of events carry a Higgs-like H->bb dijet: two b-tagged jets whose
-    // pair mass reconstructs near 125 GeV.
-    if (rng.bernoulli(0.03)) {
-      const double m_h = rng.normal(125.0, 8.0);
-      const double half = m_h / 2.0;
-      const double pt1 = half + rng.exponential(20.0);
-      const double pt2 = half + rng.exponential(20.0);
-      push_particle(chunk.jets, static_cast<float>(pt1),
-                    static_cast<float>(rng.uniform(-2.0, 2.0)),
-                    static_cast<float>(rng.uniform(0.0, kTwoPi)),
-                    static_cast<float>(half),
-                    static_cast<float>(rng.uniform(0.85, 1.0)));
-      push_particle(chunk.jets, static_cast<float>(pt2),
-                    static_cast<float>(rng.uniform(-2.0, 2.0)),
-                    static_cast<float>(rng.uniform(0.0, kTwoPi)),
-                    static_cast<float>(half),
-                    static_cast<float>(rng.uniform(0.85, 1.0)));
-    }
-
-    // Prompt photons: usually zero or one; 0.5% of events carry the
-    // RS-TriPhoton cascade (X -> gamma + Y, Y -> gamma gamma): three
-    // energetic isolated photons with a combined mass near 800 GeV.
-    if (rng.bernoulli(0.005)) {
-      const double m_x = rng.normal(800.0, 25.0);
-      for (int g = 0; g < 3; ++g) {
-        push_particle(chunk.photons, static_cast<float>(m_x / 3.0 +
-                                                        rng.exponential(15.0)),
-                      static_cast<float>(rng.uniform(-1.4, 1.4)),
-                      static_cast<float>(rng.uniform(0.0, kTwoPi)), 0.0f,
-                      static_cast<float>(rng.uniform(0.9, 1.0)));
-      }
-    } else {
-      const auto nphotons = static_cast<std::size_t>(rng.uniform_int(0, 2));
-      for (std::size_t g = 0; g < nphotons; ++g) {
-        push_particle(chunk.photons, sample_pt(rng, 15.0, 25.0),
-                      static_cast<float>(rng.uniform(-2.5, 2.5)),
-                      static_cast<float>(rng.uniform(0.0, kTwoPi)), 0.0f,
-                      static_cast<float>(rng.uniform(0.0, 1.0)));
-      }
-    }
-  }
-  chunk.jets.event_offsets.push_back(
-      static_cast<std::uint32_t>(chunk.jets.count()));
-  chunk.photons.event_offsets.push_back(
-      static_cast<std::uint32_t>(chunk.photons.count()));
+  ChunkBuilder sink(chunk);
+  generate_events(seed, events, sink);
   return chunk;
 }
 

@@ -121,4 +121,152 @@ HistogramSet triphoton_process(const EventChunk& chunk) {
   return out;
 }
 
+namespace {
+
+/// A selected particle's kinematics, kept until its event ends.
+struct Kinematics {
+  float pt = 0.0f;
+  float eta = 0.0f;
+  float phi = 0.0f;
+};
+
+/// dv3_process over the generated stream.
+class Dv3Sink {
+ public:
+  static constexpr EventReads kReads{
+      .met_pt = true,
+      .jets = {.pt = true, .eta = true, .phi = true, .quality = true},
+      .photons = {}};
+
+  Dv3Sink()
+      : met_(out_.get("met", binning::kMetBins, binning::kMetLo,
+                      binning::kMetHi)),
+        mass_(out_.get("dijet_mass", binning::kDijetBins, binning::kDijetLo,
+                       binning::kDijetHi)),
+        njets_(out_.get("n_btag_jets", 10, 0.0, 10.0)),
+        cutflow_(out_.get("cutflow", dv3_cuts::kStages, 0.0,
+                          static_cast<double>(dv3_cuts::kStages))) {}
+
+  void met(const LazyPt& lazy) {
+    const float met = lazy.value();
+    met_.fill(met);
+    cutflow_.fill(dv3_cuts::kAll);
+    if (met > 25.0f) cutflow_.fill(dv3_cuts::kMet25);
+  }
+
+  void jet(const Particle& p) {
+    // The b-tag cut comes first, so pT is computed only for tagged jets.
+    if (nsel_ == kMaxSelected || !(p.quality > 0.85f)) return;
+    const float pt = p.pt.value();
+    if (pt > 30.0f) selected_[nsel_++] = {pt, p.eta, p.phi};
+  }
+
+  void end_event() {
+    njets_.fill(static_cast<double>(nsel_));
+    if (nsel_ >= 2) cutflow_.fill(dv3_cuts::kTwoBJets);
+    bool in_window = false;
+    for (std::uint32_t a = 0; a < nsel_; ++a) {
+      for (std::uint32_t b = a + 1; b < nsel_; ++b) {
+        const Kinematics& j1 = selected_[a];
+        const Kinematics& j2 = selected_[b];
+        const double m =
+            dijet_mass(j1.pt, j1.eta, j1.phi, j2.pt, j2.eta, j2.phi);
+        mass_.fill(m);
+        in_window |= m > 100.0 && m < 150.0;
+      }
+    }
+    if (in_window) cutflow_.fill(dv3_cuts::kHiggsWindow);
+    nsel_ = 0;
+  }
+
+  HistogramSet take() { return std::move(out_); }
+
+ private:
+  static constexpr std::uint32_t kMaxSelected = 16;
+
+  HistogramSet out_;
+  Histogram1D& met_;
+  Histogram1D& mass_;
+  Histogram1D& njets_;
+  Histogram1D& cutflow_;
+  Kinematics selected_[kMaxSelected];
+  std::uint32_t nsel_ = 0;
+};
+
+/// triphoton_process over the generated stream.
+class TriphotonSink {
+ public:
+  static constexpr EventReads kReads{
+      .met_pt = false,
+      .jets = {},
+      .photons = {.pt = true, .eta = true, .phi = true, .quality = true}};
+
+  TriphotonSink()
+      : mass_(out_.get("triphoton_mass", binning::kTriphotonBins,
+                       binning::kTriphotonLo, binning::kTriphotonHi)),
+        lead_pt_(out_.get("leading_photon_pt", 100, 0.0, 600.0)) {}
+
+  void photon(const Particle& p) {
+    // The isolation cut comes first, so pT is computed only for isolated
+    // photons.
+    if (nsel_ == kMaxSelected || !(p.quality > 0.9f)) return;
+    const float pt = p.pt.value();
+    if (pt > 75.0f) {
+      selected_[nsel_++] = {pt, p.eta, p.phi};
+      if (pt > max_pt_) max_pt_ = pt;
+    }
+  }
+
+  void end_event() {
+    if (nsel_ >= 3) {
+      lead_pt_.fill(static_cast<double>(max_pt_));
+      double px = 0, py = 0, pz = 0, energy = 0;
+      for (std::uint32_t i = 0; i < 3; ++i) {
+        const double pt = selected_[i].pt;
+        const double eta = selected_[i].eta;
+        const double phi = selected_[i].phi;
+        px += pt * std::cos(phi);
+        py += pt * std::sin(phi);
+        pz += pt * std::sinh(eta);
+        energy += pt * std::cosh(eta);
+      }
+      const double m2 = energy * energy - (px * px + py * py + pz * pz);
+      mass_.fill(m2 > 0 ? std::sqrt(m2) : 0.0);
+    }
+    nsel_ = 0;
+    max_pt_ = 0.0f;
+  }
+
+  HistogramSet take() { return std::move(out_); }
+
+ private:
+  static constexpr std::uint32_t kMaxSelected = 8;
+
+  HistogramSet out_;
+  Histogram1D& mass_;
+  Histogram1D& lead_pt_;
+  Kinematics selected_[kMaxSelected];
+  std::uint32_t nsel_ = 0;
+  float max_pt_ = 0.0f;
+};
+
+template <typename Sink>
+HistogramSet stream(std::uint64_t seed, std::size_t events) {
+  Sink sink;
+  generate_events(seed, events, sink);
+  return sink.take();
+}
+
+}  // namespace
+
+const char* processor_name(Analysis analysis) {
+  return analysis == Analysis::kDv3 ? "dv3_processor" : "triphoton_processor";
+}
+
+HistogramSet run_analysis(Analysis analysis, std::uint64_t seed,
+                          std::size_t events) {
+  return analysis == Analysis::kDv3 ? stream<Dv3Sink>(seed, events)
+                                    : stream<TriphotonSink>(seed, events);
+}
+
 }  // namespace hepvine::hep

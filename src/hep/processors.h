@@ -39,6 +39,23 @@ inline constexpr std::uint32_t kStages = 4;
 /// RS-TriPhoton processor.
 [[nodiscard]] HistogramSet triphoton_process(const EventChunk& chunk);
 
+/// The built-in analyses.
+enum class Analysis : std::uint8_t { kDv3, kTriPhoton };
+
+/// Function name a built-in analysis's process tasks carry
+/// ("dv3_processor", "triphoton_processor").
+[[nodiscard]] const char* processor_name(Analysis analysis);
+
+/// Run a built-in analysis over the `events` events of `seed`, streamed
+/// from generate_events instead of materialized: only the columns the
+/// analysis reads are transformed, and a particle's pT (its log()) only
+/// when the selection reaches it. The result's digest equals
+/// dv3_process / triphoton_process(generate_chunk(seed, events)), which
+/// stay as the differential oracle.
+[[nodiscard]] HistogramSet run_analysis(Analysis analysis,
+                                        std::uint64_t seed,
+                                        std::size_t events);
+
 /// Binning constants shared by processors and tests.
 namespace binning {
 inline constexpr std::uint32_t kMetBins = 100;

@@ -54,7 +54,7 @@ class Rng {
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform();
+    return uniform_from(uniform(), lo, hi);
   }
 
   /// Uniform integer in [0, n). n must be > 0.
@@ -75,16 +75,36 @@ class Rng {
 
   /// Exponential with the given mean.
   double exponential(double mean) noexcept {
-    double u = uniform();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return -mean * std::log(u);
+    return exponential_from(uniform(), mean);
   }
 
   /// Normal via Box-Muller (one value per call; simple and deterministic).
   double normal(double mean, double stddev) noexcept {
-    double u1 = uniform();
-    if (u1 <= 0.0) u1 = 0x1.0p-53;
+    const double u1 = uniform();
     const double u2 = uniform();
+    return normal_from(u1, u2, mean, stddev);
+  }
+
+  // Pure transforms of raw uniform() draws. The drawing members above are
+  // these applied to fresh draws, so a caller that takes the draws itself
+  // (to fix their order, or to defer the transform until its value is
+  // needed) gets bit-identical results.
+
+  /// uniform(lo, hi) from the uniform() draw `u`.
+  static double uniform_from(double u, double lo, double hi) noexcept {
+    return lo + (hi - lo) * u;
+  }
+
+  /// exponential(mean) from the uniform() draw `u`.
+  static double exponential_from(double u, double mean) noexcept {
+    if (u <= 0.0) u = 0x1.0p-53;
+    return -mean * std::log(u);
+  }
+
+  /// normal(mean, stddev) from its two uniform() draws, in draw order.
+  static double normal_from(double u1, double u2, double mean,
+                            double stddev) noexcept {
+    if (u1 <= 0.0) u1 = 0x1.0p-53;
     const double r = std::sqrt(-2.0 * std::log(u1));
     return mean + stddev * r * std::cos(6.283185307179586 * u2);
   }

@@ -99,6 +99,28 @@ TEST(Analysis, CustomProcessorFlowsThrough) {
   EXPECT_DOUBLE_EQ(result.histograms->find("n")->bin_content(0), 400.0);
 }
 
+TEST(Analysis, BuiltinStreamsMatchMaterializedProcessors) {
+  // Built-in processors stream events through hep::run_analysis; the same
+  // graph with the materialized processors plugged in as custom functions
+  // must reduce to the same digest.
+  const std::pair<Processor, hep::HistogramSet (*)(const hep::EventChunk&)>
+      cases[] = {{Processor::kDv3, hep::dv3_process},
+                 {Processor::kTriPhoton, hep::triphoton_process}};
+  for (const auto& [which, materialized] : cases) {
+    Analysis streamed = small_analysis();
+    streamed.events_per_chunk(5'000).processor(which);
+    Analysis reference = small_analysis();
+    reference.events_per_chunk(5'000).processor(hep::processor_name(which),
+                                                materialized);
+    const auto a = dag::evaluate_serially(streamed.build());
+    const auto b = dag::evaluate_serially(reference.build());
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(a.begin()->second->digest(), b.begin()->second->digest())
+        << hep::processor_name(which);
+  }
+}
+
 TEST(Analysis, ThrowsOnRunFailure) {
   Analysis a = small_analysis();
   a.processor_costs(1.0, 400 * util::kGB, util::kGB);  // can't fit any disk

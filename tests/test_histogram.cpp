@@ -84,7 +84,9 @@ TEST(Histogram, MergeIsExactlyAssociativeAndCommutative) {
   for (int p = 0; p < 12; ++p) {
     Histogram1D h(50, 0.0, 100.0);
     for (int i = 0; i < 1000; ++i) {
-      h.fill(rng.uniform(0.0, 110.0), rng.uniform(0.0, 2.0));
+      const double weight = rng.uniform(0.0, 2.0);
+      const double x = rng.uniform(0.0, 110.0);
+      h.fill(x, weight);
     }
     parts.push_back(std::move(h));
   }

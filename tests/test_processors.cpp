@@ -133,5 +133,44 @@ TEST(Processors, PartialsMergeLikeFullChunk) {
   EXPECT_EQ(merged.digest(), dv3_process(both).digest());
 }
 
+// Differential suite: the streaming sinks behind run_analysis against the
+// materialized oracle, dv3_process / triphoton_process(generate_chunk).
+class StreamMatchesOracle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StreamMatchesOracle, Dv3AndTriphotonDigestsAreEqual) {
+  const std::size_t events = GetParam();
+  const std::uint64_t seeds = events <= 1'000 ? 1'000 : 20;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const EventChunk chunk = generate_chunk(seed, events);
+    ASSERT_EQ(run_analysis(Analysis::kDv3, seed, events).digest(),
+              dv3_process(chunk).digest())
+        << "DV3, seed " << seed << ", " << events << " events";
+    ASSERT_EQ(run_analysis(Analysis::kTriPhoton, seed, events).digest(),
+              triphoton_process(chunk).digest())
+        << "TriPhoton, seed " << seed << ", " << events << " events";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, StreamMatchesOracle,
+                         ::testing::Values(0, 1, 7, 100, 500, 1'000,
+                                           20'000));
+
+TEST(Processors, StreamFillsTheSignalRegions) {
+  // Large chunks where both signals occur: the differential equality above
+  // must not be vacuous there.
+  const HistogramSet dv3 = run_analysis(Analysis::kDv3, 1234, 200'000);
+  EXPECT_GT(dv3.find("cutflow")->bin_content(dv3_cuts::kHiggsWindow), 0.0);
+  const HistogramSet tri = run_analysis(Analysis::kTriPhoton, 555, 400'000);
+  EXPECT_GT(tri.find("triphoton_mass")->entries(), 0u);
+  EXPECT_EQ(dv3.digest(), dv3_process(generate_chunk(1234, 200'000)).digest());
+  EXPECT_EQ(tri.digest(),
+            triphoton_process(generate_chunk(555, 400'000)).digest());
+}
+
+TEST(Processors, ProcessorNames) {
+  EXPECT_STREQ(processor_name(Analysis::kDv3), "dv3_processor");
+  EXPECT_STREQ(processor_name(Analysis::kTriPhoton), "triphoton_processor");
+}
+
 }  // namespace
 }  // namespace hepvine::hep

@@ -115,6 +115,25 @@ TEST(Rng, NormalMeanAndSpread) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
+TEST(Rng, TransformsOfRawDrawsMatchDrawingMembers) {
+  // The drawing members are the pure transforms applied to fresh draws,
+  // so taking the draws first and transforming later is bit-identical.
+  Rng drawn(23);
+  Rng raw(23);
+  for (int i = 0; i < 10'000; ++i) {
+    EXPECT_EQ(drawn.uniform(-2.5, 2.5), Rng::uniform_from(raw.uniform(), -2.5,
+                                                          2.5));
+    EXPECT_EQ(drawn.exponential(45.0),
+              Rng::exponential_from(raw.uniform(), 45.0));
+    const double u1 = raw.uniform();
+    const double u2 = raw.uniform();
+    EXPECT_EQ(drawn.normal(125.0, 8.0), Rng::normal_from(u1, u2, 125.0, 8.0));
+  }
+  EXPECT_EQ(drawn.state(), raw.state());
+  // A zero draw is clamped rather than taking log(0).
+  EXPECT_GT(Rng::exponential_from(0.0, 1.0), 36.0);
+}
+
 TEST(Rng, LognormalIsPositive) {
   Rng rng(17);
   for (int i = 0; i < 1'000; ++i) {

@@ -343,6 +343,42 @@ TEST(VineLintTunableParity, FileAllowPragmaSilencesRule) {
 }
 
 // ---------------------------------------------------------------------------
+// VL012 unsequenced-draws
+// ---------------------------------------------------------------------------
+
+TEST(VineLintUnsequencedDraws, FlagsDrawsSharingAnArgumentList) {
+  const auto findings = lint_fixture("unsequenced_draws_bad.cpp");
+  EXPECT_EQ(count_rule(findings, Rule::kUnsequencedDraws), 3)
+      << hepvine::lint::format_findings(findings);
+  EXPECT_TRUE(only_rule(findings, Rule::kUnsequencedDraws));
+}
+
+TEST(VineLintUnsequencedDraws, QuietOnSequencedAndIndependentDraws) {
+  const auto findings = lint_fixture("unsequenced_draws_clean.cpp");
+  EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
+}
+
+TEST(VineLintUnsequencedDraws, LineSuppressionSilencesRule) {
+  const auto findings = lint_fixture("unsequenced_draws_suppressed.cpp");
+  EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
+}
+
+TEST(VineLintUnsequencedDraws, NestedCallsAreCheckedOnTheirOwn) {
+  // The outer call sees one draw unit (the nested call); the nested call
+  // holds two draws itself and is the one flagged.
+  const auto findings = lint_snippet(
+      "src/x.cpp",
+      "void f(hepvine::sim::Rng& rng) {\n"
+      "  outer(inner(rng.uniform(), rng.uniform()), 1.0);\n"
+      "}\n");
+  ASSERT_EQ(count_rule(findings, Rule::kUnsequencedDraws), 1)
+      << hepvine::lint::format_findings(findings);
+  EXPECT_EQ(findings.front().line, 2);
+  EXPECT_NE(findings.front().message.find("2 draws from 'rng'"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Rule metadata, formatting, pragma edge cases
 // ---------------------------------------------------------------------------
 

@@ -57,6 +57,11 @@ const RuleInfo kRules[kRuleCount] = {
      "fix the pragma: rule names must match --list-rules, vine-snapshot "
      "ops are state | derived(<why>) | serialized(<how>), vine-fastpath "
      "ops are opt-in, and suppressions need a trailing justification"},
+    {Rule::kUnsequencedDraws, "VL012", "unsequenced-draws",
+     "take each draw into a named local, one statement per draw, in the "
+     "order the stream must see them; C++ leaves the evaluation order of "
+     "function arguments unspecified, so the content would depend on the "
+     "compiler"},
 };
 
 // ---------------------------------------------------------------------------
@@ -2181,6 +2186,113 @@ void rule_pragma_hygiene(const FileCtx& ctx, bool require_justification) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// VL012 unsequenced-draws (per file)
+// ---------------------------------------------------------------------------
+
+/// sim::Rng members that advance the stream.
+bool is_draw_method(const std::string& s) {
+  static const std::set<std::string> kDraws = {
+      "next_u64", "uniform",     "uniform_below", "uniform_int",
+      "bernoulli", "exponential", "normal",       "lognormal"};
+  return kDraws.count(s) != 0;
+}
+
+/// Identifier-shaped tokens after which `(` opens something other than a
+/// call's argument list.
+bool is_paren_keyword(const std::string& s) {
+  static const std::set<std::string> kKeywords = {
+      "if",       "while",    "for",    "switch",        "catch",
+      "return",   "sizeof",   "alignof", "decltype",     "noexcept",
+      "co_return", "co_await", "throw",  "static_assert", "alignas"};
+  return kKeywords.count(s) != 0;
+}
+
+void rule_unsequenced_draws(const FileCtx& ctx) {
+  const auto& t = ctx.toks;
+  // Generators: names declared with type Rng in this file, plus any name
+  // spelled with "rng" (members declared in a header, e.g. rng_).
+  std::set<std::string> declared;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != Token::kIdent || t[i].text != "Rng") continue;
+    std::size_t j = i + 1;
+    while (j < t.size() && (t[j].text == "&" || t[j].text == "*" ||
+                            t[j].text == "const")) {
+      ++j;
+    }
+    if (j < t.size() && t[j].kind == Token::kIdent) declared.insert(t[j].text);
+  }
+  auto is_rng = [&declared](const Token& tok) {
+    if (tok.kind != Token::kIdent) return false;
+    if (declared.count(tok.text) != 0) return true;
+    std::string lower = tok.text;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return lower.find("rng") != std::string::npos;
+  };
+
+  auto is_draw_at = [&](std::size_t k) {
+    return k + 3 < t.size() && is_rng(t[k]) &&
+           (t[k + 1].text == "." || t[k + 1].text == "->") &&
+           is_draw_method(t[k + 2].text) && t[k + 3].text == "(";
+  };
+  auto is_call_at = [&](std::size_t k) {
+    return k + 1 < t.size() && t[k + 1].text == "(" &&
+           ((t[k].kind == Token::kIdent && !is_paren_keyword(t[k].text)) ||
+            t[k].text == ">" || t[k].text == ")" || t[k].text == "]");
+  };
+  // Generators a token range draws from: `g.draw(`, or `g` handed to a
+  // call as a whole argument (the callee presumably draws from it). Brace
+  // groups are skipped: lambda bodies run later and init-lists are
+  // sequenced left to right.
+  auto drawn_in = [&](std::size_t from, std::size_t to) {
+    std::set<std::string> names;
+    for (std::size_t k = from; k < to; ++k) {
+      if (t[k].text == "{") {
+        k = match_forward(t, k, "{", "}");
+      } else if (is_draw_at(k)) {
+        names.insert(t[k].text);
+      } else if (is_rng(t[k]) && k > 0 && k + 1 < t.size() &&
+                 (t[k - 1].text == "(" || t[k - 1].text == ",") &&
+                 (t[k + 1].text == "," || t[k + 1].text == ")")) {
+        names.insert(t[k].text);
+      }
+    }
+    return names;
+  };
+
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!is_call_at(i)) continue;
+    const std::size_t open = i + 1;
+    const std::size_t close = match_forward(t, open, "(", ")");
+    if (close >= t.size()) continue;
+
+    // Each draw and each nested call that draws is one unit whose order
+    // against the others is unspecified; a nested call's own argument list
+    // is checked when the scan reaches it. Distinct generators do not
+    // interact, so units are counted per generator.
+    std::map<std::string, int> units;
+    for (std::size_t k = open + 1; k < close; ++k) {
+      if (t[k].text == "{") {
+        k = match_forward(t, k, "{", "}");
+        continue;
+      }
+      const std::size_t call = is_draw_at(k) ? k + 2 : k;
+      if (!is_call_at(call)) continue;
+      const std::size_t inner_close = match_forward(t, call + 1, "(", ")");
+      for (const std::string& name : drawn_in(k, inner_close)) ++units[name];
+      k = inner_close;
+    }
+    for (const auto& [name, count] : units) {
+      if (count < 2) continue;
+      ctx.report(Rule::kUnsequencedDraws, t[i].line,
+                 std::to_string(count) + " draws from '" + name +
+                     "' in one argument list run in an unspecified order");
+    }
+  }
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
@@ -2208,6 +2320,7 @@ void run_file_rules(const FileData& fd, const SymbolIndex& idx,
   rule_handle_generation(ctx, idx);
   rule_flat_aliasing(ctx, idx);
   rule_pragma_hygiene(ctx, require_justification);
+  rule_unsequenced_draws(ctx);
 }
 
 void sort_findings(std::vector<Finding>& findings) {

@@ -25,6 +25,7 @@
 //   VL009 flat-container-aliasing  FlatMap/FlatSet alias held across a mutation
 //   VL010 tunable-parity           fast-path branch without reference/test twin
 //   VL011 pragma-hygiene           malformed or unknown lint/snapshot pragmas
+//   VL012 unsequenced-draws        two or more Rng draws in one argument list
 //
 // Suppression is explicit and greppable:
 //   // vine-lint: allow(<rule-name>)     — disable a rule for a whole file
@@ -57,9 +58,10 @@ enum class Rule {
   kFlatAliasing,
   kTunableParity,
   kPragmaHygiene,
+  kUnsequencedDraws,
 };
 
-inline constexpr std::size_t kRuleCount = 11;
+inline constexpr std::size_t kRuleCount = 12;
 
 struct RuleInfo {
   Rule rule = Rule::kUnorderedIter;
