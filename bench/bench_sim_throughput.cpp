@@ -12,9 +12,16 @@
 //    small, so the incremental path wins by touching few flows.
 //  - shared-bottleneck: every transfer crosses a shared link — shared-FS
 //    reads and manager pushes fan out to the worker downlinks, and result
-//    uploads fan in on the manager NIC. Components span most in-flight
-//    flows, so the incremental path wins by the cost of its
-//    candidate-driven water-filling passes, not by skipping flows.
+//    uploads fan in on the manager NIC. Connected components span most
+//    in-flight flows, and a recompute still re-fills ~250 of them. But the
+//    worker links around a shared link mostly have spare capacity, so they
+//    stay out of the fill as boundary links: it works over ~4 links
+//    instead of the whole component's ~130. The incremental path wins by
+//    that and by its candidate-driven water-filling passes.
+//
+// Per scenario and path the bench reports passes and flow visits per
+// recompute, and how often a recompute was widened because a link it had
+// left out came out saturated (Network::recompute_expansions).
 //
 // Both modes replay the exact same scenario (peer choices and gaps are
 // hashed from stable slot coordinates, not drawn from shared mutable
@@ -79,6 +86,7 @@ struct Result {
   std::uint64_t recomputes = 0;
   std::uint64_t flow_visits = 0;
   std::uint64_t passes = 0;
+  std::uint64_t expansions = 0;
   std::uint64_t engine_events = 0;
   Tick end_tick = 0;
   [[nodiscard]] double flow_events_per_sec() const {
@@ -131,6 +139,7 @@ class Campaign {
     r.recomputes = net_.recomputes();
     r.flow_visits = net_.recompute_flow_visits();
     r.passes = net_.recompute_passes();
+    r.expansions = net_.recompute_expansions();
     r.engine_events = engine_.executed();
     r.end_tick = engine_.now();
     return r;
@@ -198,13 +207,15 @@ void print_result(const char* label, const Result& r) {
   std::printf(
       "  %-12s wall %8.3f s   flows %8llu   recomputes %9llu   "
       "flow-visits %12llu   flow-events/s %12.0f\n"
-      "  %-12s per recompute: %.2f passes, %.1f flow visits\n",
+      "  %-12s per recompute: %.2f passes, %.1f flow visits   "
+      "expansions %llu\n",
       label, r.wall_seconds,
       static_cast<unsigned long long>(r.flows_completed),
       static_cast<unsigned long long>(r.recomputes),
       static_cast<unsigned long long>(r.flow_visits),
       r.flow_events_per_sec(), "", r.per_recompute(r.passes),
-      r.per_recompute(r.flow_visits));
+      r.per_recompute(r.flow_visits),
+      static_cast<unsigned long long>(r.expansions));
 }
 
 void json_result(std::FILE* f, const char* indent, const char* key,
@@ -216,6 +227,8 @@ void json_result(std::FILE* f, const char* indent, const char* key,
                "%s  \"bytes_completed\": %llu,\n"
                "%s  \"recomputes\": %llu,\n"
                "%s  \"flow_visits\": %llu,\n"
+               "%s  \"visits_per_recompute\": %.3f,\n"
+               "%s  \"expansions\": %llu,\n"
                "%s  \"passes\": %llu,\n"
                "%s  \"engine_events\": %llu,\n"
                "%s  \"end_tick_us\": %lld,\n"
@@ -226,6 +239,8 @@ void json_result(std::FILE* f, const char* indent, const char* key,
                static_cast<unsigned long long>(r.bytes_completed), indent,
                static_cast<unsigned long long>(r.recomputes), indent,
                static_cast<unsigned long long>(r.flow_visits), indent,
+               r.per_recompute(r.flow_visits), indent,
+               static_cast<unsigned long long>(r.expansions), indent,
                static_cast<unsigned long long>(r.passes), indent,
                static_cast<unsigned long long>(r.engine_events), indent,
                static_cast<long long>(r.end_tick), indent,

@@ -273,13 +273,33 @@ void Network::settle_flow(Flow& flow) {
   flow.last_update = now;
 }
 
+namespace {
+
+// A link is saturated when its flows' rates sum to at least this fraction
+// of its capacity. A link that enters the freeze set ends a fill summing
+// to its capacity within n * 2^-52 relative rounding, so the margin
+// covers any link with fewer than 2^30 flows. It only decides which links
+// the walk crosses; computed rates get no tolerance.
+constexpr double kSaturatedFraction = 1.0 - 0x1p-20;
+
+}  // namespace
+
+bool Network::saturated(const Link& link) const {
+  double load = 0;
+  for (const std::int32_t slot : link.flows) {
+    load += slots_[static_cast<std::size_t>(slot)].rate;
+  }
+  return load >= link.spec.capacity * link.scale * kSaturatedFraction;
+}
+
 bool Network::collect_component() {
   // Collect the recompute set: the links and transferring flows whose rates
   // this pass may change. The reference path takes everything; the
   // incremental path walks the link<->flow graph from the links dirtied
   // since the last pass, which reaches exactly the flows whose max-min
-  // allocation can have moved (a flow's rate depends only on its connected
-  // component, and every mutation dirties the links it touches).
+  // allocation can have moved: a flow's rate depends only on the part of
+  // its connected component joined through saturated links, and every
+  // mutation dirties the links it touches.
   comp_links_.clear();
   comp_flows_.clear();
   if (options_.incremental_recompute) {
@@ -294,42 +314,7 @@ bool Network::collect_component() {
       }
     }
     dirty_links_.clear();
-    while (!bfs_stack_.empty()) {
-      const LinkId lid = bfs_stack_.back();
-      bfs_stack_.pop_back();
-      comp_links_.push_back(lid);
-      const Link& link = links_[static_cast<std::size_t>(lid)];
-      for (const std::int32_t slot : link.flows) {
-        std::uint8_t& mark = in_component_[static_cast<std::size_t>(slot)];
-        if (mark != 0) continue;
-        mark = 1;
-        Flow& flow = slots_[static_cast<std::size_t>(slot)];
-        assert(flow.transferring);
-        comp_flows_.push_back(&flow);
-        for (LinkId pl : flow.path) {
-          Link& p = links_[static_cast<std::size_t>(pl)];
-          if (!p.visited) {
-            p.visited = true;
-            bfs_stack_.push_back(pl);
-          }
-        }
-      }
-    }
-    // Discovery order depends on link lists; the contract below is id order.
-    // A component spanning a good share of the transferring flows (the
-    // shared-bottleneck regime) is cheaper to pick out of the persistent
-    // id-ordered list than to sort.
-    if (comp_flows_.size() * 4 >= transferring_.size()) {
-      comp_flows_.clear();
-      for (const auto& [id, slot] : transferring_) {
-        if (in_component_[static_cast<std::size_t>(slot)] != 0) {
-          comp_flows_.push_back(&slots_[static_cast<std::size_t>(slot)]);
-        }
-      }
-    } else {
-      std::sort(comp_flows_.begin(), comp_flows_.end(),
-                [](const Flow* a, const Flow* b) { return a->id < b->id; });
-    }
+    walk_component();
   } else {
     for (LinkId id : dirty_links_) {
       links_[static_cast<std::size_t>(id)].dirty = false;
@@ -349,6 +334,83 @@ bool Network::collect_component() {
       comp_flows_.push_back(&flow);  // window order == ascending id
     }
   }
+  return true;
+}
+
+void Network::walk_component() {
+  // Seeds (dirtied links) and links saturated at the current rates are
+  // crossed: all their flows join the recompute. Any other link reached is
+  // a boundary link. It had spare capacity under the current rates, which
+  // are the global fill of the previous flow set, so it was never in that
+  // fill's freeze set; if it also keeps spare capacity at the new rates
+  // (widen_component checks), it is in neither fill's freeze set and
+  // couples nothing. The fill leaves it out of every path.
+  while (!bfs_stack_.empty()) {
+    const LinkId lid = bfs_stack_.back();
+    bfs_stack_.pop_back();
+    comp_links_.push_back(lid);
+    const Link& link = links_[static_cast<std::size_t>(lid)];
+    for (const std::int32_t slot : link.flows) {
+      std::uint8_t& mark = in_component_[static_cast<std::size_t>(slot)];
+      if (mark != 0) continue;
+      mark = 1;
+      Flow& flow = slots_[static_cast<std::size_t>(slot)];
+      assert(flow.transferring);
+      comp_flows_.push_back(&flow);
+      for (LinkId pl : flow.path) {
+        Link& p = links_[static_cast<std::size_t>(pl)];
+        if (p.visited || p.boundary) continue;
+        if (saturated(p)) {
+          p.visited = true;
+          bfs_stack_.push_back(pl);
+        } else {
+          p.boundary = true;
+          boundary_links_.push_back(pl);
+        }
+      }
+    }
+  }
+  // Discovery order depends on link lists; the contract below is id order.
+  // A component spanning a good share of the transferring flows (the
+  // shared-bottleneck regime) is cheaper to pick out of the persistent
+  // id-ordered list than to sort.
+  if (comp_flows_.size() * 4 >= transferring_.size()) {
+    comp_flows_.clear();
+    for (const auto& [id, slot] : transferring_) {
+      if (in_component_[static_cast<std::size_t>(slot)] != 0) {
+        comp_flows_.push_back(&slots_[static_cast<std::size_t>(slot)]);
+      }
+    }
+  } else {
+    std::sort(comp_flows_.begin(), comp_flows_.end(),
+              [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  }
+}
+
+bool Network::widen_component() {
+  // A boundary link saturated at the new rates may have bottlenecked a
+  // flow in the global fill, which would couple the flows on its two
+  // sides. Cross it, walk on from it at the old rates, and let the caller
+  // fill the larger set again.
+  std::size_t kept = 0;
+  for (const LinkId id : boundary_links_) {
+    Link& link = links_[static_cast<std::size_t>(id)];
+    if (saturated(link)) {
+      link.boundary = false;
+      link.visited = true;
+      bfs_stack_.push_back(id);
+    } else {
+      boundary_links_[kept++] = id;
+    }
+  }
+  boundary_links_.resize(kept);
+  if (bfs_stack_.empty()) return false;
+  recompute_expansions_ += 1;
+  for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
+    comp_flows_[i]->rate = old_rates_[i];
+  }
+  walk_component();
+  recompute_flow_visits_ += comp_flows_.size();
   return true;
 }
 
@@ -483,8 +545,9 @@ void Network::water_fill_candidates(bool starve_seam) {
     wf_links_.push_back(w);
     wf_share_.push_back(share);
   }
-  // Every flow on a component link is in the component, so each link's
-  // run holds exactly `active` positions, filled in ascending order.
+  // Every flow on a crossed link is in the component, so each link's run
+  // holds exactly `active` positions, filled in ascending order. Boundary
+  // links are left out of the paths.
   wf_members_.resize(static_cast<std::size_t>(members));
   wf_paths_.clear();
   wf_path_begin_.clear();
@@ -495,7 +558,9 @@ void Network::water_fill_candidates(bool starve_seam) {
     flow.rate = 0.0;
     wf_path_begin_.push_back(static_cast<std::int32_t>(wf_paths_.size()));
     for (LinkId id : flow.path) {
-      const std::int32_t w = links_[static_cast<std::size_t>(id)].wf_index;
+      const Link& link = links_[static_cast<std::size_t>(id)];
+      if (!link.visited) continue;
+      const std::int32_t w = link.wf_index;
       wf_paths_.push_back(w);
       wf_members_[static_cast<std::size_t>(
           wf_links_[static_cast<std::size_t>(w)].end++)] =
@@ -595,6 +660,7 @@ void Network::recompute_now() {
     debug_starve_once_ = false;
     if (options_.incremental_recompute) {
       water_fill_candidates(starve_seam);
+      while (widen_component()) water_fill_candidates(starve_seam);
     } else {
       water_fill_reference(starve_seam);
     }
@@ -691,6 +757,10 @@ void Network::recompute_now() {
   for (LinkId id : comp_links_) {
     links_[static_cast<std::size_t>(id)].visited = false;
   }
+  for (LinkId id : boundary_links_) {
+    links_[static_cast<std::size_t>(id)].boundary = false;
+  }
+  boundary_links_.clear();
   for (Flow* flow : comp_flows_) {
     in_component_[static_cast<std::size_t>(slot_of(*flow))] = 0;
   }

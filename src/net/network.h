@@ -9,11 +9,14 @@
 // rescheduled. Rate recomputation is batched per tick: any number of flow
 // arrivals/departures at the same instant trigger a single recompute.
 //
-// Scaling: each recompute is restricted to the connected component of the
-// link<->flow graph actually touched since the last recompute (flows join,
-// leave, get armed, or a link's capacity scales), and only flows whose rate
-// changes are settled and rescheduled. Within the component, water-filling
-// is candidate-driven: each pass replays the reference pass's id-ordered
+// Scaling: each recompute is restricted to the links touched since the
+// last recompute (flows join, leave, get armed, or a link's capacity
+// scales) and the part of their connected component of the link<->flow
+// graph that is joined to them through saturated links: a link with spare
+// capacity both before and after the recompute never bottlenecks a flow,
+// so it cannot couple the flows on its two sides. Only flows whose rate
+// changes are settled and rescheduled. Within that set, water-filling is
+// candidate-driven: each pass replays the reference pass's id-ordered
 // freeze sequence from per-link id-ordered flow lists, so its cost follows
 // the flows it freezes rather than pending flows times passes. The
 // full-network recompute with the original pass loop survives behind
@@ -175,11 +178,17 @@ class Network {
   // --- recompute cost accounting -----------------------------------------
   /// Water-filling passes executed so far.
   [[nodiscard]] std::uint64_t recomputes() const { return recomputes_; }
-  /// Total flows visited (settle-checked/re-rated) across all recomputes;
-  /// the incremental path's work metric. The reference path visits every
-  /// transferring flow every time.
+  /// Total flows filled (re-rated and settle-checked) across all
+  /// recomputes, re-fills after a widening included; the incremental
+  /// path's work metric. The reference path visits every transferring flow
+  /// every time.
   [[nodiscard]] std::uint64_t recompute_flow_visits() const {
     return recompute_flow_visits_;
+  }
+  /// Re-fills the incremental path ran because a boundary link (one it had
+  /// left out for its spare capacity) came out saturated at the new rates.
+  [[nodiscard]] std::uint64_t recompute_expansions() const {
+    return recompute_expansions_;
   }
   /// Water-filling passes (bottleneck levels) across all recomputes. The
   /// reference path's passes span every component at once, so the two
@@ -231,7 +240,11 @@ class Network {
     /// so a recompute can walk the touched component instead of every flow.
     std::vector<std::int32_t> flows;
     bool dirty = false;    // touched since the last recompute
-    bool visited = false;  // scratch flag owned by recompute_now
+    // Scratch flags owned by recompute_now: `visited` = in comp_links_
+    // (crossed: its flows are in the recompute); `boundary` = reached by
+    // the incremental walk but left out for its spare capacity.
+    bool visited = false;
+    bool boundary = false;
     // Water-filling state, valid only inside recompute_now: the reference
     // pass works on these; the candidate pass on wf_links_[wf_index].
     double wf_capacity = 0;
@@ -277,6 +290,13 @@ class Network {
   void recompute_now();
   /// Fill comp_links_/comp_flows_ (id order); false = nothing to do.
   bool collect_component();
+  /// Cross the links on bfs_stack_ and every saturated link reached from
+  /// them; the unsaturated ones reached go to boundary_links_.
+  void walk_component();
+  /// Cross the boundary links saturated at the new rates and put the
+  /// component back at its old rates; false = none, the fill stands.
+  bool widen_component();
+  [[nodiscard]] bool saturated(const Link& link) const;
   void water_fill_reference(bool starve);
   void water_fill_candidates(bool starve);
   void enter_h(std::int32_t link, std::int32_t after, std::uint32_t pass);
@@ -326,6 +346,8 @@ class Network {
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> comp_links_;
   // vine-snapshot: derived(scratch, dead between events)
+  std::vector<LinkId> boundary_links_;
+  // vine-snapshot: derived(scratch, dead between events)
   std::vector<Flow*> comp_flows_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<Flow*> pending_;
@@ -371,6 +393,8 @@ class Network {
   std::uint64_t recompute_flow_visits_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_passes_ = 0;
+  // vine-snapshot: derived(statistic, reproduced by replay)
+  std::uint64_t recompute_expansions_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t starvation_rescues_ = 0;
   // vine-snapshot: derived(closure; rewired by the owning run at startup)

@@ -10,14 +10,17 @@
 //
 // The WaterFillDifferential cases below drive net::Network directly with
 // hand-built float corner cases of the exact-comparison water-filling
-// pass, and require the candidate-driven pass (incremental path) and the
-// reference progressive-filling loop to produce the same rate bits after
-// every fired event and the same fired-event sequence.
+// pass, with links at the boundary of a recompute (the spare-capacity
+// links the incremental walk does not cross), and with randomized
+// scenarios. They require the candidate-driven pass (incremental path)
+// and the reference progressive-filling loop to produce the same rate
+// bits after every fired event and the same fired-event sequence.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,6 +31,7 @@
 #include "net/network.h"
 #include "scheduler_test_util.h"
 #include "sim/engine.h"
+#include "sim/rng.h"
 #include "vine/vine_scheduler.h"
 #include "wq/work_queue.h"
 
@@ -151,6 +155,9 @@ struct WfTrace {
   std::vector<std::tuple<Tick, net::FlowId>> warns;
   std::uint64_t executed = 0;
   std::uint64_t rescues = 0;
+  // Work counters; they differ between the paths by design.
+  std::vector<std::uint64_t> visits;  // cumulative, per fired event
+  std::uint64_t expansions = 0;
 };
 
 /// A scenario adds links and flows (returning the flow ids it started)
@@ -182,17 +189,16 @@ WfTrace replay(bool incremental, const WfScenario& scenario) {
       }
     }
     trace.rate_bits.push_back(std::move(bits));
+    trace.visits.push_back(network.recompute_flow_visits());
   }
   trace.executed = engine.executed();
   trace.rescues = network.starvation_rescues();
+  trace.expansions = network.recompute_expansions();
   return trace;
 }
 
-/// Run both paths and require identical traces; returns the incremental
-/// one for scenario-specific checks.
-WfTrace expect_same_water_fill(const WfScenario& scenario) {
-  const WfTrace inc = replay(true, scenario);
-  const WfTrace ref = replay(false, scenario);
+/// Require two traces of one scenario to be identical.
+void expect_same_traces(const WfTrace& inc, const WfTrace& ref) {
   EXPECT_EQ(inc.ticks, ref.ticks);
   EXPECT_EQ(inc.rate_bits, ref.rate_bits);
   EXPECT_EQ(inc.spans, ref.spans);
@@ -200,7 +206,25 @@ WfTrace expect_same_water_fill(const WfScenario& scenario) {
   EXPECT_EQ(inc.executed, ref.executed);
   EXPECT_EQ(inc.rescues, ref.rescues);
   EXPECT_FALSE(inc.spans.empty());
+}
+
+/// Run both paths and require identical traces; returns the incremental
+/// one for scenario-specific checks.
+WfTrace expect_same_water_fill(const WfScenario& scenario) {
+  const WfTrace inc = replay(true, scenario);
+  expect_same_traces(inc, replay(false, scenario));
   return inc;
+}
+
+/// Flows filled by the recomputes that ran at `tick`.
+std::uint64_t visits_at(const WfTrace& trace, Tick tick) {
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  for (std::size_t i = 0; i < trace.ticks.size(); ++i) {
+    if (trace.ticks[i] < tick) before = trace.visits[i];
+    if (trace.ticks[i] <= tick) after = trace.visits[i];
+  }
+  return after - before;
 }
 
 /// Distinct rate bit patterns in the first fired event's snapshot that
@@ -388,6 +412,318 @@ TEST(WaterFillDifferential, StarvationRescueSeamReplaysIdentically) {
       });
   EXPECT_EQ(trace.rescues, 12u);
   EXPECT_EQ(trace.warns.size(), 12u);
+}
+
+// ---------------------------------------------------------------------
+// Boundary links: the incremental walk crosses only dirtied links and
+// links saturated at the current rates; a link it reaches with spare
+// capacity is left out of the fill, and crossed after all if the new
+// rates saturate it.
+// ---------------------------------------------------------------------
+
+/// Flow 1 leaves `a` at `leave_at`; flows 2, 3, ... alternate between
+/// `a` and `b`, each pair on one worker downlink of capacity `down`.
+WfScenario paired_sides(double cap_a, double cap_b, int pairs, double down,
+                        Tick leave_at) {
+  return [=](sim::Engine& engine, net::Network& network) {
+    const net::LinkId a = network.add_link("a", cap_a);
+    const net::LinkId b = network.add_link("b", cap_b);
+    std::vector<net::FlowId> ids;
+    ids.push_back(network.start_flow({a, network.add_link("own", 1e12)},
+                                     90'000'000, 0, [](net::FlowId) {}));
+    for (int i = 0; i < pairs; ++i) {
+      const net::LinkId d = network.add_link("down", down);
+      const auto bytes = 40'000'000 + 3'000'000 * static_cast<std::uint64_t>(i);
+      ids.push_back(network.start_flow({a, d}, bytes, 0, [](net::FlowId) {}));
+      ids.push_back(
+          network.start_flow({b, d}, bytes + 1'000'000, 0, [](net::FlowId) {}));
+    }
+    engine.schedule_at(leave_at, [&network] { network.cancel_flow(1); });
+    return ids;
+  };
+}
+
+TEST(WaterFillDifferential, SlackDownlinksDecoupleSharedBottlenecks) {
+  // The downlinks carry 1e9/9 + 2e9/8 of 1.25e9: spare capacity before
+  // and after flow 1 leaves, so the departure re-fills a's eight flows
+  // and never visits b's, which the reference re-fills as well.
+  const Tick leave_at = util::seconds(0.01);
+  const WfScenario scenario = paired_sides(1e9, 2e9, 8, 1.25e9, leave_at);
+  const WfTrace inc = replay(true, scenario);
+  const WfTrace ref = replay(false, scenario);
+  expect_same_traces(inc, ref);
+  EXPECT_EQ(visits_at(inc, leave_at), 8u);
+  EXPECT_EQ(visits_at(ref, leave_at), 16u);
+}
+
+TEST(WaterFillDifferential, BitEqualSharesOnBothSides) {
+  // Once flow 1 leaves, a and b both split 1e9 among 13 interleaved
+  // flows: bit-equal bottleneck shares that drift in the same passes.
+  // The reference freezes both sides' flows interleaved in one pass
+  // sequence; the incremental path fills a's side alone.
+  const Tick leave_at = util::seconds(0.01);
+  const WfTrace trace = expect_same_water_fill(
+      paired_sides(1e9, 1e9, 13, 1.25e9, leave_at));
+  EXPECT_EQ(visits_at(trace, leave_at), 13u);
+  EXPECT_GT(first_rates(trace).size(), 1u);
+}
+
+TEST(WaterFillDifferential, BoundaryLinkSaturatedByNewRatesWidens) {
+  // `l` (2.8e8) carries y, held to 1e8 by `y`, and one of a's six flows
+  // at 1e9/6: spare capacity. When flow 1 leaves, a's side alone would
+  // rise to 2e8 each and overload `l`, so the check after the fill
+  // crosses `l`, pulls in y and its link, and fills again: `l` then
+  // holds its a-flow to 1.8e8 and a's other four get 2.05e8.
+  const Tick leave_at = util::seconds(0.01);
+  const WfTrace trace =
+      expect_same_water_fill([&](sim::Engine& engine, net::Network& network) {
+        const net::LinkId a = network.add_link("a", 1e9);
+        const net::LinkId l = network.add_link("l", 2.8e8);
+        std::vector<net::FlowId> ids;
+        ids.push_back(network.start_flow({a, network.add_link("own", 1e12)},
+                                         90'000'000, 0, [](net::FlowId) {}));
+        for (int i = 0; i < 4; ++i) {
+          ids.push_back(network.start_flow(
+              {a, network.add_link("own", 1e12)},
+              60'000'000 + 2'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        ids.push_back(
+            network.start_flow({a, l}, 70'000'000, 0, [](net::FlowId) {}));
+        ids.push_back(network.start_flow({network.add_link("y", 1e8), l},
+                                         50'000'000, 0, [](net::FlowId) {}));
+        engine.schedule_at(leave_at, [&network] { network.cancel_flow(1); });
+        return ids;
+      });
+  EXPECT_GT(trace.expansions, 0u);
+  // a's five flows, then again with y.
+  EXPECT_EQ(visits_at(trace, leave_at), 5u + 6u);
+}
+
+TEST(WaterFillDifferential, LinkWithinMarginOfCapacityIsCrossed) {
+  // `l` (1e9) holds 13 flows at its share and one flow m at 3e8/5, set
+  // by `a`. The rounded rates sum to one ulp below 1e9: saturated within
+  // the 2^-20 margin, but not at face value. A flow joining `a` lowers m,
+  // which must hand the freed capacity to l's other 13 flows; leaving `l`
+  // out as slack would keep them at their old rates.
+  const Tick join_at = util::seconds(0.2);
+  double load = 0;
+  const WfTrace trace =
+      expect_same_water_fill([&](sim::Engine& engine, net::Network& network) {
+        const net::LinkId l = network.add_link("l", 1e9);
+        const net::LinkId a = network.add_link("a", 3e8);
+        std::vector<net::FlowId> ids;
+        for (int i = 0; i < 13; ++i) {
+          ids.push_back(network.start_flow(
+              {l, network.add_link("own", 1e12)},
+              1'000'000'000 + 10'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        ids.push_back(
+            network.start_flow({l, a}, 900'000'000, 0, [](net::FlowId) {}));
+        for (int i = 0; i < 4; ++i) {
+          ids.push_back(network.start_flow({a, network.add_link("own", 1e12)},
+                                           800'000'000, 0, [](net::FlowId) {}));
+        }
+        // The load in l's flow-list order, which is start order here.
+        engine.schedule_at(1, [&network, &load, ids] {
+          load = 0;
+          for (std::size_t i = 0; i < 14; ++i) {
+            load += network.flow_rate(ids[i]);
+          }
+        });
+        ids.push_back(static_cast<net::FlowId>(ids.size()) + 1);
+        engine.schedule_at(join_at, [&network, a] {
+          network.start_flow({a, network.add_link("own", 1e12)}, 800'000'000,
+                             0, [](net::FlowId) {});
+        });
+        return ids;
+      });
+  EXPECT_LT(load, 1e9);
+  EXPECT_GE(load, 1e9 * (1 - 0x1p-20));
+  EXPECT_EQ(visits_at(trace, join_at), 19u);
+}
+
+TEST(WaterFillDifferential, OutageAndInfiniteLinksOnTheBoundary) {
+  // An infinite-capacity backbone joins a's and b's flows: it never
+  // saturates, so it stays a boundary link. `d` carries one flow from
+  // each side; at scale 0 it is saturated at any load and couples them.
+  // The backbone at scale 0 has capacity inf * 0 = NaN, which neither
+  // path ever lets bottleneck a flow.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const WfTrace trace =
+      expect_same_water_fill([&](sim::Engine& engine, net::Network& network) {
+        const net::LinkId a = network.add_link("a", 1e9);
+        const net::LinkId b = network.add_link("b", 1.5e9);
+        const net::LinkId backbone = network.add_link("backbone", kInf);
+        const net::LinkId d = network.add_link("d", 1.25e9);
+        std::vector<net::FlowId> ids;
+        ids.push_back(network.start_flow({a, network.add_link("own", 1e12)},
+                                         90'000'000, 0, [](net::FlowId) {}));
+        for (int i = 0; i < 6; ++i) {
+          const auto bytes =
+              60'000'000 + 5'000'000 * static_cast<std::uint64_t>(i);
+          ids.push_back(
+              network.start_flow({a, backbone}, bytes, 0, [](net::FlowId) {}));
+          ids.push_back(network.start_flow({b, backbone}, bytes + 1'000'000,
+                                           0, [](net::FlowId) {}));
+        }
+        ids.push_back(
+            network.start_flow({a, d}, 80'000'000, 0, [](net::FlowId) {}));
+        ids.push_back(
+            network.start_flow({b, d}, 85'000'000, 0, [](net::FlowId) {}));
+        engine.schedule_at(util::seconds(0.01),
+                           [&network] { network.cancel_flow(1); });
+        engine.schedule_at(util::seconds(0.02),
+                           [&network, d] { network.set_link_scale(d, 0.0); });
+        // Ids are issued in start order, so the late flow's is known now.
+        ids.push_back(static_cast<net::FlowId>(ids.size()) + 1);
+        engine.schedule_at(util::seconds(0.03), [&network, a] {
+          network.start_flow({a, network.add_link("own", 1e12)}, 30'000'000,
+                             0, [](net::FlowId) {});
+        });
+        engine.schedule_at(util::seconds(0.04), [&network, backbone] {
+          network.set_link_scale(backbone, 0.0);
+        });
+        engine.schedule_at(util::seconds(0.05),
+                           [&network, d] { network.set_link_scale(d, 1.0); });
+        engine.schedule_at(util::seconds(0.06), [&network, backbone] {
+          network.set_link_scale(backbone, 1.0);
+        });
+        return ids;
+      });
+  // a's six backbone flows and its flow on d, whose spare capacity
+  // (1e9/8 + 1.5e9/7 of 1.25e9) keeps b's side out.
+  EXPECT_EQ(visits_at(trace, util::seconds(0.01)), 7u);
+  // At scale 0, d is crossed: a flow joining a re-fills both sides.
+  EXPECT_EQ(visits_at(trace, util::seconds(0.03)), 15u);
+}
+
+/// A randomized scenario: shared and per-node links with capacities that
+/// include near-ties (and infinite uplinks), flows starting together and
+/// later, and cancellations, kills, armed faults and capacity changes in
+/// between. Every draw is taken while building, so both paths replay the
+/// same plan.
+WfScenario random_scenario(std::uint64_t seed) {
+  return [seed](sim::Engine& engine, net::Network& network) {
+    sim::Rng rng(seed, "water-fill-differential");
+    const double kCaps[] = {1e9,    std::nextafter(1e9, 2e9),
+                            std::nextafter(1e9, 0.0), 1.25e9,
+                            3e8,    2.5e9,
+                            1e12};
+    const double kScales[] = {0.0, 0.25, 0.5, 1.0, 2.0};
+    const auto pick = [&rng](const auto& options) {
+      return options[rng.uniform_below(std::size(options))];
+    };
+    const net::LinkId fs = network.add_link("fs", pick(kCaps));
+    const net::LinkId mgr_up = network.add_link("mgr-up", pick(kCaps));
+    const net::LinkId mgr_down = network.add_link("mgr-down", pick(kCaps));
+    const std::uint64_t nodes = 2 + rng.uniform_below(7);
+    std::vector<net::LinkId> up;
+    std::vector<net::LinkId> down;
+    for (std::uint64_t n = 0; n < nodes; ++n) {
+      const double up_cap = rng.bernoulli(0.15)
+                                ? std::numeric_limits<double>::infinity()
+                                : pick(kCaps);
+      up.push_back(network.add_link("up", up_cap));
+      down.push_back(network.add_link("down", pick(kCaps)));
+    }
+    // Every path has a finite link: only uplinks may be infinite.
+    const auto pick_path = [&]() -> std::vector<net::LinkId> {
+      const std::uint64_t n = rng.uniform_below(nodes);
+      const std::uint64_t peer = (n + 1 + rng.uniform_below(nodes - 1)) % nodes;
+      switch (rng.uniform_below(6)) {
+        case 0: return {fs, down[n]};
+        case 1: return {mgr_up, down[n]};
+        case 2: return {up[n], mgr_down};
+        case 3: return {up[peer], down[n]};
+        case 4: return {down[n]};
+        default: return {fs, up[peer], down[n]};
+      }
+    };
+    // Few distinct sizes and start ticks, so completions and arrivals
+    // share ticks.
+    struct Start {
+      std::vector<net::LinkId> path;
+      std::uint64_t bytes = 0;
+      Tick latency = 0;
+    };
+    const auto pick_start = [&] {
+      Start start;
+      start.path = pick_path();
+      start.bytes = 2'000'000 * (1 + rng.uniform_below(6));
+      start.latency = 500 * static_cast<Tick>(rng.uniform_below(3));
+      return start;
+    };
+    const auto begin = [&network](const Start& start) {
+      network.start_flow(start.path, start.bytes, start.latency,
+                         [](net::FlowId) {});
+    };
+    net::FlowId flows = 0;
+    const std::uint64_t initial = 4 + rng.uniform_below(28);
+    for (std::uint64_t i = 0; i < initial; ++i) {
+      begin(pick_start());
+      ++flows;
+    }
+    const std::uint64_t events = rng.uniform_below(32);
+    for (std::uint64_t e = 0; e < events; ++e) {
+      const auto at = static_cast<Tick>(rng.uniform_below(200'000));
+      const std::uint64_t kind = rng.uniform_below(7);
+      if (kind < 2) {
+        engine.schedule_at(at, [begin, start = pick_start()] { begin(start); });
+        ++flows;
+        continue;
+      }
+      // Ids of flows not started yet, or gone, are ignored by the network.
+      const auto id = static_cast<net::FlowId>(1 + rng.uniform_below(48));
+      if (kind == 2) {
+        engine.schedule_at(at, [&network, id] { network.cancel_flow(id); });
+      } else if (kind == 3) {
+        engine.schedule_at(at, [&network, id] { network.fail_flow(id); });
+      } else if (kind == 4) {
+        const std::uint64_t offset = 1 + rng.uniform_below(12'000'000);
+        engine.schedule_at(at, [&network, id, offset] {
+          network.arm_flow_fault(id, offset);
+        });
+      } else {
+        const auto link =
+            static_cast<net::LinkId>(rng.uniform_below(network.link_count()));
+        const double scale = pick(kScales);
+        engine.schedule_at(at, [&network, link, scale] {
+          network.set_link_scale(link, scale);
+        });
+      }
+    }
+    // Lift every outage so stalled flows finish.
+    engine.schedule_at(250'000, [&network] {
+      for (std::size_t l = 0; l < network.link_count(); ++l) {
+        network.set_link_scale(static_cast<net::LinkId>(l), 1.0);
+      }
+    });
+    std::vector<net::FlowId> ids;
+    for (net::FlowId id = 1; id <= flows; ++id) ids.push_back(id);
+    return ids;
+  };
+}
+
+TEST(WaterFillDifferential, RandomScenarios) {
+  std::uint64_t inc_visits = 0;
+  std::uint64_t ref_visits = 0;
+  std::uint64_t expansions = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE(seed);
+    const WfScenario scenario = random_scenario(seed);
+    const WfTrace inc = replay(true, scenario);
+    const WfTrace ref = replay(false, scenario);
+    expect_same_traces(inc, ref);
+    if (HasFailure()) return;  // the first diverging seed is enough
+    inc_visits += inc.visits.back();
+    ref_visits += ref.visits.back();
+    expansions += inc.expansions;
+  }
+  // The scenarios leave links out as boundary links and widen recomputes.
+  EXPECT_LT(inc_visits, ref_visits);
+  EXPECT_GT(expansions, 0u);
 }
 
 }  // namespace
