@@ -9,7 +9,7 @@
 //   hda.Hist...fill(events.MET.pt)           .processor(...)  // fills MET
 //   manager = DaskVine(...)                  (TaskVine scheduler)
 //   manager.compute(                         .compute(cluster, options)
-//     peer_transfers=True,                   options.peer_transfers = true
+//     peer_transfers=True,                   vine::DataPolicy::peer_transfers
 //     task_mode='function-calls',            options.mode = kFunctionCalls
 //     lib_resources={'cores':12,...},        node.cores = 12
 //     import_modules=[numpy, ...])           options.imports = {...}
@@ -33,7 +33,8 @@ int main() {
   };
 
   exec::RunOptions options;
-  options.peer_transfers = true;                    // peer_transfers=True
+  // peer_transfers=True: vine::DataPolicy::peer_transfers, on by default
+  // in the TaskVine scheduler that Analysis::compute runs.
   options.mode = exec::ExecMode::kFunctionCalls;    // 'function-calls'
   options.hoist_imports = true;                     // import hoisting
   options.imports =

@@ -8,6 +8,9 @@
 //
 //     manager.compute(..., peer_transfers=True, task_mode='function-calls')
 //
+// Peer transfers are vine::DataPolicy::peer_transfers, a data-movement
+// policy that is on by default in the TaskVine scheduler used here.
+//
 // The run prints the MET histogram and verifies the distributed result is
 // bit-identical to a serial in-process evaluation.
 #include <cstdio>
@@ -42,7 +45,6 @@ int main() {
 
   exec::RunOptions options;
   options.mode = exec::ExecMode::kFunctionCalls;  // serverless
-  options.peer_transfers = true;
   options.hoist_imports = true;
   options.seed = 7;
 

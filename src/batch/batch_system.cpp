@@ -102,7 +102,6 @@ void BatchSystem::register_stats(obs::StatsRegistry& registry,
 void BatchSystem::force_preempt(std::uint32_t slot) {
   if (draining_ || slot >= slot_states_.size()) return;
   if (!slot_states_[slot].running) return;
-  ++forced_evictions_;
   preempt_slot(slot);
 }
 

@@ -80,10 +80,6 @@ class BatchSystem {
     return static_cast<std::uint32_t>(slot_states_.size());
   }
   [[nodiscard]] std::uint32_t preemptions() const { return preemptions_; }
-  /// Subset of `preemptions()` that were forced evictions (crashes).
-  [[nodiscard]] std::uint32_t forced_evictions() const {
-    return forced_evictions_;
-  }
   [[nodiscard]] std::uint32_t active_workers() const { return active_; }
   /// Slots voluntarily released by the factory (not preemptions).
   [[nodiscard]] std::uint32_t releases() const { return releases_; }
@@ -118,7 +114,6 @@ class BatchSystem {
   // Slots not yet (or no longer) submitted for matching, in release order.
   std::vector<std::uint32_t> parked_;
   std::uint32_t preemptions_ = 0;
-  std::uint32_t forced_evictions_ = 0;
   std::uint32_t releases_ = 0;
   std::uint32_t active_ = 0;
   bool draining_ = false;

@@ -98,11 +98,6 @@ net::FlowId Cluster::read_wan_to_worker(WorkerId dst, std::uint64_t bytes,
   return wan_->read(worker(dst).downlink, bytes, std::move(done));
 }
 
-net::FlowId Cluster::write_worker_to_fs(WorkerId src, std::uint64_t bytes,
-                                        std::function<void()> done) {
-  return fs_->write(worker(src).uplink, bytes, std::move(done));
-}
-
 net::FlowId Cluster::read_fs_to_manager(std::uint64_t bytes,
                                         std::function<void()> done) {
   return fs_->read(manager_down_, bytes, std::move(done));

@@ -148,9 +148,6 @@ class Cluster {
   /// Wide-area federation -> worker read (XRootD streaming).
   net::FlowId read_wan_to_worker(WorkerId dst, std::uint64_t bytes,
                                  std::function<void()> done);
-  /// Worker -> shared filesystem write.
-  net::FlowId write_worker_to_fs(WorkerId src, std::uint64_t bytes,
-                                 std::function<void()> done);
   /// Shared filesystem -> manager read (manager staging inputs itself, the
   /// Work Queue pattern).
   net::FlowId read_fs_to_manager(std::uint64_t bytes,

@@ -80,22 +80,10 @@ double TaskGraph::critical_path_seconds() const {
   return best;
 }
 
-double TaskGraph::total_cpu_seconds() const {
-  double total = 0.0;
-  for (const auto& t : tasks_) total += t.spec.cpu_seconds;
-  return total;
-}
-
 std::map<std::string, std::size_t> TaskGraph::category_counts() const {
   std::map<std::string, std::size_t> counts;
   for (const auto& t : tasks_) counts[t.spec.category] += 1;
   return counts;
-}
-
-std::uint64_t TaskGraph::modeled_intermediate_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& t : tasks_) total += t.spec.output_bytes;
-  return total;
 }
 
 }  // namespace hepvine::dag

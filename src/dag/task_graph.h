@@ -92,9 +92,6 @@ class TaskGraph {
   /// Length of the critical path in modeled CPU-seconds.
   [[nodiscard]] double critical_path_seconds() const;
 
-  /// Sum of modeled CPU-seconds over all tasks.
-  [[nodiscard]] double total_cpu_seconds() const;
-
   /// Number of tasks per category.
   [[nodiscard]] std::map<std::string, std::size_t> category_counts() const;
 
@@ -103,9 +100,6 @@ class TaskGraph {
   [[nodiscard]] std::uint64_t input_bytes() const {
     return catalog_.total_bytes(data::FileKind::kDatasetInput);
   }
-
-  /// Modeled bytes of intermediate data produced by all tasks.
-  [[nodiscard]] std::uint64_t modeled_intermediate_bytes() const;
 
  private:
   data::FileCatalog catalog_;

@@ -35,8 +35,6 @@ enum class ExecMode : std::uint8_t {
 
 struct RunOptions {
   ExecMode mode = ExecMode::kStandardTasks;
-  /// Allow direct worker->worker transfers of cached files (TaskVine).
-  bool peer_transfers = true;
   /// Hoist imports into the LibraryTask preamble (serverless only).
   bool hoist_imports = true;
   /// Serve the software environment from the shared filesystem instead of

@@ -70,7 +70,6 @@ class TaskStateTable {
   }
   [[nodiscard]] std::size_t size() const noexcept { return states_.size(); }
 
-  [[nodiscard]] bool has_ready() const noexcept { return !ready_queue_.empty(); }
   [[nodiscard]] std::size_t ready_count() const noexcept {
     return ready_queue_.size();
   }

@@ -96,17 +96,4 @@ std::string CacheTrace::to_csv() const {
   return out;
 }
 
-std::string CacheTrace::events_csv() const {
-  std::string out = "t_us,worker,kind,bytes\n";
-  for (const auto& f : failures_) {
-    out += std::to_string(f.t) + "," + std::to_string(f.worker) +
-           ",failure,0\n";
-  }
-  for (const auto& e : evictions_) {
-    out += std::to_string(e.t) + "," + std::to_string(e.worker) +
-           ",eviction," + std::to_string(e.bytes) + "\n";
-  }
-  return out;
-}
-
 }  // namespace hepvine::metrics

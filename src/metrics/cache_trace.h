@@ -34,9 +34,6 @@ class CacheTrace {
   [[nodiscard]] std::size_t failure_count() const noexcept {
     return failures_.size();
   }
-  [[nodiscard]] std::size_t eviction_count() const noexcept {
-    return evictions_.size();
-  }
   [[nodiscard]] std::uint64_t evicted_bytes() const noexcept {
     std::uint64_t total = 0;
     for (const auto& e : evictions_) total += e.bytes;
@@ -60,11 +57,6 @@ class CacheTrace {
                                    std::size_t max_rows = 20) const;
 
   [[nodiscard]] std::string to_csv() const;
-
-  /// Discrete cache events (worker failures, pressure evictions) as CSV:
-  /// `t_us,worker,kind,bytes` — failures first, then evictions, each group
-  /// in record order.
-  [[nodiscard]] std::string events_csv() const;
 
  private:
   struct Sample {

@@ -116,13 +116,9 @@ class Rng {
 
   /// Raw generator state, in xoshiro word order. A manager snapshot
   /// (ha/snapshot.h) captures this so the stream position is part of the
-  /// checkpointed logical state; set_state restores it exactly.
+  /// checkpointed logical state.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
     return {s_[0], s_[1], s_[2], s_[3]};
-  }
-
-  void set_state(const std::array<std::uint64_t, 4>& words) noexcept {
-    for (int i = 0; i < 4; ++i) s_[i] = words[static_cast<std::size_t>(i)];
   }
 
  private:

@@ -39,19 +39,8 @@ class LocalDisk {
   [[nodiscard]] const DiskSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
-  [[nodiscard]] std::uint64_t peak_used() const noexcept { return peak_; }
   [[nodiscard]] std::uint64_t available() const noexcept {
     return capacity_ > used_ ? capacity_ - used_ : 0;
-  }
-
-  /// Reserve space for a file being written/cached. Returns false (and
-  /// reserves nothing) if it does not fit — the caller decides whether that
-  /// is an eviction opportunity or a fatal overflow.
-  [[nodiscard]] bool reserve(std::uint64_t bytes) noexcept {
-    if (bytes > available()) return false;
-    used_ += bytes;
-    if (used_ > peak_) peak_ = used_;
-    return true;
   }
 
   /// Reserve even past capacity (models a worker whose scratch partition is
@@ -61,7 +50,6 @@ class LocalDisk {
   /// caller sees the overflowed state it must now handle (evict or crash).
   [[nodiscard]] bool try_reserve(std::uint64_t bytes) noexcept {
     used_ += bytes;
-    if (used_ > peak_) peak_ = used_;
     return used_ <= capacity_;
   }
 
@@ -69,14 +57,7 @@ class LocalDisk {
     used_ = bytes > used_ ? 0 : used_ - bytes;
   }
 
-  [[nodiscard]] bool over_capacity() const noexcept {
-    return used_ > capacity_;
-  }
-
-  /// Service time for a contention-free read/write of `bytes`.
-  [[nodiscard]] Tick read_time(std::uint64_t bytes) const noexcept {
-    return spec_.op_latency + util::transfer_time(bytes, spec_.read_bw);
-  }
+  /// Service time for a contention-free write of `bytes`.
   [[nodiscard]] Tick write_time(std::uint64_t bytes) const noexcept {
     return spec_.op_latency + util::transfer_time(bytes, spec_.write_bw);
   }
@@ -85,7 +66,6 @@ class LocalDisk {
   DiskSpec spec_{};
   std::uint64_t capacity_ = 0;
   std::uint64_t used_ = 0;
-  std::uint64_t peak_ = 0;
 };
 
 }  // namespace hepvine::storage

@@ -8,21 +8,12 @@ void ReplicaTable::add(data::FileId file, cluster::WorkerId worker) {
   auto& hs = holders_[static_cast<std::size_t>(file)];
   if (std::find(hs.begin(), hs.end(), worker) == hs.end()) {
     hs.push_back(worker);
-    worker_files_[static_cast<std::size_t>(worker)].push_back(file);
   }
 }
 
 void ReplicaTable::remove(data::FileId file, cluster::WorkerId worker) {
   auto& hs = holders_[static_cast<std::size_t>(file)];
   hs.erase(std::remove(hs.begin(), hs.end(), worker), hs.end());
-  auto& fs = worker_files_[static_cast<std::size_t>(worker)];
-  fs.erase(std::remove(fs.begin(), fs.end(), file), fs.end());
-}
-
-bool ReplicaTable::on_worker(data::FileId file,
-                             cluster::WorkerId worker) const {
-  const auto& hs = holders_[static_cast<std::size_t>(file)];
-  return std::find(hs.begin(), hs.end(), worker) != hs.end();
 }
 
 std::vector<cluster::WorkerId> ReplicaTable::holders_sorted(
@@ -33,17 +24,15 @@ std::vector<cluster::WorkerId> ReplicaTable::holders_sorted(
 }
 
 std::vector<data::FileId> ReplicaTable::drop_worker(
-    cluster::WorkerId worker) {
+    cluster::WorkerId worker, const std::vector<data::FileId>& files) {
   std::vector<data::FileId> lost;
-  auto& files = worker_files_[static_cast<std::size_t>(worker)];
   for (data::FileId file : files) {
     auto& hs = holders_[static_cast<std::size_t>(file)];
-    hs.erase(std::remove(hs.begin(), hs.end(), worker), hs.end());
-    if (hs.empty() && !at_manager_[static_cast<std::size_t>(file)]) {
-      lost.push_back(file);
-    }
+    const auto it = std::find(hs.begin(), hs.end(), worker);
+    if (it == hs.end()) continue;
+    hs.erase(it);
+    if (hs.empty() && !at_manager(file)) lost.push_back(file);
   }
-  files.clear();
   return lost;
 }
 

@@ -1,7 +1,8 @@
 // Replica tracking: the manager's cluster-wide map of which workers hold
 // which files (by cachename). This is the data structure that enables
 // locality-aware placement and peer transfers (paper Section IV-B,
-// "Retaining Data").
+// "Retaining Data"). The worker-side view — what one worker's disk holds —
+// lives in WorkerDisk (vine/worker_disk.h).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,8 @@ namespace hepvine::vine {
 // vine-snapshot: state
 class ReplicaTable {
  public:
-  ReplicaTable(std::size_t files, std::size_t workers)
-      : holders_(files), at_manager_(files, false), worker_files_(workers) {}
+  explicit ReplicaTable(std::size_t files)
+      : holders_(files), at_manager_(files, false) {}
 
   void add(data::FileId file, cluster::WorkerId worker);
   void remove(data::FileId file, cluster::WorkerId worker);
@@ -27,8 +28,6 @@ class ReplicaTable {
   [[nodiscard]] bool at_manager(data::FileId file) const {
     return at_manager_[static_cast<std::size_t>(file)];
   }
-  [[nodiscard]] bool on_worker(data::FileId file,
-                               cluster::WorkerId worker) const;
   [[nodiscard]] const std::vector<cluster::WorkerId>& holders(
       data::FileId file) const {
     return holders_[static_cast<std::size_t>(file)];
@@ -49,22 +48,16 @@ class ReplicaTable {
   [[nodiscard]] std::vector<cluster::WorkerId> holders_sorted(
       data::FileId file) const;
 
-  /// Drop every replica held by `worker` (preemption). Returns the files
-  /// that lost their last replica (manager copies don't count as lost).
-  std::vector<data::FileId> drop_worker(cluster::WorkerId worker);
-
-  /// Files currently on a worker (for diagnostics/GC).
-  [[nodiscard]] const std::vector<data::FileId>& files_on(
-      cluster::WorkerId worker) const {
-    return worker_files_[static_cast<std::size_t>(worker)];
-  }
+  /// Drop `worker`'s replicas of `files` (preemption; the caller lists
+  /// what the worker's disk held). Returns the files that lost their last
+  /// replica (manager copies don't count as lost).
+  std::vector<data::FileId> drop_worker(
+      cluster::WorkerId worker, const std::vector<data::FileId>& files);
 
  private:
   // Small vectors: replica counts are 1-3 in practice, so linear scans win.
   std::vector<std::vector<cluster::WorkerId>> holders_;
   std::vector<bool> at_manager_;
-  // vine-snapshot: derived(inverse index of holders_, maintained by the same add/remove stream)
-  std::vector<std::vector<data::FileId>> worker_files_;
 };
 
 }  // namespace hepvine::vine

@@ -36,8 +36,10 @@
 #include "obs/span.h"
 #include "sim/rng.h"
 #include "util/flat_map.h"
+#include "vine/dispatch_index.h"
 #include "vine/replica_table.h"
 #include "vine/vine_scheduler.h"
+#include "vine/worker_disk.h"
 
 namespace hepvine::vine {
 
@@ -119,8 +121,14 @@ class VineRun {
       }
     }
 
-    replicas_ = std::make_unique<ReplicaTable>(files_.size(),
-                                               cluster_.worker_count());
+    replicas_ = std::make_unique<ReplicaTable>(files_.size());
+    std::vector<std::uint64_t> reclaim_bytes;
+    for (const FileInfo& f : files_) {
+      reclaim_bytes.push_back(
+          f.kind == data::FileKind::kDatasetInput ? f.size : 0);
+    }
+    disk_ = std::make_unique<WorkerDisk>(cluster_.worker_count(),
+                                         std::move(reclaim_bytes));
     // Runtime files and nothing else start at the manager.
     if (env_file_ != data::kInvalidFile) {
       replicas_->set_at_manager(env_file_);
@@ -129,7 +137,7 @@ class VineRun {
       replicas_->set_at_manager(file);
     }
     const std::size_t workers = cluster_.worker_count();
-    eligible_bits_.assign((workers + 63) / 64, 0);
+    eligible_.reset(workers);
     dispatch_index_.reset(workers);
     loc_score_.assign(workers, 0);
     loc_epoch_.assign(workers, 0);
@@ -199,97 +207,45 @@ class VineRun {
   };
 
   // ---------------------------------------------------------------------
-  // Per-worker runtime state (cache membership, library, transfer slots).
+  // Per-worker runtime state (library, memory, transfer slots). What the
+  // worker's disk holds lives in disk_ (WorkerDisk).
   // ---------------------------------------------------------------------
   enum class LibState : std::uint8_t { kNone, kInstalling, kReady };
 
   struct WorkerRt {
-    std::vector<bool> in_cache;  // indexed by FileId
     LibState lib = LibState::kNone;
     std::uint64_t mem_in_use = 0;
-    std::uint64_t disk_committed = 0;  // promised to in-flight attempts
     std::uint32_t active_out = 0;  // peer transfers sourced here
     std::vector<TaskId> here;      // tasks dispatched/running/returning
     std::vector<Token> waiting_for_lib;
-    /// Pin counts per file: attempt inputs/outputs and transfer sources.
-    /// A pinned file is unevictable and survives GC. Sorted-vector map:
-    /// pin/unpin run on every dispatch, and snapshot serialization walks
-    /// this in ascending file order either way.
-    util::FlatMap<FileId, std::uint32_t> pins;
-    /// Last-use tick per cached file — the LRU clock for pressure
-    /// eviction. Insertion and pinning both count as uses.
-    util::FlatMap<FileId, Tick> last_use;
-    /// Bytes of unpinned cached dataset inputs: space eviction could mint
-    /// without ever forcing a recompute (inputs re-fetch from the shared
-    /// FS). Placement's disk-tight fallback counts this as headroom.
-    std::uint64_t reclaimable_input_bytes = 0;
     /// Residue clock for serialization charges on this worker: repeated
     /// sub-tick argument pickles sum exactly instead of each rounding up.
     util::TickAccumulator ser;
   };
 
-  [[nodiscard]] bool in_cache(WorkerId w, FileId f) const {
-    const auto& cache = workers_rt_[static_cast<std::size_t>(w)].in_cache;
-    return static_cast<std::size_t>(f) < cache.size() &&
-           cache[static_cast<std::size_t>(f)];
-  }
-
+  // ---------------------------------------------------------------------
+  // Worker-disk lifecycle: pins, consumer-refcount GC, pressure eviction.
+  // disk_ keeps the per-worker state; every mutation touches the worker's
+  // dispatch-index leaf, since committed and reclaimable bytes feed it.
+  // ---------------------------------------------------------------------
   void cache_insert(WorkerId w, FileId f) {
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    if (rt.in_cache.size() < files_.size()) rt.in_cache.resize(files_.size());
-    const bool was_cached = rt.in_cache[static_cast<std::size_t>(f)];
-    rt.in_cache[static_cast<std::size_t>(f)] = true;
-    rt.last_use[f] = engine_.now();
-    if (!was_cached && pin_count(w, f) == 0) reclaim_add(w, f);
+    disk_->insert(w, f, engine_.now());
+    index_touch(w);
     replicas_->add(f, w);
     if (txn_on()) {
       obs_->txn().cache_insert(engine_.now(), w, f, file(f).size);
     }
   }
 
-  // ---------------------------------------------------------------------
-  // Worker-disk lifecycle: pins, consumer-refcount GC, pressure eviction.
-  // ---------------------------------------------------------------------
-  [[nodiscard]] std::uint32_t pin_count(WorkerId w, FileId f) const {
-    const auto& pins = workers_rt_[static_cast<std::size_t>(w)].pins;
-    const auto it = pins.find(f);
-    return it == pins.end() ? 0 : it->second;
-  }
-
-  void reclaim_add(WorkerId w, FileId f) {
-    if (file(f).kind != data::FileKind::kDatasetInput) return;
-    workers_rt_[static_cast<std::size_t>(w)].reclaimable_input_bytes +=
-        file(f).size;
-    index_touch(w);
-  }
-  void reclaim_sub(WorkerId w, FileId f) {
-    if (file(f).kind != data::FileKind::kDatasetInput) return;
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    const std::uint64_t sz = file(f).size;
-    rt.reclaimable_input_bytes =
-        sz > rt.reclaimable_input_bytes ? 0 : rt.reclaimable_input_bytes - sz;
-    index_touch(w);
-  }
-
   /// Pin `f` on `w`: attempt inputs/outputs and transfer sources must not
-  /// be evicted (or GC'd) from under their users. A pin is also a use for
-  /// the LRU clock.
+  /// be evicted (or GC'd) from under their users.
   void pin_file(WorkerId w, FileId f) {
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    if (rt.pins[f]++ == 0 && in_cache(w, f)) reclaim_sub(w, f);
-    rt.last_use[f] = engine_.now();
+    disk_->pin(w, f, engine_.now());
+    index_touch(w);
   }
-
-  /// Tolerant of a missing pin: a rebooted worker wiped its pin set, and
-  /// callers with an incarnation guard may still race the wipe by design.
   void unpin_file(WorkerId w, FileId f) {
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    const auto it = rt.pins.find(f);
-    if (it == rt.pins.end()) return;
-    if (--it->second == 0) {
-      rt.pins.erase(it);
-      if (in_cache(w, f)) reclaim_add(w, f);
-    }
+    disk_->unpin(w, f);
+    index_touch(w);
   }
 
   /// Release every pin the attempt holds. Only the pinning incarnation
@@ -326,7 +282,7 @@ class VineRun {
     const objstore::NodeId sh = store_.holder_of(f);
     if (sh != objstore::kNoHolder) drop_store_object(sh, f);
     for (WorkerId holder : replicas_->holders_sorted(f)) {
-      if (pin_count(holder, f) > 0) continue;  // in use by a live transfer
+      if (disk_->pins(holder, f) > 0) continue;  // in use by a live transfer
       drop_worker_copy(holder, f, file(f).size, DropReason::kGc);
     }
   }
@@ -356,7 +312,7 @@ class VineRun {
   /// Is `f` usable on `w` without any staging — on its scratch disk or
   /// mapped in the node's object store?
   [[nodiscard]] bool file_resident(WorkerId w, FileId f) const {
-    return in_cache(w, f) || store_.holds(w, f);
+    return disk_->cached(w, f) || store_.holds(w, f);
   }
 
   /// Does any copy of `f` exist — replica table, manager, or a live
@@ -456,43 +412,24 @@ class VineRun {
   /// files, runtime files, and sink outputs not yet safe at the manager
   /// are never victims.
   void evict_for_pressure(WorkerId w, std::uint64_t need) {
-    struct Victim {
-      int tier = 0;
-      Tick last_use = 0;
-      FileId file = data::kInvalidFile;
-    };
-    const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    std::vector<Victim> victims;
-    for (FileId f : replicas_->files_on(w)) {
-      if (pin_count(w, f) > 0) continue;
+    const auto tier = [this](FileId f) {
       const FileInfo& info = file(f);
       if (info.kind == data::FileKind::kEnvironment ||
-          info.kind == data::FileKind::kFunctionBody) {
-        continue;
+          info.kind == data::FileKind::kFunctionBody ||
+          (info.producer != dag::kInvalidTask &&
+           shell_.is_sink(info.producer) && !replicas_->at_manager(f))) {
+        return WorkerDisk::kNeverEvict;
       }
-      if (info.producer != dag::kInvalidTask &&
-          shell_.is_sink(info.producer) &&
-          !replicas_->at_manager(f)) {
-        continue;
-      }
-      const bool recoverable = info.kind == data::FileKind::kDatasetInput ||
-                               replicas_->replica_count(f) > 1;
-      const auto lu = rt.last_use.find(f);
-      victims.push_back(Victim{recoverable ? 0 : 1,
-                               lu == rt.last_use.end() ? 0 : lu->second, f});
-    }
-    std::sort(victims.begin(), victims.end(),
-              [](const Victim& a, const Victim& b) {
-                if (a.tier != b.tier) return a.tier < b.tier;
-                if (a.last_use != b.last_use) return a.last_use < b.last_use;
-                return a.file < b.file;
-              });
+      return info.kind == data::FileKind::kDatasetInput ||
+                     replicas_->replica_count(f) > 1
+                 ? 0
+                 : 1;
+    };
     std::uint64_t freed = 0;
-    for (const Victim& v : victims) {
+    for (FileId f : disk_->eviction_order(w, tier)) {
       if (freed >= need) break;
-      const std::uint64_t bytes = file(v.file).size;
-      drop_worker_copy(w, v.file, bytes, DropReason::kEvict);
-      freed += bytes;
+      drop_worker_copy(w, f, file(f).size, DropReason::kEvict);
+      freed += file(f).size;
     }
   }
 
@@ -500,100 +437,21 @@ class VineRun {
   // Dispatch index: eligibility bitmap + incrementally maintained argmax
   // over disk headroom and capacity.
   //
-  // `eligible_bits_` is the set of workers that are alive with a free
-  // core (insert/erase O(1); the round-robin walk scans words in id order
-  // from the cursor, visiting exactly what the old std::set walk did).
-  // `dispatch_index_` is a segment tree over worker ids whose leaves hold
-  // two keys — disk-tight fallback headroom (avail - committed, plus the
-  // reclaimable-input credit when eviction is on) and raw disk capacity —
-  // maximized up the tree with larger-key-then-smaller-id order, so
-  // choose_worker reads the fallback ranking and the could-ever-fit bound
-  // in O(1) instead of rescanning every worker. Leaves are re-derived by
+  // `eligible_` is the set of workers that are alive with a free core,
+  // walked from the round-robin cursor (vine/dispatch_index.h).
+  // `dispatch_index_` ranks workers by disk-tight fallback headroom
+  // (avail - committed, plus the reclaimable-input credit when eviction
+  // is on) and by raw disk capacity, so choose_worker reads the fallback
+  // ranking and the could-ever-fit bound in O(1) instead of rescanning
+  // every worker. Leaves are re-derived by
   // index_touch(w) at every mutation of eligibility, disk reservations,
-  // committed bytes, or reclaimable bytes; a key of 0 marks ineligible
-  // (live zero headroom is stored as key 1). The differential suite pits
+  // committed bytes, or reclaimable bytes. The differential suite pits
   // this path against the reference O(workers) scans byte-for-byte.
   // ---------------------------------------------------------------------
-  class DispatchIndex {
-   public:
-    void reset(std::size_t workers) {
-      leaves_ = 1;
-      while (leaves_ < workers) leaves_ <<= 1;
-      nodes_.assign(2 * leaves_, Node{});
-    }
-
-    /// Re-derive worker `w`'s leaf (keys of 0 mark ineligible) and fix up
-    /// its root path. O(log workers).
-    void update(WorkerId w, std::uint64_t free_key, std::uint64_t cap_key) {
-      std::size_t i = leaves_ + static_cast<std::size_t>(w);
-      // Most touches re-derive an unchanged leaf (pins and reservations
-      // that cancel out, non-reclaimable files): skip the root fix-up.
-      if (nodes_[i].free_key == free_key && nodes_[i].cap_key == cap_key) {
-        return;
-      }
-      nodes_[i] = Node{free_key, cap_key, w, w};
-      for (i >>= 1; i >= 1; i >>= 1) {
-        nodes_[i] = merge(nodes_[2 * i], nodes_[2 * i + 1]);
-      }
-    }
-
-    /// Eligible worker with the most fallback headroom (kNoWorker if none).
-    [[nodiscard]] WorkerId top_free_worker() const {
-      return nodes_[1].free_key == 0 ? cluster::kNoWorker : nodes_[1].free_w;
-    }
-    [[nodiscard]] std::uint64_t top_free_key() const {
-      return nodes_[1].free_key;
-    }
-    /// Largest disk capacity over eligible workers (key+1 encoding).
-    [[nodiscard]] std::uint64_t top_cap_key() const {
-      return nodes_[1].cap_key;
-    }
-
-   private:
-    struct Node {
-      std::uint64_t free_key = 0;  // headroom + 1; 0 = ineligible
-      std::uint64_t cap_key = 0;   // capacity + 1; 0 = ineligible
-      WorkerId free_w = cluster::kNoWorker;
-      WorkerId cap_w = cluster::kNoWorker;
-    };
-    [[nodiscard]] static Node merge(const Node& a, const Node& b) {
-      Node out;
-      // Larger key wins; ties go to the smaller worker id (a is the lower
-      // id subtree), keeping the ranking deterministic.
-      const bool free_b = b.free_key > a.free_key;
-      out.free_key = free_b ? b.free_key : a.free_key;
-      out.free_w = free_b ? b.free_w : a.free_w;
-      const bool cap_b = b.cap_key > a.cap_key;
-      out.cap_key = cap_b ? b.cap_key : a.cap_key;
-      out.cap_w = cap_b ? b.cap_w : a.cap_w;
-      return out;
-    }
-    std::size_t leaves_ = 1;
-    std::vector<Node> nodes_{Node{}, Node{}};
-  };
-
-  [[nodiscard]] bool is_eligible(WorkerId w) const {
-    return (eligible_bits_[static_cast<std::size_t>(w) >> 6] >>
-            (static_cast<std::uint32_t>(w) & 63)) &
-           1u;
-  }
-
-  void eligible_insert(WorkerId w) {
-    auto& word = eligible_bits_[static_cast<std::size_t>(w) >> 6];
-    const std::uint64_t bit = 1ull << (static_cast<std::uint32_t>(w) & 63);
-    if ((word & bit) != 0) return;
-    word |= bit;
-    ++eligible_count_;
-    index_touch(w);
-  }
-
-  void eligible_erase(WorkerId w) {
-    auto& word = eligible_bits_[static_cast<std::size_t>(w) >> 6];
-    const std::uint64_t bit = 1ull << (static_cast<std::uint32_t>(w) & 63);
-    if ((word & bit) == 0) return;
-    word &= ~bit;
-    --eligible_count_;
-    index_touch(w);
+  /// Add `w` to (or drop it from) the eligible set; a change touches its
+  /// dispatch-index leaf.
+  void set_eligible(WorkerId w, bool eligible) {
+    if (eligible_.set(w, eligible)) index_touch(w);
   }
 
   /// Fallback headroom for `w`: available scratch minus bytes promised to
@@ -602,12 +460,10 @@ class VineRun {
   /// the ranking never crowns a worker whose free space is already spoken
   /// for.
   [[nodiscard]] std::uint64_t fallback_headroom(WorkerId w) const {
-    const auto& node = cluster_.worker(w);
-    const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    const std::uint64_t avail = node.disk.available();
-    const std::uint64_t committed = rt.disk_committed;
+    const std::uint64_t avail = cluster_.worker(w).disk.available();
+    const std::uint64_t committed = disk_->committed(w);
     std::uint64_t free = avail > committed ? avail - committed : 0;
-    if (policy_.evict_on_pressure) free += rt.reclaimable_input_bytes;
+    if (policy_.evict_on_pressure) free += disk_->reclaimable(w);
     return free;
   }
 
@@ -631,7 +487,7 @@ class VineRun {
   void index_flush() {
     for (WorkerId w : index_dirty_) {
       index_dirty_flag_[static_cast<std::size_t>(w)] = 0;
-      if (!is_eligible(w)) {
+      if (!eligible_.contains(w)) {
         dispatch_index_.update(w, 0, 0);
         continue;
       }
@@ -639,43 +495,6 @@ class VineRun {
                              cluster_.worker(w).disk.capacity() + 1);
     }
     index_dirty_.clear();
-  }
-
-  /// Visit eligible workers in the circular id order the round-robin scan
-  /// uses — ids >= start ascending, then wraparound — until `fn` returns
-  /// true. Returns the worker it stopped on, or kNoWorker.
-  template <typename Fn>
-  [[nodiscard]] WorkerId walk_eligible(WorkerId start, Fn&& fn) const {
-    const auto n = cluster_.worker_count();
-    if (static_cast<std::size_t>(start) >= n) start = 0;
-    const std::size_t words = eligible_bits_.size();
-    // Segment [start, n).
-    std::size_t wi = static_cast<std::size_t>(start) >> 6;
-    std::uint64_t word =
-        wi < words ? eligible_bits_[wi] &
-                         (~0ull << (static_cast<std::uint32_t>(start) & 63))
-                   : 0;
-    for (; wi < words; word = (++wi < words) ? eligible_bits_[wi] : 0) {
-      while (word != 0) {
-        const auto w = static_cast<WorkerId>(
-            (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(word)));
-        if (fn(w)) return w;
-        word &= word - 1;
-      }
-    }
-    // Wraparound segment [0, start).
-    for (wi = 0; wi <= (static_cast<std::size_t>(start) >> 6) && wi < words;
-         ++wi) {
-      std::uint64_t ww = eligible_bits_[wi];
-      while (ww != 0) {
-        const auto w = static_cast<WorkerId>(
-            (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(ww)));
-        if (w >= start) break;
-        if (fn(w)) return w;
-        ww &= ww - 1;
-      }
-    }
-    return cluster::kNoWorker;
   }
 
   // ---------------------------------------------------------------------
@@ -729,12 +548,11 @@ class VineRun {
   // Worker lifecycle.
   // ---------------------------------------------------------------------
   void on_worker_up(WorkerId w) {
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    rt = WorkerRt{};
-    rt.in_cache.assign(files_.size(), false);
-    // After the runtime reset: eligible_insert re-derives the worker's
+    workers_rt_[static_cast<std::size_t>(w)] = WorkerRt{};
+    disk_->reset(w);
+    // After the runtime reset: set_eligible re-derives the worker's
     // dispatch-index leaf from the state it reads.
-    eligible_insert(w);
+    set_eligible(w, true);
     if (options_.mode == exec::ExecMode::kFunctionCalls) {
       install_library(w);
     }
@@ -742,7 +560,7 @@ class VineRun {
   }
 
   void on_worker_down(WorkerId w) {
-    eligible_erase(w);
+    set_eligible(w, false);
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
 
     // Fail every task attempt on this worker.
@@ -756,9 +574,11 @@ class VineRun {
     // Drop replicas and wipe the node's object store; lost intermediates
     // are rediscovered lazily at dispatch pre-check or fetch time
     // (lineage reset).
-    replicas_->drop_worker(w);
+    replicas_->drop_worker(w, disk_->cached_files(w));
     store_.drop_node(w);
     rt = WorkerRt{};
+    disk_->reset(w);
+    index_touch(w);
     shell_.report().cache.mark_failure(static_cast<std::size_t>(w),
                                        engine_.now());
 
@@ -855,7 +675,7 @@ class VineRun {
     }
     std::size_t lost = 0;
     for (WorkerId holder : targets) {
-      if (!cluster_.worker(holder).alive || !in_cache(holder, f)) continue;
+      if (!cluster_.worker(holder).alive || !disk_->cached(holder, f)) continue;
       drop_worker_copy(holder, f, file(f).size, DropReason::kLoss);
       ++lost;
     }
@@ -1011,7 +831,7 @@ class VineRun {
   /// by full scan. Kept as the differential oracle for rr_indexed.
   WorkerId rr_reference(const dag::Task& task) {
     std::uint64_t best_capacity = 0;
-    const WorkerId hit = walk_eligible(shell_.rr_cursor(), [&](WorkerId w) {
+    const WorkerId hit = eligible_.walk(shell_.rr_cursor(), [&](WorkerId w) {
       best_capacity = std::max(best_capacity, cluster_.worker(w).disk.capacity());
       return worker_eligible(w, task) && disk_fits(w, task, scratch_files_);
     });
@@ -1039,7 +859,7 @@ class VineRun {
     constexpr std::size_t kProbe = 64;
     std::size_t visited = 0;
     WorkerId bound_stop = cluster::kNoWorker;
-    WorkerId hit = walk_eligible(shell_.rr_cursor(), [&](WorkerId w) {
+    WorkerId hit = eligible_.walk(shell_.rr_cursor(), [&](WorkerId w) {
       if (worker_eligible(w, task) && disk_fits(w, task, scratch_files_)) {
         return true;
       }
@@ -1064,11 +884,11 @@ class VineRun {
       // which re-tests provably unfit workers — harmless, and only on
       // this no-hit-in-prefix path.
       const auto n = static_cast<WorkerId>(cluster_.worker_count());
-      hit = walk_eligible(static_cast<WorkerId>((bound_stop + 1) % n),
-                          [&](WorkerId w) {
-                            return worker_eligible(w, task) &&
-                                   disk_fits(w, task, scratch_files_);
-                          });
+      hit = eligible_.walk(static_cast<WorkerId>((bound_stop + 1) % n),
+                           [&](WorkerId w) {
+                             return worker_eligible(w, task) &&
+                                    disk_fits(w, task, scratch_files_);
+                           });
       if (hit != cluster::kNoWorker) {
         advance_cursor(hit);
         return hit;
@@ -1098,7 +918,7 @@ class VineRun {
   [[nodiscard]] WorkerId scan_fallback_worker(const dag::Task& task) const {
     WorkerId fb = cluster::kNoWorker;
     std::uint64_t fb_free = 0;
-    (void)walk_eligible(0, [&](WorkerId w) {
+    (void)eligible_.walk(0, [&](WorkerId w) {
       if (!worker_eligible(w, task)) return false;
       const std::uint64_t free = fallback_headroom(w);
       if (fb == cluster::kNoWorker || free > fb_free) {
@@ -1139,9 +959,8 @@ class VineRun {
 
   [[nodiscard]] bool disk_fits(WorkerId w, const dag::Task& task,
                                const std::vector<FileId>& need) const {
-    const std::uint64_t committed =
-        workers_rt_[static_cast<std::size_t>(w)].disk_committed;
-    return missing_bytes(w, need) + task.spec.output_bytes + committed <=
+    return missing_bytes(w, need) + task.spec.output_bytes +
+               disk_->committed(w) <=
            cluster_.worker(w).disk.available();
   }
 
@@ -1163,7 +982,7 @@ class VineRun {
     auto& attempt = shell_.begin_attempt<Attempt>(t, w);
     auto& node = cluster_.worker(w);
     node.cores_in_use += 1;
-    if (node.cores_free() == 0) eligible_erase(w);
+    if (node.cores_free() == 0) set_eligible(w, false);
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
     rt.mem_in_use += graph_.task(t).spec.memory_bytes;
     rt.here.push_back(t);
@@ -1172,7 +991,7 @@ class VineRun {
     needed_files(t, scratch_files_);
     attempt.disk_committed =
         missing_bytes(w, scratch_files_) + graph_.task(t).spec.output_bytes;
-    rt.disk_committed += attempt.disk_committed;
+    disk_->commit(w, attempt.disk_committed);
     index_touch(w);
     // Pin every needed file for the attempt's lifetime — resident copies
     // now, in-flight ones ahead of their arrival — so pressure eviction
@@ -1929,18 +1748,10 @@ class VineRun {
   void drop_worker_copy(WorkerId w, FileId f, std::uint64_t bytes,
                         DropReason why) {
     auto& node = cluster_.worker(w);
-    if (!node.alive) return;
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    if (static_cast<std::size_t>(f) >= rt.in_cache.size() ||
-        !rt.in_cache[static_cast<std::size_t>(f)]) {
-      return;
-    }
-    rt.in_cache[static_cast<std::size_t>(f)] = false;
+    if (!node.alive || !disk_->erase(w, f)) return;
     replicas_->remove(f, w);
     node.disk.release(bytes);
-    rt.last_use.erase(f);
-    if (pin_count(w, f) == 0) reclaim_sub(w, f);
-    index_touch(w);  // disk.available() grew even when nothing reclaimable
+    index_touch(w);
     char span_verb = 'G';
     switch (why) {
       case DropReason::kGc:
@@ -2006,7 +1817,7 @@ class VineRun {
     }
 
     if (shell_.is_sink(t)) fetch_sink_result(t);
-    shell_.check_completion();
+    check_completion();
     shell_.pump();
   }
 
@@ -2029,7 +1840,7 @@ class VineRun {
     for (WorkerId w = 0;
          w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
       const auto& node = cluster_.worker(w);
-      if (!node.alive || replicas_->on_worker(f, w)) continue;
+      if (!node.alive || disk_->cached(w, f)) continue;
       if (node.disk.available() < file(f).size * 2) continue;
       targets.push_back(w);
     }
@@ -2133,7 +1944,18 @@ class VineRun {
   }
 
   void on_sink_fetched(TaskId t) {
-    if (shell_.mark_sink_done(t)) shell_.check_completion();
+    if (shell_.mark_sink_done(t)) check_completion();
+  }
+
+  /// Debug builds audit every live worker's disk when a run succeeds
+  /// (WorkerDisk::settled).
+  void check_completion() {
+    shell_.check_completion();
+    if (!shell_.report().success) return;
+    for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
+         ++w) {
+      assert(!cluster_.worker(w).alive || disk_->settled(w));
+    }
   }
 
   // ---------------------------------------------------------------------
@@ -2231,11 +2053,9 @@ class VineRun {
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
     const std::uint64_t mem = graph_.task(t).spec.memory_bytes;
     rt.mem_in_use = mem > rt.mem_in_use ? 0 : rt.mem_in_use - mem;
-    const std::uint64_t committed = attempt->disk_committed;
-    rt.disk_committed =
-        committed > rt.disk_committed ? 0 : rt.disk_committed - committed;
+    disk_->uncommit(w, attempt->disk_committed);
     if (node.alive && node.cores_free() > 0) {
-      eligible_insert(w);  // touches the index with the released state
+      set_eligible(w, true);  // touches the index with the released state
     }
     index_touch(w);  // committed bytes changed even if already eligible
     shell_.pump();
@@ -2467,10 +2287,11 @@ class VineRun {
                       " ser=" + std::to_string(rt.ser.bytes) + ":" +
                       std::to_string(rt.ser.charged) + " pins=";
       bool first = true;
-      for (const auto& [f, n] : rt.pins) {
+      for (const auto& [f, entry] : disk_->files(w)) {
+        if (entry.pins == 0) continue;
         if (!first) v += ",";
         first = false;
-        v += std::to_string(f) + ":" + std::to_string(n);
+        v += std::to_string(f) + ":" + std::to_string(entry.pins);
       }
       b.field_s("w" + std::to_string(w), v);
     }
@@ -2585,6 +2406,9 @@ class VineRun {
   std::vector<WorkerRt> workers_rt_;
   std::vector<FileInfo> files_;
   std::unique_ptr<ReplicaTable> replicas_;
+  /// What each worker's scratch disk holds: cached files, pins, LRU ticks,
+  /// committed and reclaimable bytes.
+  std::unique_ptr<WorkerDisk> disk_;
   /// Node-local object store: in-memory FunctionCall outputs exchanged by
   /// reference between colocated consumers (VineTunables::object_store).
   objstore::ObjectStore store_;
@@ -2622,15 +2446,13 @@ class VineRun {
   static constexpr std::uint64_t kNoCacheSample = ~0ull;
   // vine-snapshot: derived(trace-sampler dedup memo, observability only)
   std::vector<std::uint64_t> cache_sample_last_;
-  // Workers that are alive with at least one free core, as a bitmap over
-  // worker ids (see eligible_insert/walk_eligible); the dispatch
-  // round-robin scans set bits instead of every configured worker. The
-  // whole dispatch index is a pure function of worker state the snapshot
-  // already carries, rebuilt leaf by leaf as events touch workers.
+  // Workers that are alive with at least one free core (see
+  // set_eligible); the dispatch round-robin scans set bits instead of
+  // every configured worker. The whole dispatch index is a pure function
+  // of worker state the snapshot already carries, rebuilt leaf by leaf as
+  // events touch workers.
   // vine-snapshot: derived(index over snapshotted worker state)
-  std::vector<std::uint64_t> eligible_bits_;
-  // vine-snapshot: derived(index over snapshotted worker state)
-  std::size_t eligible_count_ = 0;
+  EligibleSet eligible_;
   // vine-snapshot: derived(index over snapshotted worker state)
   DispatchIndex dispatch_index_;
   // vine-snapshot: derived(index over snapshotted worker state)

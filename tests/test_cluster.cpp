@@ -73,7 +73,7 @@ TEST(Cluster, PreemptionResetsNodeState) {
   cluster.request_workers(nullptr, [&](WorkerId) { ++down; });
   cluster.engine().run();
   cluster.worker(2).cores_in_use = 5;
-  ASSERT_TRUE(cluster.worker(2).disk.reserve(util::kGB));
+  ASSERT_TRUE(cluster.worker(2).disk.try_reserve(util::kGB));
   cluster.batch().force_preempt(2);
   EXPECT_EQ(down, 1);
   EXPECT_FALSE(cluster.worker(2).alive);
@@ -87,7 +87,7 @@ TEST(Cluster, ReplacementArrivesWithFreshDiskAndIncarnation) {
   Cluster cluster(spec);
   cluster.request_workers(nullptr, nullptr);
   cluster.engine().run_until(util::seconds(1));
-  ASSERT_TRUE(cluster.worker(1).disk.reserve(2 * util::kGB));
+  ASSERT_TRUE(cluster.worker(1).disk.try_reserve(2 * util::kGB));
   cluster.batch().force_preempt(1);
   cluster.engine().run_until(util::seconds(600));
   EXPECT_TRUE(cluster.worker(1).alive);

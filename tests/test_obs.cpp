@@ -9,7 +9,6 @@
 #include <string>
 
 #include "dd/dask_distributed.h"
-#include "exec/report_io.h"
 #include "obs/chrome_trace.h"
 #include "obs/observer.h"
 #include "obs/perf_log.h"
@@ -627,15 +626,6 @@ TEST(ObsEndToEnd, StoreVerbsRoundTripThroughTxnQuery) {
   const auto cs = obs::txnq::cache_summary(events);
   EXPECT_GE(cs.inserts, ss.spills)
       << "each spill must materialize a cache insert on the holder";
-}
-
-TEST(ObsEndToEnd, ReportSummaryMentionsObservability) {
-  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(), 7);
-  const exec::RunReport report = run_vine(graph, /*observe=*/true);
-  ASSERT_TRUE(report.success);
-  const std::string summary = exec::summarize(report);
-  EXPECT_NE(summary.find("observability:"), std::string::npos);
-  EXPECT_NE(summary.find("txn events"), std::string::npos);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // it constantly but only ever observe it through placement decisions; these
 // tests pin down the contract the disk-lifecycle machinery (ref-count GC,
 // pressure eviction) now leans on: idempotent add/remove, exact lost sets
-// from drop_worker, files_on consistency under interleaved removes, and the
-// id-sorted holder order lifecycle sweeps iterate.
+// from drop_worker, holder lists that stay consistent under interleaved
+// removes, and the id-sorted holder order lifecycle sweeps iterate.
 
 #include <gtest/gtest.h>
 
@@ -19,33 +19,36 @@ namespace {
 using cluster::WorkerId;
 using data::FileId;
 
+bool held(const ReplicaTable& table, FileId f, WorkerId w) {
+  const auto& hs = table.holders(f);
+  return std::find(hs.begin(), hs.end(), w) != hs.end();
+}
+
 TEST(ReplicaTable, AddIsIdempotent) {
-  ReplicaTable table(/*files=*/4, /*workers=*/3);
+  ReplicaTable table(/*files=*/4);
   table.add(FileId{1}, WorkerId{0});
   table.add(FileId{1}, WorkerId{0});
   table.add(FileId{1}, WorkerId{0});
   EXPECT_EQ(table.holders(FileId{1}).size(), 1u);
-  EXPECT_EQ(table.files_on(WorkerId{0}).size(), 1u);
   EXPECT_EQ(table.replica_count(FileId{1}), 1u);
 }
 
 TEST(ReplicaTable, RemoveIsIdempotent) {
-  ReplicaTable table(4, 3);
+  ReplicaTable table(4);
   table.add(FileId{1}, WorkerId{0});
   table.remove(FileId{1}, WorkerId{0});
   table.remove(FileId{1}, WorkerId{0});  // double remove must be a no-op
   table.remove(FileId{2}, WorkerId{1});  // never added at all
   EXPECT_TRUE(table.holders(FileId{1}).empty());
-  EXPECT_TRUE(table.files_on(WorkerId{0}).empty());
   EXPECT_FALSE(table.available(FileId{1}));
 }
 
 TEST(ReplicaTable, OnWorkerAndAvailabilityTrackMembership) {
-  ReplicaTable table(4, 3);
-  EXPECT_FALSE(table.on_worker(FileId{0}, WorkerId{0}));
+  ReplicaTable table(4);
+  EXPECT_FALSE(held(table, FileId{0}, WorkerId{0}));
   table.add(FileId{0}, WorkerId{2});
-  EXPECT_TRUE(table.on_worker(FileId{0}, WorkerId{2}));
-  EXPECT_FALSE(table.on_worker(FileId{0}, WorkerId{1}));
+  EXPECT_TRUE(held(table, FileId{0}, WorkerId{2}));
+  EXPECT_FALSE(held(table, FileId{0}, WorkerId{1}));
   EXPECT_TRUE(table.available(FileId{0}));
 
   // A manager copy keeps the file available with zero worker holders.
@@ -57,7 +60,7 @@ TEST(ReplicaTable, OnWorkerAndAvailabilityTrackMembership) {
 }
 
 TEST(ReplicaTable, DropWorkerReturnsExactLostSet) {
-  ReplicaTable table(/*files=*/6, /*workers=*/3);
+  ReplicaTable table(/*files=*/6);
   // file 0: only on worker 0                      -> lost
   // file 1: on workers 0 and 1                    -> survives on 1
   // file 2: on worker 0 but also at the manager   -> not lost
@@ -69,27 +72,29 @@ TEST(ReplicaTable, DropWorkerReturnsExactLostSet) {
   table.set_at_manager(FileId{2});
   table.add(FileId{3}, WorkerId{1});
 
-  const std::vector<FileId> lost = table.drop_worker(WorkerId{0});
+  // The caller lists what worker 0's disk held; file 3 was never on it.
+  const std::vector<FileId> lost = table.drop_worker(
+      WorkerId{0}, {FileId{0}, FileId{1}, FileId{2}, FileId{3}});
   ASSERT_EQ(lost.size(), 1u);
   EXPECT_EQ(lost[0], FileId{0});
 
-  EXPECT_TRUE(table.files_on(WorkerId{0}).empty());
+  for (FileId f = 0; f < 6; ++f) EXPECT_FALSE(held(table, f, WorkerId{0}));
   EXPECT_TRUE(table.holders(FileId{0}).empty());
   ASSERT_EQ(table.holders(FileId{1}).size(), 1u);
   EXPECT_EQ(table.holders(FileId{1})[0], WorkerId{1});
   EXPECT_TRUE(table.available(FileId{2}));
-  EXPECT_TRUE(table.on_worker(FileId{3}, WorkerId{1}));
+  EXPECT_TRUE(held(table, FileId{3}, WorkerId{1}));
 }
 
 TEST(ReplicaTable, DropWorkerIsIdempotent) {
-  ReplicaTable table(4, 2);
+  ReplicaTable table(4);
   table.add(FileId{0}, WorkerId{0});
-  EXPECT_EQ(table.drop_worker(WorkerId{0}).size(), 1u);
-  EXPECT_TRUE(table.drop_worker(WorkerId{0}).empty());
+  EXPECT_EQ(table.drop_worker(WorkerId{0}, {FileId{0}}).size(), 1u);
+  EXPECT_TRUE(table.drop_worker(WorkerId{0}, {FileId{0}}).empty());
 }
 
-TEST(ReplicaTable, FilesOnStaysConsistentUnderInterleavedRemoves) {
-  ReplicaTable table(/*files=*/8, /*workers=*/2);
+TEST(ReplicaTable, HoldersStayConsistentUnderInterleavedRemoves) {
+  ReplicaTable table(/*files=*/8);
   for (FileId f = 0; f < 8; ++f) table.add(f, WorkerId{0});
   for (FileId f = 0; f < 4; ++f) table.add(f, WorkerId{1});
 
@@ -102,29 +107,23 @@ TEST(ReplicaTable, FilesOnStaysConsistentUnderInterleavedRemoves) {
   table.remove(FileId{3}, WorkerId{1});
   table.remove(FileId{4}, WorkerId{0});
 
-  const auto& on0 = table.files_on(WorkerId{0});
-  EXPECT_EQ(on0.size(), 5u);  // 1, 3, 5, 6, 7
-  for (FileId f : {FileId{1}, FileId{3}, FileId{5}, FileId{6}, FileId{7}}) {
-    EXPECT_TRUE(table.on_worker(f, WorkerId{0})) << "file " << f;
-  }
-  const auto& on1 = table.files_on(WorkerId{1});
-  EXPECT_EQ(on1.size(), 2u);  // 0, 2
-  EXPECT_TRUE(table.on_worker(FileId{0}, WorkerId{1}));
-  EXPECT_TRUE(table.on_worker(FileId{2}, WorkerId{1}));
-
-  // Cross-check holders against files_on: every membership agrees.
+  // Worker 0 keeps 1, 3, 5, 6, 7; worker 1 keeps 0, 2.
+  const std::vector<bool> on0 = {false, true, false, true,
+                                 false, true, true, true};
+  const std::vector<bool> on1 = {true, false, true, false,
+                                 false, false, false, false};
   for (FileId f = 0; f < 8; ++f) {
-    for (WorkerId w = 0; w < 2; ++w) {
-      const auto& hs = table.holders(f);
-      const bool held =
-          std::find(hs.begin(), hs.end(), w) != hs.end();
-      EXPECT_EQ(held, table.on_worker(f, w)) << "file " << f << " w " << w;
-    }
+    const auto i = static_cast<std::size_t>(f);
+    EXPECT_EQ(held(table, f, WorkerId{0}), on0[i]) << "file " << f;
+    EXPECT_EQ(held(table, f, WorkerId{1}), on1[i]) << "file " << f;
+    EXPECT_EQ(table.holders(f).size(),
+              static_cast<std::size_t>(on0[i]) + (on1[i] ? 1u : 0u))
+        << "file " << f;
   }
 }
 
 TEST(ReplicaTable, HoldersSortedIsIdOrderedRegardlessOfInsertion) {
-  ReplicaTable table(2, 5);
+  ReplicaTable table(2);
   table.add(FileId{0}, WorkerId{3});
   table.add(FileId{0}, WorkerId{0});
   table.add(FileId{0}, WorkerId{4});

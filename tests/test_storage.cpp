@@ -10,43 +10,24 @@ namespace {
 
 using util::Tick;
 
-TEST(LocalDisk, ReserveRespectsCapacity) {
-  LocalDisk disk(nvme_disk(), 100);
-  EXPECT_TRUE(disk.reserve(60));
-  EXPECT_EQ(disk.used(), 60u);
-  EXPECT_EQ(disk.available(), 40u);
-  EXPECT_FALSE(disk.reserve(50));
-  EXPECT_EQ(disk.used(), 60u) << "failed reserve must not change usage";
-  EXPECT_TRUE(disk.reserve(40));
-  EXPECT_EQ(disk.available(), 0u);
-}
-
 TEST(LocalDisk, TryReserveReportsOverflow) {
   LocalDisk disk(nvme_disk(), 100);
   EXPECT_TRUE(disk.try_reserve(80)) << "within capacity: still healthy";
   EXPECT_FALSE(disk.try_reserve(80)) << "overflow: partition is doomed";
-  EXPECT_TRUE(disk.over_capacity());
   EXPECT_EQ(disk.used(), 160u) << "bytes are accounted regardless";
+  EXPECT_EQ(disk.available(), 0u);
 }
 
 TEST(LocalDisk, ReleaseClampsAtZero) {
   LocalDisk disk(nvme_disk(), 100);
-  ASSERT_TRUE(disk.reserve(50));
+  ASSERT_TRUE(disk.try_reserve(50));
   disk.release(70);
   EXPECT_EQ(disk.used(), 0u);
 }
 
-TEST(LocalDisk, PeakTracksHighWatermark) {
-  LocalDisk disk(nvme_disk(), 1000);
-  ASSERT_TRUE(disk.reserve(700));
-  disk.release(600);
-  ASSERT_TRUE(disk.reserve(100));
-  EXPECT_EQ(disk.peak_used(), 700u);
-}
-
 TEST(LocalDisk, ServiceTimesScaleWithSize) {
   LocalDisk disk(nvme_disk(), util::kGB);
-  EXPECT_GT(disk.read_time(100 * util::kMB), disk.read_time(10 * util::kMB));
+  EXPECT_GT(disk.write_time(100 * util::kMB), disk.write_time(10 * util::kMB));
   EXPECT_GT(disk.write_time(1), 0);
 }
 

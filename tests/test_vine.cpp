@@ -14,22 +14,21 @@ using namespace hepvine::testutil;
 // ReplicaTable unit tests.
 // ---------------------------------------------------------------------
 TEST(ReplicaTable, AddRemoveQuery) {
-  ReplicaTable table(4, 3);
+  ReplicaTable table(4);
   table.add(0, 1);
   table.add(0, 2);
   table.add(0, 1);  // duplicate ignored
-  EXPECT_TRUE(table.on_worker(0, 1));
-  EXPECT_EQ(table.holders(0).size(), 2u);
+  EXPECT_EQ(table.holders(0), (std::vector<cluster::WorkerId>{1, 2}));
   EXPECT_EQ(table.replica_count(0), 2u);
   table.remove(0, 1);
-  EXPECT_FALSE(table.on_worker(0, 1));
+  EXPECT_EQ(table.holders(0), std::vector<cluster::WorkerId>{2});
   EXPECT_TRUE(table.available(0));
   table.remove(0, 2);
   EXPECT_FALSE(table.available(0));
 }
 
 TEST(ReplicaTable, ManagerCopyCountsAsAvailable) {
-  ReplicaTable table(2, 2);
+  ReplicaTable table(2);
   table.set_at_manager(1);
   EXPECT_TRUE(table.available(1));
   EXPECT_EQ(table.replica_count(1), 1u);
@@ -38,17 +37,17 @@ TEST(ReplicaTable, ManagerCopyCountsAsAvailable) {
 }
 
 TEST(ReplicaTable, DropWorkerReportsLostFiles) {
-  ReplicaTable table(3, 2);
+  ReplicaTable table(3);
   table.add(0, 0);  // only on worker 0 -> lost
   table.add(1, 0);
   table.add(1, 1);  // survives on worker 1
   table.add(2, 0);
   table.set_at_manager(2);  // survives at manager
-  const auto lost = table.drop_worker(0);
+  const auto lost = table.drop_worker(0, {0, 1, 2});
   EXPECT_EQ(lost, std::vector<data::FileId>{0});
   EXPECT_TRUE(table.available(1));
   EXPECT_TRUE(table.available(2));
-  EXPECT_TRUE(table.files_on(0).empty());
+  EXPECT_EQ(table.holders(1), std::vector<cluster::WorkerId>{1});
 }
 
 // ---------------------------------------------------------------------
@@ -256,7 +255,6 @@ TEST_P(VineConfigMatrix, AllConfigurationsProduceIdenticalResults) {
   exec::RunOptions options = fast_options();
   options.mode = mode;
   options.hoist_imports = hoist;
-  options.peer_transfers = peers;
   DataPolicy policy = taskvine_policy();
   policy.peer_transfers = peers;
 
