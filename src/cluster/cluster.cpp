@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <cassert>
 #include <utility>
 
 namespace hepvine::cluster {
@@ -59,48 +60,17 @@ std::uint32_t Cluster::total_cores() const {
   return n;
 }
 
-net::FlowId Cluster::send_manager_to_worker(WorkerId dst, std::uint64_t bytes,
-                                            Tick latency,
-                                            std::function<void()> done) {
-  return network_->start_flow(
-      {manager_up_, worker(dst).downlink}, bytes, latency,
-      [cb = std::move(done)](net::FlowId) {
-        if (cb) cb();
-      });
-}
-
-net::FlowId Cluster::send_worker_to_manager(WorkerId src, std::uint64_t bytes,
-                                            Tick latency,
-                                            std::function<void()> done) {
-  return network_->start_flow(
-      {worker(src).uplink, manager_down_}, bytes, latency,
-      [cb = std::move(done)](net::FlowId) {
-        if (cb) cb();
-      });
-}
-
-net::FlowId Cluster::send_peer(WorkerId src, WorkerId dst, std::uint64_t bytes,
-                               Tick latency, std::function<void()> done) {
-  return network_->start_flow(
-      {worker(src).uplink, worker(dst).downlink}, bytes, latency,
-      [cb = std::move(done)](net::FlowId) {
-        if (cb) cb();
-      });
-}
-
-net::FlowId Cluster::read_fs_to_worker(WorkerId dst, std::uint64_t bytes,
-                                       std::function<void()> done) {
-  return fs_->read(worker(dst).downlink, bytes, std::move(done));
-}
-
-net::FlowId Cluster::read_wan_to_worker(WorkerId dst, std::uint64_t bytes,
-                                        std::function<void()> done) {
-  return wan_->read(worker(dst).downlink, bytes, std::move(done));
-}
-
-net::FlowId Cluster::read_fs_to_manager(std::uint64_t bytes,
-                                        std::function<void()> done) {
-  return fs_->read(manager_down_, bytes, std::move(done));
+net::FlowId Cluster::transfer(std::size_t from, std::size_t to,
+                              std::uint64_t bytes, Tick latency,
+                              std::function<void(net::FlowId)> done) {
+  assert(to < fs_endpoint() && "a transfer lands on the manager or a worker");
+  const net::LinkId down =
+      to == manager_endpoint() ? manager_down_ : workers_[to - 1].downlink;
+  if (from == fs_endpoint()) return fs_->read(down, bytes, std::move(done));
+  if (from == wan_endpoint()) return wan_->read(down, bytes, std::move(done));
+  const net::LinkId up =
+      from == manager_endpoint() ? manager_up_ : workers_[from - 1].uplink;
+  return network_->start_flow({up, down}, bytes, latency, std::move(done));
 }
 
 void Cluster::request_workers(std::function<void(WorkerId)> on_up,

@@ -129,29 +129,27 @@ class Cluster {
     return workers_.size() + 1;
   }
 
-  // --- data movement helpers ---------------------------------------------
-  /// Manager -> worker transfer (dispatching serialized functions, small
-  /// inputs). Completion callback omitted -> fire and forget.
-  net::FlowId send_manager_to_worker(WorkerId dst, std::uint64_t bytes,
-                                     Tick latency,
-                                     std::function<void()> done);
-  /// Worker -> manager transfer (returning results).
-  net::FlowId send_worker_to_manager(WorkerId src, std::uint64_t bytes,
-                                     Tick latency,
-                                     std::function<void()> done);
-  /// Worker -> worker peer transfer.
-  net::FlowId send_peer(WorkerId src, WorkerId dst, std::uint64_t bytes,
-                        Tick latency, std::function<void()> done);
-  /// Shared filesystem -> worker read.
-  net::FlowId read_fs_to_worker(WorkerId dst, std::uint64_t bytes,
-                                std::function<void()> done);
-  /// Wide-area federation -> worker read (XRootD streaming).
-  net::FlowId read_wan_to_worker(WorkerId dst, std::uint64_t bytes,
-                                 std::function<void()> done);
-  /// Shared filesystem -> manager read (manager staging inputs itself, the
-  /// Work Queue pattern).
-  net::FlowId read_fs_to_manager(std::uint64_t bytes,
-                                 std::function<void()> done);
+  /// Source endpoint for transfer(): the wide-area federation. It lies past
+  /// endpoint_count() because the transfer matrix has no row for it.
+  [[nodiscard]] std::size_t wan_endpoint() const noexcept {
+    return workers_.size() + 2;
+  }
+  /// The endpoint a transfer from `ep` records under: a WAN read records as
+  /// the shared filesystem, so the matrix keeps its shape.
+  [[nodiscard]] std::size_t matrix_endpoint(std::size_t ep) const noexcept {
+    return ep == wan_endpoint() ? fs_endpoint() : ep;
+  }
+
+  // --- data movement -------------------------------------------------------
+  /// Move `bytes` from endpoint `from` to endpoint `to` (the manager or a
+  /// worker). A send from the manager or a worker crosses the source's
+  /// uplink and the destination's downlink after `latency` of setup. A read
+  /// from the shared filesystem or the WAN goes through that filesystem: its
+  /// aggregate link, its open latency in place of `latency`, and its
+  /// bytes_read count. `done` fires with the flow id when the last byte
+  /// lands; a null `done` is fire and forget.
+  net::FlowId transfer(std::size_t from, std::size_t to, std::uint64_t bytes,
+                       Tick latency, std::function<void(net::FlowId)> done);
 
   /// Round-trip control-message latency between manager and a worker.
   [[nodiscard]] Tick control_rtt() const noexcept { return 600 * util::kUsec; }

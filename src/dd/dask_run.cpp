@@ -46,7 +46,8 @@ class DaskRun {
         obs_(obs::make_observation(options.observability)),
         shell_(graph, cluster, options_, table_, rng_, scheduler_, obs_,
                exec::RunShell::Identity{
-                   "dask.distributed", "scheduler", "node ", "dask_run",
+                   "dask.distributed", "scheduler", "node ", "peer key ",
+                   "dask_run",
                    "event queue drained before completion", false},
                hooks()) {
     build_tables();
@@ -261,8 +262,8 @@ class DaskRun {
   // --------------------------------------------------------------------
   // Fault injection. Node crashes route through the batch system like
   // vine's; "cache loss" drops in-memory result keys; only transfers with
-  // a retry closure (dataset reads, peer key fetches, client pulls, sink
-  // gathers) register as kill targets. No injector = all no-ops.
+  // a retry closure (dataset reads, peer key fetches, sink gathers) are
+  // kill targets. No injector = all no-ops.
   // --------------------------------------------------------------------
   /// Drop the in-memory result key `f` from every process on node `w`
   /// (w = kNoWorker: from every holder). Lost keys are rediscovered at the
@@ -398,9 +399,9 @@ class DaskRun {
 
     scheduler_.acquire_then(tun_.dispatch_cost, [this, token, pid] {
       if (!shell_.token_valid(token)) return;
-      record_transfer(cluster_.manager_endpoint(),
-                      cluster_.worker_endpoint(node_of(pid)),
-                      options_.python.argument_bytes);
+      shell_.record_bytes(cluster_.manager_endpoint(),
+                          cluster_.worker_endpoint(node_of(pid)),
+                          options_.python.argument_bytes);
       engine_.schedule_after(cluster_.control_rtt() / 2, [this, token, pid] {
         begin_staging(token, pid);
       });
@@ -456,30 +457,10 @@ class DaskRun {
     };
 
     if (is_dataset) {
-      fs_gate_.submit([this, f, dst_node, arrival, pid,
+      fs_gate_.submit([this, f, arrival, pid,
                        token](net::FlowGate::SlotToken slot) {
-        if (txn_on()) {
-          obs_->txn().transfer_start(engine_.now(), cluster_.fs_endpoint(),
-                                     cluster_.worker_endpoint(dst_node), f,
-                                     file(f).size);
-        }
-        auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
-        *flow = cluster_.read_fs_to_worker(
-            dst_node, file(f).size,
-            [this, f, dst_node, arrival, flow, slot = std::move(slot)] {
-              shell_.forget_flow(*flow);
-              record_transfer(cluster_.fs_endpoint(),
-                              cluster_.worker_endpoint(dst_node),
-                              file(f).size);
-              if (txn_on()) {
-                obs_->txn().transfer_done(
-                    engine_.now(), cluster_.fs_endpoint(),
-                    cluster_.worker_endpoint(dst_node), f, file(f).size);
-              }
-              arrival(true);
-            });
-        offer_key_fetch(*flow, f, /*is_dataset=*/true, pid, token, arrival,
-                        cluster_.fs_endpoint());
+        start_key_flow(cluster_.fs_endpoint(), 0, f, /*is_dataset=*/true, pid,
+                       token, arrival, std::move(slot));
       });
       return;
     }
@@ -495,22 +476,9 @@ class DaskRun {
       }
     }
     if (src == kNoProc) {
-      if (file(f).at_client) {
-        auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
-        *flow = cluster_.send_manager_to_worker(
-            dst_node, file(f).size, cluster_.control_rtt() / 2,
-            [this, f, dst_node, arrival, flow] {
-              shell_.forget_flow(*flow);
-              record_transfer(cluster_.manager_endpoint(),
-                              cluster_.worker_endpoint(dst_node),
-                              file(f).size);
-              arrival(true);
-            });
-        offer_key_fetch(*flow, f, /*is_dataset=*/false, pid, token, arrival,
-                        cluster_.manager_endpoint());
-      } else {
-        arrival(false);
-      }
+      // Only sinks are gathered to the client, and nothing consumes them.
+      assert(!file(f).at_client);
+      arrival(false);
       return;
     }
     const WorkerId src_node = node_of(src);
@@ -520,56 +488,28 @@ class DaskRun {
       engine_.schedule_after(copy, [arrival] { arrival(true); });
       return;
     }
-    if (txn_on()) {
-      obs_->txn().transfer_start(engine_.now(),
-                                 cluster_.worker_endpoint(src_node),
-                                 cluster_.worker_endpoint(dst_node), f,
-                                 file(f).size);
-    }
-    const Tick t0 = engine_.now();
-    auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
-    *flow = cluster_.send_peer(
-        src_node, dst_node, file(f).size, cluster_.control_rtt() / 2,
-        [this, f, src_node, dst_node, arrival, t0, flow] {
-          shell_.forget_flow(*flow);
-          record_transfer(cluster_.worker_endpoint(src_node),
-                          cluster_.worker_endpoint(dst_node), file(f).size);
-          if (txn_on()) {
-            obs_->txn().transfer_done(
-                engine_.now(), cluster_.worker_endpoint(src_node),
-                cluster_.worker_endpoint(dst_node), f, file(f).size);
-          }
-          if (shell_.trace_on()) {
-            obs_->trace().add_flow(
-                static_cast<std::int32_t>(cluster_.worker_endpoint(src_node)),
-                static_cast<std::int32_t>(cluster_.worker_endpoint(dst_node)),
-                "peer key " + std::to_string(f), t0, engine_.now());
-          }
-          arrival(true);
-        });
-    offer_key_fetch(*flow, f, /*is_dataset=*/false, pid, token, arrival,
-                    cluster_.worker_endpoint(src_node));
+    start_key_flow(cluster_.worker_endpoint(src_node),
+                   cluster_.control_rtt() / 2, f, /*is_dataset=*/false, pid,
+                   token, arrival, nullptr);
   }
 
-  /// Register a key/dataset fetch as a kill target. On kill: one unit of
-  /// the attempt's transfer-retry budget is spent and the fetch restarts
-  /// from scratch after backoff — a peer source that was itself preempted
-  /// in the meantime is re-resolved, datasets re-read the durable FS. Past
-  /// the budget the attempt takes the lost-input path.
-  void offer_key_fetch(net::FlowId flow_id, FileId f, bool is_dataset,
-                       std::int32_t pid, const Token& token,
-                       std::function<void(bool)> arrival,
-                       std::size_t src_ep) {
-    if (!shell_.injector() || flow_id == net::kInvalidFlow) return;
-    shell_.injector()->offer_transfer(
-        flow_id, file(f).size,
-        [this, f, is_dataset, pid, token, arrival = std::move(arrival),
-         src_ep] {
-          if (txn_on()) {
-            obs_->txn().transfer_failed(
-                engine_.now(), src_ep,
-                cluster_.worker_endpoint(node_of(pid)), f, file(f).size);
-          }
+  /// Move key or dataset `f` from endpoint `src` to `pid`'s node. On a
+  /// kill one unit of the attempt's transfer-retry budget is spent and the
+  /// fetch restarts from scratch after backoff — a peer source that was
+  /// itself preempted in the meantime is re-resolved, datasets re-read the
+  /// durable FS. Past the budget the attempt takes the lost-input path.
+  void start_key_flow(std::size_t src, Tick latency, FileId f,
+                      bool is_dataset, std::int32_t pid, const Token& token,
+                      std::function<void(bool)> arrival,
+                      net::FlowGate::SlotToken slot) {
+    shell_.start_transfer(
+        {src, cluster_.worker_endpoint(node_of(pid)), f, file(f).size},
+        latency,
+        [this, arrival, slot = std::move(slot)](net::FlowId flow) {
+          shell_.land(flow);
+          arrival(true);
+        },
+        [this, f, is_dataset, pid, token, arrival] {
           if (!shell_.token_valid(token)) return;
           // Budget check: the Nth kill (N = max_transfer_retries)
           // exhausts it — N-1 backoff re-fetches happen before the
@@ -631,18 +571,20 @@ class DaskRun {
                   fs_gate_.submit([this, token, pid, incarnation, compute](
                                       net::FlowGate::SlotToken slot) {
                     if (!shell_.token_valid(token)) return;
-                    const std::uint64_t code =
-                        options_.imports.total_code_bytes();
-                    const WorkerId node_id = node_of(pid);
-                    cluster_.read_fs_to_worker(
-                        node_id, code,
-                        [this, token, pid, incarnation, compute, code,
-                         node_id, slot = std::move(slot)] {
-                          if (!shell_.token_valid(token)) return;
-                          if (proc(pid).incarnation != incarnation) return;
-                          record_transfer(cluster_.fs_endpoint(),
-                                          cluster_.worker_endpoint(node_id),
-                                          code);
+                    shell_.start_transfer(
+                        {cluster_.fs_endpoint(),
+                         cluster_.worker_endpoint(node_of(pid)),
+                         data::kInvalidFile,
+                         options_.imports.total_code_bytes()},
+                        0,
+                        [this, token, pid, incarnation, compute,
+                         slot = std::move(slot)](net::FlowId flow) {
+                          if (!shell_.token_valid(token) ||
+                              proc(pid).incarnation != incarnation) {
+                            shell_.fail(flow);
+                            return;
+                          }
+                          shell_.land(flow);
                           const Tick cpu =
                               options_.imports.total_cpu_cost();
                           shell_.attempt_at<Attempt>(token.task).span_compute =
@@ -737,58 +679,31 @@ class DaskRun {
 
   void gather_sink(TaskId t, WorkerId node) {
     const FileId f = graph_.task(t).output_file;
+    // Killed gathers retry from the same node after backoff, without a
+    // cap: the result key stays in the source process's memory, so the
+    // stream can simply re-open.
     mgr_gate_.submit([this, t, f, node](net::FlowGate::SlotToken slot) {
-      if (txn_on()) {
-        obs_->txn().transfer_start(engine_.now(),
-                                   cluster_.worker_endpoint(node),
-                                   cluster_.manager_endpoint(), f,
-                                   file(f).size);
-      }
-      auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
-      *flow = cluster_.send_worker_to_manager(
-          node, file(f).size, cluster_.control_rtt() / 2,
-          [this, t, node, flow, slot = std::move(slot)] {
-            shell_.forget_flow(*flow);
-            record_transfer(cluster_.worker_endpoint(node),
-                            cluster_.manager_endpoint(),
-                            file(graph_.task(t).output_file).size);
-            if (txn_on()) {
-              obs_->txn().transfer_done(
-                  engine_.now(), cluster_.worker_endpoint(node),
-                  cluster_.manager_endpoint(), graph_.task(t).output_file,
-                  file(graph_.task(t).output_file).size);
-            }
-            file(graph_.task(t).output_file).at_client = true;
+      shell_.start_transfer(
+          {cluster_.worker_endpoint(node), cluster_.manager_endpoint(), f,
+           file(f).size},
+          cluster_.control_rtt() / 2,
+          [this, t, f, slot = std::move(slot)](net::FlowId flow) {
+            shell_.land(flow);
+            file(f).at_client = true;
             if (shell_.mark_sink_done(t)) {
               sink_backoff_.reset(t);  // gather episode over
             }
             shell_.check_completion();
+          },
+          [this, t, node] {
+            const Tick delay = shell_.injector()->backoff_delay(
+                sink_backoff_.next_attempt(t));
+            engine_.schedule_after(delay, [this, t, node] {
+              if (!shell_.finished() && !shell_.sink_done(t)) {
+                gather_sink(t, node);
+              }
+            });
           });
-      offer_sink_gather(*flow, t, node);
-    });
-  }
-
-  /// Killed sink gathers retry from the same node after backoff, without a
-  /// cap: the result key stays in the source process's memory, so the
-  /// stream can simply re-open.
-  void offer_sink_gather(net::FlowId flow_id, TaskId t, WorkerId node) {
-    if (!shell_.injector() || flow_id == net::kInvalidFlow) return;
-    const FileId f = graph_.task(t).output_file;
-    shell_.injector()->offer_transfer(flow_id, file(f).size,
-                                      [this, t, node, f] {
-      if (txn_on()) {
-        obs_->txn().transfer_failed(engine_.now(),
-                                    cluster_.worker_endpoint(node),
-                                    cluster_.manager_endpoint(), f,
-                                    file(f).size);
-      }
-      const Tick delay =
-          shell_.injector()->backoff_delay(sink_backoff_.next_attempt(t));
-      engine_.schedule_after(delay, [this, t, node] {
-        if (!shell_.finished() && !shell_.sink_done(t)) {
-          gather_sink(t, node);
-        }
-      });
     });
   }
 
@@ -875,11 +790,6 @@ class DaskRun {
       return;
     }
     table_.requeue(t, engine_.now());
-  }
-
-  void record_transfer(std::size_t src, std::size_t dst,
-                       std::uint64_t bytes) {
-    shell_.report().transfers.record(src, dst, bytes);
   }
 
   // --------------------------------------------------------------------

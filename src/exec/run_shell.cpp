@@ -68,6 +68,12 @@ RunReport RunShell::execute() {
   // Drained without completing: nothing left can make progress (e.g. no
   // workers ever arrived).
   if (!finished_) fail_run(identity_.drained_reason);
+  // A wire still open must still be in flight: a flow that landed, died or
+  // was cancelled has been closed.
+  for ([[maybe_unused]] const auto& open : wires_) {
+    assert(cluster_.network().flow_active(open.first) &&
+           "a transfer left the network without a close");
+  }
 
   if (injector_) {
     injector_->stop();
@@ -170,6 +176,97 @@ void RunShell::record_attempt_span(TaskId t, std::int32_t worker,
 }
 
 // ---------------------------------------------------------------------------
+// Transfers.
+// ---------------------------------------------------------------------------
+
+net::FlowId RunShell::start_transfer(Wire wire, Tick latency,
+                                     std::function<void(net::FlowId)> landed,
+                                     std::function<void()> killed) {
+  const std::size_t from = wire.src;
+  wire.src = cluster_.matrix_endpoint(from);
+  write_transfer(&obs::TxnLog::transfer_start, wire);
+  const net::FlowId flow =
+      cluster_.transfer(from, wire.dst, wire.bytes, latency, std::move(landed));
+  wires_.emplace(flow, OpenWire{wire, engine_.now()});
+  // Registered at once: offer_transfer draws from the injector's rng.
+  if (killed && injector_) {
+    injector_->offer_transfer(flow, wire.bytes,
+                              [this, flow, killed = std::move(killed)] {
+                                fail(flow);
+                                killed();
+                              });
+  }
+  return flow;
+}
+
+std::optional<RunShell::OpenWire> RunShell::take_wire(net::FlowId flow) {
+  const auto it = wires_.find(flow);
+  assert(it != wires_.end() && "transfer closed with no open wire");
+  if (it == wires_.end()) return std::nullopt;
+  const OpenWire open = it->second;
+  wires_.erase(it);
+  if (injector_) injector_->forget_transfer(flow);
+  return open;
+}
+
+void RunShell::land(net::FlowId flow) {
+  const auto open = take_wire(flow);
+  if (!open) return;
+  const Wire& w = open->wire;
+  record_bytes(w.src, w.dst, w.bytes);
+  write_transfer(&obs::TxnLog::transfer_done, w);
+  const auto is_worker = [this](std::size_t ep) {
+    return ep != cluster_.manager_endpoint() && ep < cluster_.fs_endpoint();
+  };
+  if (trace_on() && is_worker(w.src) && is_worker(w.dst)) {
+    obs_->trace().add_flow(lane(w.src), lane(w.dst),
+                           identity_.peer_flow + std::to_string(w.file),
+                           open->started, engine_.now());
+  }
+}
+
+void RunShell::fail(net::FlowId flow) {
+  if (const auto open = take_wire(flow)) {
+    write_transfer(&obs::TxnLog::transfer_failed, open->wire);
+  }
+}
+
+void RunShell::cancel(net::FlowId flow) {
+  cluster_.network().cancel_flow(flow);
+  fail(flow);
+}
+
+void RunShell::record_bytes(std::size_t src, std::size_t dst,
+                            std::uint64_t bytes) {
+  report_.transfers.record(src, dst, bytes);
+  if (bytes_via_manager_ == nullptr) return;
+  if (src == cluster_.manager_endpoint() ||
+      dst == cluster_.manager_endpoint()) {
+    *bytes_via_manager_ += bytes;
+  } else if (src == cluster_.fs_endpoint() || dst == cluster_.fs_endpoint()) {
+    *bytes_via_fs_ += bytes;
+  } else {
+    *bytes_peer_ += bytes;
+  }
+}
+
+void RunShell::add_transfer_counters(obs::StatsRegistry& stats) {
+  bytes_via_manager_ = stats.counter("xfer.bytes_via_manager");
+  bytes_peer_ = stats.counter("xfer.bytes_peer");
+  bytes_via_fs_ = stats.counter("xfer.bytes_via_fs");
+}
+
+void RunShell::write_transfer(
+    void (obs::TxnLog::*line)(Tick, std::size_t, std::size_t, std::int64_t,
+                              std::uint64_t),
+    const Wire& wire) {
+  if (txn_on() && wire.file != data::kInvalidFile) {
+    (obs_->txn().*line)(engine_.now(), wire.src, wire.dst, wire.file,
+                        wire.bytes);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Lifecycle.
 // ---------------------------------------------------------------------------
 
@@ -202,12 +299,6 @@ bool RunShell::crash_worker(WorkerId w) {
   pending_crash_[static_cast<std::size_t>(w)] = true;
   cluster_.batch().force_preempt(static_cast<std::uint32_t>(w));
   return true;
-}
-
-void RunShell::forget_flow(net::FlowId flow) {
-  if (injector_ && flow != net::kInvalidFlow) {
-    injector_->forget_transfer(flow);
-  }
 }
 
 void RunShell::pump() {

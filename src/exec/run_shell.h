@@ -5,16 +5,21 @@
 // the elastic factory, manager-HA snapshots, completion and failure. It
 // owns the live attempt slots and records each finished attempt exactly
 // once, as an obs::AttemptSpan that feeds the span log, the txn SPAN line
-// and the per-attempt Chrome span. The engines (vine/wq in vine_run.cpp,
-// Dask.Distributed in dask_run.cpp) keep only scheduling, data movement
-// and their own snapshot sections, and plug in through Hooks — the same
-// std::function idiom as ha::Factory::Hooks and fault::FaultInjector::Hooks.
+// and the per-attempt Chrome span. It also owns the transfer record: every
+// flow an engine starts goes through start_transfer and closes exactly once
+// with land, fail or cancel, which write the transfer-matrix cell, the txn
+// TRANSFER lines and the peer Chrome arrow from one Wire. The engines
+// (vine/wq in vine_run.cpp, Dask.Distributed in dask_run.cpp) keep only
+// scheduling, the choice of what to move, and their own snapshot sections,
+// and plug in through Hooks — the same std::function idiom as
+// ha::Factory::Hooks and fault::FaultInjector::Hooks.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +35,7 @@
 #include "obs/observer.h"
 #include "obs/stats_registry.h"
 #include "sim/rng.h"
+#include "util/flat_map.h"
 
 namespace hepvine::exec {
 
@@ -55,6 +61,17 @@ struct AttemptBase {
   Tick span_exec_end = -1;  // process exit: core freed, output written
 };
 
+/// One data movement between transfer-matrix endpoints (Cluster
+/// numbering; a transfer may also start at Cluster::wan_endpoint). `file`
+/// is the file the bytes carry; kInvalidFile marks bytes that are no file
+/// (import code), which get no txn line.
+struct Wire {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  data::FileId file = data::kInvalidFile;
+  std::uint64_t bytes = 0;
+};
+
 // vine-snapshot: state
 class RunShell {
  public:
@@ -64,6 +81,7 @@ class RunShell {
     std::string scheduler;       // RunReport::scheduler
     std::string manager_lane;    // Chrome lane of the serial control loop
     std::string worker_lane;     // Chrome lane prefix, followed by the id
+    std::string peer_flow;       // Chrome peer arrow, followed by the file
     std::string rng_field;       // snapshot field holding the engine rng
     std::string drained_reason;  // failure text when the event queue drains
     /// Name the task's category in the poisoned-task failure text.
@@ -171,13 +189,36 @@ class RunShell {
   /// writes the txn SPAN line and the attempt's Chrome span.
   void record_attempt_span(dag::TaskId t, std::int32_t worker, bool failed);
 
+  // --- transfers ----------------------------------------------------------
+  /// Start `wire` as a flow (Cluster::transfer) and open its record: the
+  /// txn START line, then the flow, then, when `killed` is given, its
+  /// registration as an injector kill target. The record names its source
+  /// by Cluster::matrix_endpoint. `landed` runs when the last byte arrives
+  /// and closes the record with land or fail; a kill writes FAILED, then
+  /// runs `killed`.
+  net::FlowId start_transfer(Wire wire, Tick latency,
+                             std::function<void(net::FlowId)> landed,
+                             std::function<void()> killed = nullptr);
+  /// The flow's bytes arrived: transfer-matrix cell, xfer.* counters, txn
+  /// DONE and, between two workers, the Chrome peer arrow.
+  void land(net::FlowId flow);
+  /// The flow arrived but nothing takes its bytes (the source or the
+  /// attempt died meanwhile): FAILED.
+  void fail(net::FlowId flow);
+  /// Tear a live flow out of the network, then write FAILED.
+  void cancel(net::FlowId flow);
+  /// Bytes with no flow of their own (dispatch arguments riding the control
+  /// channel): the matrix cell and the xfer.* counters.
+  void record_bytes(std::size_t src, std::size_t dst, std::uint64_t bytes);
+  /// The xfer.bytes_{via_manager,peer,via_fs} counters, for Hooks::gauges
+  /// to place.
+  void add_transfer_counters(obs::StatsRegistry& stats);
+
   // --- lifecycle ----------------------------------------------------------
   /// Crash `w` through the batch system so replacement matching applies.
   /// A crash already pending for `w` is the same death and is not counted
   /// again. Returns false when `w` is dead or already crashing.
   bool crash_worker(cluster::WorkerId w);
-  /// A flow finished or was cancelled: it is no longer a kill target.
-  void forget_flow(net::FlowId flow);
   /// Dispatch ready tasks while placement finds capacity. Re-entrant calls
   /// (a dispatch that frees capacity) fold into the running loop.
   void pump();
@@ -208,6 +249,16 @@ class RunShell {
   void on_manager_crash();
   void schedule_snapshot();
   void take_snapshot();
+  struct OpenWire {
+    Wire wire;
+    Tick started = 0;
+  };
+  /// Close `flow`'s open wire and drop it as a kill target.
+  std::optional<OpenWire> take_wire(net::FlowId flow);
+  void write_transfer(void (obs::TxnLog::*line)(Tick, std::size_t,
+                                                std::size_t, std::int64_t,
+                                                std::uint64_t),
+                      const Wire& wire);
   [[nodiscard]] std::int32_t lane(std::size_t endpoint) const {
     return static_cast<std::int32_t>(endpoint);
   }
@@ -239,6 +290,17 @@ class RunShell {
   std::vector<char> sink_done_;  // indexed by TaskId; only sinks are set
   std::size_t sinks_outstanding_ = 0;
   std::int32_t rr_cursor_ = 0;
+
+  /// Transfers started and not yet closed, by flow id.
+  // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows themselves)
+  util::FlatMap<net::FlowId, OpenWire> wires_;
+  // Perf counters (owned by the stats registry; null unless registered).
+  // vine-snapshot: derived(pointer into the stats registry, observability only)
+  std::uint64_t* bytes_via_manager_ = nullptr;
+  // vine-snapshot: derived(pointer into the stats registry, observability only)
+  std::uint64_t* bytes_peer_ = nullptr;
+  // vine-snapshot: derived(pointer into the stats registry, observability only)
+  std::uint64_t* bytes_via_fs_ = nullptr;
 
   // Null/empty unless RunOptions::faults is set.
   std::unique_ptr<fault::FaultInjector> injector_;

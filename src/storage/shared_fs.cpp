@@ -52,28 +52,22 @@ SharedFilesystem::SharedFilesystem(sim::Engine& engine, net::Network& network,
 
 net::FlowId SharedFilesystem::read(net::LinkId node_downlink,
                                    std::uint64_t bytes,
-                                   std::function<void()> done) {
+                                   std::function<void(net::FlowId)> done) {
   bytes_read_ += bytes;
-  return network_.start_flow(
-      {link_, node_downlink}, bytes, spec_.open_latency,
-      [cb = std::move(done)](net::FlowId) {
-        if (cb) cb();
-      });
+  return network_.start_flow({link_, node_downlink}, bytes,
+                             spec_.open_latency, std::move(done));
 }
 
 net::FlowId SharedFilesystem::write(net::LinkId node_uplink,
                                     std::uint64_t bytes,
-                                    std::function<void()> done) {
+                                    std::function<void(net::FlowId)> done) {
   bytes_written_ += bytes;
   // Replication amplifies traffic on the filesystem's aggregate link; we
   // charge it by inflating the flow size (the client sees the same bytes,
   // but the shared link carries `replication` copies).
   const std::uint64_t wire_bytes = bytes * spec_.replication;
-  return network_.start_flow(
-      {node_uplink, link_}, wire_bytes, spec_.open_latency,
-      [cb = std::move(done)](net::FlowId) {
-        if (cb) cb();
-      });
+  return network_.start_flow({node_uplink, link_}, wire_bytes,
+                             spec_.open_latency, std::move(done));
 }
 
 void SharedFilesystem::metadata_ops(std::uint64_t count,

@@ -61,15 +61,16 @@ class SharedFilesystem {
   [[nodiscard]] const SharedFsSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] net::LinkId link() const noexcept { return link_; }
 
-  /// Read `bytes` to a node reachable via `node_downlink`. `done` fires when
-  /// the data has fully arrived. Returns the flow id (cancellable).
+  /// Read `bytes` to a node reachable via `node_downlink`. `done` fires with
+  /// the flow id when the data has fully arrived. Returns the flow id
+  /// (cancellable).
   net::FlowId read(net::LinkId node_downlink, std::uint64_t bytes,
-                   std::function<void()> done);
+                   std::function<void(net::FlowId)> done);
 
   /// Write `bytes` from a node via `node_uplink`. Replication multiplies the
   /// bytes that cross the filesystem's aggregate link.
   net::FlowId write(net::LinkId node_uplink, std::uint64_t bytes,
-                    std::function<void()> done);
+                    std::function<void(net::FlowId)> done);
 
   /// Degrade (or restore) the filesystem's aggregate bandwidth to `factor`
   /// of nominal — the fault-injection hook for brownouts (0 < factor < 1)

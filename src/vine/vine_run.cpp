@@ -70,7 +70,8 @@ class VineRun {
         obs_(obs::make_observation(options.observability)),
         shell_(graph, cluster, options_, table_, rng_, manager_, obs_,
                exec::RunShell::Identity{
-                   std::move(name), "manager", "worker ", "vine_run",
+                   std::move(name), "manager", "worker ", "peer file ",
+                   "vine_run",
                    "event queue drained before workflow completion", true},
                hooks()) {
     build_file_table();
@@ -510,9 +511,6 @@ class VineRun {
     net::FlowId flow = net::kInvalidFlow;
     bool throttled = false;
     std::uint32_t kill_retries = 0;  // injected kills survived so far
-    // Transfer-matrix endpoint the running flow is sourced from, for txn
-    // TRANSFER attribution (SIZE_MAX until a flow starts).
-    std::size_t src_ep = static_cast<std::size_t>(-1);
     std::vector<std::function<void(bool)>> waiters;  // bool: file arrived
   };
 
@@ -602,12 +600,7 @@ class VineRun {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) continue;  // cascaded away already
       if (fetch->flow != net::kInvalidFlow) {
-        shell_.forget_flow(fetch->flow);
-        cluster_.network().cancel_flow(fetch->flow);
-        if (fetch->src_ep != static_cast<std::size_t>(-1)) {
-          txn_xfer_failed(fetch->src_ep, cluster_.worker_endpoint(w),
-                          fetch->file, file(fetch->file).size);
-        }
+        shell_.cancel(fetch->flow);
         if (fetch->peer_src != cluster::kNoWorker) {
           release_peer_slot(fetch->peer_src, fetch->peer_src_inc,
                             fetch->file);
@@ -620,14 +613,11 @@ class VineRun {
     for (const FetchKey& key : from_src) {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) continue;
-      shell_.forget_flow(fetch->flow);
-      cluster_.network().cancel_flow(fetch->flow);
-      txn_xfer_failed(cluster_.worker_endpoint(w),
-                      cluster_.worker_endpoint(fetch->dst), fetch->file,
-                      file(fetch->file).size);
+      // No flow yet while the peer broker request is queued; the broker
+      // callback finds the fetch re-sourced and gives the slot back.
+      if (fetch->flow != net::kInvalidFlow) shell_.cancel(fetch->flow);
       fetch->flow = net::kInvalidFlow;
       fetch->peer_src = cluster::kNoWorker;
-      fetch->src_ep = static_cast<std::size_t>(-1);
       start_fetch_transfer(key);  // re-source from another replica
     }
 
@@ -638,12 +628,7 @@ class VineRun {
       if (flow_src.second == w) broken_sinks.push_back(t);
     }
     for (TaskId t : broken_sinks) {
-      shell_.forget_flow(sink_flows_.at(t).first);
-      cluster_.network().cancel_flow(sink_flows_.at(t).first);
-      txn_xfer_failed(cluster_.worker_endpoint(w),
-                      cluster_.manager_endpoint(),
-                      graph_.task(t).output_file,
-                      file(graph_.task(t).output_file).size);
+      shell_.cancel(sink_flows_.at(t).first);
       sink_flows_.erase(t);
       fetch_sink_result(t);
     }
@@ -652,11 +637,10 @@ class VineRun {
   }
 
   // ---------------------------------------------------------------------
-  // Fault injection. Only flows with a retry path are registered as kill
-  // targets (fetches, relay pulls, output returns, sink gathers); library
-  // pushes and import reads are fire-and-forget with no recovery closure,
-  // so killing them would strand the run. With an empty schedule no
-  // injector exists and every hook below is a null check.
+  // Fault injection. Only flows with a retry path are kill targets: each
+  // fetch, relay pull, output return and sink gather passes its recovery
+  // to start_transfer as `killed`. Import reads have no recovery closure,
+  // so killing them would strand the run.
   // ---------------------------------------------------------------------
   /// Drop `f` from `w`'s cache (w = kNoWorker: from every holder). Future
   /// consumers rediscover the loss at precheck/fetch time and lineage-reset
@@ -682,15 +666,6 @@ class VineRun {
     return lost;
   }
 
-  /// Register a fetch's live flow as a kill target.
-  void offer_fetch(const FetchKey& key) {
-    if (!shell_.injector()) return;
-    Fetch* fetch = fetch_find(key);
-    if (fetch == nullptr || fetch->flow == net::kInvalidFlow) return;
-    shell_.injector()->offer_transfer(fetch->flow, file(key.first).size,
-                              [this, key] { on_fetch_killed(key); });
-  }
-
   /// A fetch's flow was killed mid-stream: retry the fetch from scratch
   /// after capped exponential backoff (any surviving source is fine), or
   /// give up after the retry budget and let the lost-input path take over.
@@ -698,16 +673,11 @@ class VineRun {
     Fetch* fp = fetch_find(key);
     if (fp == nullptr) return;
     Fetch& fetch = *fp;
-    if (fetch.src_ep != static_cast<std::size_t>(-1)) {
-      txn_xfer_failed(fetch.src_ep, cluster_.worker_endpoint(fetch.dst),
-                      fetch.file, file(fetch.file).size);
-    }
     if (fetch.peer_src != cluster::kNoWorker) {
       release_peer_slot(fetch.peer_src, fetch.peer_src_inc, fetch.file);
       fetch.peer_src = cluster::kNoWorker;
     }
     fetch.flow = net::kInvalidFlow;
-    fetch.src_ep = static_cast<std::size_t>(-1);
     fetch.kill_retries += 1;
     if (fetch.kill_retries >= options_.fault_retry.max_transfer_retries) {
       // The budget counts kills tolerated: the Nth kill exhausts it after
@@ -1026,8 +996,8 @@ class VineRun {
     }
     manager_.acquire_then(dispatch_cost(), [this, token, w, wire_bytes] {
       if (!shell_.token_valid(token)) return;
-      record_transfer(cluster_.manager_endpoint(),
-                      cluster_.worker_endpoint(w), wire_bytes);
+      shell_.record_bytes(cluster_.manager_endpoint(),
+                          cluster_.worker_endpoint(w), wire_bytes);
       engine_.schedule_after(cluster_.control_rtt() / 2,
                              [this, token, w] { begin_staging(token, w); });
     });
@@ -1100,7 +1070,6 @@ class VineRun {
     Fetch& fetch = *fp;
     const FileId f = fetch.file;
     const WorkerId w = fetch.dst;
-    const std::uint64_t bytes = file(f).size;
 
     // Dataset inputs are always recoverable from backing storage (the
     // local data store or the wide-area federation). When replicas already
@@ -1112,31 +1081,17 @@ class VineRun {
       if (policy_.inputs_via_manager) {
         ensure_manager_copy(f, [this, key] { transfer_from_manager(key); });
       } else {
-        (void)w;
-        (void)bytes;
         fs_gate_.submit([this, key](net::FlowGate::SlotToken slot) {
           Fetch* fit = fetch_find(key);
           if (fit == nullptr) return;  // fetch vanished while queued
-          fit->src_ep = cluster_.fs_endpoint();
-          txn_xfer_start(cluster_.fs_endpoint(),
-                         cluster_.worker_endpoint(key.second), key.first,
-                         file(key.first).size);
-          auto on_done = [this, key, slot = std::move(slot)] {
-            record_transfer(cluster_.fs_endpoint(),
-                            cluster_.worker_endpoint(key.second),
-                            file(key.first).size);
-            txn_xfer_done(cluster_.fs_endpoint(),
-                          cluster_.worker_endpoint(key.second), key.first,
-                          file(key.first).size);
-            complete_fetch(key);
-          };
-          fit->flow =
-              options_.inputs_from_wan
-                  ? cluster_.read_wan_to_worker(
-                        key.second, file(key.first).size, std::move(on_done))
-                  : cluster_.read_fs_to_worker(
-                        key.second, file(key.first).size, std::move(on_done));
-          offer_fetch(key);
+          fit->flow = start_fetch_flow(
+              key,
+              options_.inputs_from_wan ? cluster_.wan_endpoint()
+                                       : cluster_.fs_endpoint(),
+              0, [this, key, slot = std::move(slot)](net::FlowId flow) {
+                shell_.land(flow);
+                complete_fetch(key);
+              });
         });
       }
       return;
@@ -1163,34 +1118,19 @@ class VineRun {
           release_peer_slot(src, src_inc, key.first);
           return;
         }
-        fit->src_ep = cluster_.worker_endpoint(src);
-        txn_xfer_start(cluster_.worker_endpoint(src),
-                       cluster_.worker_endpoint(key.second), key.first,
-                       file(key.first).size);
-        const Tick t0 = engine_.now();
-        fit->flow = cluster_.send_peer(
-            src, key.second, file(key.first).size, cluster_.control_rtt(),
-            [this, key, src, src_inc, t0] {
+        fit->flow = start_fetch_flow(
+            key, cluster_.worker_endpoint(src), cluster_.control_rtt(),
+            [this, key, src, src_inc](net::FlowId flow) {
+              // The freed slot starts throttled fetches before the DONE
+              // line. One of them may spill and crash either end of this
+              // fetch, whose teardown then closes the flow itself.
               release_peer_slot(src, src_inc, key.first);
-              record_transfer(cluster_.worker_endpoint(src),
-                              cluster_.worker_endpoint(key.second),
-                              file(key.first).size);
-              txn_xfer_done(cluster_.worker_endpoint(src),
-                            cluster_.worker_endpoint(key.second), key.first,
-                            file(key.first).size);
-              if (shell_.trace_on()) {
-                obs_->trace().add_flow(
-                    lane(cluster_.worker_endpoint(src)),
-                    lane(cluster_.worker_endpoint(key.second)),
-                    "peer file " + std::to_string(key.first), t0,
-                    engine_.now());
-              }
-              if (Fetch* it2 = fetch_find(key)) {
-                it2->peer_src = cluster::kNoWorker;
-              }
+              Fetch* landed = fetch_find(key);
+              if (landed == nullptr || landed->flow != flow) return;
+              landed->peer_src = cluster::kNoWorker;
+              shell_.land(flow);
               complete_fetch(key);
             });
-        offer_fetch(key);
       });
       return;
     }
@@ -1313,22 +1253,24 @@ class VineRun {
     mgr_gate_.submit([this, key](net::FlowGate::SlotToken slot) {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) return;  // fetch vanished while queued
-      const std::uint64_t bytes = file(key.first).size;
-      fetch->src_ep = cluster_.manager_endpoint();
-      txn_xfer_start(cluster_.manager_endpoint(),
-                     cluster_.worker_endpoint(key.second), key.first, bytes);
-      fetch->flow = cluster_.send_manager_to_worker(
-          key.second, bytes, cluster_.control_rtt() / 2,
-          [this, key, bytes, slot = std::move(slot)] {
-            record_transfer(cluster_.manager_endpoint(),
-                            cluster_.worker_endpoint(key.second), bytes);
-            txn_xfer_done(cluster_.manager_endpoint(),
-                          cluster_.worker_endpoint(key.second), key.first,
-                          bytes);
+      fetch->flow = start_fetch_flow(
+          key, cluster_.manager_endpoint(), cluster_.control_rtt() / 2,
+          [this, key, slot = std::move(slot)](net::FlowId flow) {
+            shell_.land(flow);
             complete_fetch(key);
           });
-      offer_fetch(key);
     });
+  }
+
+  /// Start the flow behind fetch `key` from endpoint `src`; an injected
+  /// kill retries the fetch (on_fetch_killed).
+  net::FlowId start_fetch_flow(const FetchKey& key, std::size_t src,
+                               Tick latency,
+                               std::function<void(net::FlowId)> landed) {
+    return shell_.start_transfer(
+        {src, cluster_.worker_endpoint(key.second), key.first,
+         file(key.first).size},
+        latency, std::move(landed), [this, key] { on_fetch_killed(key); });
   }
 
   /// Stage a dataset input from the shared filesystem to the manager's
@@ -1347,51 +1289,36 @@ class VineRun {
     submit_manager_fs_read(f);
   }
 
+  /// Manager-side FS reads retry forever: the filesystem is durable, so a
+  /// killed stream just re-opens after backoff. The killed flow's done
+  /// callback dies with it, which releases its fs_gate_ slot; the retry
+  /// queues for a fresh one.
   void submit_manager_fs_read(FileId f) {
     fs_gate_.submit([this, f](net::FlowGate::SlotToken slot) {
-      txn_xfer_start(cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
-                     file(f).size);
-      manager_fs_flows_[f] = cluster_.read_fs_to_manager(
-          file(f).size, [this, f, slot = std::move(slot)] {
-            if (auto mit = manager_fs_flows_.find(f);
-                mit != manager_fs_flows_.end()) {
-              shell_.forget_flow(mit->second);
-              manager_fs_flows_.erase(mit);
-            }
-            record_transfer(cluster_.fs_endpoint(),
-                            cluster_.manager_endpoint(), file(f).size);
-            txn_xfer_done(cluster_.fs_endpoint(), cluster_.manager_endpoint(),
-                          f, file(f).size);
+      manager_fs_flows_[f] = shell_.start_transfer(
+          {cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
+           file(f).size},
+          0,
+          [this, f, slot = std::move(slot)](net::FlowId flow) {
+            manager_fs_flows_.erase(f);
+            shell_.land(flow);
             replicas_->set_at_manager(f);
             // The read landed: close the backoff episode so a later,
             // independent failure of this file starts at backoff(1).
             manager_fs_backoff_.reset(f);
             auto node = manager_inflight_.extract(f);
             for (auto& cb : node.mapped()) cb(true);
+          },
+          [this, f] {
+            manager_fs_flows_.erase(f);
+            const Tick delay = shell_.injector()->backoff_delay(
+                manager_fs_backoff_.next_attempt(f));
+            engine_.schedule_after(delay, [this, f] {
+              if (!shell_.finished() && manager_inflight_.count(f) > 0) {
+                submit_manager_fs_read(f);
+              }
+            });
           });
-      offer_manager_fs_read(f);
-    });
-  }
-
-  /// Manager-side FS reads retry forever: the filesystem is durable, so a
-  /// killed stream just re-opens after backoff. The killed flow's done
-  /// callback dies with it, which releases its fs_gate_ slot; the retry
-  /// queues for a fresh one.
-  void offer_manager_fs_read(FileId f) {
-    if (!shell_.injector()) return;
-    auto it = manager_fs_flows_.find(f);
-    if (it == manager_fs_flows_.end()) return;
-    shell_.injector()->offer_transfer(it->second, file(f).size, [this, f] {
-      manager_fs_flows_.erase(f);
-      txn_xfer_failed(cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
-                      file(f).size);
-      const Tick delay =
-          shell_.injector()->backoff_delay(manager_fs_backoff_.next_attempt(f));
-      engine_.schedule_after(delay, [this, f] {
-        if (!shell_.finished() && manager_inflight_.count(f) > 0) {
-          submit_manager_fs_read(f);
-        }
-      });
     });
   }
 
@@ -1439,63 +1366,44 @@ class VineRun {
     // The relay source is a live transfer origin: pin it for the flow's
     // duration so eviction/GC cannot destroy the copy being read.
     pin_file(holder, f);
-    txn_xfer_start(cluster_.worker_endpoint(holder),
-                   cluster_.manager_endpoint(), f, file(f).size);
-    relay_flows_[f] = {
-        cluster_.send_worker_to_manager(
-            holder, file(f).size, cluster_.control_rtt() / 2,
-            [this, f, holder, incarnation,
-             slot = std::move(slot)]() mutable {
-              if (auto rit = relay_flows_.find(f); rit != relay_flows_.end()) {
-                shell_.forget_flow(rit->second.first);
-                relay_flows_.erase(rit);
-              }
-              if (worker_current(holder, incarnation)) {
-                unpin_file(holder, f);
-              }
-              if (!worker_current(holder, incarnation)) {
-                txn_xfer_failed(cluster_.worker_endpoint(holder),
-                                cluster_.manager_endpoint(), f, file(f).size);
-                start_relay_pull(f, std::move(slot));  // retry elsewhere
-                return;
-              }
-              record_transfer(cluster_.worker_endpoint(holder),
-                              cluster_.manager_endpoint(), file(f).size);
-              txn_xfer_done(cluster_.worker_endpoint(holder),
-                            cluster_.manager_endpoint(), f, file(f).size);
-              replicas_->set_at_manager(f);
-              relay_backoff_.reset(f);
-              auto node = manager_inflight_.extract(f);
-              for (auto& cb : node.mapped()) cb(true);
-            }),
-        holder};
-    offer_relay(f);
-  }
-
-  /// Relay pulls also retry without a cap: the holder set is re-resolved on
-  /// each retry, and if every replica is gone by then the pull reports
-  /// failure to its waiters (the lost-input path) rather than spinning.
-  void offer_relay(FileId f) {
-    if (!shell_.injector()) return;
-    auto it = relay_flows_.find(f);
-    if (it == relay_flows_.end()) return;
-    const WorkerId holder = it->second.second;
-    const std::uint32_t holder_inc = cluster_.worker(holder).incarnation;
-    shell_.injector()->offer_transfer(it->second.first, file(f).size,
-                              [this, f, holder, holder_inc] {
-      relay_flows_.erase(f);
-      if (worker_current(holder, holder_inc)) unpin_file(holder, f);
-      txn_xfer_failed(cluster_.worker_endpoint(holder),
-                      cluster_.manager_endpoint(), f, file(f).size);
-      const Tick delay =
-          shell_.injector()->backoff_delay(relay_backoff_.next_attempt(f));
-      engine_.schedule_after(delay, [this, f] {
-        if (shell_.finished() || manager_inflight_.count(f) == 0) return;
-        mgr_gate_.submit([this, f](net::FlowGate::SlotToken slot) {
-          start_relay_pull(f, std::move(slot));
+    // Relay pulls retry without a cap after a kill: the holder set is
+    // re-resolved on each retry, and if every replica is gone by then the
+    // pull reports failure to its waiters (the lost-input path) rather
+    // than spinning.
+    shell_.start_transfer(
+        {cluster_.worker_endpoint(holder), cluster_.manager_endpoint(), f,
+         file(f).size},
+        cluster_.control_rtt() / 2,
+        [this, f, holder, incarnation,
+         slot = std::move(slot)](net::FlowId flow) mutable {
+          relay_flows_.erase(f);
+          if (!worker_current(holder, incarnation)) {
+            shell_.fail(flow);
+            start_relay_pull(f, std::move(slot));  // retry elsewhere
+            return;
+          }
+          unpin_file(holder, f);
+          shell_.land(flow);
+          replicas_->set_at_manager(f);
+          relay_backoff_.reset(f);
+          auto node = manager_inflight_.extract(f);
+          for (auto& cb : node.mapped()) cb(true);
+        },
+        [this, f, holder, incarnation] {
+          relay_flows_.erase(f);
+          if (worker_current(holder, incarnation)) unpin_file(holder, f);
+          const Tick delay = shell_.injector()->backoff_delay(
+              relay_backoff_.next_attempt(f));
+          engine_.schedule_after(delay, [this, f] {
+            if (shell_.finished() || manager_inflight_.count(f) == 0) {
+              return;
+            }
+            mgr_gate_.submit([this, f](net::FlowGate::SlotToken fresh) {
+              start_relay_pull(f, std::move(fresh));
+            });
+          });
         });
-      });
-    });
+    relay_flows_[f] = holder;
   }
 
   void complete_fetch(const FetchKey& key) {
@@ -1503,7 +1411,6 @@ class VineRun {
     if (fetch == nullptr) return;
     const FileId f = key.first;
     const WorkerId w = key.second;
-    shell_.forget_flow(fetch->flow);
     auto waiters = std::move(fetch->waiters);
     fetch_erase(key);
 
@@ -1530,7 +1437,6 @@ class VineRun {
   void fail_fetch(const FetchKey& key) {
     Fetch* fetch = fetch_find(key);
     if (fetch == nullptr) return;
-    shell_.forget_flow(fetch->flow);
     auto waiters = std::move(fetch->waiters);
     fetch_erase(key);
     for (auto& cb : waiters) cb(false);
@@ -1609,15 +1515,17 @@ class VineRun {
               fs_gate_.submit([this, token, w, compute,
                                write](net::FlowGate::SlotToken slot) {
                 if (!shell_.token_valid(token)) return;
-                const std::uint64_t code =
-                    options_.imports.total_code_bytes();
-                cluster_.read_fs_to_worker(
-                    w, code,
-                    [this, token, w, compute, write, code,
-                     slot = std::move(slot)] {
-                      if (!shell_.token_valid(token)) return;
-                      record_transfer(cluster_.fs_endpoint(),
-                                      cluster_.worker_endpoint(w), code);
+                shell_.start_transfer(
+                    {cluster_.fs_endpoint(), cluster_.worker_endpoint(w),
+                     data::kInvalidFile, options_.imports.total_code_bytes()},
+                    0,
+                    [this, token, w, compute, write,
+                     slot = std::move(slot)](net::FlowId flow) {
+                      if (!shell_.token_valid(token)) {
+                        shell_.fail(flow);
+                        return;
+                      }
+                      shell_.land(flow);
                       const Tick cpu = options_.imports.total_cpu_cost();
                       shell_.attempt_at<Attempt>(token.task).span_compute =
                           engine_.now() + cpu;
@@ -1689,19 +1597,21 @@ class VineRun {
                         value = std::move(value)](
                            net::FlowGate::SlotToken slot) mutable {
         if (!shell_.token_valid(token)) return;
-        txn_xfer_start(cluster_.worker_endpoint(w),
-                       cluster_.manager_endpoint(),
-                       graph_.task(t).output_file, bytes);
-        return_flows_[t] = cluster_.send_worker_to_manager(
-            w, bytes, cluster_.control_rtt() / 2,
-            [this, token, w, bytes, value = std::move(value),
-             slot = std::move(slot)]() mutable {
-              if (!shell_.token_valid(token)) return;
-              record_transfer(cluster_.worker_endpoint(w),
-                              cluster_.manager_endpoint(), bytes);
-              const FileId f = graph_.task(token.task).output_file;
-              txn_xfer_done(cluster_.worker_endpoint(w),
-                            cluster_.manager_endpoint(), f, bytes);
+        const FileId f = graph_.task(t).output_file;
+        // A killed return destroys the serialized result value riding the
+        // stream along with the flow, so the only recovery is re-running
+        // the attempt: there is nothing left to re-send.
+        return_flows_[t] = shell_.start_transfer(
+            {cluster_.worker_endpoint(w), cluster_.manager_endpoint(), f,
+             bytes},
+            cluster_.control_rtt() / 2,
+            [this, token, w, f, bytes, value = std::move(value),
+             slot = std::move(slot)](net::FlowId flow) mutable {
+              if (!shell_.token_valid(token)) {
+                shell_.fail(flow);
+                return;
+              }
+              shell_.land(flow);
               replicas_->set_at_manager(f);
               drop_worker_copy(w, f, bytes, DropReason::kSandbox);
               manager_.acquire_then(
@@ -1709,30 +1619,16 @@ class VineRun {
                                   value = std::move(value)]() mutable {
                     finalize_task(token, w, std::move(value));
                   });
+            },
+            [this, t, token] {
+              return_flows_.erase(t);
+              if (shell_.token_valid(token)) {
+                fail_attempt(t, /*requeue=*/true);
+                shell_.pump();
+              }
             });
-        offer_return(t, token, w, bytes);
       });
     }
-  }
-
-  /// A killed output return destroys the serialized result value riding
-  /// the stream along with the flow, so the only recovery is re-running
-  /// the attempt — there is nothing left to re-send.
-  void offer_return(TaskId t, const Token& token, WorkerId w,
-                    std::uint64_t bytes) {
-    if (!shell_.injector()) return;
-    auto it = return_flows_.find(t);
-    if (it == return_flows_.end()) return;
-    shell_.injector()->offer_transfer(it->second, bytes,
-                                      [this, t, token, w, bytes] {
-      return_flows_.erase(t);
-      txn_xfer_failed(cluster_.worker_endpoint(w), cluster_.manager_endpoint(),
-                      graph_.task(t).output_file, bytes);
-      if (shell_.token_valid(token)) {
-        fail_attempt(t, /*requeue=*/true);
-        shell_.pump();
-      }
-    });
   }
 
   /// Why a cached replica is leaving a worker's disk. The reason picks the
@@ -1788,10 +1684,7 @@ class VineRun {
   void finalize_task(const Token& token, WorkerId w, dag::ValuePtr value) {
     if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
-    if (auto rit = return_flows_.find(t); rit != return_flows_.end()) {
-      shell_.forget_flow(rit->second);
-      return_flows_.erase(rit);
-    }
+    return_flows_.erase(t);
     remove_from_here(w, t);
 
     if (txn_on()) {
@@ -1892,54 +1785,35 @@ class VineRun {
       // Pin the gather source: a sink result being shipped to the manager
       // must survive on the worker until it lands.
       pin_file(src, f);
-      txn_xfer_start(cluster_.worker_endpoint(src),
-                     cluster_.manager_endpoint(), f, bytes);
+      // Killed sink gathers re-resolve a holder after backoff and retry
+      // without a cap; if every replica is gone by then, fetch_sink_result
+      // falls through to a lineage reset of the sink itself.
       sink_flows_[t] = {
-          cluster_.send_worker_to_manager(
-              src, bytes, cluster_.control_rtt() / 2,
-              [this, t, f, src, src_inc, bytes, slot = std::move(slot)] {
+          shell_.start_transfer(
+              {cluster_.worker_endpoint(src), cluster_.manager_endpoint(), f,
+               bytes},
+              cluster_.control_rtt() / 2,
+              [this, t, f, src, src_inc,
+               slot = std::move(slot)](net::FlowId flow) {
                 if (worker_current(src, src_inc)) unpin_file(src, f);
-                record_transfer(cluster_.worker_endpoint(src),
-                                cluster_.manager_endpoint(), bytes);
-                txn_xfer_done(cluster_.worker_endpoint(src),
-                              cluster_.manager_endpoint(), f, bytes);
+                shell_.land(flow);
                 replicas_->set_at_manager(f);
                 sink_backoff_.reset(t);
-                shell_.forget_flow(sink_flows_.at(t).first);
                 sink_flows_.erase(t);
                 on_sink_fetched(t);
+              },
+              [this, t, f, src, src_inc] {
+                sink_flows_.erase(t);
+                if (worker_current(src, src_inc)) unpin_file(src, f);
+                const Tick delay = shell_.injector()->backoff_delay(
+                    sink_backoff_.next_attempt(t));
+                engine_.schedule_after(delay, [this, t] {
+                  if (!shell_.finished() && !shell_.sink_done(t)) {
+                    fetch_sink_result(t);
+                  }
+                });
               }),
           src};
-      offer_sink(t);
-    });
-  }
-
-  /// Killed sink gathers re-resolve a holder after backoff and retry
-  /// without a cap; if every replica is gone by then, fetch_sink_result
-  /// falls through to a lineage reset of the sink itself.
-  void offer_sink(TaskId t) {
-    if (!shell_.injector()) return;
-    auto it = sink_flows_.find(t);
-    if (it == sink_flows_.end()) return;
-    const WorkerId src = it->second.second;
-    const std::uint32_t src_inc = cluster_.worker(src).incarnation;
-    const std::uint64_t bytes = file(graph_.task(t).output_file).size;
-    shell_.injector()->offer_transfer(it->second.first, bytes,
-                              [this, t, src, src_inc, bytes] {
-      sink_flows_.erase(t);
-      if (worker_current(src, src_inc)) {
-        unpin_file(src, graph_.task(t).output_file);
-      }
-      txn_xfer_failed(cluster_.worker_endpoint(src),
-                      cluster_.manager_endpoint(),
-                      graph_.task(t).output_file, bytes);
-      const Tick delay =
-          shell_.injector()->backoff_delay(sink_backoff_.next_attempt(t));
-      engine_.schedule_after(delay, [this, t] {
-        if (!shell_.finished() && !shell_.sink_done(t)) {
-          fetch_sink_result(t);
-        }
-      });
     });
   }
 
@@ -1991,14 +1865,18 @@ class VineRun {
                 fs_gate_.submit([this, w,
                                  incarnation](net::FlowGate::SlotToken slot) {
                   if (!worker_current(w, incarnation)) return;
-                  const std::uint64_t code =
-                      options_.imports.total_code_bytes();
-                  cluster_.read_fs_to_worker(
-                      w, code,
-                      [this, w, incarnation, code, slot = std::move(slot)] {
-                        if (!worker_current(w, incarnation)) return;
-                        record_transfer(cluster_.fs_endpoint(),
-                                        cluster_.worker_endpoint(w), code);
+                  shell_.start_transfer(
+                      {cluster_.fs_endpoint(), cluster_.worker_endpoint(w),
+                       data::kInvalidFile,
+                       options_.imports.total_code_bytes()},
+                      0,
+                      [this, w, incarnation,
+                       slot = std::move(slot)](net::FlowId flow) {
+                        if (!worker_current(w, incarnation)) {
+                          shell_.fail(flow);
+                          return;
+                        }
+                        shell_.land(flow);
                         engine_.schedule_after(
                             options_.imports.total_cpu_cost(),
                             [this, w, incarnation] {
@@ -2079,12 +1957,9 @@ class VineRun {
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
 
     if (auto it = return_flows_.find(t); it != return_flows_.end()) {
-      cluster_.network().cancel_flow(it->second);
-      if (w != cluster::kNoWorker) {
-        txn_xfer_failed(cluster_.worker_endpoint(w),
-                        cluster_.manager_endpoint(),
-                        graph_.task(t).output_file,
-                        graph_.task(t).spec.output_bytes);
+      // A return that already landed is waiting for ingestion: no flow.
+      if (cluster_.network().flow_active(it->second)) {
+        shell_.cancel(it->second);
       }
       return_flows_.erase(it);
     }
@@ -2112,41 +1987,7 @@ class VineRun {
   // ---------------------------------------------------------------------
   // Instrumentation.
   // ---------------------------------------------------------------------
-  void record_transfer(std::size_t src, std::size_t dst,
-                       std::uint64_t bytes) {
-    shell_.report().transfers.record(src, dst, bytes);
-    if (bytes_via_manager_ != nullptr) {
-      if (src == cluster_.manager_endpoint() ||
-          dst == cluster_.manager_endpoint()) {
-        *bytes_via_manager_ += bytes;
-      } else if (src == cluster_.fs_endpoint() ||
-                 dst == cluster_.fs_endpoint()) {
-        *bytes_via_fs_ += bytes;
-      } else {
-        *bytes_peer_ += bytes;
-      }
-    }
-  }
-
-  void txn_xfer_start(std::size_t src, std::size_t dst, FileId f,
-                      std::uint64_t bytes) {
-    if (txn_on()) obs_->txn().transfer_start(engine_.now(), src, dst, f, bytes);
-  }
-  void txn_xfer_done(std::size_t src, std::size_t dst, FileId f,
-                     std::uint64_t bytes) {
-    if (txn_on()) obs_->txn().transfer_done(engine_.now(), src, dst, f, bytes);
-  }
-  void txn_xfer_failed(std::size_t src, std::size_t dst, FileId f,
-                       std::uint64_t bytes) {
-    if (txn_on()) {
-      obs_->txn().transfer_failed(engine_.now(), src, dst, f, bytes);
-    }
-  }
-
   [[nodiscard]] bool txn_on() const { return shell_.txn_on(); }
-  [[nodiscard]] std::int32_t lane(std::size_t endpoint) const {
-    return static_cast<std::int32_t>(endpoint);
-  }
 
   /// The engine's side of the run lifecycle (exec/run_shell.h).
   exec::RunShell::Hooks hooks() {
@@ -2223,9 +2064,7 @@ class VineRun {
     stats.gauge("store.spills", [this] {
       return static_cast<double>(store_.counters().spills);
     });
-    bytes_via_manager_ = stats.counter("xfer.bytes_via_manager");
-    bytes_peer_ = stats.counter("xfer.bytes_peer");
-    bytes_via_fs_ = stats.counter("xfer.bytes_via_fs");
+    shell_.add_transfer_counters(stats);
   }
 
   void schedule_cache_sample() {
@@ -2336,8 +2175,8 @@ class VineRun {
                   "kills=" + std::to_string(kills));
       }
     }
-    for (const auto& [f, fw] : relay_flows_) {
-      b.field_s("relay." + std::to_string(f), std::to_string(fw.second));
+    for (const auto& [f, holder] : relay_flows_) {
+      b.field_s("relay." + std::to_string(f), std::to_string(holder));
     }
     for (const auto& [t, flow] : return_flows_) {
       b.field_s("return." + std::to_string(t), std::to_string(flow));
@@ -2420,7 +2259,7 @@ class VineRun {
   /// Pending consumers per file (graph-derived; see build_file_table).
   std::vector<std::uint32_t> consumers_left_;
   std::map<FileId, std::vector<std::function<void(bool)>>> manager_inflight_;
-  std::map<FileId, std::pair<net::FlowId, WorkerId>> relay_flows_;
+  std::map<FileId, WorkerId> relay_flows_;
   std::map<TaskId, net::FlowId> return_flows_;
   std::map<TaskId, std::pair<net::FlowId, WorkerId>> sink_flows_;
 
@@ -2433,13 +2272,6 @@ class VineRun {
   fault::BackoffLedger<TaskId> sink_backoff_;
 
   std::shared_ptr<obs::RunObservation> obs_;
-  // Perf counters (owned by the stats registry; null when perf is off).
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
-  std::uint64_t* bytes_via_manager_ = nullptr;
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
-  std::uint64_t* bytes_peer_ = nullptr;
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
-  std::uint64_t* bytes_via_fs_ = nullptr;
 
   /// Last disk usage recorded per worker by the cache sampler (sentinel =
   /// never sampled); the sampler skips workers whose usage is unchanged.

@@ -2,6 +2,10 @@
 // workloads and clusters that run in milliseconds.
 #pragma once
 
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "apps/workloads.h"
 #include "cluster/calibration.h"
 #include "dag/evaluate.h"
@@ -55,6 +59,37 @@ inline util::Digest128 reference_digest(const dag::TaskGraph& graph) {
   const auto results = dag::evaluate_serially(graph);
   EXPECT_EQ(results.size(), 1u);
   return results.begin()->second->digest();
+}
+
+/// Every `TRANSFER src dst file bytes START` line of a txn log closes
+/// exactly once, with DONE or FAILED under the same `src dst file bytes`,
+/// and no close comes without a START. Returns the number of transfers
+/// seen. Transfers of one key may overlap (the same file fetched twice to
+/// one worker), so opens are counted per key.
+inline std::size_t expect_transfers_paired(const std::string& txn) {
+  std::map<std::string, int> open;
+  std::size_t starts = 0;
+  std::istringstream in(txn);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string tick, subject, src, dst, file, bytes, verb;
+    if (!(fields >> tick >> subject) || subject != "TRANSFER") continue;
+    fields >> src >> dst >> file >> bytes >> verb;
+    int& n = open[src + " " + dst + " " + file + " " + bytes];
+    if (verb == "START") {
+      ++n;
+      ++starts;
+      continue;
+    }
+    EXPECT_TRUE(verb == "DONE" || verb == "FAILED") << line;
+    EXPECT_GT(n, 0) << "close without a START: " << line;
+    --n;
+  }
+  for (const auto& [key, n] : open) {
+    EXPECT_EQ(n, 0) << "TRANSFER " << key << " never closed";
+  }
+  return starts;
 }
 
 }  // namespace hepvine::testutil

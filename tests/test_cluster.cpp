@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/calibration.h"
 
 namespace hepvine::cluster {
@@ -99,8 +102,9 @@ TEST(Cluster, ManagerToWorkerTransferTiming) {
   Cluster cluster(small_spec());
   util::Tick done = -1;
   // 1.25 GB over the worker's 10 Gbit/s downlink (manager has 25 Gbit/s).
-  cluster.send_manager_to_worker(0, 1'250'000'000, 0,
-                                 [&] { done = cluster.engine().now(); });
+  cluster.transfer(Cluster::manager_endpoint(), cluster.worker_endpoint(0),
+                   1'250'000'000, 0,
+                   [&](net::FlowId) { done = cluster.engine().now(); });
   cluster.engine().run();
   EXPECT_NEAR(util::to_seconds(done), 1.0, 0.02);
 }
@@ -108,8 +112,9 @@ TEST(Cluster, ManagerToWorkerTransferTiming) {
 TEST(Cluster, PeerTransferUsesWorkerLinks) {
   Cluster cluster(small_spec());
   util::Tick done = -1;
-  cluster.send_peer(0, 1, 1'250'000'000, 0,
-                    [&] { done = cluster.engine().now(); });
+  cluster.transfer(cluster.worker_endpoint(0), cluster.worker_endpoint(1),
+                   1'250'000'000, 0,
+                   [&](net::FlowId) { done = cluster.engine().now(); });
   cluster.engine().run();
   EXPECT_NEAR(util::to_seconds(done), 1.0, 0.02);
   EXPECT_GT(cluster.network().link_stats(cluster.worker(0).uplink)
@@ -125,11 +130,108 @@ TEST(Cluster, FsReadsShareAggregateBandwidth) {
   // 16 simultaneous 1 GB reads: VAST at 40 Gbit/s = 5 GB/s aggregate,
   // worker NICs 1.25 GB/s each -> fs link is the bottleneck: ~3.2 s.
   for (WorkerId w = 0; w < 16; ++w) {
-    cluster.read_fs_to_worker(w, 1'000'000'000, [&] { ++completed; });
+    cluster.transfer(cluster.fs_endpoint(), cluster.worker_endpoint(w),
+                     1'000'000'000, 0, [&](net::FlowId) { ++completed; });
   }
   cluster.engine().run();
   EXPECT_EQ(completed, 16);
   EXPECT_NEAR(util::to_seconds(cluster.engine().now()), 3.2, 0.2);
+}
+
+/// Run one 1 MB transfer from `from` to `to` on a fresh cluster and check
+/// that it crossed exactly `path` (the links that carried bytes) and landed
+/// after `setup` plus the bytes at the narrowest link's rate. `path` and
+/// `setup` are read off the cluster passed in, which has the same spec.
+void expect_transfer(std::size_t from, std::size_t to, util::Tick latency,
+                     std::vector<net::LinkId> path, util::Tick setup) {
+  constexpr std::uint64_t kBytes = 1'000'000;
+  Cluster cluster(small_spec());
+  util::Tick landed = -1;
+  net::FlowId id = net::kInvalidFlow;
+  const net::FlowId started = cluster.transfer(
+      from, to, kBytes, latency, [&](net::FlowId f) {
+        id = f;
+        landed = cluster.engine().now();
+      });
+  cluster.engine().run();
+  EXPECT_EQ(id, started) << "done receives the flow id";
+
+  auto& net = cluster.network();
+  std::vector<net::LinkId> crossed;
+  double narrowest = 0;
+  for (net::LinkId l = 0; l < static_cast<net::LinkId>(net.link_count());
+       ++l) {
+    if (net.link_stats(l).bytes_carried == 0) continue;
+    crossed.push_back(l);
+    const double cap = net.link(l).capacity;
+    narrowest = crossed.size() == 1 ? cap : std::min(narrowest, cap);
+  }
+  std::sort(path.begin(), path.end());
+  EXPECT_EQ(crossed, path);
+  EXPECT_NEAR(util::to_seconds(landed),
+              util::to_seconds(setup) + static_cast<double>(kBytes) / narrowest,
+              1e-6);
+}
+
+constexpr util::Tick kLatency = util::kSec / 2;
+
+TEST(ClusterTransfer, ManagerToWorker) {
+  Cluster c(small_spec());
+  expect_transfer(Cluster::manager_endpoint(), c.worker_endpoint(0), kLatency,
+                  {c.manager_uplink(), c.worker(0).downlink}, kLatency);
+}
+
+TEST(ClusterTransfer, WorkerToManager) {
+  Cluster c(small_spec());
+  expect_transfer(c.worker_endpoint(2), Cluster::manager_endpoint(), kLatency,
+                  {c.worker(2).uplink, c.manager_downlink()}, kLatency);
+}
+
+TEST(ClusterTransfer, PeerCrossesBothWorkerNics) {
+  Cluster c(small_spec());
+  expect_transfer(c.worker_endpoint(0), c.worker_endpoint(3), kLatency,
+                  {c.worker(0).uplink, c.worker(3).downlink}, kLatency);
+}
+
+// Filesystem and WAN reads open with their filesystem's latency in place
+// of the one passed.
+TEST(ClusterTransfer, FsToWorkerOpensWithFsLatency) {
+  Cluster c(small_spec());
+  expect_transfer(c.fs_endpoint(), c.worker_endpoint(1), kLatency,
+                  {c.fs().link(), c.worker(1).downlink},
+                  c.fs().spec().open_latency);
+}
+
+TEST(ClusterTransfer, WanToWorkerOpensWithWanLatency) {
+  Cluster c(small_spec());
+  EXPECT_GE(c.wan_endpoint(), c.endpoint_count())
+      << "the WAN has no transfer-matrix row";
+  EXPECT_EQ(c.matrix_endpoint(c.wan_endpoint()), c.fs_endpoint());
+  EXPECT_EQ(c.matrix_endpoint(c.fs_endpoint()), c.fs_endpoint());
+  EXPECT_EQ(c.matrix_endpoint(c.worker_endpoint(1)), c.worker_endpoint(1));
+  expect_transfer(c.wan_endpoint(), c.worker_endpoint(1), kLatency,
+                  {c.wan().link(), c.worker(1).downlink},
+                  c.wan().spec().open_latency);
+}
+
+TEST(ClusterTransfer, FsToManager) {
+  Cluster c(small_spec());
+  expect_transfer(c.fs_endpoint(), Cluster::manager_endpoint(), kLatency,
+                  {c.fs().link(), c.manager_downlink()},
+                  c.fs().spec().open_latency);
+}
+
+TEST(ClusterTransfer, FilesystemReadsCountTheirBytes) {
+  Cluster cluster(small_spec());
+  cluster.transfer(cluster.fs_endpoint(), cluster.worker_endpoint(0), 7, 0,
+                   nullptr);
+  cluster.transfer(cluster.wan_endpoint(), Cluster::manager_endpoint(), 11, 0,
+                   nullptr);
+  cluster.transfer(Cluster::manager_endpoint(), cluster.worker_endpoint(1), 13,
+                   0, nullptr);
+  cluster.engine().run();
+  EXPECT_EQ(cluster.fs().bytes_read(), 7u);
+  EXPECT_EQ(cluster.wan().bytes_read(), 11u);
 }
 
 TEST(Calibration, PaperNodeMatchesPaper) {

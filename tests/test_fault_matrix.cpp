@@ -35,6 +35,10 @@ class FaultMatrix : public ::testing::TestWithParam<const char*> {
     exec::RunOptions options = fast_options();
     options.seed = 31;
     options.max_task_retries = 30;
+    // Txn capture only: every run's transfer record is checked.
+    options.observability.enabled = true;
+    options.observability.perf_log = false;
+    options.observability.chrome_trace = false;
     return options;
   }
 
@@ -55,6 +59,8 @@ class FaultMatrix : public ::testing::TestWithParam<const char*> {
   void expect_exact_result(const exec::RunReport& report) const {
     ASSERT_TRUE(report.success) << report.failure_reason;
     EXPECT_EQ(sink_digest(report), reference_digest(graph_));
+    ASSERT_NE(report.observation, nullptr);
+    EXPECT_GT(expect_transfers_paired(report.observation->txn().text()), 0u);
   }
 
   /// Same schedule + seed twice must replay identically.
@@ -180,15 +186,14 @@ TEST_P(FaultMatrix, StochasticChaosReplaysBitIdentically) {
   options.faults.stochastic.transfer_kill_prob = 0.05;
   options.faults.stochastic.worker_crash_rate_per_hour = 30.0;
   options.faults.seed = 13;
-  options.observability.enabled = true;
-  options.observability.txn_log = true;
+  // Every sink on: the perf log and Chrome trace also see the chaos.
+  options.observability.perf_log = true;
+  options.observability.chrome_trace = true;
   const auto report = run(options);
   expect_exact_result(report);
   const auto replay = run(options);
   expect_exact_result(replay);
   expect_replay_identical(report, replay);
-  ASSERT_NE(report.observation, nullptr);
-  ASSERT_NE(replay.observation, nullptr);
   EXPECT_EQ(report.observation->txn().text(), replay.observation->txn().text());
 }
 

@@ -58,7 +58,8 @@ struct FsFixture : public ::testing::Test {
 
 TEST_F(FsFixture, ReadDeliversAfterOpenLatencyPlusTransfer) {
   Tick done = -1;
-  fs.read(node_down, 1'250'000'000, [&] { done = engine.now(); });  // 1.25 GB
+  fs.read(node_down, 1'250'000'000,
+          [&](net::FlowId) { done = engine.now(); });  // 1.25 GB
   engine.run();
   // 1.25 GB over a 10 Gbit/s node link = 1 s, plus ~0.7 ms open latency.
   EXPECT_NEAR(util::to_seconds(done), 1.0007, 0.01);

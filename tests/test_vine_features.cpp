@@ -46,6 +46,8 @@ TEST(Replication, ExtraCopiesAppearInPeerTraffic) {
 TEST(Replication, ReducesLineageReExecutionUnderPreemption) {
   // Heavy preemption; compare total lineage resets across seeds with and
   // without replication. Replicated runs recover from surviving copies.
+  // Preemption cancels fetches to and from dying workers, so every run
+  // also checks that each cancelled transfer is closed in the txn log.
   apps::WorkloadSpec workload = tiny_dv3(48);
   std::size_t resets_without = 0;
   std::size_t resets_with = 0;
@@ -53,15 +55,22 @@ TEST(Replication, ReducesLineageReExecutionUnderPreemption) {
     exec::RunOptions options = fast_options();
     options.seed = seed;
     options.max_task_retries = 40;
+    options.observability.enabled = true;
+    options.observability.perf_log = false;
+    options.observability.chrome_trace = false;
     options.intermediate_replicas = 1;
     const auto a = run_vine(workload, options, 4, 120.0);
     ASSERT_TRUE(a.success) << a.failure_reason;
     resets_without += a.lineage_resets;
+    ASSERT_NE(a.observation, nullptr);
+    expect_transfers_paired(a.observation->txn().text());
 
     options.intermediate_replicas = 3;
     const auto b = run_vine(workload, options, 4, 120.0);
     ASSERT_TRUE(b.success) << b.failure_reason;
     resets_with += b.lineage_resets;
+    ASSERT_NE(b.observation, nullptr);
+    expect_transfers_paired(b.observation->txn().text());
   }
   EXPECT_LE(resets_with, resets_without);
 }
@@ -72,12 +81,17 @@ TEST(Replication, DisabledWithoutPeerTransfers) {
   options.intermediate_replicas = 3;
   const dag::TaskGraph graph = apps::build_workload(workload, options.seed);
   cluster::Cluster cluster(tiny_cluster(3));
+  options.observability.enabled = true;
   DataPolicy policy = taskvine_policy();
   policy.peer_transfers = false;
   VineScheduler scheduler(policy, VineTunables{});
   const auto report = scheduler.run(graph, cluster, options);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.transfers.peer_bytes(), 0u);
+  // Intermediates relay worker -> manager -> worker; each hop is one
+  // transfer record.
+  ASSERT_NE(report.observation, nullptr);
+  EXPECT_GT(expect_transfers_paired(report.observation->txn().text()), 0u);
 }
 
 // --- wide-area (XRootD) input streaming ----------------------------------
