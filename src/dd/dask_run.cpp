@@ -197,8 +197,6 @@ class DaskRun {
       kill_proc(proc_id(w, k), /*restart=*/false);
       if (shell_.finished()) return;
     }
-    shell_.report().cache.mark_failure(static_cast<std::size_t>(w),
-                                       engine_.now());
     shell_.pump();
   }
 

@@ -31,6 +31,7 @@ RunShell::RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
       reset_counts_(graph.size(), 0),
       is_sink_(graph.size(), false),
       sink_done_(graph.size(), 0),
+      resident_(cluster.worker_count()),
       pending_crash_(cluster.worker_count(), false),
       pending_release_(cluster.worker_count(), false) {
   report_.scheduler = identity_.scheduler;
@@ -267,6 +268,62 @@ void RunShell::write_transfer(
 }
 
 // ---------------------------------------------------------------------------
+// Residency.
+// ---------------------------------------------------------------------------
+
+void RunShell::residency(const ResidencyEvent& event) {
+  using obs::Residency;
+  const Tick now = engine_.now();
+  const auto w = static_cast<std::size_t>(event.worker);
+  if (txn_on()) {
+    obs_->txn().residency(now, event.kind, event.worker, event.file,
+                          event.bytes);
+  }
+  Resident& held = resident_[w];
+  char verb = 'G';  // the CacheSpan verb of a disk drop
+  switch (event.kind) {
+    case Residency::kInsert:
+      ++held.disk;
+      return;
+    case Residency::kGc:
+      report_.cache_gc_drops += 1;
+      break;
+    case Residency::kEvict:
+      report_.cache_evictions += 1;
+      report_.cache_evicted_bytes += event.bytes;
+      report_.cache.mark_eviction(w, now, event.bytes);
+      verb = 'E';
+      break;
+    case Residency::kSandbox:
+      verb = 'S';
+      break;
+    case Residency::kLost:
+      verb = 'L';
+      break;
+    case Residency::kPut:
+      report_.store_puts += 1;
+      report_.store_put_bytes += event.bytes;
+      ++held.store;
+      return;
+    case Residency::kRef:
+      report_.store_ref_hits += 1;
+      return;
+    case Residency::kSpill:
+      report_.store_spills += 1;
+      report_.store_spill_bytes += event.bytes;
+      --held.store;
+      return;
+    case Residency::kDrop:
+      report_.store_drops += 1;
+      --held.store;
+      return;
+  }
+  --held.disk;
+  report_.profile.add_cache(
+      obs::CacheSpan{now, event.worker, event.file, event.bytes, verb});
+}
+
+// ---------------------------------------------------------------------------
 // Lifecycle.
 // ---------------------------------------------------------------------------
 
@@ -289,7 +346,10 @@ void RunShell::on_node_down(WorkerId w) {
   pending_crash_[i] = false;
   pending_release_[i] = false;
   report_.profile.worker_down(engine_.now(), w);
+  report_.cache.mark_failure(i, engine_.now());
   hooks_.node_down(w);
+  // The engine's teardown wiped the worker's disk and store silently.
+  resident_[i] = Resident{};
 }
 
 bool RunShell::crash_worker(WorkerId w) {

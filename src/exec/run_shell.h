@@ -8,10 +8,14 @@
 // and the per-attempt Chrome span. It also owns the transfer record: every
 // flow an engine starts goes through start_transfer and closes exactly once
 // with land, fail or cancel, which write the transfer-matrix cell, the txn
-// TRANSFER lines and the peer Chrome arrow from one Wire. The engines
-// (vine/wq in vine_run.cpp, Dask.Distributed in dask_run.cpp) keep only
-// scheduling, the choice of what to move, and their own snapshot sections,
-// and plug in through Hooks — the same std::function idiom as
+// TRANSFER lines and the peer Chrome arrow from one Wire. And it owns the
+// residency record: every file arriving on or leaving a worker's disk or
+// object store is one residency call, which writes the txn CACHE/STORE
+// line, the CacheSpan of a disk drop, the CacheTrace eviction mark and the
+// RunReport cache and store tallies. The engines (vine/wq in vine_run.cpp,
+// Dask.Distributed in dask_run.cpp) keep only scheduling, the choice of
+// what to move or drop, and their own snapshot sections, and plug in
+// through Hooks — the same std::function idiom as
 // ha::Factory::Hooks and fault::FaultInjector::Hooks.
 #pragma once
 
@@ -68,6 +72,14 @@ struct AttemptBase {
 struct Wire {
   std::size_t src = 0;
   std::size_t dst = 0;
+  data::FileId file = data::kInvalidFile;
+  std::uint64_t bytes = 0;
+};
+
+/// One file arriving on or leaving `worker`'s disk or object store.
+struct ResidencyEvent {
+  obs::Residency kind = obs::Residency::kInsert;
+  cluster::WorkerId worker = cluster::kNoWorker;
   data::FileId file = data::kInvalidFile;
   std::uint64_t bytes = 0;
 };
@@ -214,6 +226,22 @@ class RunShell {
   /// to place.
   void add_transfer_counters(obs::StatsRegistry& stats);
 
+  // --- residency ----------------------------------------------------------
+  /// The single record of a cache or store event: the txn CACHE/STORE line;
+  /// for a disk drop (GC, evict, sandbox, lost) its CacheSpan; for an evict
+  /// the CacheTrace mark; and the RunReport cache_* and store_* tallies.
+  void residency(const ResidencyEvent& event);
+  /// What the record says `w` holds: files on its disk (inserts less disk
+  /// drops) and objects in its store (puts less spills and drops), since
+  /// it last connected. A disconnection wipes both silently.
+  struct Resident {
+    std::uint32_t disk = 0;
+    std::uint32_t store = 0;
+  };
+  [[nodiscard]] const Resident& resident(cluster::WorkerId w) const {
+    return resident_[static_cast<std::size_t>(w)];
+  }
+
   // --- lifecycle ----------------------------------------------------------
   /// Crash `w` through the batch system so replacement matching applies.
   /// A crash already pending for `w` is the same death and is not counted
@@ -294,6 +322,8 @@ class RunShell {
   /// Transfers started and not yet closed, by flow id.
   // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows themselves)
   util::FlatMap<net::FlowId, OpenWire> wires_;
+  // vine-snapshot: derived(counts of the engine's snapshotted disk and store contents)
+  std::vector<Resident> resident_;
   // Perf counters (owned by the stats registry; null unless registered).
   // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_via_manager_ = nullptr;

@@ -97,6 +97,8 @@ struct RunReport {
   std::uint32_t worker_crashes = 0;  // non-preemption failures (e.g. disk)
 
   // --- worker-disk lifecycle (vine/wq engine) ----------------------------
+  // RunShell::residency is the only writer of the cache_* and store_*
+  // tallies below.
   /// Files evicted under disk pressure (DataPolicy::evict_on_pressure):
   /// the LRU victim count and the bytes they freed. Zero when eviction is
   /// disabled or pressure never materialised.

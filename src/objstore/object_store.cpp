@@ -9,7 +9,6 @@ void ObjectStore::reset(std::size_t nodes, std::uint64_t capacity_bytes) {
   used_.assign(nodes, 0);
   holder_.clear();
   capacity_ = capacity_bytes;
-  counters_ = StoreCounters{};
 }
 
 void ObjectStore::put(NodeId n, FileId file, std::uint64_t bytes, Tick now) {
@@ -21,8 +20,6 @@ void ObjectStore::put(NodeId n, FileId file, std::uint64_t bytes, Tick now) {
   node.emplace(file, entry);
   holder_[file] = n;
   used_[static_cast<std::size_t>(n)] += bytes;
-  counters_.puts += 1;
-  counters_.put_bytes += bytes;
 }
 
 bool ObjectStore::holds(NodeId n, FileId file) const {
@@ -47,7 +44,6 @@ void ObjectStore::add_ref(NodeId n, FileId file) {
   auto it = node.find(file);
   assert(it != node.end());
   it->second.refs += 1;
-  counters_.ref_hits += 1;
 }
 
 void ObjectStore::release_ref(NodeId n, FileId file) {

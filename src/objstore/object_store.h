@@ -44,17 +44,6 @@ struct StoreEntry {
   Tick put_at = 0;           // publication time; LRU spill order
 };
 
-/// Lifetime counters, mirrored into RunReport by the scheduler.
-// vine-snapshot: state
-struct StoreCounters {
-  std::uint64_t puts = 0;
-  std::uint64_t put_bytes = 0;
-  std::uint64_t ref_hits = 0;
-  std::uint64_t spills = 0;
-  std::uint64_t spill_bytes = 0;
-  std::uint64_t drops = 0;
-};
-
 /// A snapshot-iteration row: one object with its holder.
 struct StoreItem {
   NodeId holder = kNoHolder;
@@ -108,9 +97,6 @@ class ObjectStore {
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t total_objects() const;
 
-  [[nodiscard]] StoreCounters& counters() { return counters_; }
-  [[nodiscard]] const StoreCounters& counters() const { return counters_; }
-
   /// All resident objects in ascending (file id) order — the snapshot
   /// serialization order. Each file has exactly one holder, so file id
   /// alone is a total order.
@@ -121,7 +107,6 @@ class ObjectStore {
   util::FlatMap<FileId, NodeId> holder_;  // file -> its single holder
   std::vector<std::uint64_t> used_;       // per-node resident bytes
   std::uint64_t capacity_ = 0;            // per-node byte budget
-  StoreCounters counters_;
 };
 
 }  // namespace hepvine::objstore

@@ -112,83 +112,16 @@ void TxnLog::worker_disconnection(Tick t, std::int32_t worker,
   push(buf);
 }
 
-void TxnLog::cache_insert(Tick t, std::int32_t worker, std::int64_t file,
-                          std::uint64_t bytes) {
+void TxnLog::residency(Tick t, Residency kind, std::int32_t worker,
+                       std::int64_t file, std::uint64_t bytes) {
   if (!enabled_) return;
+  static constexpr const char* kVerbs[] = {
+      "INSERT", "GC", "EVICT", "EVICT", "LOST", "PUT", "REF", "SPILL", "DROP"};
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " CACHE %" PRId64 " INSERT %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::cache_evict(Tick t, std::int32_t worker, std::int64_t file,
-                         std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " CACHE %" PRId64 " EVICT %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::cache_gc(Tick t, std::int32_t worker, std::int64_t file,
-                      std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " CACHE %" PRId64 " GC %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::cache_lost(Tick t, std::int32_t worker, std::int64_t file,
-                        std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " CACHE %" PRId64 " LOST %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::store_put(Tick t, std::int32_t worker, std::int64_t file,
-                       std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " STORE %" PRId64 " PUT %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::store_ref(Tick t, std::int32_t worker, std::int64_t file,
-                       std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " STORE %" PRId64 " REF %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::store_spill(Tick t, std::int32_t worker, std::int64_t file,
-                         std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " STORE %" PRId64 " SPILL %" PRIu64 " %d", t, file,
-                bytes, worker);
-  push(buf);
-}
-
-void TxnLog::store_drop(Tick t, std::int32_t worker, std::int64_t file,
-                        std::uint64_t bytes) {
-  if (!enabled_) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " STORE %" PRId64 " DROP %" PRIu64 " %d", t, file,
-                bytes, worker);
+                "%" PRId64 " %s %" PRId64 " %s %" PRIu64 " %d", t,
+                kind < Residency::kPut ? "CACHE" : "STORE", file,
+                kVerbs[static_cast<std::size_t>(kind)], bytes, worker);
   push(buf);
 }
 

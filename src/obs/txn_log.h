@@ -20,7 +20,10 @@
 //        compute exec_end SUCCESS|FAILURE category
 //
 // Endpoints in TRANSFER lines use the transfer-matrix numbering
-// (0 = manager, 1..N = workers, N+1 = shared filesystem).
+// (0 = manager, 1..N = workers, N+1 = shared filesystem). CACHE and STORE
+// lines are the residency record's (exec::RunShell::residency, one
+// TxnLog::residency writer; Residency lists the kinds), as TRANSFER lines
+// are the transfer record's.
 //
 // The writer is a bounded ring buffer so million-task runs don't blow
 // memory: `tail()` returns the most recent `capacity` lines; when a file
@@ -75,6 +78,39 @@ inline constexpr TxnSubjectInfo kTxnSubjects[] = {
   return false;
 }
 
+/// A file arriving on or leaving a worker's disk (CACHE lines) or its
+/// node-local object store (STORE lines). exec::RunShell::residency is the
+/// one writer of these events; TxnLog::residency renders their txn line.
+enum class Residency : std::uint8_t {
+  /// CACHE INSERT: a copy landed on the worker's disk.
+  kInsert,
+  /// CACHE GC: the manager garbage-collected a replica because every
+  /// consumer of the file has completed (its reference count reached zero).
+  kGc,
+  /// CACHE EVICT: LRU pressure eviction, a scheduler decision.
+  kEvict,
+  /// CACHE EVICT: Work Queue sandbox cleanup after the output returned.
+  kSandbox,
+  /// CACHE LOST: a copy destroyed by a fault (injected cache loss) — unlike
+  /// EVICT/GC this was not the scheduler's decision, and the FAULT line
+  /// carries the injection record.
+  kLost,
+  /// STORE PUT: a FunctionCall output became a node-local in-memory store
+  /// object on the worker — no serialization, no disk write.
+  kPut,
+  /// STORE REF: a consumer dispatched to the holder took a by-reference
+  /// handle on the object for the lifetime of its attempt.
+  kRef,
+  /// STORE SPILL: the object was materialized on the holder's scratch disk
+  /// (capacity pressure, or a remote consumer needs the bytes); an ordinary
+  /// `CACHE INSERT` for the same file follows and the file joins the
+  /// replica table.
+  kSpill,
+  /// STORE DROP: the object died in memory (reference count drained)
+  /// without ever touching disk.
+  kDrop,
+};
+
 class TxnLog {
  public:
   /// Disabled log: every record call is a cheap no-op.
@@ -103,40 +139,10 @@ class TxnLog {
   void worker_connection(Tick t, std::int32_t worker);
   void worker_disconnection(Tick t, std::int32_t worker, const char* reason);
 
-  void cache_insert(Tick t, std::int32_t worker, std::int64_t file,
-                    std::uint64_t bytes);
-  /// EVICT: a copy removed by the scheduler's own disk management (LRU
-  /// pressure eviction, Work Queue sandbox cleanup).
-  void cache_evict(Tick t, std::int32_t worker, std::int64_t file,
-                   std::uint64_t bytes);
-  /// GC: the manager garbage-collected a replica because every consumer of
-  /// the file has completed (its reference count reached zero).
-  void cache_gc(Tick t, std::int32_t worker, std::int64_t file,
-                std::uint64_t bytes);
-  /// LOST: a copy destroyed by a fault (injected cache loss) — unlike
-  /// EVICT/GC this was not the scheduler's decision, and the FAULT line
-  /// carries the injection record.
-  void cache_lost(Tick t, std::int32_t worker, std::int64_t file,
-                  std::uint64_t bytes);
-
-  /// PUT: a FunctionCall output became a node-local in-memory store
-  /// object on `worker` — no serialization, no disk write.
-  void store_put(Tick t, std::int32_t worker, std::int64_t file,
-                 std::uint64_t bytes);
-  /// REF: a consumer dispatched to the holder took a by-reference handle
-  /// on the object for the lifetime of its attempt.
-  void store_ref(Tick t, std::int32_t worker, std::int64_t file,
-                 std::uint64_t bytes);
-  /// SPILL: the object was materialized on the holder's scratch disk
-  /// (capacity pressure, or a remote consumer needs the bytes); an
-  /// ordinary `CACHE INSERT` for the same file follows and the file joins
-  /// the replica table.
-  void store_spill(Tick t, std::int32_t worker, std::int64_t file,
-                   std::uint64_t bytes);
-  /// DROP: the object died in memory (reference count drained, or its
-  /// holder was wiped) without ever touching disk.
-  void store_drop(Tick t, std::int32_t worker, std::int64_t file,
-                  std::uint64_t bytes);
+  /// `time CACHE|STORE file_id VERB size_bytes worker_id` — the residency
+  /// record's txn line (Residency names the subject and verb of each kind).
+  void residency(Tick t, Residency kind, std::int32_t worker,
+                 std::int64_t file, std::uint64_t bytes);
 
   void transfer_start(Tick t, std::size_t src, std::size_t dst,
                       std::int64_t file, std::uint64_t bytes);

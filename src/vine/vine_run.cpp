@@ -33,7 +33,6 @@
 #include "exec/time_model.h"
 #include "objstore/object_store.h"
 #include "obs/observer.h"
-#include "obs/span.h"
 #include "sim/rng.h"
 #include "util/flat_map.h"
 #include "vine/dispatch_index.h"
@@ -49,6 +48,7 @@ using cluster::WorkerId;
 using data::FileId;
 using dag::TaskId;
 using exec::TaskState;
+using obs::Residency;
 using util::Tick;
 
 // vine-snapshot: state
@@ -233,9 +233,7 @@ class VineRun {
     disk_->insert(w, f, engine_.now());
     index_touch(w);
     replicas_->add(f, w);
-    if (txn_on()) {
-      obs_->txn().cache_insert(engine_.now(), w, f, file(f).size);
-    }
+    shell_.residency({Residency::kInsert, w, f, file(f).size});
   }
 
   /// Pin `f` on `w`: attempt inputs/outputs and transfer sources must not
@@ -284,7 +282,7 @@ class VineRun {
     if (sh != objstore::kNoHolder) drop_store_object(sh, f);
     for (WorkerId holder : replicas_->holders_sorted(f)) {
       if (disk_->pins(holder, f) > 0) continue;  // in use by a live transfer
-      drop_worker_copy(holder, f, file(f).size, DropReason::kGc);
+      drop_worker_copy(holder, f, file(f).size, Residency::kGc);
     }
   }
 
@@ -342,9 +340,7 @@ class VineRun {
   bool store_put_object(WorkerId w, FileId f) {
     const std::uint64_t bytes = file(f).size;
     store_.put(w, f, bytes, engine_.now());
-    shell_.report().store_puts += 1;
-    shell_.report().store_put_bytes += bytes;
-    if (txn_on()) obs_->txn().store_put(engine_.now(), w, f, bytes);
+    shell_.residency({Residency::kPut, w, f, bytes});
     while (store_.over_capacity(w)) {
       const FileId victim = store_.spill_victim(w);
       if (victim == data::kInvalidFile) break;  // all referenced: tolerate
@@ -367,11 +363,7 @@ class VineRun {
       return false;  // crash_worker already wiped w's store
     }
     store_.erase(w, f);
-    store_.counters().spills += 1;
-    store_.counters().spill_bytes += bytes;
-    shell_.report().store_spills += 1;
-    shell_.report().store_spill_bytes += bytes;
-    if (txn_on()) obs_->txn().store_spill(engine_.now(), w, f, bytes);
+    shell_.residency({Residency::kSpill, w, f, bytes});
     cache_insert(w, f);
     maybe_replicate(f);
     return true;
@@ -382,9 +374,7 @@ class VineRun {
   void drop_store_object(WorkerId w, FileId f) {
     const std::uint64_t bytes = store_.object_bytes(w, f);
     if (!store_.erase(w, f)) return;
-    store_.counters().drops += 1;
-    shell_.report().store_drops += 1;
-    if (txn_on()) obs_->txn().store_drop(engine_.now(), w, f, bytes);
+    shell_.residency({Residency::kDrop, w, f, bytes});
   }
 
   /// Reserve `bytes` of scratch on `w`, evicting under disk pressure when
@@ -429,7 +419,7 @@ class VineRun {
     std::uint64_t freed = 0;
     for (FileId f : disk_->eviction_order(w, tier)) {
       if (freed >= need) break;
-      drop_worker_copy(w, f, file(f).size, DropReason::kEvict);
+      drop_worker_copy(w, f, file(f).size, Residency::kEvict);
       freed += file(f).size;
     }
   }
@@ -577,8 +567,6 @@ class VineRun {
     rt = WorkerRt{};
     disk_->reset(w);
     index_touch(w);
-    shell_.report().cache.mark_failure(static_cast<std::size_t>(w),
-                                       engine_.now());
 
     // Cancel fetches touching this worker: everything staging to it (its
     // own shard) and, across the other shards, anything peer-sourced from
@@ -660,7 +648,7 @@ class VineRun {
     std::size_t lost = 0;
     for (WorkerId holder : targets) {
       if (!cluster_.worker(holder).alive || !disk_->cached(holder, f)) continue;
-      drop_worker_copy(holder, f, file(f).size, DropReason::kLoss);
+      drop_worker_copy(holder, f, file(f).size, Residency::kLost);
       ++lost;
     }
     return lost;
@@ -978,8 +966,7 @@ class VineRun {
         if (!store_.holds(w, f)) continue;
         store_.add_ref(w, f);
         attempt.store_refs.push_back(f);
-        shell_.report().store_ref_hits += 1;
-        if (txn_on()) obs_->txn().store_ref(engine_.now(), w, f, file(f).size);
+        shell_.residency({Residency::kRef, w, f, file(f).size});
       }
     }
     const Token token = shell_.token(t);
@@ -1613,7 +1600,7 @@ class VineRun {
               }
               shell_.land(flow);
               replicas_->set_at_manager(f);
-              drop_worker_copy(w, f, bytes, DropReason::kSandbox);
+              drop_worker_copy(w, f, bytes, Residency::kSandbox);
               manager_.acquire_then(
                   result_cost(), [this, token, w,
                                   value = std::move(value)]() mutable {
@@ -1631,54 +1618,16 @@ class VineRun {
     }
   }
 
-  /// Why a cached replica is leaving a worker's disk. The reason picks the
-  /// transaction verb and which run-report counters move: evicting a file
-  /// is a scheduler decision, losing one is a fault.
-  enum class DropReason : std::uint8_t {
-    kGc,       // consumer refcount hit zero (CACHE ... GC)
-    kEvict,    // LRU pressure eviction (CACHE ... EVICT)
-    kSandbox,  // Work Queue sandbox cleanup after output return (EVICT)
-    kLoss,     // injected fault destroyed the copy (CACHE ... LOST)
-  };
-
+  /// `f` leaves `w`'s disk; `why` is the drop kind (GC, evict, sandbox or
+  /// lost).
   void drop_worker_copy(WorkerId w, FileId f, std::uint64_t bytes,
-                        DropReason why) {
+                        Residency why) {
     auto& node = cluster_.worker(w);
     if (!node.alive || !disk_->erase(w, f)) return;
     replicas_->remove(f, w);
     node.disk.release(bytes);
     index_touch(w);
-    char span_verb = 'G';
-    switch (why) {
-      case DropReason::kGc:
-        shell_.report().cache_gc_drops += 1;
-        if (txn_on()) obs_->txn().cache_gc(engine_.now(), w, f, bytes);
-        span_verb = 'G';
-        break;
-      case DropReason::kEvict:
-        shell_.report().cache_evictions += 1;
-        shell_.report().cache_evicted_bytes += bytes;
-        shell_.report().cache.mark_eviction(static_cast<std::size_t>(w),
-                                    engine_.now(), bytes);
-        if (txn_on()) obs_->txn().cache_evict(engine_.now(), w, f, bytes);
-        span_verb = 'E';
-        break;
-      case DropReason::kSandbox:
-        if (txn_on()) obs_->txn().cache_evict(engine_.now(), w, f, bytes);
-        span_verb = 'S';
-        break;
-      case DropReason::kLoss:
-        if (txn_on()) obs_->txn().cache_lost(engine_.now(), w, f, bytes);
-        span_verb = 'L';
-        break;
-    }
-    obs::CacheSpan cs;
-    cs.t = engine_.now();
-    cs.worker = static_cast<std::int32_t>(w);
-    cs.file = f;
-    cs.bytes = bytes;
-    cs.verb = span_verb;
-    shell_.report().profile.add_cache(cs);
+    shell_.residency({why, w, f, bytes});
   }
 
   void finalize_task(const Token& token, WorkerId w, dag::ValuePtr value) {
@@ -1821,14 +1770,22 @@ class VineRun {
     if (shell_.mark_sink_done(t)) check_completion();
   }
 
-  /// Debug builds audit every live worker's disk when a run succeeds
-  /// (WorkerDisk::settled).
+  /// Debug builds audit every live worker when a run succeeds: its disk
+  /// ledger is settled (WorkerDisk::settled), and the residency record
+  /// counts exactly the files on its disk and the objects in its store.
   void check_completion() {
     shell_.check_completion();
     if (!shell_.report().success) return;
+    [[maybe_unused]] const auto objects = store_.objects();
     for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
          ++w) {
-      assert(!cluster_.worker(w).alive || disk_->settled(w));
+      if (!cluster_.worker(w).alive) continue;
+      assert(disk_->settled(w));
+      assert(shell_.resident(w).disk == disk_->cached_files(w).size());
+      assert(shell_.resident(w).store ==
+             static_cast<std::size_t>(std::count_if(
+                 objects.begin(), objects.end(),
+                 [w](const auto& o) { return o.holder == w; })));
     }
   }
 
@@ -2059,10 +2016,10 @@ class VineRun {
       return static_cast<double>(store_.total_objects());
     });
     stats.gauge("store.puts", [this] {
-      return static_cast<double>(store_.counters().puts);
+      return static_cast<double>(shell_.report().store_puts);
     });
     stats.gauge("store.spills", [this] {
-      return static_cast<double>(store_.counters().spills);
+      return static_cast<double>(shell_.report().store_spills);
     });
     shell_.add_transfer_counters(stats);
   }
@@ -2137,17 +2094,18 @@ class VineRun {
 
     // Node-local object store: every in-memory object (holder, bytes,
     // live refs, publication tick, holder's resident total) plus the
-    // budget and lifetime counters. Files have a single holder, so file
-    // id alone orders the section deterministically.
+    // budget and the residency record's store tally. Files have a single
+    // holder, so file id alone orders the section deterministically.
     b.section("store");
     b.field("capacity", store_.capacity());
     b.field("objects", store_.total_objects());
-    b.field("puts", store_.counters().puts);
-    b.field("put_bytes", store_.counters().put_bytes);
-    b.field("ref_hits", store_.counters().ref_hits);
-    b.field("spills", store_.counters().spills);
-    b.field("spill_bytes", store_.counters().spill_bytes);
-    b.field("drops", store_.counters().drops);
+    const exec::RunReport& tally = shell_.report();
+    b.field("puts", tally.store_puts);
+    b.field("put_bytes", tally.store_put_bytes);
+    b.field("ref_hits", tally.store_ref_hits);
+    b.field("spills", tally.store_spills);
+    b.field("spill_bytes", tally.store_spill_bytes);
+    b.field("drops", tally.store_drops);
     for (const objstore::StoreItem& item : store_.objects()) {
       const objstore::StoreEntry& entry = item.entry;
       b.field_s("o" + std::to_string(item.file),

@@ -2,15 +2,18 @@
 // workloads and clusters that run in milliseconds.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/workloads.h"
 #include "cluster/calibration.h"
 #include "dag/evaluate.h"
 #include "exec/scheduler.h"
 #include "hep/histogram.h"
+#include "obs/txn_query.h"
 #include "util/hash.h"
 
 namespace hepvine::testutil {
@@ -90,6 +93,84 @@ inline std::size_t expect_transfers_paired(const std::string& txn) {
     EXPECT_EQ(n, 0) << "TRANSFER " << key << " never closed";
   }
   return starts;
+}
+
+/// The txn CACHE/STORE rollups of a run equal its RunReport tallies. EVICT
+/// lines cover both pressure evictions (cache_evictions) and Work Queue
+/// sandbox cleanups, which only the sandbox CacheSpans count; LOST lines
+/// have only their spans. The run must have captured its txn log.
+inline void expect_residency_tally(const exec::RunReport& report) {
+  ASSERT_NE(report.observation, nullptr);
+  const auto events =
+      obs::txnq::parse_log(report.observation->txn().text());
+  std::map<char, std::size_t> spans;
+  for (const auto& c : report.profile.cache_events()) ++spans[c.verb];
+  const auto cs = obs::txnq::cache_summary(events);
+  EXPECT_EQ(cs.evictions, report.cache_evictions + spans['S']);
+  EXPECT_EQ(spans['E'], report.cache_evictions);
+  EXPECT_EQ(cs.gc_drops, report.cache_gc_drops);
+  EXPECT_EQ(spans['G'], report.cache_gc_drops);
+  EXPECT_EQ(cs.losses, spans['L']);
+  const auto ss = obs::txnq::store_summary(events);
+  EXPECT_EQ(ss.puts, report.store_puts);
+  EXPECT_EQ(ss.put_bytes, report.store_put_bytes);
+  EXPECT_EQ(ss.refs, report.store_ref_hits);
+  EXPECT_EQ(ss.spills, report.store_spills);
+  EXPECT_EQ(ss.spilled_bytes, report.store_spill_bytes);
+  EXPECT_EQ(ss.drops, report.store_drops);
+}
+
+/// One transfer as a txn log records it: the ticks of its START and of
+/// its close (DONE or FAILED, -1 while open) and its `src dst file bytes`.
+struct TxnTransfer {
+  util::Tick start = -1;
+  util::Tick close = -1;
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  std::string file;
+  std::string fields;
+};
+
+/// Every transfer of a txn log, in START order.
+inline std::vector<TxnTransfer> txn_transfers(const std::string& txn) {
+  std::vector<TxnTransfer> out;
+  std::map<std::string, std::deque<std::size_t>> open;
+  std::istringstream in(txn);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string tick, subject, verb;
+    TxnTransfer x;
+    std::string bytes;
+    if (!(fields >> tick >> subject) || subject != "TRANSFER") continue;
+    fields >> x.src >> x.dst >> x.file >> bytes >> verb;
+    x.fields = std::to_string(x.src) + " " + std::to_string(x.dst) + " " +
+               x.file + " " + bytes;
+    if (verb == "START") {
+      x.start = std::stoll(tick);
+      open[x.fields].push_back(out.size());
+      out.push_back(x);
+    } else if (auto& q = open[x.fields]; !q.empty()) {
+      out[q.front()].close = std::stoll(tick);
+      q.pop_front();
+    }
+  }
+  return out;
+}
+
+/// The tick of the first txn line whose fields after the tick are exactly
+/// `fields` (e.g. "TRANSFER 2 0 17 1024 START"), or -1.
+inline util::Tick txn_tick(const std::string& txn, const std::string& fields) {
+  std::istringstream in(txn);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t space = line.find(' ');
+    if (space != std::string::npos && line.compare(space + 1, std::string::npos,
+                                                   fields) == 0) {
+      return std::stoll(line.substr(0, space));
+    }
+  }
+  return -1;
 }
 
 }  // namespace hepvine::testutil

@@ -155,6 +155,42 @@ TEST(VineFaults, DuplicateCrashRequestsCountOnce) {
   EXPECT_EQ(sink_digest(report), reference_digest(graph));
 }
 
+TEST(VineFaults, CrashDuringSinkGatherCancelsTheGather) {
+  // A worker that dies while its sink result streams to the manager takes
+  // the gather down with it: the disconnection cancels the flow (FAILED at
+  // the crash tick), and the gather re-resolves a holder or recomputes.
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24), 5);
+  const std::string out =
+      std::to_string(graph.task(graph.sinks().at(0)).output_file);
+  exec::RunOptions options = fast_options();
+  options.max_task_retries = 20;
+  options.observability.enabled = true;
+  options.observability.perf_log = false;
+  options.observability.chrome_trace = false;
+
+  const auto probe = run_vine(graph, options, 4);
+  ASSERT_TRUE(probe.success) << probe.failure_reason;
+  ASSERT_NE(probe.observation, nullptr);
+  TxnTransfer gather;
+  for (const auto& x : txn_transfers(probe.observation->txn().text())) {
+    if (x.dst == 0 && x.file == out) gather = x;
+  }
+  ASSERT_GE(gather.src, 1u) << "no sink gather in the probe run";
+  const Tick mid = (gather.start + gather.close) / 2;
+  ASSERT_GT(mid, gather.start);
+
+  options.faults.crash_worker(mid, static_cast<std::int32_t>(gather.src) - 1);
+  const auto report = run_vine(graph, options, 4);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_EQ(report.faults.worker_crashes, 1u);
+  EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  ASSERT_NE(report.observation, nullptr);
+  const std::string txn = report.observation->txn().text();
+  EXPECT_EQ(txn_tick(txn, "TRANSFER " + gather.fields + " FAILED"), mid);
+  expect_transfers_paired(txn);
+  expect_residency_tally(report);
+}
+
 TEST(VineFaults, ChainedLineageResetCountsEachTaskOnce) {
   // A depth-3 reduction tree on a single worker: a crash while the final
   // reduce executes loses every retained output at once. Recovery must

@@ -50,10 +50,10 @@ TEST(TxnLog, RecordsGrammarLines) {
   log.task_done(3'000'001, 3, "SUCCESS");
   log.worker_connection(500'000, 1);
   log.worker_disconnection(9'000'000, 1, "PREEMPTED");
-  log.cache_insert(1'500'000, 1, 42, 1024);
-  log.cache_evict(8'000'000, 1, 42, 1024);
-  log.cache_gc(8'100'000, 1, 43, 2048);
-  log.cache_lost(8'200'000, 1, 44, 4096);
+  log.residency(1'500'000, obs::Residency::kInsert, 1, 42, 1024);
+  log.residency(8'000'000, obs::Residency::kEvict, 1, 42, 1024);
+  log.residency(8'100'000, obs::Residency::kGc, 1, 43, 2048);
+  log.residency(8'200'000, obs::Residency::kLost, 1, 44, 4096);
   log.transfer_start(1'100'000, 0, 2, 42, 1024);
   log.transfer_done(1'200'000, 0, 2, 42, 1024);
   log.library_sent(600'000, 1);
@@ -85,10 +85,10 @@ TEST(TxnLog, RecordsStoreGrammarLines) {
   // The object-store verbs mirror CACHE: subject, file id, verb, bytes,
   // worker — so existing txn tooling parses them without special cases.
   obs::TxnLog log(64, "");
-  log.store_put(1'500'000, 1, 42, 1024);
-  log.store_ref(1'600'000, 1, 42, 1024);
-  log.store_spill(8'000'000, 1, 42, 1024);
-  log.store_drop(8'100'000, 2, 43, 2048);
+  log.residency(1'500'000, obs::Residency::kPut, 1, 42, 1024);
+  log.residency(1'600'000, obs::Residency::kRef, 1, 42, 1024);
+  log.residency(8'000'000, obs::Residency::kSpill, 1, 42, 1024);
+  log.residency(8'100'000, obs::Residency::kDrop, 2, 43, 2048);
 
   EXPECT_EQ(log.events(), 4u);
   const std::string text = log.text();
@@ -408,12 +408,12 @@ TEST(TxnQuery, ReconstructsLifetimeAndBreakdown) {
 
 TEST(TxnQuery, CacheSummaryRollsUpAllFourVerbs) {
   obs::TxnLog log(64, "");
-  log.cache_insert(100, 0, 7, 1000);
-  log.cache_insert(200, 1, 7, 1000);
-  log.cache_evict(300, 0, 7, 1000);
-  log.cache_gc(400, 1, 7, 1000);
-  log.cache_gc(450, 1, 8, 500);
-  log.cache_lost(500, 2, 9, 250);
+  log.residency(100, obs::Residency::kInsert, 0, 7, 1000);
+  log.residency(200, obs::Residency::kInsert, 1, 7, 1000);
+  log.residency(300, obs::Residency::kEvict, 0, 7, 1000);
+  log.residency(400, obs::Residency::kGc, 1, 7, 1000);
+  log.residency(450, obs::Residency::kGc, 1, 8, 500);
+  log.residency(500, obs::Residency::kLost, 2, 9, 250);
   const auto events = obs::txnq::parse_log(log.text());
 
   const auto cs = obs::txnq::cache_summary(events);
@@ -435,12 +435,12 @@ TEST(TxnQuery, CacheSummaryRollsUpAllFourVerbs) {
 
 TEST(TxnQuery, StoreSummaryRollsUpAllFourVerbs) {
   obs::TxnLog log(64, "");
-  log.store_put(100, 0, 7, 1000);
-  log.store_put(150, 1, 8, 500);
-  log.store_ref(200, 0, 7, 1000);
-  log.store_ref(250, 0, 7, 1000);
-  log.store_spill(300, 1, 8, 500);
-  log.store_drop(400, 0, 7, 1000);
+  log.residency(100, obs::Residency::kPut, 0, 7, 1000);
+  log.residency(150, obs::Residency::kPut, 1, 8, 500);
+  log.residency(200, obs::Residency::kRef, 0, 7, 1000);
+  log.residency(250, obs::Residency::kRef, 0, 7, 1000);
+  log.residency(300, obs::Residency::kSpill, 1, 8, 500);
+  log.residency(400, obs::Residency::kDrop, 0, 7, 1000);
   const auto events = obs::txnq::parse_log(log.text());
 
   const auto ss = obs::txnq::store_summary(events);

@@ -74,6 +74,42 @@ TEST_F(WqEndToEnd, SurvivesPreemption) {
   EXPECT_EQ(sink_digest(report), reference_digest(graph));
 }
 
+TEST_F(WqEndToEnd, CrashDuringOutputReturnCancelsTheReturn) {
+  // A worker that dies while a task's output streams back to the manager
+  // fails the attempt, which cancels the return (FAILED at the crash
+  // tick); the task re-runs elsewhere.
+  exec::RunOptions options = fast_options();
+  options.max_task_retries = 20;
+  options.observability.enabled = true;
+  options.observability.perf_log = false;
+  options.observability.chrome_trace = false;
+  const auto probe = run(tiny_dv3(), options);
+  ASSERT_TRUE(probe.success) << probe.failure_reason;
+  ASSERT_NE(probe.observation, nullptr);
+  // Endpoints 1..4 are the four workers (0 is the manager, 5 the
+  // shared filesystem, whose reads also land at the manager).
+  TxnTransfer ret;
+  for (const auto& x : txn_transfers(probe.observation->txn().text())) {
+    if (x.dst == 0 && x.src >= 1 && x.src <= 4 && x.close - x.start >= 2) {
+      ret = x;
+      break;
+    }
+  }
+  ASSERT_GE(ret.src, 1u) << "no output return in the probe run";
+  const util::Tick mid = (ret.start + ret.close) / 2;
+
+  options.faults.crash_worker(mid, static_cast<std::int32_t>(ret.src) - 1);
+  const auto report = run(tiny_dv3(), options);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_EQ(report.faults.worker_crashes, 1u);
+  EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  ASSERT_NE(report.observation, nullptr);
+  const std::string txn = report.observation->txn().text();
+  EXPECT_EQ(txn_tick(txn, "TRANSFER " + ret.fields + " FAILED"), mid);
+  expect_transfers_paired(txn);
+  expect_residency_tally(report);
+}
+
 TEST_F(WqEndToEnd, HdfsAndVastBothWorkWithModestDifference) {
   const apps::WorkloadSpec workload = tiny_dv3(32);
   auto run_on = [&](const storage::SharedFsSpec& fs) {
