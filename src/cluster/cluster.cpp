@@ -84,9 +84,6 @@ void Cluster::request_workers(std::function<void(WorkerId)> on_up,
         node.alive = true;
         node.incarnation = incarnation;
         node.cores_in_use = 0;
-        // A replacement job lands on a fresh scratch allocation.
-        node.disk = storage::LocalDisk(spec_.worker.disk,
-                                       spec_.worker.disk_capacity);
         if (up) up(static_cast<WorkerId>(slot));
       },
       [this, down = std::move(on_down)](std::uint32_t slot,

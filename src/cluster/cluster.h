@@ -157,7 +157,7 @@ class Cluster {
   // --- batch integration ---------------------------------------------------
   /// Ask the batch system for all configured workers. `on_up` / `on_down`
   /// fire as nodes are matched and preempted; the cluster updates the node
-  /// state (alive flag, cleared disk) before forwarding. When `initial` is
+  /// state (alive flag, cores in use) before forwarding. When `initial` is
   /// smaller than the configured pool, the remainder stays parked for an
   /// elastic factory to start via `batch().start_slots()`.
   void request_workers(std::function<void(WorkerId)> on_up,

@@ -455,8 +455,8 @@ class DaskRun {
     };
 
     if (is_dataset) {
-      fs_gate_.submit([this, f, arrival, pid,
-                       token](net::FlowGate::SlotToken slot) {
+      shell_.fs_gate().submit([this, f, arrival, pid,
+                               token](net::FlowGate::SlotToken slot) {
         start_key_flow(cluster_.fs_endpoint(), 0, f, /*is_dataset=*/true, pid,
                        token, arrival, std::move(slot));
       });
@@ -555,46 +555,19 @@ class DaskRun {
       // so every process's imports hit the metadata server and data path
       // (a 300-process start is an import storm).
       p.imports_loaded = true;
-      const std::uint32_t incarnation = p.incarnation;
-      engine_.schedule_after(
-          pre + options_.python.interpreter_startup,
-          [this, token, pid, incarnation, compute] {
-            if (!shell_.token_valid(token)) return;
-            if (proc(pid).incarnation != incarnation) return;
-            cluster_.fs().metadata_ops(
-                options_.imports.total_metadata_ops(),
-                [this, token, pid, incarnation, compute] {
-                  if (!shell_.token_valid(token)) return;
-                  if (proc(pid).incarnation != incarnation) return;
-                  fs_gate_.submit([this, token, pid, incarnation, compute](
-                                      net::FlowGate::SlotToken slot) {
-                    if (!shell_.token_valid(token)) return;
-                    shell_.start_transfer(
-                        {cluster_.fs_endpoint(),
-                         cluster_.worker_endpoint(node_of(pid)),
-                         data::kInvalidFile,
-                         options_.imports.total_code_bytes()},
-                        0,
-                        [this, token, pid, incarnation, compute,
-                         slot = std::move(slot)](net::FlowId flow) {
-                          if (!shell_.token_valid(token) ||
-                              proc(pid).incarnation != incarnation) {
-                            shell_.fail(flow);
-                            return;
-                          }
-                          shell_.land(flow);
-                          const Tick cpu =
-                              options_.imports.total_cpu_cost();
-                          shell_.attempt_at<Attempt>(token.task).span_compute =
-                              engine_.now() + cpu;
-                          engine_.schedule_after(
-                              cpu + compute,
-                              [this, token, pid] {
-                                complete_exec(token, pid);
-                              });
-                        });
-                  });
-                });
+      shell_.read_imports(
+          node_of(pid), pre + options_.python.interpreter_startup,
+          [this, token, pid, incarnation = p.incarnation] {
+            return shell_.token_valid(token) &&
+                   proc(pid).incarnation == incarnation;
+          },
+          [this, token, pid, compute] {
+            const Tick cpu = options_.imports.total_cpu_cost();
+            shell_.attempt_at<Attempt>(token.task).span_compute =
+                engine_.now() + cpu;
+            engine_.schedule_after(cpu + compute, [this, token, pid] {
+              complete_exec(token, pid);
+            });
           });
       return;
     }
@@ -680,7 +653,7 @@ class DaskRun {
     // Killed gathers retry from the same node after backoff, without a
     // cap: the result key stays in the source process's memory, so the
     // stream can simply re-open.
-    mgr_gate_.submit([this, t, f, node](net::FlowGate::SlotToken slot) {
+    shell_.mgr_gate().submit([this, t, f, node](net::FlowGate::SlotToken slot) {
       shell_.start_transfer(
           {cluster_.worker_endpoint(node), cluster_.manager_endpoint(), f,
            file(f).size},
@@ -800,10 +773,6 @@ class DaskRun {
   exec::TaskStateTable table_;
   sim::Rng rng_;
   exec::SerialResource scheduler_;
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate mgr_gate_{64};
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate fs_gate_{256};
   std::vector<Proc> procs_;
   std::vector<FileInfo> files_;
   /// Task running on each process slot, dense by pid; kInvalidTask when

@@ -237,6 +237,30 @@ void RunShell::cancel(net::FlowId flow) {
   fail(flow);
 }
 
+void RunShell::read_imports(WorkerId w, Tick delay,
+                            std::function<bool()> alive,
+                            std::function<void()> loaded) {
+  const Wire code{cluster_.fs_endpoint(), cluster_.worker_endpoint(w),
+                  data::kInvalidFile, options_.imports.total_code_bytes()};
+  engine_.schedule_after(delay, [this, code, alive, loaded] {
+    if (!alive()) return;
+    cluster_.fs().metadata_ops(
+        options_.imports.total_metadata_ops(), [this, code, alive, loaded] {
+          if (!alive()) return;
+          fs_gate_.submit([this, code, alive,
+                           loaded](net::FlowGate::SlotToken slot) {
+            if (!alive()) return;
+            start_transfer(code, 0, [this, alive, loaded,
+                                     slot = std::move(slot)](net::FlowId f) {
+              if (!alive()) return fail(f);
+              land(f);
+              loaded();
+            });
+          });
+        });
+  });
+}
+
 void RunShell::record_bytes(std::size_t src, std::size_t dst,
                             std::uint64_t bytes) {
   report_.transfers.record(src, dst, bytes);

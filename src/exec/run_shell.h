@@ -8,7 +8,9 @@
 // and the per-attempt Chrome span. It also owns the transfer record: every
 // flow an engine starts goes through start_transfer and closes exactly once
 // with land, fail or cancel, which write the transfer-matrix cell, the txn
-// TRANSFER lines and the peer Chrome arrow from one Wire. And it owns the
+// TRANSFER lines and the peer Chrome arrow from one Wire, behind the two
+// admission gates, and it reads a worker's imports from the shared
+// filesystem for either engine (read_imports). And it owns the
 // residency record: every file arriving on or leaving a worker's disk or
 // object store is one residency call, which writes the txn CACHE/STORE
 // line, the CacheSpan of a disk drop, the CacheTrace eviction mark and the
@@ -35,6 +37,7 @@
 #include "fault/fault_injector.h"
 #include "ha/factory.h"
 #include "ha/snapshot.h"
+#include "net/flow_gate.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "obs/stats_registry.h"
@@ -225,6 +228,19 @@ class RunShell {
   /// The xfer.bytes_{via_manager,peer,via_fs} counters, for Hooks::gauges
   /// to place.
   void add_transfer_counters(obs::StatsRegistry& stats);
+  /// Transfer admission: the manager serves data over a bounded socket
+  /// set, the shared filesystem over a bounded number of streams.
+  [[nodiscard]] net::FlowGate& mgr_gate() noexcept { return mgr_gate_; }
+  [[nodiscard]] net::FlowGate& fs_gate() noexcept { return fs_gate_; }
+  /// Load the Python import stack from the shared filesystem onto worker
+  /// `w`, `delay` from now: the import metadata ops, an fs_gate slot, then
+  /// the fs→worker transfer of the import code. `alive` is asked before
+  /// each stage and when the code lands; once it says no, the chain stops
+  /// (a landed transfer closes with fail). `loaded` runs at the landing,
+  /// before the imports' CPU cost, which the caller charges.
+  void read_imports(cluster::WorkerId w, Tick delay,
+                    std::function<bool()> alive,
+                    std::function<void()> loaded);
 
   // --- residency ----------------------------------------------------------
   /// The single record of a cache or store event: the txn CACHE/STORE line;
@@ -319,6 +335,11 @@ class RunShell {
   std::size_t sinks_outstanding_ = 0;
   std::int32_t rr_cursor_ = 0;
 
+  // The gates' waiter queues hold closures that replay rebuilds.
+  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
+  net::FlowGate mgr_gate_{64};
+  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
+  net::FlowGate fs_gate_{256};
   /// Transfers started and not yet closed, by flow id.
   // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows themselves)
   util::FlatMap<net::FlowId, OpenWire> wires_;

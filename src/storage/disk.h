@@ -1,11 +1,12 @@
-// Node-local disk model: capacity accounting plus a simple service-time
-// model (per-op latency + size/bandwidth). Capacity pressure is load-bearing
-// for the paper's Fig 11 (worker cache overflow kills workers); throughput
-// matters for local cache reads vs shared-filesystem reads.
+// Node-local disk model: a capacity plus a simple service-time model
+// (per-op latency + size/bandwidth). Capacity pressure is load-bearing for
+// the paper's Fig 11 (worker cache overflow kills workers); throughput
+// matters for local cache reads vs shared-filesystem reads. What fills a
+// worker's scratch disk is the scheduler's record (vine::WorkerDisk), not
+// this class's.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "util/units.h"
 
@@ -38,24 +39,6 @@ class LocalDisk {
 
   [[nodiscard]] const DiskSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
-  [[nodiscard]] std::uint64_t available() const noexcept {
-    return capacity_ > used_ ? capacity_ - used_ : 0;
-  }
-
-  /// Reserve even past capacity (models a worker whose scratch partition is
-  /// shared: the write succeeds until the partition actually fills). Returns
-  /// true when the disk is still within capacity afterwards; false means the
-  /// partition overflowed — the bytes are accounted regardless, so the
-  /// caller sees the overflowed state it must now handle (evict or crash).
-  [[nodiscard]] bool try_reserve(std::uint64_t bytes) noexcept {
-    used_ += bytes;
-    return used_ <= capacity_;
-  }
-
-  void release(std::uint64_t bytes) noexcept {
-    used_ = bytes > used_ ? 0 : used_ - bytes;
-  }
 
   /// Service time for a contention-free write of `bytes`.
   [[nodiscard]] Tick write_time(std::uint64_t bytes) const noexcept {
@@ -65,7 +48,6 @@ class LocalDisk {
  private:
   DiskSpec spec_{};
   std::uint64_t capacity_ = 0;
-  std::uint64_t used_ = 0;
 };
 
 }  // namespace hepvine::storage

@@ -8,10 +8,14 @@
 // key 1) — and every inner node keeps the larger key of its children,
 // ties to the smaller worker id. The root answers "roomiest eligible
 // worker" and "largest eligible disk" in O(1); a leaf update fixes its
-// root path in O(log workers).
+// root path in O(log workers). Leaves go stale lazily: WorkerDisk marks a
+// worker on every mutation and Placement on every eligibility change, and
+// Placement refreshes the marked leaves before it reads the tree.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -46,33 +50,21 @@ class EligibleSet {
   template <typename Fn>
   [[nodiscard]] cluster::WorkerId walk(cluster::WorkerId start,
                                        Fn&& fn) const {
-    using cluster::WorkerId;
-    if (static_cast<std::size_t>(start) >= workers_) start = 0;
     const std::size_t words = bits_.size();
-    // Segment [start, workers).
-    std::size_t wi = static_cast<std::size_t>(start) >> 6;
-    std::uint64_t word =
-        wi < words ? bits_[wi] &
-                         (~0ull << (static_cast<std::uint32_t>(start) & 63))
-                   : 0;
-    for (; wi < words; word = (++wi < words) ? bits_[wi] : 0) {
-      while (word != 0) {
-        const auto w = static_cast<WorkerId>(
+    if (words == 0) return cluster::kNoWorker;
+    std::size_t s = static_cast<std::size_t>(start);
+    if (s >= workers_) s = 0;
+    // The start's word comes up twice: its ids >= start first, its ids
+    // < start last, after every other word in circular order.
+    for (std::size_t k = 0; k <= words; ++k) {
+      const std::size_t wi = ((s >> 6) + k) % words;
+      std::uint64_t word = bits_[wi];
+      if (k == 0) word &= ~0ull << (s & 63);
+      if (k == words) word &= (1ull << (s & 63)) - 1;
+      for (; word != 0; word &= word - 1) {
+        const auto w = static_cast<cluster::WorkerId>(
             (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(word)));
         if (fn(w)) return w;
-        word &= word - 1;
-      }
-    }
-    // Wraparound segment [0, start).
-    for (wi = 0; wi <= (static_cast<std::size_t>(start) >> 6) && wi < words;
-         ++wi) {
-      std::uint64_t ww = bits_[wi];
-      while (ww != 0) {
-        const auto w = static_cast<WorkerId>(
-            (wi << 6) + static_cast<std::size_t>(__builtin_ctzll(ww)));
-        if (w >= start) break;
-        if (fn(w)) return w;
-        ww &= ww - 1;
       }
     }
     return cluster::kNoWorker;
@@ -85,47 +77,65 @@ class EligibleSet {
 
 class DispatchIndex {
  public:
-  void reset(std::size_t workers) {
-    leaves_ = 1;
-    while (leaves_ < workers) leaves_ <<= 1;
-    nodes_.assign(2 * leaves_, Node{});
-  }
-
-  /// Re-derive worker `w`'s leaf (keys of 0 mark ineligible) and fix up
-  /// its root path. O(log workers).
-  void update(cluster::WorkerId w, std::uint64_t free_key,
-              std::uint64_t cap_key) {
-    std::size_t i = leaves_ + static_cast<std::size_t>(w);
-    // Most touches re-derive an unchanged leaf (pins and reservations
-    // that cancel out, non-reclaimable files): skip the root fix-up.
-    if (nodes_[i].free_key == free_key && nodes_[i].cap_key == cap_key) {
-      return;
-    }
-    nodes_[i] = Node{free_key, cap_key, w, w};
-    for (i >>= 1; i >= 1; i >>= 1) {
-      nodes_[i] = merge(nodes_[2 * i], nodes_[2 * i + 1]);
-    }
-  }
-
-  /// Eligible worker with the most fallback headroom (kNoWorker if none).
-  [[nodiscard]] cluster::WorkerId top_free_worker() const {
-    return nodes_[1].free_key == 0 ? cluster::kNoWorker : nodes_[1].free_w;
-  }
-  [[nodiscard]] std::uint64_t top_free_key() const {
-    return nodes_[1].free_key;
-  }
-  /// Largest disk capacity over eligible workers (key+1 encoding).
-  [[nodiscard]] std::uint64_t top_cap_key() const {
-    return nodes_[1].cap_key;
-  }
-
- private:
   struct Node {
     std::uint64_t free_key = 0;  // headroom + 1; 0 = ineligible
     std::uint64_t cap_key = 0;   // capacity + 1; 0 = ineligible
     cluster::WorkerId free_w = cluster::kNoWorker;
-    cluster::WorkerId cap_w = cluster::kNoWorker;
   };
+
+  void reset(std::size_t workers) {
+    leaves_ = 1;
+    while (leaves_ < workers) leaves_ <<= 1;
+    nodes_.assign(2 * leaves_, Node{});
+    stale_flags_.assign(workers, 0);
+    stale_.clear();
+  }
+
+  /// Mark `w`'s leaf out of date. O(1) and idempotent: bursts of marks
+  /// between queries cost one bit each, not a tree walk each.
+  void mark(cluster::WorkerId w) {
+    auto& flag = stale_flags_[static_cast<std::size_t>(w)];
+    if (flag == 0) {
+      flag = 1;
+      stale_.push_back(w);
+    }
+  }
+
+  /// Re-derive every marked leaf, in marking order, from `keys(w)`: its
+  /// (free, capacity) keys, 0 marking an ineligible worker. Each changed
+  /// leaf fixes up its root path in O(log workers).
+  template <typename KeysFn>
+  void refresh(KeysFn&& keys) {
+    for (cluster::WorkerId w : stale_) {
+      stale_flags_[static_cast<std::size_t>(w)] = 0;
+      const auto [free_key, cap_key] = keys(w);
+      std::size_t i = leaves_ + static_cast<std::size_t>(w);
+      // Most marks re-derive an unchanged leaf (pins and reservations
+      // that cancel out, non-reclaimable files): skip the root fix-up.
+      if (nodes_[i].free_key == free_key && nodes_[i].cap_key == cap_key) {
+        continue;
+      }
+      nodes_[i] = Node{free_key, cap_key, w};
+      for (i >>= 1; i >= 1; i >>= 1) {
+        nodes_[i] = merge(nodes_[2 * i], nodes_[2 * i + 1]);
+      }
+    }
+    stale_.clear();
+  }
+
+  /// Worker `w`'s (free, capacity) keys as last updated.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> leaf(
+      cluster::WorkerId w) const {
+    const Node& n = nodes_[leaves_ + static_cast<std::size_t>(w)];
+    return {n.free_key, n.cap_key};
+  }
+
+  /// The root: the most fallback headroom over eligible workers and the
+  /// worker holding it, and the largest eligible disk capacity. A zero
+  /// free_key means no worker is eligible.
+  [[nodiscard]] const Node& top() const { return nodes_[1]; }
+
+ private:
   [[nodiscard]] static Node merge(const Node& a, const Node& b) {
     Node out;
     // Larger key wins; ties go to the smaller worker id (a is the lower
@@ -133,13 +143,13 @@ class DispatchIndex {
     const bool free_b = b.free_key > a.free_key;
     out.free_key = free_b ? b.free_key : a.free_key;
     out.free_w = free_b ? b.free_w : a.free_w;
-    const bool cap_b = b.cap_key > a.cap_key;
-    out.cap_key = cap_b ? b.cap_key : a.cap_key;
-    out.cap_w = cap_b ? b.cap_w : a.cap_w;
+    out.cap_key = std::max(a.cap_key, b.cap_key);
     return out;
   }
   std::size_t leaves_ = 1;
   std::vector<Node> nodes_{Node{}, Node{}};
+  std::vector<std::uint8_t> stale_flags_;
+  std::vector<cluster::WorkerId> stale_;
 };
 
 }  // namespace hepvine::vine

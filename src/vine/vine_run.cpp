@@ -17,8 +17,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -35,7 +33,7 @@
 #include "obs/observer.h"
 #include "sim/rng.h"
 #include "util/flat_map.h"
-#include "vine/dispatch_index.h"
+#include "vine/placement.h"
 #include "vine/replica_table.h"
 #include "vine/vine_scheduler.h"
 #include "vine/worker_disk.h"
@@ -123,13 +121,21 @@ class VineRun {
     }
 
     replicas_ = std::make_unique<ReplicaTable>(files_.size());
+    std::vector<std::uint64_t> sizes;
     std::vector<std::uint64_t> reclaim_bytes;
     for (const FileInfo& f : files_) {
+      sizes.push_back(f.size);
       reclaim_bytes.push_back(
           f.kind == data::FileKind::kDatasetInput ? f.size : 0);
     }
-    disk_ = std::make_unique<WorkerDisk>(cluster_.worker_count(),
-                                         std::move(reclaim_bytes));
+    disk_ = std::make_unique<WorkerDisk>(
+        cluster_.worker_count(), std::move(sizes), std::move(reclaim_bytes));
+    placement_ = std::make_unique<Placement>(
+        Placement::Config{policy_.locality_placement,
+                          policy_.evict_on_pressure, tun_.indexed_dispatch,
+                          env_file_},
+        cluster_, *replicas_, *disk_, store_);
+    disk_->watch(&placement_->index());
     // Runtime files and nothing else start at the manager.
     if (env_file_ != data::kInvalidFile) {
       replicas_->set_at_manager(env_file_);
@@ -137,13 +143,8 @@ class VineRun {
     for (const auto& [fn, file] : function_bodies_) {
       replicas_->set_at_manager(file);
     }
-    const std::size_t workers = cluster_.worker_count();
-    eligible_.reset(workers);
-    dispatch_index_.reset(workers);
-    loc_score_.assign(workers, 0);
-    loc_epoch_.assign(workers, 0);
-    index_dirty_flag_.assign(workers, 0);
-    worker_fetches_.resize(workers);
+    worker_fetches_.resize(cluster_.worker_count());
+    cache_sample_last_.assign(cluster_.worker_count(), kNoCacheSample);
 
     // Consumer reference counts, derived from the task graph: one count
     // per (task, file-it-reads) edge, covering both dependency outputs and
@@ -208,14 +209,14 @@ class VineRun {
   };
 
   // ---------------------------------------------------------------------
-  // Per-worker runtime state (library, memory, transfer slots). What the
-  // worker's disk holds lives in disk_ (WorkerDisk).
+  // Per-worker runtime state (library, transfer slots). What the worker's
+  // disk holds lives in disk_ (WorkerDisk), its memory in use in
+  // placement_.
   // ---------------------------------------------------------------------
   enum class LibState : std::uint8_t { kNone, kInstalling, kReady };
 
   struct WorkerRt {
     LibState lib = LibState::kNone;
-    std::uint64_t mem_in_use = 0;
     std::uint32_t active_out = 0;  // peer transfers sourced here
     std::vector<TaskId> here;      // tasks dispatched/running/returning
     std::vector<Token> waiting_for_lib;
@@ -226,26 +227,18 @@ class VineRun {
 
   // ---------------------------------------------------------------------
   // Worker-disk lifecycle: pins, consumer-refcount GC, pressure eviction.
-  // disk_ keeps the per-worker state; every mutation touches the worker's
-  // dispatch-index leaf, since committed and reclaimable bytes feed it.
+  // disk_ keeps the per-worker state and marks the placement index stale
+  // itself on every mutation.
   // ---------------------------------------------------------------------
   void cache_insert(WorkerId w, FileId f) {
     disk_->insert(w, f, engine_.now());
-    index_touch(w);
     replicas_->add(f, w);
     shell_.residency({Residency::kInsert, w, f, file(f).size});
   }
 
   /// Pin `f` on `w`: attempt inputs/outputs and transfer sources must not
   /// be evicted (or GC'd) from under their users.
-  void pin_file(WorkerId w, FileId f) {
-    disk_->pin(w, f, engine_.now());
-    index_touch(w);
-  }
-  void unpin_file(WorkerId w, FileId f) {
-    disk_->unpin(w, f);
-    index_touch(w);
-  }
+  void pin_file(WorkerId w, FileId f) { disk_->pin(w, f, engine_.now()); }
 
   /// Release every pin the attempt holds. Only the pinning incarnation
   /// unpins: after a reboot the worker's pin set was wiped wholesale, and
@@ -253,7 +246,7 @@ class VineRun {
   void unpin_attempt(Attempt& attempt) {
     if (attempt.pin_worker == cluster::kNoWorker) return;
     if (worker_current(attempt.pin_worker, attempt.pin_incarnation)) {
-      for (FileId f : attempt.pinned) unpin_file(attempt.pin_worker, f);
+      for (FileId f : attempt.pinned) disk_->unpin(attempt.pin_worker, f);
       // release_ref tolerates objects that were force-spilled or wiped
       // while the consumer ran; the handle simply dies with the attempt.
       for (FileId f : attempt.store_refs) {
@@ -282,7 +275,7 @@ class VineRun {
     if (sh != objstore::kNoHolder) drop_store_object(sh, f);
     for (WorkerId holder : replicas_->holders_sorted(f)) {
       if (disk_->pins(holder, f) > 0) continue;  // in use by a live transfer
-      drop_worker_copy(holder, f, file(f).size, Residency::kGc);
+      drop_worker_copy(holder, f, Residency::kGc);
     }
   }
 
@@ -377,20 +370,20 @@ class VineRun {
     shell_.residency({Residency::kDrop, w, f, bytes});
   }
 
-  /// Reserve `bytes` of scratch on `w`, evicting under disk pressure when
-  /// the policy allows. Returns false when the partition overflowed anyway
+  /// Make room for `bytes` more on `w`'s scratch, evicting under disk
+  /// pressure when the policy allows; the insert that follows does the
+  /// accounting. Returns false when the partition would overflow anyway
   /// (nothing evictable was enough): the worker is already crashing — the
   /// paper's Fig 11 pathology — and the caller must stop touching it.
   [[nodiscard]] bool reserve_or_crash(WorkerId w, std::uint64_t bytes) {
-    auto& node = cluster_.worker(w);
-    if (policy_.evict_on_pressure && bytes > node.disk.available()) {
-      evict_for_pressure(w, bytes - node.disk.available());
+    const std::uint64_t capacity = cluster_.worker(w).disk.capacity();
+    if (policy_.evict_on_pressure && disk_->used(w) + bytes > capacity) {
+      evict_for_pressure(w, disk_->used(w) + bytes - capacity);
     }
-    if (!node.disk.try_reserve(bytes)) {
+    if (disk_->used(w) + bytes > capacity) {
       shell_.crash_worker(w);
       return false;
     }
-    index_touch(w);
     return true;
   }
 
@@ -419,73 +412,9 @@ class VineRun {
     std::uint64_t freed = 0;
     for (FileId f : disk_->eviction_order(w, tier)) {
       if (freed >= need) break;
-      drop_worker_copy(w, f, file(f).size, Residency::kEvict);
+      drop_worker_copy(w, f, Residency::kEvict);
       freed += file(f).size;
     }
-  }
-
-  // ---------------------------------------------------------------------
-  // Dispatch index: eligibility bitmap + incrementally maintained argmax
-  // over disk headroom and capacity.
-  //
-  // `eligible_` is the set of workers that are alive with a free core,
-  // walked from the round-robin cursor (vine/dispatch_index.h).
-  // `dispatch_index_` ranks workers by disk-tight fallback headroom
-  // (avail - committed, plus the reclaimable-input credit when eviction
-  // is on) and by raw disk capacity, so choose_worker reads the fallback
-  // ranking and the could-ever-fit bound in O(1) instead of rescanning
-  // every worker. Leaves are re-derived by
-  // index_touch(w) at every mutation of eligibility, disk reservations,
-  // committed bytes, or reclaimable bytes. The differential suite pits
-  // this path against the reference O(workers) scans byte-for-byte.
-  // ---------------------------------------------------------------------
-  /// Add `w` to (or drop it from) the eligible set; a change touches its
-  /// dispatch-index leaf.
-  void set_eligible(WorkerId w, bool eligible) {
-    if (eligible_.set(w, eligible)) index_touch(w);
-  }
-
-  /// Fallback headroom for `w`: available scratch minus bytes promised to
-  /// in-flight attempts, plus space held by unpinned cached dataset inputs
-  /// when eviction can mint it back. Matches what disk_fits charges, so
-  /// the ranking never crowns a worker whose free space is already spoken
-  /// for.
-  [[nodiscard]] std::uint64_t fallback_headroom(WorkerId w) const {
-    const std::uint64_t avail = cluster_.worker(w).disk.available();
-    const std::uint64_t committed = disk_->committed(w);
-    std::uint64_t free = avail > committed ? avail - committed : 0;
-    if (policy_.evict_on_pressure) free += disk_->reclaimable(w);
-    return free;
-  }
-
-  /// Mark `w`'s dispatch-index leaf stale. Called from every place
-  /// eligibility, disk reservations, committed bytes, or reclaimable
-  /// bytes change; the leaf is re-derived lazily by index_flush at the
-  /// next indexed query, so bursts of touches between dispatches (pins,
-  /// reservations, releases) cost one bit each, not a tree walk each.
-  /// The reference path recomputes by scan and never reads the tree, so
-  /// maintenance is skipped entirely there.
-  void index_touch(WorkerId w) {
-    if (!tun_.indexed_dispatch) return;
-    auto& dirty = index_dirty_flag_[static_cast<std::size_t>(w)];
-    if (dirty == 0) {
-      dirty = 1;
-      index_dirty_.push_back(w);
-    }
-  }
-
-  /// Re-derive every stale leaf; the tree is current on return.
-  void index_flush() {
-    for (WorkerId w : index_dirty_) {
-      index_dirty_flag_[static_cast<std::size_t>(w)] = 0;
-      if (!eligible_.contains(w)) {
-        dispatch_index_.update(w, 0, 0);
-        continue;
-      }
-      dispatch_index_.update(w, fallback_headroom(w) + 1,
-                             cluster_.worker(w).disk.capacity() + 1);
-    }
-    index_dirty_.clear();
   }
 
   // ---------------------------------------------------------------------
@@ -537,10 +466,9 @@ class VineRun {
   // ---------------------------------------------------------------------
   void on_worker_up(WorkerId w) {
     workers_rt_[static_cast<std::size_t>(w)] = WorkerRt{};
+    placement_->reset_memory(w);
     disk_->reset(w);
-    // After the runtime reset: set_eligible re-derives the worker's
-    // dispatch-index leaf from the state it reads.
-    set_eligible(w, true);
+    placement_->set_eligible(w, true);
     if (options_.mode == exec::ExecMode::kFunctionCalls) {
       install_library(w);
     }
@@ -548,7 +476,7 @@ class VineRun {
   }
 
   void on_worker_down(WorkerId w) {
-    set_eligible(w, false);
+    placement_->set_eligible(w, false);
     auto& rt = workers_rt_[static_cast<std::size_t>(w)];
 
     // Fail every task attempt on this worker.
@@ -565,8 +493,8 @@ class VineRun {
     replicas_->drop_worker(w, disk_->cached_files(w));
     store_.drop_node(w);
     rt = WorkerRt{};
+    placement_->reset_memory(w);
     disk_->reset(w);
-    index_touch(w);
 
     // Cancel fetches touching this worker: everything staging to it (its
     // own shard) and, across the other shards, anything peer-sourced from
@@ -647,9 +575,7 @@ class VineRun {
     }
     std::size_t lost = 0;
     for (WorkerId holder : targets) {
-      if (!cluster_.worker(holder).alive || !disk_->cached(holder, f)) continue;
-      drop_worker_copy(holder, f, file(f).size, Residency::kLost);
-      ++lost;
+      if (drop_worker_copy(holder, f, Residency::kLost)) ++lost;
     }
     return lost;
   }
@@ -702,226 +628,6 @@ class VineRun {
     }
   }
 
-  [[nodiscard]] bool worker_eligible(WorkerId w, const dag::Task& task) const {
-    const auto& node = cluster_.worker(w);
-    if (!node.alive || node.cores_free() == 0) return false;
-    const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    return rt.mem_in_use + task.spec.memory_bytes <= node.memory;
-  }
-
-  [[nodiscard]] std::uint64_t missing_bytes(WorkerId w,
-                                            const std::vector<FileId>& need)
-      const {
-    std::uint64_t bytes = 0;
-    for (FileId f : need) {
-      if (!file_resident(w, f)) bytes += file(f).size;
-    }
-    return bytes;
-  }
-
-  void advance_cursor(WorkerId w) {
-    const auto n = static_cast<WorkerId>(cluster_.worker_count());
-    shell_.rr_cursor() = static_cast<WorkerId>((w + 1) % n);
-  }
-
-  WorkerId choose_worker(TaskId t) {
-    const auto& task = graph_.task(t);
-    needed_files(t, scratch_files_);
-
-    if (policy_.locality_placement) {
-      const WorkerId w = locality_choice(task);
-      if (w != cluster::kNoWorker) {
-        // A locality win consumes this worker's turn too: without the
-        // cursor advance, the round-robin path restarted at the same
-        // worker on the next non-local dispatch and starved the tail of
-        // the id space under mixed workloads.
-        advance_cursor(w);
-        return w;
-      }
-    }
-    return tun_.indexed_dispatch ? rr_indexed(task) : rr_reference(task);
-  }
-
-  /// Locality placement: score eligible workers by resident input bytes
-  /// and take the best-scored one whose disk fits — trying the remaining
-  /// holders in descending (score, id-ascending) order rather than giving
-  /// up when only the top holder is disk-tight. Replica lists are tiny, so
-  /// this is O(inputs x replicas) per dispatch in both dispatch modes.
-  WorkerId locality_choice(const dag::Task& task) {
-    if (++loc_epoch_cur_ == 0) {  // epoch wrapped: invalidate all stamps
-      std::fill(loc_epoch_.begin(), loc_epoch_.end(), 0);
-      loc_epoch_cur_ = 1;
-    }
-    scratch_holders_.clear();
-    const auto score_holder = [&](WorkerId holder, FileId f) {
-      const auto hi = static_cast<std::size_t>(holder);
-      if (loc_epoch_[hi] != loc_epoch_cur_) {
-        if (!worker_eligible(holder, task)) return;
-        loc_epoch_[hi] = loc_epoch_cur_;
-        loc_score_[hi] = 0;
-        scratch_holders_.push_back(holder);
-      }
-      loc_score_[hi] += file(f).size;
-    };
-    for (FileId f : scratch_files_) {
-      if (file(f).kind == data::FileKind::kEnvironment) continue;
-      for (WorkerId holder : replicas_->holders(f)) score_holder(holder, f);
-      // An in-memory store object is the strongest locality signal of
-      // all: placing the consumer on its holder makes the input free.
-      const objstore::NodeId sh = store_.holder_of(f);
-      if (sh != objstore::kNoHolder) score_holder(sh, f);
-    }
-    std::sort(scratch_holders_.begin(), scratch_holders_.end(),
-              [this](WorkerId a, WorkerId b) {
-                const std::uint64_t sa = loc_score_[static_cast<std::size_t>(a)];
-                const std::uint64_t sb = loc_score_[static_cast<std::size_t>(b)];
-                if (sa != sb) return sa > sb;
-                return a < b;
-              });
-    for (WorkerId w : scratch_holders_) {
-      if (disk_fits(w, task, scratch_files_)) return w;
-    }
-    return cluster::kNoWorker;
-  }
-
-  /// Reference round-robin: circular walk over eligible workers from the
-  /// cursor, first disk-fitting worker wins; disk-tight fallback re-derived
-  /// by full scan. Kept as the differential oracle for rr_indexed.
-  WorkerId rr_reference(const dag::Task& task) {
-    std::uint64_t best_capacity = 0;
-    const WorkerId hit = eligible_.walk(shell_.rr_cursor(), [&](WorkerId w) {
-      best_capacity = std::max(best_capacity, cluster_.worker(w).disk.capacity());
-      return worker_eligible(w, task) && disk_fits(w, task, scratch_files_);
-    });
-    if (hit != cluster::kNoWorker) {
-      advance_cursor(hit);
-      return hit;
-    }
-    return resolve_fallback(task, best_capacity,
-                            [&] { return scan_fallback_worker(task); });
-  }
-
-  /// Indexed round-robin: identical outcomes to rr_reference, with the
-  /// O(workers) scans replaced by dispatch-index reads. The walk for a
-  /// disk-fitting worker is skipped outright when even the cluster-wide
-  /// max headroom cannot cover the task's output (disk_fits needs
-  /// avail - committed >= missing + output, and headroom bounds
-  /// avail - committed from above), and the disk-tight fallback comes from
-  /// the index argmax instead of a rescan.
-  WorkerId rr_indexed(const dag::Task& task) {
-    // Probe a bounded prefix of the round-robin walk before touching the
-    // index at all: when disks have room the first eligible worker wins
-    // and the tree (and its deferred leaf fix-ups) stays cold. Only a
-    // failed probe — the disk-tight regime — pays the flush, and the tree
-    // then prunes the rest of the scan or answers the fallback outright.
-    constexpr std::size_t kProbe = 64;
-    std::size_t visited = 0;
-    WorkerId bound_stop = cluster::kNoWorker;
-    WorkerId hit = eligible_.walk(shell_.rr_cursor(), [&](WorkerId w) {
-      if (worker_eligible(w, task) && disk_fits(w, task, scratch_files_)) {
-        return true;
-      }
-      if (++visited >= kProbe) {
-        bound_stop = w;
-        return true;  // stop the walk; not a hit
-      }
-      return false;
-    });
-    if (hit != cluster::kNoWorker && hit != bound_stop) {
-      advance_cursor(hit);
-      return hit;
-    }
-    index_flush();
-    const std::uint64_t max_free = dispatch_index_.top_free_key();
-    if (max_free == 0) return cluster::kNoWorker;  // nothing eligible
-    const std::uint64_t best_capacity = dispatch_index_.top_cap_key() - 1;
-    if (bound_stop != cluster::kNoWorker &&
-        max_free - 1 >= task.spec.output_bytes) {
-      // Something may still fit; resume past the probe boundary. The
-      // continuation wraps through the already-probed prefix at its tail,
-      // which re-tests provably unfit workers — harmless, and only on
-      // this no-hit-in-prefix path.
-      const auto n = static_cast<WorkerId>(cluster_.worker_count());
-      hit = eligible_.walk(static_cast<WorkerId>((bound_stop + 1) % n),
-                           [&](WorkerId w) {
-                             return worker_eligible(w, task) &&
-                                    disk_fits(w, task, scratch_files_);
-                           });
-      if (hit != cluster::kNoWorker) {
-        advance_cursor(hit);
-        return hit;
-      }
-    }
-    return resolve_fallback(task, best_capacity, [&] {
-      // The index argmax ignores the per-task memory fit; when the top
-      // worker passes it, it is also the argmax over the memory-fitting
-      // subset (max over a superset attained inside the subset, same
-      // smaller-id tiebreak). Otherwise re-derive by scan.
-      const WorkerId fb = dispatch_index_.top_free_worker();
-      if (fb != cluster::kNoWorker && !worker_eligible(fb, task)) {
-        return scan_fallback_worker(task);
-      }
-      return fb;
-    });
-  }
-
-  /// Disk-tight fallback by scan: the eligible, memory-fitting worker with
-  /// the most fallback headroom (ties to the smaller id — the walk is in
-  /// ascending id order and replacement is strict). Ranking by headroom
-  /// rather than raw disk.available() matters: raw availability can crown
-  /// a "roomiest" worker whose free space is already promised to in-flight
-  /// attempts, and when eviction is on, space held by unpinned dataset
-  /// inputs counts — a forced dispatch landing there reclaims it instead
-  /// of overflowing.
-  [[nodiscard]] WorkerId scan_fallback_worker(const dag::Task& task) const {
-    WorkerId fb = cluster::kNoWorker;
-    std::uint64_t fb_free = 0;
-    (void)eligible_.walk(0, [&](WorkerId w) {
-      if (!worker_eligible(w, task)) return false;
-      const std::uint64_t free = fallback_headroom(w);
-      if (fb == cluster::kNoWorker || free > fb_free) {
-        fb = w;
-        fb_free = free;
-      }
-      return false;
-    });
-    return fb;
-  }
-
-  /// Workers are eligible but their disks are currently tight. If the
-  /// task would fit an *empty* scratch disk, wait: running tasks will
-  /// finish and pruning will reclaim space. If it cannot fit any disk at
-  /// all — the paper's single-node reduction — dispatch to the roomiest
-  /// worker anyway and let the overflow surface as the worker failure it
-  /// would be in production. Also force progress if nothing is running
-  /// (waiting would deadlock). `best_capacity` spans every eligible
-  /// worker, memory fit aside — a task that only "could ever fit" on a
-  /// memory-busy worker should still wait for it rather than overflow a
-  /// smaller disk. `pick_fallback` is only invoked on the force-dispatch
-  /// path, so the common wait case never pays the ranking scan.
-  template <typename FallbackFn>
-  WorkerId resolve_fallback(const dag::Task& task,
-                            std::uint64_t best_capacity,
-                            FallbackFn&& pick_fallback) {
-    std::uint64_t footprint = task.spec.output_bytes;
-    for (FileId f : scratch_files_) footprint += file(f).size;
-    const bool could_ever_fit = footprint <= best_capacity;
-    if (could_ever_fit && shell_.attempts_live() != 0) {
-      return cluster::kNoWorker;  // wait for space
-    }
-    const WorkerId fallback = pick_fallback();
-    if (fallback == cluster::kNoWorker) return cluster::kNoWorker;
-    advance_cursor(fallback);
-    return fallback;
-  }
-
-  [[nodiscard]] bool disk_fits(WorkerId w, const dag::Task& task,
-                               const std::vector<FileId>& need) const {
-    return missing_bytes(w, need) + task.spec.output_bytes +
-               disk_->committed(w) <=
-           cluster_.worker(w).disk.available();
-  }
-
   // ---------------------------------------------------------------------
   // Dispatch and staging.
   // ---------------------------------------------------------------------
@@ -940,17 +646,15 @@ class VineRun {
     auto& attempt = shell_.begin_attempt<Attempt>(t, w);
     auto& node = cluster_.worker(w);
     node.cores_in_use += 1;
-    if (node.cores_free() == 0) set_eligible(w, false);
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    rt.mem_in_use += graph_.task(t).spec.memory_bytes;
-    rt.here.push_back(t);
+    if (node.cores_free() == 0) placement_->set_eligible(w, false);
+    placement_->take_memory(w, graph_.task(t).spec.memory_bytes);
+    workers_rt_[static_cast<std::size_t>(w)].here.push_back(t);
 
     attempt.inputs = table_.gather_inputs(t);
     needed_files(t, scratch_files_);
-    attempt.disk_committed =
-        missing_bytes(w, scratch_files_) + graph_.task(t).spec.output_bytes;
+    attempt.disk_committed = placement_->missing_bytes(w, scratch_files_) +
+                             graph_.task(t).spec.output_bytes;
     disk_->commit(w, attempt.disk_committed);
-    index_touch(w);
     // Pin every needed file for the attempt's lifetime — resident copies
     // now, in-flight ones ahead of their arrival — so pressure eviction
     // and GC cannot pull an input from under a dispatched task.
@@ -1068,7 +772,7 @@ class VineRun {
       if (policy_.inputs_via_manager) {
         ensure_manager_copy(f, [this, key] { transfer_from_manager(key); });
       } else {
-        fs_gate_.submit([this, key](net::FlowGate::SlotToken slot) {
+        shell_.fs_gate().submit([this, key](net::FlowGate::SlotToken slot) {
           Fetch* fit = fetch_find(key);
           if (fit == nullptr) return;  // fetch vanished while queued
           fit->flow = start_fetch_flow(
@@ -1210,7 +914,7 @@ class VineRun {
   void release_peer_slot(WorkerId src, std::uint32_t incarnation, FileId f) {
     if (!worker_current(src, incarnation)) return;
     auto& rt = workers_rt_[static_cast<std::size_t>(src)];
-    unpin_file(src, f);
+    disk_->unpin(src, f);
     if (rt.active_out == 0) {
       shell_.report().peer_slot_underflows += 1;
       assert(false && "peer-transfer slot double release");
@@ -1237,7 +941,7 @@ class VineRun {
   }
 
   void transfer_from_manager(const FetchKey& key) {
-    mgr_gate_.submit([this, key](net::FlowGate::SlotToken slot) {
+    shell_.mgr_gate().submit([this, key](net::FlowGate::SlotToken slot) {
       Fetch* fetch = fetch_find(key);
       if (fetch == nullptr) return;  // fetch vanished while queued
       fetch->flow = start_fetch_flow(
@@ -1278,10 +982,10 @@ class VineRun {
 
   /// Manager-side FS reads retry forever: the filesystem is durable, so a
   /// killed stream just re-opens after backoff. The killed flow's done
-  /// callback dies with it, which releases its fs_gate_ slot; the retry
+  /// callback dies with it, which releases its fs-gate slot; the retry
   /// queues for a fresh one.
   void submit_manager_fs_read(FileId f) {
-    fs_gate_.submit([this, f](net::FlowGate::SlotToken slot) {
+    shell_.fs_gate().submit([this, f](net::FlowGate::SlotToken slot) {
       manager_fs_flows_[f] = shell_.start_transfer(
           {cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
            file(f).size},
@@ -1321,7 +1025,7 @@ class VineRun {
     auto [it, inserted] = manager_inflight_.try_emplace(f);
     it->second.push_back(std::move(then));
     if (!inserted) return;
-    mgr_gate_.submit([this, f](net::FlowGate::SlotToken slot) {
+    shell_.mgr_gate().submit([this, f](net::FlowGate::SlotToken slot) {
       start_relay_pull(f, std::move(slot));
     });
   }
@@ -1369,7 +1073,7 @@ class VineRun {
             start_relay_pull(f, std::move(slot));  // retry elsewhere
             return;
           }
-          unpin_file(holder, f);
+          disk_->unpin(holder, f);
           shell_.land(flow);
           replicas_->set_at_manager(f);
           relay_backoff_.reset(f);
@@ -1378,14 +1082,14 @@ class VineRun {
         },
         [this, f, holder, incarnation] {
           relay_flows_.erase(f);
-          if (worker_current(holder, incarnation)) unpin_file(holder, f);
+          if (worker_current(holder, incarnation)) disk_->unpin(holder, f);
           const Tick delay = shell_.injector()->backoff_delay(
               relay_backoff_.next_attempt(f));
           engine_.schedule_after(delay, [this, f] {
             if (shell_.finished() || manager_inflight_.count(f) == 0) {
               return;
             }
-            mgr_gate_.submit([this, f](net::FlowGate::SlotToken fresh) {
+            shell_.mgr_gate().submit([this, f](net::FlowGate::SlotToken fresh) {
               start_relay_pull(f, std::move(fresh));
             });
           });
@@ -1493,36 +1197,16 @@ class VineRun {
         store_output(t) ? 0 : node.disk.write_time(task.spec.output_bytes);
 
     if (shared_imports) {
-      engine_.schedule_after(pre, [this, token, w, compute, write] {
-        if (!shell_.token_valid(token)) return;
-        cluster_.fs().metadata_ops(
-            options_.imports.total_metadata_ops(),
-            [this, token, w, compute, write] {
-              if (!shell_.token_valid(token)) return;
-              fs_gate_.submit([this, token, w, compute,
-                               write](net::FlowGate::SlotToken slot) {
-                if (!shell_.token_valid(token)) return;
-                shell_.start_transfer(
-                    {cluster_.fs_endpoint(), cluster_.worker_endpoint(w),
-                     data::kInvalidFile, options_.imports.total_code_bytes()},
-                    0,
-                    [this, token, w, compute, write,
-                     slot = std::move(slot)](net::FlowId flow) {
-                      if (!shell_.token_valid(token)) {
-                        shell_.fail(flow);
-                        return;
-                      }
-                      shell_.land(flow);
-                      const Tick cpu = options_.imports.total_cpu_cost();
-                      shell_.attempt_at<Attempt>(token.task).span_compute =
-                          engine_.now() + cpu;
-                      engine_.schedule_after(
-                          cpu + compute + write,
-                          [this, token, w] { complete_exec(token, w); });
-                    });
-              });
+      shell_.read_imports(
+          w, pre, [this, token] { return shell_.token_valid(token); },
+          [this, token, w, compute, write] {
+            const Tick cpu = options_.imports.total_cpu_cost();
+            shell_.attempt_at<Attempt>(token.task).span_compute =
+                engine_.now() + cpu;
+            engine_.schedule_after(cpu + compute + write, [this, token, w] {
+              complete_exec(token, w);
             });
-      });
+          });
     } else {
       shell_.attempt_at<Attempt>(t).span_compute = engine_.now() + pre;
       engine_.schedule_after(pre + compute + write, [this, token, w] {
@@ -1580,9 +1264,9 @@ class VineRun {
       // Work Queue: ship the output back to the manager; the worker's
       // sandbox copy is deleted on arrival.
       const std::uint64_t bytes = task.spec.output_bytes;
-      mgr_gate_.submit([this, token, w, bytes, t,
-                        value = std::move(value)](
-                           net::FlowGate::SlotToken slot) mutable {
+      shell_.mgr_gate().submit([this, token, w, bytes, t,
+                                value = std::move(value)](
+                                   net::FlowGate::SlotToken slot) mutable {
         if (!shell_.token_valid(token)) return;
         const FileId f = graph_.task(t).output_file;
         // A killed return destroys the serialized result value riding the
@@ -1600,7 +1284,7 @@ class VineRun {
               }
               shell_.land(flow);
               replicas_->set_at_manager(f);
-              drop_worker_copy(w, f, bytes, Residency::kSandbox);
+              drop_worker_copy(w, f, Residency::kSandbox);
               manager_.acquire_then(
                   result_cost(), [this, token, w,
                                   value = std::move(value)]() mutable {
@@ -1619,15 +1303,13 @@ class VineRun {
   }
 
   /// `f` leaves `w`'s disk; `why` is the drop kind (GC, evict, sandbox or
-  /// lost).
-  void drop_worker_copy(WorkerId w, FileId f, std::uint64_t bytes,
-                        Residency why) {
-    auto& node = cluster_.worker(w);
-    if (!node.alive || !disk_->erase(w, f)) return;
+  /// lost). Returns false, changing nothing, when `w` is dead or does not
+  /// hold `f`.
+  bool drop_worker_copy(WorkerId w, FileId f, Residency why) {
+    if (!cluster_.worker(w).alive || !disk_->erase(w, f)) return false;
     replicas_->remove(f, w);
-    node.disk.release(bytes);
-    index_touch(w);
-    shell_.residency({why, w, f, bytes});
+    shell_.residency({why, w, f, file(f).size});
+    return true;
   }
 
   void finalize_task(const Token& token, WorkerId w, dag::ValuePtr value) {
@@ -1678,19 +1360,7 @@ class VineRun {
 
     // Spread copies over alive workers with the most free disk, skipping
     // current holders.
-    std::vector<WorkerId> targets;
-    for (WorkerId w = 0;
-         w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-      const auto& node = cluster_.worker(w);
-      if (!node.alive || disk_->cached(w, f)) continue;
-      if (node.disk.available() < file(f).size * 2) continue;
-      targets.push_back(w);
-    }
-    std::sort(targets.begin(), targets.end(), [this](WorkerId a, WorkerId b) {
-      return cluster_.worker(a).disk.available() >
-             cluster_.worker(b).disk.available();
-    });
-    for (WorkerId w : targets) {
+    for (WorkerId w : placement_->replica_targets(f)) {
       if (have >= want) break;
       ++have;
       stage_file(f, w, [](bool) { /* background copy; best effort */ });
@@ -1724,7 +1394,8 @@ class VineRun {
     }
     const WorkerId src = holders.front();
     const std::uint64_t bytes = file(f).size;
-    mgr_gate_.submit([this, t, f, src, bytes](net::FlowGate::SlotToken slot) {
+    shell_.mgr_gate().submit([this, t, f, src,
+                              bytes](net::FlowGate::SlotToken slot) {
       if (shell_.sink_done(t)) return;
       if (!cluster_.worker(src).alive) {
         fetch_sink_result(t);  // re-resolve a live holder
@@ -1744,7 +1415,7 @@ class VineRun {
               cluster_.control_rtt() / 2,
               [this, t, f, src, src_inc,
                slot = std::move(slot)](net::FlowId flow) {
-                if (worker_current(src, src_inc)) unpin_file(src, f);
+                if (worker_current(src, src_inc)) disk_->unpin(src, f);
                 shell_.land(flow);
                 replicas_->set_at_manager(f);
                 sink_backoff_.reset(t);
@@ -1753,7 +1424,7 @@ class VineRun {
               },
               [this, t, f, src, src_inc] {
                 sink_flows_.erase(t);
-                if (worker_current(src, src_inc)) unpin_file(src, f);
+                if (worker_current(src, src_inc)) disk_->unpin(src, f);
                 const Tick delay = shell_.injector()->backoff_delay(
                     sink_backoff_.next_attempt(t));
                 engine_.schedule_after(delay, [this, t] {
@@ -1813,36 +1484,14 @@ class VineRun {
     const Tick interpreter = py.interpreter_startup;
     if (options_.hoist_imports) {
       if (options_.env_from_shared_fs) {
-        engine_.schedule_after(interpreter, [this, w, incarnation] {
-          if (!worker_current(w, incarnation)) return;
-          cluster_.fs().metadata_ops(
-              options_.imports.total_metadata_ops(),
-              [this, w, incarnation] {
-                if (!worker_current(w, incarnation)) return;
-                fs_gate_.submit([this, w,
-                                 incarnation](net::FlowGate::SlotToken slot) {
-                  if (!worker_current(w, incarnation)) return;
-                  shell_.start_transfer(
-                      {cluster_.fs_endpoint(), cluster_.worker_endpoint(w),
-                       data::kInvalidFile,
-                       options_.imports.total_code_bytes()},
-                      0,
-                      [this, w, incarnation,
-                       slot = std::move(slot)](net::FlowId flow) {
-                        if (!worker_current(w, incarnation)) {
-                          shell_.fail(flow);
-                          return;
-                        }
-                        shell_.land(flow);
-                        engine_.schedule_after(
-                            options_.imports.total_cpu_cost(),
-                            [this, w, incarnation] {
-                              library_ready(w, incarnation);
-                            });
-                      });
-                });
-              });
-        });
+        shell_.read_imports(
+            w, interpreter,
+            [this, w, incarnation] { return worker_current(w, incarnation); },
+            [this, w, incarnation] {
+              engine_.schedule_after(
+                  options_.imports.total_cpu_cost(),
+                  [this, w, incarnation] { library_ready(w, incarnation); });
+            });
       } else {
         const Tick imports = options_.imports.import_time_local(
             cluster_.worker(w).disk.spec());
@@ -1885,14 +1534,9 @@ class VineRun {
     attempt->resources_released = true;
     auto& node = cluster_.worker(w);
     if (node.cores_in_use > 0) node.cores_in_use -= 1;
-    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-    const std::uint64_t mem = graph_.task(t).spec.memory_bytes;
-    rt.mem_in_use = mem > rt.mem_in_use ? 0 : rt.mem_in_use - mem;
+    placement_->free_memory(w, graph_.task(t).spec.memory_bytes);
     disk_->uncommit(w, attempt->disk_committed);
-    if (node.alive && node.cores_free() > 0) {
-      set_eligible(w, true);  // touches the index with the released state
-    }
-    index_touch(w);  // committed bytes changed even if already eligible
+    if (node.alive && node.cores_free() > 0) placement_->set_eligible(w, true);
     shell_.pump();
   }
 
@@ -1958,7 +1602,12 @@ class VineRun {
     h.output_available = [this](TaskId p) {
       return output_available(graph_.task(p).output_file);
     };
-    h.place = [this](TaskId t) { return choose_worker(t); };
+    h.place = [this](TaskId t) {
+      needed_files(t, scratch_files_);
+      return placement_->choose_worker(graph_.task(t), scratch_files_,
+                                       shell_.rr_cursor(),
+                                       shell_.attempts_live());
+    };
     h.dispatch = [this](TaskId t, WorkerId w) { dispatch(t, w); };
     h.releasable = [this](WorkerId w) { return worker_releasable(w); };
     h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
@@ -1983,12 +1632,7 @@ class VineRun {
                  : static_cast<double>(graph_.size() - accounted);
     });
     stats.gauge("workers.connected", [this] {
-      std::size_t n = 0;
-      for (WorkerId w = 0;
-           w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-        if (cluster_.worker(w).alive) ++n;
-      }
-      return static_cast<double>(n);
+      return static_cast<double>(cluster_.alive_workers());
     });
     stats.gauge("workers.busy", [this] {
       std::size_t n = 0;
@@ -2028,16 +1672,12 @@ class VineRun {
     engine_.schedule_after(options_.cache_sample_interval, [this] {
       if (shell_.finished()) return;
       const Tick now = engine_.now();
-      if (cache_sample_last_.size() < cluster_.worker_count()) {
-        cache_sample_last_.assign(cluster_.worker_count(), kNoCacheSample);
-      }
       for (std::uint32_t w = 0; w < cluster_.worker_count(); ++w) {
-        const auto& node = cluster_.worker(static_cast<WorkerId>(w));
-        if (!node.alive) continue;
+        if (!cluster_.worker(static_cast<WorkerId>(w)).alive) continue;
         // Record only changes: an idle fleet contributes nothing per tick
         // instead of workers x samples rows, and every consumer of the
         // trace (peaks, skew, heatmap buckets) is insensitive to repeats.
-        const std::uint64_t used = node.disk.used();
+        const std::uint64_t used = disk_->used(static_cast<WorkerId>(w));
         if (cache_sample_last_[w] == used) continue;
         cache_sample_last_[w] = used;
         shell_.report().cache.sample(w, now, used);
@@ -2192,19 +1832,11 @@ class VineRun {
   exec::TaskStateTable table_;
   sim::Rng rng_;
   exec::SerialResource manager_;
-  // Transfer-admission gates: the manager serves data over a bounded
-  // socket set; the shared filesystem serves a bounded number of streams.
-  // Their occupancy is implied by the in-flight flow sections of the
-  // snapshot; the waiter queues hold closures and replay rebuilds them.
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate mgr_gate_{64};
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate fs_gate_{256};
   std::vector<WorkerRt> workers_rt_;
   std::vector<FileInfo> files_;
   std::unique_ptr<ReplicaTable> replicas_;
-  /// What each worker's scratch disk holds: cached files, pins, LRU ticks,
-  /// committed and reclaimable bytes.
+  /// What each worker's scratch disk holds: cached files and their bytes,
+  /// pins, LRU ticks, committed and reclaimable bytes.
   std::unique_ptr<WorkerDisk> disk_;
   /// Node-local object store: in-memory FunctionCall outputs exchanged by
   /// reference between colocated consumers (VineTunables::object_store).
@@ -2236,34 +1868,14 @@ class VineRun {
   static constexpr std::uint64_t kNoCacheSample = ~0ull;
   // vine-snapshot: derived(trace-sampler dedup memo, observability only)
   std::vector<std::uint64_t> cache_sample_last_;
-  // Workers that are alive with at least one free core (see
-  // set_eligible); the dispatch round-robin scans set bits instead of
-  // every configured worker. The whole dispatch index is a pure function
-  // of worker state the snapshot already carries, rebuilt leaf by leaf as
-  // events touch workers.
-  // vine-snapshot: derived(index over snapshotted worker state)
-  EligibleSet eligible_;
-  // vine-snapshot: derived(index over snapshotted worker state)
-  DispatchIndex dispatch_index_;
-  // vine-snapshot: derived(index over snapshotted worker state)
-  std::vector<WorkerId> index_dirty_;
-  // vine-snapshot: derived(index over snapshotted worker state)
-  std::vector<std::uint8_t> index_dirty_flag_;
+  /// Where tasks and replicas go; its eligibility set, memory in use and
+  /// dispatch index are functions of worker state the snapshot carries.
+  // vine-snapshot: derived(placement state over snapshotted worker state)
+  std::unique_ptr<Placement> placement_;
 
-  // Scratch buffers reused across dispatches to avoid per-task allocation.
-  // Locality scoring stamps loc_epoch_ per candidate instead of clearing a
-  // map: a worker's score is valid only when its stamp equals the current
-  // epoch, so reset between dispatches is one counter increment.
+  // Scratch buffer reused across dispatches to avoid per-task allocation.
   // vine-snapshot: derived(scratch, dead between dispatches)
   std::vector<FileId> scratch_files_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
-  std::vector<WorkerId> scratch_holders_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
-  std::vector<std::uint64_t> loc_score_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
-  std::vector<std::uint32_t> loc_epoch_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
-  std::uint32_t loc_epoch_cur_ = 0;
 
   // vine-snapshot: serialized(the shell writes its run and tasks sections itself)
   exec::RunShell shell_;

@@ -81,11 +81,13 @@ struct VineTunables {
   Tick result_cost_standard = 8 * util::kMsec;
   Tick result_cost_function_call = 200 * util::kUsec;
   Tick peer_instruction_cost = 300 * util::kUsec;
-  /// Use the indexed dispatch hot path: epoch-stamped dense locality
-  /// scoring and the incrementally maintained disk-headroom argmax tree
-  /// for the disk-tight fallback. When false, choose_worker uses the
-  /// reference O(workers) scans with identical semantics — the
-  /// differential suite diffs txn logs between the two byte-for-byte.
+  /// Use the indexed dispatch hot path of vine::Placement (vine/placement.h):
+  /// a bounded round-robin probe, then the disk-headroom argmax tree for
+  /// the disk-tight fallback, its stale leaves marked by WorkerDisk and
+  /// Placement::set_eligible themselves. When false, Placement uses the
+  /// reference O(workers) scans with identical semantics — test_placement
+  /// compares the two decision by decision on random states, and
+  /// test_saturation diffs their txn logs byte-for-byte.
   // vine-fastpath: opt-in
   bool indexed_dispatch = true;
   /// Node-local zero-copy object store for serverless outputs (vineyard

@@ -14,25 +14,33 @@ std::vector<data::FileId> WorkerDisk::cached_files(WorkerId w) const {
 }
 
 bool WorkerDisk::settled(WorkerId w) const {
+  std::uint64_t used = 0;
   std::uint64_t reclaimable = 0;
   for (const auto& [f, e] : files(w)) {
-    if (e.cached && e.pins == 0) reclaimable += reclaim_bytes(f);
+    if (!e.cached) continue;
+    used += size(f);
+    if (e.pins == 0) reclaimable += reclaim_bytes(f);
   }
-  return disk(w).committed == 0 && disk(w).reclaimable == reclaimable;
+  const Disk& d = disk(w);
+  return d.committed == 0 && d.used == used && d.reclaimable == reclaimable;
 }
 
 void WorkerDisk::insert(WorkerId w, FileId f, util::Tick now) {
-  Disk& d = disk(w);
+  Disk& d = mutate(w);
   Entry& e = d.files[f];
-  if (!e.cached && e.pins == 0) d.reclaimable += reclaim_bytes(f);
+  if (!e.cached) {
+    d.used += size(f);
+    if (e.pins == 0) d.reclaimable += reclaim_bytes(f);
+  }
   e.cached = true;
   e.last_use = now;
 }
 
 bool WorkerDisk::erase(WorkerId w, FileId f) {
-  Disk& d = disk(w);
+  Disk& d = mutate(w);
   const auto it = d.files.find(f);
   if (it == d.files.end() || !it->second.cached) return false;
+  d.used -= size(f);
   if (it->second.pins > 0) {
     it->second.cached = false;
   } else {
@@ -43,14 +51,14 @@ bool WorkerDisk::erase(WorkerId w, FileId f) {
 }
 
 void WorkerDisk::pin(WorkerId w, FileId f, util::Tick now) {
-  Disk& d = disk(w);
+  Disk& d = mutate(w);
   Entry& e = d.files[f];
   if (e.pins++ == 0 && e.cached) d.reclaimable -= reclaim_bytes(f);
   e.last_use = now;
 }
 
 void WorkerDisk::unpin(WorkerId w, FileId f) {
-  Disk& d = disk(w);
+  Disk& d = mutate(w);
   const auto it = d.files.find(f);
   if (it == d.files.end() || it->second.pins == 0) return;
   if (--it->second.pins > 0) return;

@@ -1,14 +1,18 @@
 // Worker-disk state: the manager's record of what each worker's scratch
-// partition holds — cached files, pin counts, last-use ticks, bytes
-// promised to in-flight attempts, and the dataset-input bytes eviction
-// could reclaim without a recompute (paper Fig 11; DESIGN.md §4
-// "Worker-disk lifecycle").
+// partition holds — cached files and the bytes they use, pin counts,
+// last-use ticks, bytes promised to in-flight attempts, and the
+// dataset-input bytes eviction could reclaim without a recompute (paper
+// Fig 11; DESIGN.md §4 "Worker-disk lifecycle"). It is the only count of
+// a worker's disk bytes: storage::LocalDisk keeps the partition's size
+// and speed, not what fills it.
 //
 // The class keeps one sorted map per worker, sized by the files that
 // worker holds, never by the graph. It applies no policy: the scheduler
 // decides when to collect, spill, evict or crash (it needs the replica
 // table and the task graph for that), and this class answers what is
-// cached, what is pinned and in which order victims go.
+// cached, what is pinned and in which order victims go. Every mutator
+// reaches the record through one accessor that marks the worker stale for
+// the dispatch index watching it, so no caller can forget to.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include "data/file_catalog.h"
 #include "util/flat_map.h"
 #include "util/units.h"
+#include "vine/dispatch_index.h"
 
 namespace hepvine::vine {
 
@@ -40,11 +45,22 @@ class WorkerDisk {
   /// Tier for files the eviction classifier must never pick.
   static constexpr int kNeverEvict = -1;
 
-  /// `reclaim_bytes[f]` is what `f` adds to a worker's reclaimable bytes
-  /// while cached and unpinned: a dataset input's size, 0 for any other
-  /// file.
-  WorkerDisk(std::size_t workers, std::vector<std::uint64_t> reclaim_bytes)
-      : disks_(workers), reclaim_bytes_(std::move(reclaim_bytes)) {}
+  /// `sizes[f]` is file `f`'s size on disk. `reclaim_bytes[f]` is what
+  /// `f` adds to a worker's reclaimable bytes while cached and unpinned: a
+  /// dataset input's size, 0 for any other file.
+  WorkerDisk(std::size_t workers, std::vector<std::uint64_t> sizes,
+             std::vector<std::uint64_t> reclaim_bytes)
+      : disks_(workers),
+        sizes_(std::move(sizes)),
+        reclaim_bytes_(std::move(reclaim_bytes)) {}
+
+  /// Mark every mutated worker stale in `index` from now on (null: in no
+  /// index).
+  void watch(DispatchIndex* index) { index_ = index; }
+
+  [[nodiscard]] std::uint64_t size(FileId f) const {
+    return sizes_[static_cast<std::size_t>(f)];
+  }
 
   /// Every cached or pinned file on `w`, ascending by file id.
   [[nodiscard]] const Files& files(WorkerId w) const { return disk(w).files; }
@@ -57,6 +73,8 @@ class WorkerDisk {
     const auto it = files(w).find(f);
     return it == files(w).end() ? 0 : it->second.pins;
   }
+  /// Bytes of the files cached on `w`.
+  [[nodiscard]] std::uint64_t used(WorkerId w) const { return disk(w).used; }
   /// Bytes promised to in-flight attempts on `w`.
   [[nodiscard]] std::uint64_t committed(WorkerId w) const {
     return disk(w).committed;
@@ -67,7 +85,7 @@ class WorkerDisk {
     return disk(w).reclaimable;
   }
   /// The end-of-run audit: nothing is promised to attempts any more, and
-  /// reclaimable(w) matches a recount over the entries.
+  /// used(w) and reclaimable(w) match a recount over the entries.
   [[nodiscard]] bool settled(WorkerId w) const;
 
   /// `f` landed on `w`'s disk at `now` (re-inserting refreshes last use).
@@ -82,15 +100,17 @@ class WorkerDisk {
   /// incarnation-guarded callers may race the wipe by design.
   void unpin(WorkerId w, FileId f);
 
-  void commit(WorkerId w, std::uint64_t bytes) { disk(w).committed += bytes; }
+  void commit(WorkerId w, std::uint64_t bytes) {
+    mutate(w).committed += bytes;
+  }
   /// Clamps at zero: a reboot already zeroed what its attempts promised.
   void uncommit(WorkerId w, std::uint64_t bytes) {
-    std::uint64_t& committed = disk(w).committed;
+    std::uint64_t& committed = mutate(w).committed;
     committed = bytes > committed ? 0 : committed - bytes;
   }
 
   /// The worker rebooted or died: its disk and every pin are gone.
-  void reset(WorkerId w) { disk(w) = Disk{}; }
+  void reset(WorkerId w) { mutate(w) = Disk{}; }
 
   /// Cached, unpinned files on `w` in pressure-eviction order: ascending
   /// tier, then least recently used, then file id — a total order, so
@@ -102,27 +122,37 @@ class WorkerDisk {
  private:
   struct Disk {
     Files files;
+    std::uint64_t used = 0;
     std::uint64_t committed = 0;
     std::uint64_t reclaimable = 0;
   };
 
-  [[nodiscard]] Disk& disk(WorkerId w) {
+  [[nodiscard]] const Disk& disk(WorkerId w) const {
     return disks_[static_cast<std::size_t>(w)];
   }
-  [[nodiscard]] const Disk& disk(WorkerId w) const {
+  /// Every write to `w`'s record goes through here, which marks `w` stale
+  /// in the watching index.
+  [[nodiscard]] Disk& mutate(WorkerId w) {
+    if (index_ != nullptr) index_->mark(w);
     return disks_[static_cast<std::size_t>(w)];
   }
   [[nodiscard]] std::uint64_t reclaim_bytes(FileId f) const {
     return reclaim_bytes_[static_cast<std::size_t>(f)];
   }
 
-  // Pins and cached files are written by VineRun's snapshot; committed
-  // and reclaimable bytes follow from the live attempts and the pins, and
-  // last-use ticks are rebuilt by the deterministic rerun recovery runs.
+  // Pins and cached files are written by VineRun's snapshot; used,
+  // committed and reclaimable bytes follow from the cached files, the
+  // live attempts and the pins. Last-use ticks are rebuilt by the
+  // deterministic rerun recovery runs, evictions included
+  // (ManagerHa.RecoveryBitIdenticalUnderDiskPressure).
   // vine-snapshot: serialized(pins= in the workers section, holders in the replicas section)
   std::vector<Disk> disks_;
   // vine-snapshot: derived(fixed at construction from the file table)
+  std::vector<std::uint64_t> sizes_;
+  // vine-snapshot: derived(fixed at construction from the file table)
   std::vector<std::uint64_t> reclaim_bytes_;
+  // vine-snapshot: derived(the watching index, not disk state)
+  DispatchIndex* index_ = nullptr;
 };
 
 }  // namespace hepvine::vine

@@ -5,8 +5,12 @@
 // on all three scheduler backends.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "dag/value.h"
 #include "dd/dask_distributed.h"
 #include "fault/fault_schedule.h"
 #include "ha/factory.h"
@@ -269,6 +273,108 @@ TEST(ManagerHa, RecoveryBitIdenticalWithObjectStoreSpills) {
   rerun_options.faults = ha::strip_manager_crash(crash_options.faults);
   const auto outcome = ha::recover(crashed, crash_options.ha, [&] {
     return run_store(rerun_options);
+  });
+
+  EXPECT_TRUE(outcome.snapshot_converged) << outcome.error;
+  EXPECT_TRUE(outcome.tail_identical) << outcome.error;
+  EXPECT_TRUE(outcome.recovered) << outcome.error;
+  EXPECT_EQ(ha::run_digest(outcome.report), ha::run_digest(baseline));
+  EXPECT_EQ(sink_digest(outcome.report), reference_digest(graph));
+}
+
+/// Txn CACHE EVICT lines of `txn` stamped after tick `after`.
+std::size_t evict_lines_after(const std::string& txn, Tick after) {
+  std::size_t n = 0;
+  std::istringstream in(txn);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#' ||
+        line.find(" CACHE ") == std::string::npos ||
+        line.find(" EVICT ") == std::string::npos) {
+      continue;
+    }
+    if (std::stoll(line.substr(0, line.find(' '))) > after) ++n;
+  }
+  return n;
+}
+
+/// `parts` dataset chunks, each read by a first-pass task and again, after
+/// a barrier over the first pass, by a second-pass task: every chunk stays
+/// live across the first pass, so small disks must evict, and the second
+/// pass re-stages and evicts again.
+dag::TaskGraph double_pass(std::uint32_t parts) {
+  const auto sum = [](const std::vector<dag::ValuePtr>& in) {
+    double total = 0;
+    for (const auto& v : in) {
+      total += dynamic_cast<const dag::ScalarValue&>(*v).get();
+    }
+    return std::make_shared<dag::ScalarValue>(total + 1.0);
+  };
+  dag::TaskGraph graph;
+  std::vector<data::FileId> chunks;
+  for (std::uint32_t i = 0; i < parts; ++i) {
+    chunks.push_back(graph.add_input_file("part" + std::to_string(i),
+                                          3 * util::kGB, 900 + i));
+  }
+  auto task = [&](const char* category, std::vector<dag::TaskId> deps,
+                  std::vector<data::FileId> inputs) {
+    dag::TaskSpec spec;
+    spec.category = category;
+    spec.function = category;
+    spec.deps = std::move(deps);
+    spec.input_files = std::move(inputs);
+    spec.memory_bytes = 1 * util::kGB;
+    spec.fn = sum;
+    return graph.add_task(spec);
+  };
+  std::vector<dag::TaskId> pass1;
+  for (data::FileId chunk : chunks) pass1.push_back(task("pass1", {}, {chunk}));
+  const dag::TaskId barrier = task("barrier", pass1, {});
+  std::vector<dag::TaskId> pass2;
+  for (data::FileId chunk : chunks) {
+    pass2.push_back(task("pass2", {barrier}, {chunk}));
+  }
+  task("accumulate", pass2, {});
+  return graph;
+}
+
+TEST(ManagerHa, RecoveryBitIdenticalUnderDiskPressure) {
+  // The snapshot does not serialize WorkerDisk's last-use ticks: recovery
+  // relies on the deterministic rerun to rebuild the LRU clock. Small
+  // scratch disks keep pressure eviction busy before and after the crash,
+  // so a recovered run that aged its cache differently would evict other
+  // victims, and the txn tail (EVICT lines included) and run digest would
+  // differ from the uninterrupted run's.
+  const dag::TaskGraph graph = double_pass(12);
+  exec::RunOptions options = ha_options();
+  auto run_tight = [&](const exec::RunOptions& o) {
+    cluster::ClusterSpec spec = tiny_cluster(3);
+    spec.worker.cores = 1;  // sequential staging per worker
+    spec.worker.disk_capacity = 8 * util::kGB;  // two chunks fit, not three
+    cluster::Cluster cluster(spec);
+    vine::VineScheduler s;
+    return s.run(graph, cluster, o);
+  };
+
+  const auto baseline = run_tight(options);
+  ASSERT_TRUE(baseline.success) << baseline.failure_reason;
+  ASSERT_GE(baseline.ha.snapshots.size(), 2u);
+
+  exec::RunOptions crash_options = options;
+  crash_options.faults.crash_manager(baseline.makespan / 2);
+  const auto crashed = run_tight(crash_options);
+  ASSERT_TRUE(crashed.ha.manager_crashed);
+  ASSERT_FALSE(crashed.ha.snapshots.empty());
+  EXPECT_GT(crashed.cache_evictions, 0u) << "no eviction before the crash";
+  EXPECT_GT(baseline.cache_evictions, crashed.cache_evictions)
+      << "no eviction after the crash";
+  const std::string txn = baseline.observation->txn().text();
+  EXPECT_GT(evict_lines_after(txn, crashed.ha.crash_tick), 0u);
+
+  exec::RunOptions rerun_options = crash_options;
+  rerun_options.faults = ha::strip_manager_crash(crash_options.faults);
+  const auto outcome = ha::recover(crashed, crash_options.ha, [&] {
+    return run_tight(rerun_options);
   });
 
   EXPECT_TRUE(outcome.snapshot_converged) << outcome.error;

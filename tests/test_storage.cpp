@@ -10,21 +10,6 @@ namespace {
 
 using util::Tick;
 
-TEST(LocalDisk, TryReserveReportsOverflow) {
-  LocalDisk disk(nvme_disk(), 100);
-  EXPECT_TRUE(disk.try_reserve(80)) << "within capacity: still healthy";
-  EXPECT_FALSE(disk.try_reserve(80)) << "overflow: partition is doomed";
-  EXPECT_EQ(disk.used(), 160u) << "bytes are accounted regardless";
-  EXPECT_EQ(disk.available(), 0u);
-}
-
-TEST(LocalDisk, ReleaseClampsAtZero) {
-  LocalDisk disk(nvme_disk(), 100);
-  ASSERT_TRUE(disk.try_reserve(50));
-  disk.release(70);
-  EXPECT_EQ(disk.used(), 0u);
-}
-
 TEST(LocalDisk, ServiceTimesScaleWithSize) {
   LocalDisk disk(nvme_disk(), util::kGB);
   EXPECT_GT(disk.write_time(100 * util::kMB), disk.write_time(10 * util::kMB));

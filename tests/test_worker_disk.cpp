@@ -2,13 +2,15 @@
 // what each scratch disk holds. The scheduler suites see it only through
 // txn logs and placement; these tests pin down the contract the disk
 // ladder relies on: the pressure-eviction victim order (tier, then least
-// recently used, then file id), pin tolerance, reclaimable-byte
-// bookkeeping, reboot reset, and committed-byte clamping.
+// recently used, then file id), pin tolerance, used- and reclaimable-byte
+// bookkeeping, reboot reset, committed-byte clamping, and the staleness
+// mark every mutator leaves for the dispatch index.
 
 #include "vine/worker_disk.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace hepvine::vine {
@@ -21,7 +23,8 @@ constexpr WorkerId kW = 0;
 
 /// Files 0..7; files 0, 2 and 4 are dataset inputs (100, 50, 7 bytes).
 WorkerDisk make_disk(std::size_t workers = 1) {
-  return WorkerDisk(workers, {100, 0, 50, 0, 7, 0, 0, 0});
+  return WorkerDisk(workers, {100, 10, 50, 20, 7, 30, 40, 60},
+                    {100, 0, 50, 0, 7, 0, 0, 0});
 }
 
 TEST(WorkerDisk, EvictionOrderIsTierThenLruThenFileId) {
@@ -168,6 +171,88 @@ TEST(WorkerDisk, CommittedBytesClampAtZero) {
   disk.reset(kW);
   disk.uncommit(kW, 40);
   EXPECT_EQ(disk.committed(kW), 0u);
+}
+
+TEST(WorkerDisk, UsedBytesFollowInsertAndErase) {
+  WorkerDisk disk = make_disk();
+  EXPECT_EQ(disk.used(kW), 0u);
+  disk.insert(kW, 0, 1);
+  disk.insert(kW, 3, 1);
+  EXPECT_EQ(disk.used(kW), 120u);
+  disk.insert(kW, 0, 2);  // a re-insert refreshes last use, not the bytes
+  EXPECT_EQ(disk.used(kW), 120u);
+
+  disk.pin(kW, 5, 3);  // pinned ahead of its bytes: nothing on disk yet
+  EXPECT_EQ(disk.used(kW), 120u);
+  EXPECT_FALSE(disk.erase(kW, 5)) << "pinned, never cached";
+  EXPECT_FALSE(disk.erase(kW, 6)) << "neither cached nor pinned";
+  EXPECT_EQ(disk.used(kW), 120u) << "erasing an uncached file is a no-op";
+
+  EXPECT_TRUE(disk.erase(kW, 0));
+  EXPECT_EQ(disk.used(kW), 20u);
+  EXPECT_FALSE(disk.erase(kW, 0)) << "already gone";
+  EXPECT_EQ(disk.used(kW), 20u);
+
+  disk.pin(kW, 3, 4);  // erasing a pinned file frees its bytes too
+  EXPECT_TRUE(disk.erase(kW, 3));
+  EXPECT_EQ(disk.used(kW), 0u);
+  disk.insert(kW, 3, 5);  // lands again while still pinned
+  EXPECT_EQ(disk.used(kW), 20u);
+  disk.unpin(kW, 3);
+  EXPECT_EQ(disk.used(kW), 20u);
+  EXPECT_TRUE(disk.settled(kW));
+}
+
+TEST(WorkerDisk, ResetZeroesOnlyThatWorkersUsedBytes) {
+  WorkerDisk disk = make_disk(/*workers=*/2);
+  for (WorkerId w : {WorkerId{0}, WorkerId{1}}) {
+    disk.insert(w, 2, 1);
+    disk.insert(w, 7, 1);
+  }
+  disk.reset(WorkerId{0});
+  EXPECT_EQ(disk.used(WorkerId{0}), 0u);
+  EXPECT_EQ(disk.used(WorkerId{1}), 110u);
+  disk.insert(WorkerId{0}, 7, 2);  // the rebooted disk refills from zero
+  EXPECT_EQ(disk.used(WorkerId{0}), 60u);
+  EXPECT_EQ(disk.used(WorkerId{1}), 110u);
+}
+
+TEST(WorkerDisk, EveryMutatorMarksItsWorkerStale) {
+  WorkerDisk disk = make_disk(/*workers=*/3);
+  DispatchIndex index;
+  index.reset(3);
+  disk.watch(&index);
+  // The workers a refresh re-derives: the ones marked since the last one.
+  const auto refreshed = [&index] {
+    std::vector<WorkerId> out;
+    index.refresh([&out](WorkerId w) {
+      out.push_back(w);
+      return std::pair<std::uint64_t, std::uint64_t>{0, 0};
+    });
+    return out;
+  };
+  const std::vector<WorkerId> only1{1};
+  disk.insert(1, 0, 1);
+  EXPECT_EQ(refreshed(), only1) << "insert";
+  disk.pin(1, 0, 2);
+  EXPECT_EQ(refreshed(), only1) << "pin";
+  disk.unpin(1, 0);
+  EXPECT_EQ(refreshed(), only1) << "unpin";
+  disk.commit(1, 10);
+  EXPECT_EQ(refreshed(), only1) << "commit";
+  disk.uncommit(1, 10);
+  EXPECT_EQ(refreshed(), only1) << "uncommit";
+  EXPECT_TRUE(disk.erase(1, 0));
+  EXPECT_EQ(refreshed(), only1) << "erase";
+  disk.reset(1);
+  EXPECT_EQ(refreshed(), only1) << "reset";
+
+  // Marks are idempotent and keep first-marking order.
+  disk.insert(2, 1, 3);
+  disk.commit(0, 5);
+  disk.pin(2, 1, 4);
+  EXPECT_EQ(refreshed(), (std::vector<WorkerId>{2, 0}));
+  EXPECT_TRUE(refreshed().empty());
 }
 
 }  // namespace
