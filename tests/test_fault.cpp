@@ -1,15 +1,21 @@
 // Fault-injection subsystem tests: RetryPolicy/FaultSchedule units, the
 // crash double-count regression, exact chained lineage-reset accounting,
-// the poisoned-task detector, relay retry when the source dies, and the
-// zero-cost-when-off guarantee (empty schedule => byte-identical txn log).
+// the poisoned-task detector, relay retry when the source dies, the
+// zero-cost-when-off guarantee (empty schedule => byte-identical txn log),
+// and a targeted kill of every retried transfer kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 
+#include "dd/dask_distributed.h"
 #include "fault/backoff_ledger.h"
 #include "fault/fault_schedule.h"
 #include "scheduler_test_util.h"
 #include "vine/vine_scheduler.h"
+#include "wq/work_queue.h"
 
 namespace hepvine {
 namespace {
@@ -308,9 +314,10 @@ TEST(VineFaults, RelayRetrySurvivesSourceWorkerCrash) {
 }
 
 TEST(VineFaults, TransferKillStormOnRelayPathRecovers) {
-  // Same no-peer topology, but kill live transfers (fetches, relay pulls,
-  // manager sends, returns) repeatedly across the whole run. Backoff
-  // retries and the lost-input path must converge to the exact result.
+  // Same no-peer topology, but kill live transfers repeatedly across the
+  // whole run. The kills land on staging fetches (manager sends); a relay
+  // pull is killed in KilledRelayPullRetries. Backoff retries and the
+  // lost-input path must converge to the exact result.
   const apps::WorkloadSpec workload = tiny_dv3(16);
   const dag::TaskGraph graph = apps::build_workload(workload, 19);
   vine::DataPolicy policy = vine::taskvine_policy();
@@ -425,6 +432,112 @@ TEST(VineFaults, EmptyScheduleLeavesTxnLogByteIdentical) {
   EXPECT_EQ(a.find("FAULT"), std::string::npos);
   EXPECT_EQ(base.faults.faults_injected, 0u);
   EXPECT_EQ(base.faults.transfer_retries, 0u);
+}
+
+// --- every retried transfer kind, killed on purpose ---------------------
+
+std::unique_ptr<exec::SchedulerBackend> make_scheduler(
+    const std::string& name) {
+  if (name == "taskvine") return std::make_unique<vine::VineScheduler>();
+  if (name == "work-queue") return std::make_unique<wq::WorkQueueScheduler>();
+  return std::make_unique<dd::DaskDistScheduler>();
+}
+
+exec::RunOptions txn_options(std::uint64_t seed) {
+  exec::RunOptions options = fast_options();
+  options.seed = seed;
+  options.max_task_retries = 30;
+  options.observability.enabled = true;
+  options.observability.perf_log = false;
+  options.observability.chrome_trace = false;
+  return options;
+}
+
+/// Probe `run` fault-free, take the first transfer `victim` picks from the
+/// probe's txn log, and rerun with every killable flow killed at the
+/// midpoint of that transfer. The rerun replays the probe until the kill,
+/// so the victim is in flight then. It must converge to the serial result,
+/// and its txn log must show the kill retried: the victim's wire FAILED at
+/// the kill tick, a later START of the same file to the same destination,
+/// then that START's DONE.
+void expect_kill_retried(
+    const dag::TaskGraph& graph, exec::RunOptions options,
+    const std::function<exec::RunReport(const exec::RunOptions&)>& run,
+    const std::function<bool(const TxnTransfer&)>& victim) {
+  const auto probe = run(options);
+  ASSERT_TRUE(probe.success) << probe.failure_reason;
+  ASSERT_NE(probe.observation, nullptr);
+  TxnTransfer target;
+  for (const auto& x : txn_transfers(probe.observation->txn().text())) {
+    if (victim(x) && x.close > x.start + 1) {
+      target = x;
+      break;
+    }
+  }
+  ASSERT_GE(target.start, 0) << "the probe run never reached the site";
+  const Tick mid = (target.start + target.close) / 2;
+
+  options.faults.kill_transfers(mid, 64);
+  const auto report = run(options);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_GE(report.faults.transfer_retries, 1u);
+  EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  ASSERT_NE(report.observation, nullptr);
+  const std::string txn = report.observation->txn().text();
+  expect_transfers_paired(txn);
+  EXPECT_EQ(txn_tick(txn, "TRANSFER " + target.fields + " FAILED"), mid);
+
+  const auto after = txn_transfers(txn);
+  const auto retried =
+      std::find_if(after.begin(), after.end(), [&](const TxnTransfer& x) {
+        return x.start > mid && x.file == target.file && x.dst == target.dst;
+      });
+  ASSERT_NE(retried, after.end()) << "the killed transfer never restarted";
+  EXPECT_EQ(txn_tick(txn, "TRANSFER " + retried->fields + " DONE"),
+            retried->close);
+}
+
+TEST(VineFaults, KilledRelayPullRetries) {
+  // Without peer transfers a consumer reaches another worker's output
+  // through a relay pull to the manager. A killed pull backs off, re-picks
+  // a live holder and pulls again.
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(16), 19);
+  const std::string sink_out =
+      std::to_string(graph.task(graph.sinks().at(0)).output_file);
+  vine::DataPolicy policy = vine::taskvine_policy();
+  policy.peer_transfers = false;
+  expect_kill_retried(
+      graph, txn_options(19),
+      [&](const exec::RunOptions& options) {
+        cluster::Cluster cluster(tiny_cluster(3));
+        vine::VineScheduler scheduler(policy, vine::VineTunables{});
+        return scheduler.run(graph, cluster, options);
+      },
+      [&](const TxnTransfer& x) {
+        return x.src != 0 && x.dst == 0 && x.file != sink_out;
+      });
+}
+
+/// Gathers of the sink result to the manager, on `scheduler`.
+void expect_sink_gather_kill_retried(const std::string& scheduler) {
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24), 5);
+  const std::string sink_out =
+      std::to_string(graph.task(graph.sinks().at(0)).output_file);
+  expect_kill_retried(
+      graph, txn_options(5),
+      [&](const exec::RunOptions& options) {
+        cluster::Cluster cluster(tiny_cluster(4));
+        return make_scheduler(scheduler)->run(graph, cluster, options);
+      },
+      [&](const TxnTransfer& x) { return x.dst == 0 && x.file == sink_out; });
+}
+
+TEST(VineFaults, KilledSinkGatherRetries) {
+  expect_sink_gather_kill_retried("taskvine");
+}
+
+TEST(DaskFaults, KilledSinkGatherRetries) {
+  expect_sink_gather_kill_retried("dask.distributed");
 }
 
 }  // namespace
