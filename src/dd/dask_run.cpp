@@ -437,6 +437,8 @@ class DaskRun {
     const WorkerId dst_node = node_of(pid);
     auto arrival = [this, token, pid, f](bool ok) {
       if (!shell_.token_valid(token)) return;
+      // The input landed or is lost: either way its kill episode is over.
+      key_backoff_.reset({token.task, f});
       if (!ok) {
         // Lost key: fail this attempt and lineage-reset the producer.
         const TaskId t = token.task;
@@ -492,7 +494,7 @@ class DaskRun {
   }
 
   /// Move key or dataset `f` from endpoint `src` to `pid`'s node. On a
-  /// kill one unit of the attempt's transfer-retry budget is spent and the
+  /// kill one unit of this input's transfer-retry budget is spent and the
   /// fetch restarts from scratch after backoff — a peer source that was
   /// itself preempted in the meantime is re-resolved, datasets re-read the
   /// durable FS. Past the budget the attempt takes the lost-input path.
@@ -513,7 +515,7 @@ class DaskRun {
           // exhausts it — N-1 backoff re-fetches happen before the
           // attempt takes the lost-input path.
           const std::uint32_t kills =
-              transfer_backoff_.next_attempt(token.task);
+              key_backoff_.next_attempt({token.task, f});
           if (kills >= options_.fault_retry.max_transfer_retries) {
             shell_.injector()->record_giveup(
                 "task=" + std::to_string(token.task) + " file=" +
@@ -530,8 +532,6 @@ class DaskRun {
 
   void start_exec(const Token& token, std::int32_t pid) {
     if (!shell_.token_valid(token)) return;
-    // All inputs staged: the transfer episode (if any) ended in success.
-    transfer_backoff_.reset(token.task);
     table_.mark_running(token.task);
     if (txn_on()) {
       obs_->txn().task_running(engine_.now(), token.task, node_of(pid));
@@ -717,8 +717,11 @@ class DaskRun {
     }
 
     b.section("backoff");
-    transfer_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
-      b.field("transfer." + std::to_string(t), n);
+    key_backoff_.for_each([&b](const std::pair<TaskId, FileId>& k,
+                               std::uint32_t n) {
+      b.field("key." + std::to_string(k.first) + "." +
+                  std::to_string(k.second),
+              n);
     });
     sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
       b.field("sink." + std::to_string(t), n);
@@ -746,6 +749,12 @@ class DaskRun {
       return;
     }
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
+    // The attempt's input fetches end with it.
+    const auto& spec = graph_.task(t).spec;
+    for (FileId f : spec.input_files) key_backoff_.reset({t, f});
+    for (TaskId dep : spec.deps) {
+      key_backoff_.reset({t, graph_.task(dep).output_file});
+    }
     if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
       const std::int32_t pid = a->proc;
       if (pid != kNoProc) {
@@ -782,9 +791,10 @@ class DaskRun {
 
   std::shared_ptr<obs::RunObservation> obs_;
 
-  // Backoff ledgers reset on success, so escalation counts consecutive
-  // failures of the current episode, never a task's lifetime kills.
-  fault::BackoffLedger<TaskId> transfer_backoff_;
+  // Backoff ledgers reset when the operation ends, so escalation counts
+  // the kills of one logical transfer: one input (task, file) of one
+  // attempt, or one sink gather.
+  fault::BackoffLedger<std::pair<TaskId, FileId>> key_backoff_;
   fault::BackoffLedger<TaskId> sink_backoff_;
 
   // vine-snapshot: derived(fixed at startup from cluster spec)

@@ -2,12 +2,13 @@
 // crash double-count regression, exact chained lineage-reset accounting,
 // the poisoned-task detector, relay retry when the source dies, the
 // zero-cost-when-off guarantee (empty schedule => byte-identical txn log),
-// and a targeted kill of every retried transfer kind.
+// a targeted kill of every retried transfer kind, and the kill budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "dd/dask_distributed.h"
@@ -539,6 +540,46 @@ TEST(VineFaults, KilledSinkGatherRetries) {
 TEST(DaskFaults, KilledSinkGatherRetries) {
   expect_sink_gather_kill_retried("dask.distributed");
 }
+
+// --- the kill budget ------------------------------------------------------
+
+class FaultRetry : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FaultRetry, GiveupSpendsExactlyTheBudget) {
+  // RetryPolicy::max_transfer_retries is the kill budget of one logical
+  // transfer, so every give-up reports exactly that many kills. A count
+  // that outlives its transfer (kept per task across a failed attempt)
+  // gives up on the next attempt's first kill, with no backoff.
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24), 31);
+  exec::RunOptions options = txn_options(31);
+  options.faults.stochastic.transfer_kill_prob = 0.5;
+  const std::string budget =
+      "kills=" + std::to_string(options.fault_retry.max_transfer_retries);
+  std::uint64_t giveups = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    options.faults.seed = seed;
+    cluster::Cluster cluster(tiny_cluster(4, 0.0));
+    const auto report =
+        make_scheduler(GetParam())->run(graph, cluster, options);
+    ASSERT_NE(report.observation, nullptr);
+    std::istringstream in(report.observation->txn().text());
+    std::uint64_t lines = 0;
+    for (std::string line; std::getline(in, line);) {
+      const auto at = line.find(" TRANSFER_GIVEUP ");
+      if (at == std::string::npos) continue;
+      ++lines;
+      EXPECT_EQ(line.substr(line.find(" kills=", at) + 1), budget)
+          << "faults.seed " << seed << ": " << line;
+    }
+    EXPECT_EQ(lines, report.faults.transfer_giveups);
+    giveups += lines;
+  }
+  EXPECT_GT(giveups, 0u) << "no run spent its budget";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, FaultRetry,
+                         ::testing::Values("taskvine", "work-queue",
+                                           "dask.distributed"));
 
 }  // namespace
 }  // namespace hepvine
