@@ -9,7 +9,6 @@
 #include "dd/dask_distributed.h"
 #include "exec/run_shell.h"
 #include "exec/serial_resource.h"
-#include "fault/backoff_ledger.h"
 #include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
@@ -25,6 +24,7 @@ namespace {
 using cluster::WorkerId;
 using data::FileId;
 using dag::TaskId;
+using exec::RetryKind;
 using exec::TaskState;
 using util::Tick;
 
@@ -438,7 +438,7 @@ class DaskRun {
     auto arrival = [this, token, pid, f](bool ok) {
       if (!shell_.token_valid(token)) return;
       // The input landed or is lost: either way its kill episode is over.
-      key_backoff_.reset({token.task, f});
+      shell_.end_episode({RetryKind::kKey, token.task, f});
       if (!ok) {
         // Lost key: fail this attempt and lineage-reset the producer.
         const TaskId t = token.task;
@@ -509,25 +509,12 @@ class DaskRun {
           shell_.land(flow);
           arrival(true);
         },
-        [this, f, is_dataset, pid, token, arrival] {
-          if (!shell_.token_valid(token)) return;
-          // Budget check: the Nth kill (N = max_transfer_retries)
-          // exhausts it — N-1 backoff re-fetches happen before the
-          // attempt takes the lost-input path.
-          const std::uint32_t kills =
-              key_backoff_.next_attempt({token.task, f});
-          if (kills >= options_.fault_retry.max_transfer_retries) {
-            shell_.injector()->record_giveup(
-                "task=" + std::to_string(token.task) + " file=" +
-                std::to_string(f) + " kills=" + std::to_string(kills));
-            arrival(false);
-            return;
-          }
-          const Tick delay = shell_.injector()->backoff_delay(kills);
-          engine_.schedule_after(delay, [this, f, is_dataset, pid, token] {
-            if (shell_.token_valid(token)) fetch_key(f, is_dataset, pid, token);
-          });
-        });
+        {.episode = {RetryKind::kKey, token.task, f},
+         .killed = [this, token] { return shell_.token_valid(token); },
+         .again = [this, f, is_dataset, pid, token] {
+           if (shell_.token_valid(token)) fetch_key(f, is_dataset, pid, token);
+         },
+         .give_up = [arrival] { arrival(false); }});
   }
 
   void start_exec(const Token& token, std::int32_t pid) {
@@ -661,20 +648,13 @@ class DaskRun {
           [this, t, f, slot = std::move(slot)](net::FlowId flow) {
             shell_.land(flow);
             file(f).at_client = true;
-            if (shell_.mark_sink_done(t)) {
-              sink_backoff_.reset(t);  // gather episode over
-            }
+            shell_.end_episode({RetryKind::kSink, t});
+            shell_.mark_sink_done(t);
             shell_.check_completion();
           },
-          [this, t, node] {
-            const Tick delay = shell_.injector()->backoff_delay(
-                sink_backoff_.next_attempt(t));
-            engine_.schedule_after(delay, [this, t, node] {
-              if (!shell_.finished() && !shell_.sink_done(t)) {
-                gather_sink(t, node);
-              }
-            });
-          });
+          {.episode = {RetryKind::kSink, t}, .again = [this, t, node] {
+             if (!shell_.sink_done(t)) gather_sink(t, node);
+           }});
     });
   }
 
@@ -715,17 +695,6 @@ class DaskRun {
                     " ser=" + std::to_string(p.ser.bytes) + ":" +
                     std::to_string(p.ser.charged));
     }
-
-    b.section("backoff");
-    key_backoff_.for_each([&b](const std::pair<TaskId, FileId>& k,
-                               std::uint32_t n) {
-      b.field("key." + std::to_string(k.first) + "." +
-                  std::to_string(k.second),
-              n);
-    });
-    sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
-      b.field("sink." + std::to_string(t), n);
-    });
     return b;
   }
 
@@ -751,9 +720,11 @@ class DaskRun {
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
     // The attempt's input fetches end with it.
     const auto& spec = graph_.task(t).spec;
-    for (FileId f : spec.input_files) key_backoff_.reset({t, f});
+    for (FileId f : spec.input_files) {
+      shell_.end_episode({RetryKind::kKey, t, f});
+    }
     for (TaskId dep : spec.deps) {
-      key_backoff_.reset({t, graph_.task(dep).output_file});
+      shell_.end_episode({RetryKind::kKey, t, graph_.task(dep).output_file});
     }
     if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
       const std::int32_t pid = a->proc;
@@ -790,12 +761,6 @@ class DaskRun {
   std::vector<TaskId> running_on_;
 
   std::shared_ptr<obs::RunObservation> obs_;
-
-  // Backoff ledgers reset when the operation ends, so escalation counts
-  // the kills of one logical transfer: one input (task, file) of one
-  // attempt, or one sink gather.
-  fault::BackoffLedger<std::pair<TaskId, FileId>> key_backoff_;
-  fault::BackoffLedger<TaskId> sink_backoff_;
 
   // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint32_t cores_per_node_ = 1;

@@ -182,22 +182,50 @@ void RunShell::record_attempt_span(TaskId t, std::int32_t worker,
 
 net::FlowId RunShell::start_transfer(Wire wire, Tick latency,
                                      std::function<void(net::FlowId)> landed,
-                                     std::function<void()> killed) {
+                                     Retry retry) {
   const std::size_t from = wire.src;
   wire.src = cluster_.matrix_endpoint(from);
   write_transfer(&obs::TxnLog::transfer_start, wire);
   const net::FlowId flow =
       cluster_.transfer(from, wire.dst, wire.bytes, latency, std::move(landed));
-  wires_.emplace(flow, OpenWire{wire, engine_.now()});
+  wires_.emplace(flow, OpenWire{wire, engine_.now(), retry.episode});
   // Registered at once: offer_transfer draws from the injector's rng.
-  if (killed && injector_) {
+  if ((retry.killed || retry.again) && injector_) {
     injector_->offer_transfer(flow, wire.bytes,
-                              [this, flow, killed = std::move(killed)] {
+                              [this, flow, retry = std::move(retry)] {
                                 fail(flow);
-                                killed();
+                                retry_killed(retry);
                               });
   }
   return flow;
+}
+
+void RunShell::retry_killed(const Retry& retry) {
+  if (retry.killed && !retry.killed()) return;
+  const Episode& e = retry.episode;
+  const std::uint32_t kills = retries_.next_attempt(e);
+  // The budget counts kills tolerated: the Nth kill exhausts it after N-1
+  // backoff restarts (RetryPolicy::max_transfer_retries).
+  if (retry.give_up && kills >= options_.fault_retry.max_transfer_retries) {
+    retries_.reset(e);
+    const bool key = e.kind == RetryKind::kKey;
+    injector_->record_giveup((key ? "task=" : "file=") + std::to_string(e.a) +
+                             (key ? " file=" : " dst=") + std::to_string(e.b) +
+                             " kills=" + std::to_string(kills));
+    retry.give_up();
+    return;
+  }
+  engine_.schedule_after(injector_->backoff_delay(kills), retry.again);
+}
+
+std::map<Episode, std::pair<net::FlowId, Wire>> RunShell::open_episodes(
+    RetryKind kind) const {
+  std::map<Episode, std::pair<net::FlowId, Wire>> open;
+  for (const auto& [flow, w] : wires_) {
+    if (w.episode.kind != kind) continue;
+    open.emplace(w.episode, std::pair(flow, w.wire));
+  }
+  return open;
 }
 
 std::optional<RunShell::OpenWire> RunShell::take_wire(net::FlowId flow) {
@@ -701,6 +729,18 @@ void RunShell::take_snapshot() {
   }
 
   b.append(hooks_.snapshot_sections());
+
+  // Open retry episodes, in kind order, then by id. A fetch's kills ride
+  // the engine's flows entry of that fetch instead.
+  b.section("backoff");
+  static constexpr const char* kKeys[] = {"", "", "fs.", "relay.", "key.",
+                                          "sink."};
+  retries_.for_each([&b](const Episode& e, std::uint32_t kills) {
+    if (e.kind == RetryKind::kFetch) return;
+    std::string key = kKeys[static_cast<int>(e.kind)] + std::to_string(e.a);
+    if (e.kind == RetryKind::kKey) key += "." + std::to_string(e.b);
+    b.field(key, kills);
+  });
 
   // Unconditional (zeros without an injector): a run whose only fault was
   // the manager crash itself must snapshot byte-identically to its

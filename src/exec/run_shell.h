@@ -10,20 +10,27 @@
 // with land, fail or cancel, which write the transfer-matrix cell, the txn
 // TRANSFER lines and the peer Chrome arrow from one Wire, behind the two
 // admission gates, and it reads a worker's imports from the shared
-// filesystem for either engine (read_imports). And it owns the
+// filesystem for either engine (read_imports). It owns the retry record:
+// a transfer whose kills retry names its episode, the logical operation
+// it serves, and on each kill the shell counts the kill in its one
+// ledger, gives up past the kill budget (the TRANSFER_GIVEUP line, then
+// the engine's lost-input path) or waits the capped backoff and restarts,
+// and it writes the snapshot's backoff section. And it owns the
 // residency record: every file arriving on or leaving a worker's disk or
 // object store is one residency call, which writes the txn CACHE/STORE
 // line, the CacheSpan of a disk drop, the CacheTrace eviction mark and the
 // RunReport cache and store tallies. The engines (vine/wq in vine_run.cpp,
 // Dask.Distributed in dask_run.cpp) keep only scheduling, the choice of
-// what to move or drop, and their own snapshot sections, and plug in
-// through Hooks — the same std::function idiom as
-// ha::Factory::Hooks and fault::FaultInjector::Hooks.
+// what to move or drop, where a retry re-sources from, and their own
+// snapshot sections, and plug in through Hooks — the same std::function
+// idiom as ha::Factory::Hooks and fault::FaultInjector::Hooks.
 #pragma once
 
 #include <cassert>
+#include <compare>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,6 +41,7 @@
 #include "exec/scheduler.h"
 #include "exec/serial_resource.h"
 #include "exec/task_state.h"
+#include "fault/backoff_ledger.h"
 #include "fault/fault_injector.h"
 #include "ha/factory.h"
 #include "ha/snapshot.h"
@@ -77,6 +85,40 @@ struct Wire {
   std::size_t dst = 0;
   data::FileId file = data::kInvalidFile;
   std::uint64_t bytes = 0;
+};
+
+/// What a retried transfer serves, with its ids; the order is the
+/// snapshot's backoff section order. kNone: the transfer is not retried.
+///   kFetch      vine/wq staging fetch: a = file, b = destination worker
+///   kManagerFs  vine/wq shared-FS read to the manager: a = file
+///   kRelay      vine/wq relay pull to the manager: a = file
+///   kKey        dd input fetch of one attempt: a = task, b = file
+///   kSink       sink gather to the manager: a = task
+enum class RetryKind : std::uint8_t {
+  kNone, kFetch, kManagerFs, kRelay, kKey, kSink
+};
+
+/// One logical operation whose transfers may be killed and restarted: the
+/// retry record's key. Its kills count until the engine ends it.
+struct Episode {
+  RetryKind kind = RetryKind::kNone;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  friend auto operator<=>(const Episode&, const Episode&) = default;
+};
+
+/// What an injected kill of a transfer does. Empty: the transfer is no
+/// kill target.
+struct Retry {
+  Episode episode = {};
+  /// Runs first, after FAILED: release what the dead flow held. False when
+  /// the operation is over, so nothing counts or restarts.
+  std::function<bool()> killed = nullptr;
+  /// After the backoff: re-resolve a source and restart.
+  std::function<void()> again = nullptr;
+  /// The kill budget (RetryPolicy::max_transfer_retries) is spent: stop
+  /// and take the lost-input path. Null: retry without a cap.
+  std::function<void()> give_up = nullptr;
 };
 
 /// One file arriving on or leaving `worker`'s disk or object store.
@@ -128,7 +170,7 @@ class RunShell {
     /// Engine-only fields for the end of the snapshot's run section, before
     /// rr_cursor (optional).
     std::function<ha::SnapshotBuilder()> snapshot_run_fields;
-    /// The engine's own snapshot sections, between tasks and injector.
+    /// The engine's own snapshot sections, between tasks and backoff.
     std::function<ha::SnapshotBuilder()> snapshot_sections;
     /// Extra `,"key":value` pairs for an attempt's Chrome span (optional).
     std::function<std::string(dag::TaskId)> chrome_args;
@@ -150,10 +192,6 @@ class RunShell {
   // --- run state ----------------------------------------------------------
   [[nodiscard]] bool finished() const noexcept { return finished_; }
   [[nodiscard]] RunReport& report() noexcept { return report_; }
-  /// Null when RunOptions::faults is empty.
-  [[nodiscard]] fault::FaultInjector* injector() const noexcept {
-    return injector_.get();
-  }
   [[nodiscard]] bool txn_on() const { return obs_->txn_enabled(); }
   [[nodiscard]] bool trace_on() const { return obs_->trace_enabled(); }
   /// Dispatch round-robin cursor (a snapshotted scheduler decision input).
@@ -206,14 +244,17 @@ class RunShell {
 
   // --- transfers ----------------------------------------------------------
   /// Start `wire` as a flow (Cluster::transfer) and open its record: the
-  /// txn START line, then the flow, then, when `killed` is given, its
+  /// txn START line, then the flow, then, when `retry` is not empty, its
   /// registration as an injector kill target. The record names its source
-  /// by Cluster::matrix_endpoint. `landed` runs when the last byte arrives
-  /// and closes the record with land or fail; a kill writes FAILED, then
-  /// runs `killed`.
+  /// by Cluster::matrix_endpoint and carries the retry episode. `landed`
+  /// runs when the last byte arrives and closes the record with land or
+  /// fail. A kill is the retry record's: it writes FAILED, runs
+  /// `retry.killed`, and counts one kill of the episode. A capped episode
+  /// ends at RetryPolicy::max_transfer_retries kills: TRANSFER_GIVEUP, then
+  /// `give_up`. Otherwise `again` runs after RetryPolicy::backoff(kills).
   net::FlowId start_transfer(Wire wire, Tick latency,
                              std::function<void(net::FlowId)> landed,
-                             std::function<void()> killed = nullptr);
+                             Retry retry = {});
   /// The flow's bytes arrived: transfer-matrix cell, xfer.* counters, txn
   /// DONE and, between two workers, the Chrome peer arrow.
   void land(net::FlowId flow);
@@ -222,6 +263,17 @@ class RunShell {
   void fail(net::FlowId flow);
   /// Tear a live flow out of the network, then write FAILED.
   void cancel(net::FlowId flow);
+  /// The operation behind `episode` succeeded or ended otherwise: a later
+  /// kill starts a fresh episode at backoff(1).
+  void end_episode(const Episode& episode) { retries_.reset(episode); }
+  /// Kills counted so far in `episode`.
+  [[nodiscard]] std::uint32_t kills(const Episode& episode) const {
+    return retries_.attempts(episode);
+  }
+  /// The live transfers serving episodes of `kind`, by episode: each
+  /// flow and its wire (the source by Cluster::matrix_endpoint).
+  [[nodiscard]] std::map<Episode, std::pair<net::FlowId, Wire>> open_episodes(
+      RetryKind kind) const;
   /// Bytes with no flow of their own (dispatch arguments riding the control
   /// channel): the matrix cell and the xfer.* counters.
   void record_bytes(std::size_t src, std::size_t dst, std::uint64_t bytes);
@@ -296,9 +348,12 @@ class RunShell {
   struct OpenWire {
     Wire wire;
     Tick started = 0;
+    Episode episode;
   };
   /// Close `flow`'s open wire and drop it as a kill target.
   std::optional<OpenWire> take_wire(net::FlowId flow);
+  /// A transfer of `retry.episode` was killed (start_transfer).
+  void retry_killed(const Retry& retry);
   void write_transfer(void (obs::TxnLog::*line)(Tick, std::size_t,
                                                 std::size_t, std::int64_t,
                                                 std::uint64_t),
@@ -341,8 +396,10 @@ class RunShell {
   // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
   net::FlowGate fs_gate_{256};
   /// Transfers started and not yet closed, by flow id.
-  // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows themselves)
+  // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows, retried ones through open_episodes)
   util::FlatMap<net::FlowId, OpenWire> wires_;
+  /// Kills per open episode: the one count behind every retried transfer.
+  fault::BackoffLedger<Episode> retries_;
   // vine-snapshot: derived(counts of the engine's snapshotted disk and store contents)
   std::vector<Resident> resident_;
   // Perf counters (owned by the stats registry; null unless registered).

@@ -1,13 +1,17 @@
 // BackoffLedger: per-key retry-escalation counters that reset on success.
 //
-// Every backoff site (manager-fs reads, manager relays, sink gathers,
-// staging fetches) escalates its delay with the number of *consecutive*
+// A retried transfer escalates its delay with the number of *consecutive*
 // failures of one logical operation — kill, wait backoff(1), kill again,
 // wait backoff(2), ... Success must clear the counter: a later, independent
 // failure of the same file or task is a fresh episode and starts back at
 // backoff(1). The raw `std::map<Key, uint32_t>` counters this replaces
 // were incremented forever, so unrelated failures months of simulated time
 // apart kept inheriting earlier episodes' escalation.
+//
+// One owner: exec::RunShell keeps the only ledger, keyed by exec::Episode
+// (its retry record). Every retry site of both engines (staging fetches,
+// manager FS reads, relay pulls, dd input fetches, sink gathers) is an
+// episode kind there.
 //
 // Header-only and deterministic: std::map keeps iteration (and therefore
 // snapshot serialization, ha/snapshot.h) in key order.

@@ -15,8 +15,8 @@
 //    transfers (`offer_transfer`); only registered flows are eligible for
 //    injected kills, because killing an unregistered fire-and-forget flow
 //    (library push, import read) would strand its waiters with no retry
-//    path. On a kill the scheduler's `on_killed` closure arranges the
-//    capped-exponential-backoff retry;
+//    path. On a kill the run shell's retry record (exec::RunShell) decides
+//    between the capped-exponential-backoff retry and giving up;
 //  * direct physics — shared-FS brownouts/outages scale the filesystem's
 //    aggregate link, stragglers scale a worker's effective compute speed.
 //
@@ -83,7 +83,8 @@ class FaultInjector {
   void forget_transfer(net::FlowId id);
 
   /// Backoff before retry number `attempt` (1-based); records the retry and
-  /// the waited time in the recovery breakdown.
+  /// the waited time in the recovery breakdown. Called only by the run
+  /// shell's retry record, like record_giveup.
   [[nodiscard]] Tick backoff_delay(std::uint32_t attempt);
 
   /// A transfer's kill budget (RetryPolicy::max_transfer_retries) is
@@ -92,7 +93,6 @@ class FaultInjector {
   /// budget semantics are auditable from the journal.
   void record_giveup(const std::string& detail);
 
-  [[nodiscard]] const RetryPolicy& retry() const noexcept { return retry_; }
   [[nodiscard]] const InjectionStats& stats() const noexcept {
     return stats_;
   }

@@ -24,7 +24,6 @@
 #include "dag/task_graph.h"
 #include "exec/run_shell.h"
 #include "exec/serial_resource.h"
-#include "fault/backoff_ledger.h"
 #include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
@@ -45,6 +44,7 @@ namespace {
 using cluster::WorkerId;
 using data::FileId;
 using dag::TaskId;
+using exec::RetryKind;
 using exec::TaskState;
 using obs::Residency;
 using util::Tick;
@@ -423,13 +423,10 @@ class VineRun {
   using FetchKey = std::pair<FileId, WorkerId>;
 
   struct Fetch {
-    FileId file = data::kInvalidFile;
-    WorkerId dst = cluster::kNoWorker;
     WorkerId peer_src = cluster::kNoWorker;  // valid while a peer flow runs
     std::uint32_t peer_src_inc = 0;  // peer_src's incarnation at acquire
     net::FlowId flow = net::kInvalidFlow;
     bool throttled = false;
-    std::uint32_t kill_retries = 0;  // injected kills survived so far
     std::vector<std::function<void(bool)>> waiters;  // bool: file arrived
   };
 
@@ -457,6 +454,7 @@ class VineRun {
   }
   void fetch_erase(const FetchKey& key) {
     worker_fetches_[static_cast<std::size_t>(key.second)].erase(key.first);
+    shell_.end_episode({RetryKind::kFetch, key.first, key.second});
   }
 
   std::deque<FetchKey> throttle_queue_;
@@ -518,8 +516,7 @@ class VineRun {
       if (fetch->flow != net::kInvalidFlow) {
         shell_.cancel(fetch->flow);
         if (fetch->peer_src != cluster::kNoWorker) {
-          release_peer_slot(fetch->peer_src, fetch->peer_src_inc,
-                            fetch->file);
+          release_peer_slot(fetch->peer_src, fetch->peer_src_inc, key.first);
         }
       }
       // If a peer broker request is still queued (flow not yet started),
@@ -553,10 +550,10 @@ class VineRun {
   }
 
   // ---------------------------------------------------------------------
-  // Fault injection. Only flows with a retry path are kill targets: each
-  // fetch, relay pull, output return and sink gather passes its recovery
-  // to start_transfer as `killed`. Import reads have no recovery closure,
-  // so killing them would strand the run.
+  // Fault injection. Only flows with a recovery path are kill targets:
+  // each fetch, manager FS read, relay pull and sink gather passes its
+  // exec::Retry to start_transfer, an output return its `killed` closure.
+  // Import reads have neither, so killing them would strand the run.
   // ---------------------------------------------------------------------
   /// Drop `f` from `w`'s cache (w = kNoWorker: from every holder). Future
   /// consumers rediscover the loss at precheck/fetch time and lineage-reset
@@ -578,34 +575,6 @@ class VineRun {
       if (drop_worker_copy(holder, f, Residency::kLost)) ++lost;
     }
     return lost;
-  }
-
-  /// A fetch's flow was killed mid-stream: retry the fetch from scratch
-  /// after capped exponential backoff (any surviving source is fine), or
-  /// give up after the retry budget and let the lost-input path take over.
-  void on_fetch_killed(const FetchKey& key) {
-    Fetch* fp = fetch_find(key);
-    if (fp == nullptr) return;
-    Fetch& fetch = *fp;
-    if (fetch.peer_src != cluster::kNoWorker) {
-      release_peer_slot(fetch.peer_src, fetch.peer_src_inc, fetch.file);
-      fetch.peer_src = cluster::kNoWorker;
-    }
-    fetch.flow = net::kInvalidFlow;
-    fetch.kill_retries += 1;
-    if (fetch.kill_retries >= options_.fault_retry.max_transfer_retries) {
-      // The budget counts kills tolerated: the Nth kill exhausts it after
-      // N-1 backoff re-fetches (RetryPolicy::max_transfer_retries).
-      shell_.injector()->record_giveup(
-          "file=" + std::to_string(fetch.file) +
-          " dst=" + std::to_string(fetch.dst) +
-          " kills=" + std::to_string(fetch.kill_retries));
-      fail_fetch(key);
-      shell_.pump();
-      return;
-    }
-    const Tick delay = shell_.injector()->backoff_delay(fetch.kill_retries);
-    engine_.schedule_after(delay, [this, key] { start_fetch_transfer(key); });
   }
 
   /// Files the task needs staged into the worker's cache.
@@ -748,8 +717,6 @@ class VineRun {
       return;
     }
     Fetch fetch;
-    fetch.file = f;
-    fetch.dst = w;
     fetch.waiters.push_back(std::move(done));
     fetch_emplace(key, std::move(fetch));
     start_fetch_transfer(key);
@@ -759,8 +726,7 @@ class VineRun {
     Fetch* fp = fetch_find(key);
     if (fp == nullptr) return;
     Fetch& fetch = *fp;
-    const FileId f = fetch.file;
-    const WorkerId w = fetch.dst;
+    const auto [f, w] = key;
 
     // Dataset inputs are always recoverable from backing storage (the
     // local data store or the wide-area federation). When replicas already
@@ -953,15 +919,30 @@ class VineRun {
     });
   }
 
-  /// Start the flow behind fetch `key` from endpoint `src`; an injected
-  /// kill retries the fetch (on_fetch_killed).
+  /// Start the flow behind fetch `key` from endpoint `src`. A kill frees
+  /// its peer slot and, after backoff, restarts the fetch from scratch
+  /// (any surviving source will do); past the kill budget the fetch fails
+  /// and the lost-input path takes over.
   net::FlowId start_fetch_flow(const FetchKey& key, std::size_t src,
                                Tick latency,
                                std::function<void(net::FlowId)> landed) {
     return shell_.start_transfer(
         {src, cluster_.worker_endpoint(key.second), key.first,
          file(key.first).size},
-        latency, std::move(landed), [this, key] { on_fetch_killed(key); });
+        latency, std::move(landed),
+        {.episode = {RetryKind::kFetch, key.first, key.second},
+         .killed = [this, key] {
+           Fetch* fetch = fetch_find(key);
+           if (fetch == nullptr) return false;
+           if (fetch->peer_src != cluster::kNoWorker) {
+             release_peer_slot(fetch->peer_src, fetch->peer_src_inc, key.first);
+             fetch->peer_src = cluster::kNoWorker;
+           }
+           fetch->flow = net::kInvalidFlow;
+           return true;
+         },
+         .again = [this, key] { start_fetch_transfer(key); },
+         .give_up = [this, key] { fail_fetch(key); shell_.pump(); }});
   }
 
   /// Stage a dataset input from the shared filesystem to the manager's
@@ -986,30 +967,18 @@ class VineRun {
   /// queues for a fresh one.
   void submit_manager_fs_read(FileId f) {
     shell_.fs_gate().submit([this, f](net::FlowGate::SlotToken slot) {
-      manager_fs_flows_[f] = shell_.start_transfer(
+      shell_.start_transfer(
           {cluster_.fs_endpoint(), cluster_.manager_endpoint(), f,
            file(f).size},
           0,
           [this, f, slot = std::move(slot)](net::FlowId flow) {
-            manager_fs_flows_.erase(f);
             shell_.land(flow);
             replicas_->set_at_manager(f);
-            // The read landed: close the backoff episode so a later,
-            // independent failure of this file starts at backoff(1).
-            manager_fs_backoff_.reset(f);
-            auto node = manager_inflight_.extract(f);
-            for (auto& cb : node.mapped()) cb(true);
+            manager_copy_done(RetryKind::kManagerFs, f, true);
           },
-          [this, f] {
-            manager_fs_flows_.erase(f);
-            const Tick delay = shell_.injector()->backoff_delay(
-                manager_fs_backoff_.next_attempt(f));
-            engine_.schedule_after(delay, [this, f] {
-              if (!shell_.finished() && manager_inflight_.count(f) > 0) {
-                submit_manager_fs_read(f);
-              }
-            });
-          });
+          {.episode = {RetryKind::kManagerFs, f}, .again = [this, f] {
+             if (manager_inflight_.count(f) > 0) submit_manager_fs_read(f);
+           }});
     });
   }
 
@@ -1034,8 +1003,7 @@ class VineRun {
     if (replicas_->at_manager(f)) {
       // Arrived via another path (e.g. an output return) while this pull
       // was queued or backing off.
-      auto node = manager_inflight_.extract(f);
-      for (auto& cb : node.mapped()) cb(true);
+      manager_copy_done(RetryKind::kRelay, f, true);
       return;
     }
     // Re-pick a live holder at start time (the original may be gone).
@@ -1047,10 +1015,7 @@ class VineRun {
       }
     }
     if (holder == cluster::kNoWorker) {
-      auto node = manager_inflight_.extract(f);
-      if (!node.empty()) {
-        for (auto& cb : node.mapped()) cb(false);
-      }
+      manager_copy_done(RetryKind::kRelay, f, false);
       return;
     }
     const std::uint32_t incarnation = cluster_.worker(holder).incarnation;
@@ -1059,15 +1024,14 @@ class VineRun {
     pin_file(holder, f);
     // Relay pulls retry without a cap after a kill: the holder set is
     // re-resolved on each retry, and if every replica is gone by then the
-    // pull reports failure to its waiters (the lost-input path) rather
-    // than spinning.
+    // pull ends and reports failure to its waiters (the lost-input path)
+    // rather than spinning.
     shell_.start_transfer(
         {cluster_.worker_endpoint(holder), cluster_.manager_endpoint(), f,
          file(f).size},
         cluster_.control_rtt() / 2,
         [this, f, holder, incarnation,
          slot = std::move(slot)](net::FlowId flow) mutable {
-          relay_flows_.erase(f);
           if (!worker_current(holder, incarnation)) {
             shell_.fail(flow);
             start_relay_pull(f, std::move(slot));  // retry elsewhere
@@ -1076,25 +1040,28 @@ class VineRun {
           disk_->unpin(holder, f);
           shell_.land(flow);
           replicas_->set_at_manager(f);
-          relay_backoff_.reset(f);
-          auto node = manager_inflight_.extract(f);
-          for (auto& cb : node.mapped()) cb(true);
+          manager_copy_done(RetryKind::kRelay, f, true);
         },
-        [this, f, holder, incarnation] {
-          relay_flows_.erase(f);
-          if (worker_current(holder, incarnation)) disk_->unpin(holder, f);
-          const Tick delay = shell_.injector()->backoff_delay(
-              relay_backoff_.next_attempt(f));
-          engine_.schedule_after(delay, [this, f] {
-            if (shell_.finished() || manager_inflight_.count(f) == 0) {
-              return;
-            }
-            shell_.mgr_gate().submit([this, f](net::FlowGate::SlotToken fresh) {
-              start_relay_pull(f, std::move(fresh));
-            });
-          });
-        });
-    relay_flows_[f] = holder;
+        {.episode = {RetryKind::kRelay, f},
+         .killed = [this, f, holder, incarnation] {
+           if (worker_current(holder, incarnation)) disk_->unpin(holder, f);
+           return true;
+         },
+         .again = [this, f] {
+           if (manager_inflight_.count(f) == 0) return;
+           shell_.mgr_gate().submit([this, f](net::FlowGate::SlotToken fresh) {
+             start_relay_pull(f, std::move(fresh));
+           });
+         }});
+  }
+
+  /// The manager copy of `f` arrived (`ok`) or cannot be had: the read or
+  /// pull of `kind` that fetched it is over, and its waiters learn which.
+  void manager_copy_done(RetryKind kind, FileId f, bool ok) {
+    shell_.end_episode({kind, f});
+    auto node = manager_inflight_.extract(f);
+    if (node.empty()) return;
+    for (auto& cb : node.mapped()) cb(ok);
   }
 
   void complete_fetch(const FetchKey& key) {
@@ -1291,13 +1258,14 @@ class VineRun {
                     finalize_task(token, w, std::move(value));
                   });
             },
-            [this, t, token] {
+            {.killed = [this, t, token] {
               return_flows_.erase(t);
               if (shell_.token_valid(token)) {
                 fail_attempt(t, /*requeue=*/true);
                 shell_.pump();
               }
-            });
+              return false;  // nothing left to re-send
+            }});
       });
     }
   }
@@ -1388,6 +1356,7 @@ class VineRun {
         return;
       }
       // Output lost between completion and fetch: recompute.
+      shell_.end_episode({RetryKind::kSink, t});
       shell_.lineage_reset(t);
       shell_.pump();
       return;
@@ -1418,26 +1387,24 @@ class VineRun {
                 if (worker_current(src, src_inc)) disk_->unpin(src, f);
                 shell_.land(flow);
                 replicas_->set_at_manager(f);
-                sink_backoff_.reset(t);
                 sink_flows_.erase(t);
                 on_sink_fetched(t);
               },
-              [this, t, f, src, src_inc] {
-                sink_flows_.erase(t);
-                if (worker_current(src, src_inc)) disk_->unpin(src, f);
-                const Tick delay = shell_.injector()->backoff_delay(
-                    sink_backoff_.next_attempt(t));
-                engine_.schedule_after(delay, [this, t] {
-                  if (!shell_.finished() && !shell_.sink_done(t)) {
-                    fetch_sink_result(t);
-                  }
-                });
-              }),
+              {.episode = {RetryKind::kSink, t},
+               .killed = [this, t, f, src, src_inc] {
+                 sink_flows_.erase(t);
+                 if (worker_current(src, src_inc)) disk_->unpin(src, f);
+                 return true;
+               },
+               .again = [this, t] {
+                 if (!shell_.sink_done(t)) fetch_sink_result(t);
+               }}),
           src};
     });
   }
 
   void on_sink_fetched(TaskId t) {
+    shell_.end_episode({RetryKind::kSink, t});
     if (shell_.mark_sink_done(t)) check_completion();
   }
 
@@ -1687,8 +1654,9 @@ class VineRun {
   }
 
   // ---------------------------------------------------------------------
-  // Manager HA. The shell snapshots the run and task state; the engine
-  // adds worker disks, the object store, live flows and backoff ledgers.
+  // Manager HA. The shell snapshots the run and task state and the open
+  // retry episodes; the engine adds worker disks, the object store and
+  // live flows.
   // ---------------------------------------------------------------------
   ha::SnapshotBuilder snapshot_sections() {
     ha::SnapshotBuilder b;
@@ -1761,9 +1729,10 @@ class VineRun {
       // (file, worker) order, matching the historical global-map layout.
       std::vector<std::pair<FetchKey, std::uint32_t>> live_fetches;
       for (std::size_t dst = 0; dst < worker_fetches_.size(); ++dst) {
+        const auto w = static_cast<WorkerId>(dst);
         for (const auto& [f, fetch] : worker_fetches_[dst]) {
-          live_fetches.push_back({FetchKey{f, static_cast<WorkerId>(dst)},
-                                  fetch.kill_retries});
+          live_fetches.push_back(
+              {FetchKey{f, w}, shell_.kills({RetryKind::kFetch, f, w})});
         }
       }
       std::sort(live_fetches.begin(), live_fetches.end());
@@ -1773,8 +1742,9 @@ class VineRun {
                   "kills=" + std::to_string(kills));
       }
     }
-    for (const auto& [f, holder] : relay_flows_) {
-      b.field_s("relay." + std::to_string(f), std::to_string(holder));
+    for (const auto& [relay, open] : shell_.open_episodes(RetryKind::kRelay)) {
+      b.field_s("relay." + std::to_string(relay.a),
+                std::to_string(open.second.src - cluster_.worker_endpoint(0)));
     }
     for (const auto& [t, flow] : return_flows_) {
       b.field_s("return." + std::to_string(t), std::to_string(flow));
@@ -1786,8 +1756,9 @@ class VineRun {
       b.field_s("mgr." + std::to_string(f),
                 std::to_string(waiters.size()));
     }
-    for (const auto& [f, flow] : manager_fs_flows_) {
-      b.field_s("mgrfs." + std::to_string(f), std::to_string(flow));
+    for (const auto& [read, open] :
+         shell_.open_episodes(RetryKind::kManagerFs)) {
+      b.field_s("mgrfs." + std::to_string(read.a), std::to_string(open.first));
     }
     // The throttle queue is ordered state: admission order decides which
     // fetch starts first when a gate slot frees up.
@@ -1799,17 +1770,6 @@ class VineRun {
       }
       b.field_s("throttle", q);
     }
-
-    b.section("backoff");
-    manager_fs_backoff_.for_each([&b](FileId f, std::uint32_t n) {
-      b.field("fs." + std::to_string(f), n);
-    });
-    relay_backoff_.for_each([&b](FileId f, std::uint32_t n) {
-      b.field("relay." + std::to_string(f), n);
-    });
-    sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
-      b.field("sink." + std::to_string(t), n);
-    });
     return b;
   }
 
@@ -1849,17 +1809,8 @@ class VineRun {
   /// Pending consumers per file (graph-derived; see build_file_table).
   std::vector<std::uint32_t> consumers_left_;
   std::map<FileId, std::vector<std::function<void(bool)>>> manager_inflight_;
-  std::map<FileId, WorkerId> relay_flows_;
   std::map<TaskId, net::FlowId> return_flows_;
   std::map<TaskId, std::pair<net::FlowId, WorkerId>> sink_flows_;
-
-  // The backoff ledgers feed the capped exponential backoff for paths that
-  // retry without a cap; each resets on success so escalation counts
-  // consecutive failures, not lifetime kills.
-  std::map<FileId, net::FlowId> manager_fs_flows_;
-  fault::BackoffLedger<FileId> manager_fs_backoff_;
-  fault::BackoffLedger<FileId> relay_backoff_;
-  fault::BackoffLedger<TaskId> sink_backoff_;
 
   std::shared_ptr<obs::RunObservation> obs_;
 

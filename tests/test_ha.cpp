@@ -5,6 +5,7 @@
 // on all three scheduler backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -382,6 +383,62 @@ TEST(ManagerHa, RecoveryBitIdenticalUnderDiskPressure) {
   EXPECT_TRUE(outcome.recovered) << outcome.error;
   EXPECT_EQ(ha::run_digest(outcome.report), ha::run_digest(baseline));
   EXPECT_EQ(sink_digest(outcome.report), reference_digest(graph));
+}
+
+/// A checkpoint with a retry episode open: a backoff entry, or a fetch
+/// that has survived kills.
+bool has_open_retry(const std::string& state) {
+  for (const auto& [key, value] : ha::parse_snapshot(state)) {
+    if (key.rfind("backoff.", 0) == 0) return true;
+    if (key.rfind("flows.fetch.", 0) == 0 && value != "kills=0") return true;
+  }
+  return false;
+}
+
+TEST(ManagerHa, RecoveryBitIdenticalWithOpenRetryEpisodes) {
+  // Stochastic transfer kills keep retry episodes open across checkpoints.
+  // Crash the manager just after the first checkpoint that holds one, so
+  // recovery restores it: the rerun must serialize the same open episodes,
+  // replay the tail, and finish identical to the uninterrupted run.
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24), 31);
+  for (const std::string kind : {"vine", "wq", "dd"}) {
+    SCOPED_TRACE(kind);
+    exec::RunOptions options = ha_options();
+    options.seed = 31;
+    options.max_task_retries = 30;
+    options.ha.snapshot_interval = util::seconds(2);
+    options.faults.stochastic.transfer_kill_prob = 0.3;
+    const auto baseline = run_backend(kind, graph, options, 4);
+    ASSERT_TRUE(baseline.success) << baseline.failure_reason;
+    const auto& snaps = baseline.ha.snapshots;
+    const auto open = std::find_if(snaps.begin(), snaps.end(),
+                                   [](const ha::SnapshotRecord& r) {
+                                     return has_open_retry(r.state);
+                                   });
+    ASSERT_NE(open, snaps.end()) << "no checkpoint caught an open episode";
+    const Tick next =
+        open + 1 == snaps.end() ? baseline.makespan : (open + 1)->tick;
+
+    exec::RunOptions crash_options = options;
+    crash_options.faults.crash_manager((open->tick + next) / 2);
+    const auto crashed = run_backend(kind, graph, crash_options, 4);
+    ASSERT_TRUE(crashed.ha.manager_crashed);
+    ASSERT_FALSE(crashed.ha.snapshots.empty());
+    EXPECT_EQ(crashed.ha.snapshots.back().digest, open->digest);
+    EXPECT_TRUE(has_open_retry(crashed.ha.snapshots.back().state));
+
+    exec::RunOptions rerun_options = crash_options;
+    rerun_options.faults = ha::strip_manager_crash(crash_options.faults);
+    const auto outcome = ha::recover(crashed, crash_options.ha, [&] {
+      return run_backend(kind, graph, rerun_options, 4);
+    });
+    EXPECT_EQ(outcome.snapshot_seq, crashed.ha.snapshots.back().seq);
+    EXPECT_TRUE(outcome.snapshot_converged) << outcome.error;
+    EXPECT_TRUE(outcome.tail_identical) << outcome.error;
+    EXPECT_TRUE(outcome.recovered) << outcome.error;
+    EXPECT_EQ(ha::run_digest(outcome.report), ha::run_digest(baseline));
+    EXPECT_EQ(sink_digest(outcome.report), reference_digest(graph));
+  }
 }
 
 // --- snapshot completeness: the VL007-audited fields are live ------------
