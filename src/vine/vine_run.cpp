@@ -231,9 +231,12 @@ class VineRun {
   // itself on every mutation.
   // ---------------------------------------------------------------------
   void cache_insert(WorkerId w, FileId f) {
+    const bool arrives = !disk_->cached(w, f);
     disk_->insert(w, f, engine_.now());
     replicas_->add(f, w);
-    shell_.residency({Residency::kInsert, w, f, file(f).size});
+    // A copy already there (a re-run rewriting the output its failed
+    // attempt left behind) only refreshes its last use: it is no arrival.
+    if (arrives) shell_.residency({Residency::kInsert, w, f, file(f).size});
   }
 
   /// Pin `f` on `w`: attempt inputs/outputs and transfer sources must not

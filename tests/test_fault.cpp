@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -539,6 +540,58 @@ TEST(VineFaults, KilledSinkGatherRetries) {
 
 TEST(DaskFaults, KilledSinkGatherRetries) {
   expect_sink_gather_kill_retried("dask.distributed");
+}
+
+TEST(WqFaults, KilledReturnRerunInsertsItsOutputOnce) {
+  // A killed Work Queue output return fails its attempt and leaves the
+  // output on the worker's disk. On one worker the re-run rewrites that
+  // copy: the txn log must not record a second arrival of a file the worker
+  // already holds, or the residency record counts more files than the disk
+  // has (Debug builds audit the two at completion).
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(8), 31);
+  exec::RunOptions options = txn_options(31);
+  auto run = [&](const exec::RunOptions& o) {
+    cluster::Cluster cluster(tiny_cluster(1));
+    return wq::WorkQueueScheduler().run(graph, cluster, o);
+  };
+  const auto probe = run(options);
+  ASSERT_TRUE(probe.success) << probe.failure_reason;
+  ASSERT_NE(probe.observation, nullptr);
+  TxnTransfer ret;
+  for (const auto& x : txn_transfers(probe.observation->txn().text())) {
+    if (x.src == 1 && x.dst == 0 && x.close > x.start + 1) {  // worker 0
+      ret = x;
+      break;
+    }
+  }
+  ASSERT_GE(ret.start, 0) << "no output return in the probe run";
+  const Tick mid = (ret.start + ret.close) / 2;
+
+  options.faults.kill_transfers(mid, 64);
+  const auto report = run(options);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  ASSERT_NE(report.observation, nullptr);
+  const std::string txn = report.observation->txn().text();
+  EXPECT_EQ(txn_tick(txn, "TRANSFER " + ret.fields + " FAILED"), mid);
+  const auto after = txn_transfers(txn);
+  EXPECT_TRUE(std::any_of(after.begin(), after.end(), [&](const auto& x) {
+    return x.start > mid && x.fields == ret.fields;
+  })) << "the re-run never returned its output";
+  std::map<std::string, bool> held;  // "file worker" -> on disk
+  std::istringstream in(txn);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string tick, subject, f, verb, bytes, w;
+    if (!(fields >> tick >> subject >> f >> verb >> bytes >> w) ||
+        subject != "CACHE") {
+      continue;
+    }
+    bool& on_disk = held[f + " " + w];
+    EXPECT_NE(verb == "INSERT", on_disk) << line;
+    on_disk = verb == "INSERT";
+  }
+  expect_residency_tally(report);
 }
 
 // --- the kill budget ------------------------------------------------------
