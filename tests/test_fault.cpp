@@ -2,7 +2,8 @@
 // crash double-count regression, exact chained lineage-reset accounting,
 // the poisoned-task detector, relay retry when the source dies, the
 // zero-cost-when-off guarantee (empty schedule => byte-identical txn log),
-// a targeted kill of every retried transfer kind, and the kill budget.
+// a targeted kill of every retried transfer kind and of a Work Queue
+// output return, and the kill budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dd/dask_distributed.h"
 #include "fault/backoff_ledger.h"
@@ -592,6 +594,57 @@ TEST(WqFaults, KilledReturnRerunInsertsItsOutputOnce) {
     on_disk = verb == "INSERT";
   }
   expect_residency_tally(report);
+}
+
+TEST(DaskFaults, GiveupCountsOnlyItsOwnAttemptsKills) {
+  // A dd input's kills count against one attempt: when the attempt fails,
+  // its inputs' episodes end, and the next attempt starts at backoff(1)
+  // with the full budget. So every give-up's kills happened in its own
+  // attempt: since the task's previous attempt failed, the txn log holds at
+  // least that many FAILED lines of the file (each file here has one
+  // consumer, so they are this task's).
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24), 31);
+  exec::RunOptions options = txn_options(31);
+  options.faults.stochastic.transfer_kill_prob = 0.5;
+  // Crashes fail attempts while their inputs are still being fetched.
+  options.faults.stochastic.worker_crash_rate_per_hour = 60.0;
+  std::size_t giveups = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    options.faults.seed = seed;
+    cluster::Cluster cluster(tiny_cluster(4));
+    const auto report = dd::DaskDistScheduler().run(graph, cluster, options);
+    ASSERT_NE(report.observation, nullptr);
+    std::map<std::string, std::size_t> failed_since;  // task -> count start
+    std::map<std::string, std::vector<std::size_t>> killed;  // file -> lines
+    std::istringstream in(report.observation->txn().text());
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line); ++n) {
+      std::istringstream f(line);
+      std::string tick, subject, a, b, c, d, verb;
+      f >> tick >> subject >> a >> b >> c >> d >> verb;
+      if (subject == "TASK" && b == "RETRIEVED" && c == "FAILURE") {
+        failed_since[a] = n;
+      } else if (subject == "TRANSFER" && verb == "FAILED") {
+        killed[c].push_back(n);
+      } else if (subject == "FAULT" && b == "TRANSFER_GIVEUP") {
+        ++giveups;
+        // FAULT <seq> TRANSFER_GIVEUP task=<id> file=<id> kills=<n>
+        const std::string task = c.substr(5);
+        const std::string file = d.substr(5);
+        const auto& lines = killed[file];
+        const std::size_t since = failed_since.count(task) != 0
+                                      ? failed_since[task]
+                                      : 0;
+        const auto own = std::count_if(lines.begin(), lines.end(),
+                                       [since](std::size_t l) {
+                                         return l > since;
+                                       });
+        EXPECT_GE(own, std::stoll(verb.substr(6)))
+            << "faults.seed " << seed << ": " << line;
+      }
+    }
+  }
+  EXPECT_GT(giveups, 0u);
 }
 
 // --- the kill budget ------------------------------------------------------
