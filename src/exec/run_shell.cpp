@@ -733,6 +733,7 @@ void RunShell::take_snapshot() {
   // Open retry episodes, in kind order, then by id. A fetch's kills ride
   // the engine's flows entry of that fetch instead.
   b.section("backoff");
+  // Key prefix by RetryKind (kNone and kFetch never appear).
   static constexpr const char* kKeys[] = {"", "", "fs.", "relay.", "key.",
                                           "sink."};
   retries_.for_each([&b](const Episode& e, std::uint32_t kills) {
