@@ -19,9 +19,11 @@
 //    instead of the whole component's ~130. The incremental path wins by
 //    that and by its candidate-driven water-filling passes.
 //
-// Per scenario and path the bench reports passes and flow visits per
-// recompute, and how often a recompute was widened because a link it had
-// left out came out saturated (Network::recompute_expansions).
+// Per scenario and path the bench reports passes, flow visits and re-rated
+// flows (settled and re-keyed, Network::recompute_rearms) per recompute,
+// the wall time per flow visit, and how often a recompute was widened
+// because a link it had left out came out saturated
+// (Network::recompute_expansions).
 //
 // Both modes replay the exact same scenario (peer choices and gaps are
 // hashed from stable slot coordinates, not drawn from shared mutable
@@ -85,6 +87,7 @@ struct Result {
   std::uint64_t bytes_completed = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t flow_visits = 0;
+  std::uint64_t rearms = 0;
   std::uint64_t passes = 0;
   std::uint64_t expansions = 0;
   std::uint64_t engine_events = 0;
@@ -98,6 +101,11 @@ struct Result {
     return recomputes > 0 ? static_cast<double>(total) /
                                 static_cast<double>(recomputes)
                           : 0;
+  }
+  [[nodiscard]] double ns_per_visit() const {
+    return flow_visits > 0
+               ? wall_seconds * 1e9 / static_cast<double>(flow_visits)
+               : 0;
   }
 };
 
@@ -138,6 +146,7 @@ class Campaign {
     r.bytes_completed = net_.total_bytes_completed();
     r.recomputes = net_.recomputes();
     r.flow_visits = net_.recompute_flow_visits();
+    r.rearms = net_.recompute_rearms();
     r.passes = net_.recompute_passes();
     r.expansions = net_.recompute_expansions();
     r.engine_events = engine_.executed();
@@ -207,15 +216,15 @@ void print_result(const char* label, const Result& r) {
   std::printf(
       "  %-12s wall %8.3f s   flows %8llu   recomputes %9llu   "
       "flow-visits %12llu   flow-events/s %12.0f\n"
-      "  %-12s per recompute: %.2f passes, %.1f flow visits   "
-      "expansions %llu\n",
+      "  %-12s per recompute: %.2f passes, %.1f flow visits, %.1f re-rated"
+      "   %.1f ns/visit   expansions %llu\n",
       label, r.wall_seconds,
       static_cast<unsigned long long>(r.flows_completed),
       static_cast<unsigned long long>(r.recomputes),
       static_cast<unsigned long long>(r.flow_visits),
       r.flow_events_per_sec(), "", r.per_recompute(r.passes),
-      r.per_recompute(r.flow_visits),
-      static_cast<unsigned long long>(r.expansions));
+      r.per_recompute(r.flow_visits), r.per_recompute(r.rearms),
+      r.ns_per_visit(), static_cast<unsigned long long>(r.expansions));
 }
 
 void json_result(std::FILE* f, const char* indent, const char* key,
@@ -228,6 +237,9 @@ void json_result(std::FILE* f, const char* indent, const char* key,
                "%s  \"recomputes\": %llu,\n"
                "%s  \"flow_visits\": %llu,\n"
                "%s  \"visits_per_recompute\": %.3f,\n"
+               "%s  \"rearms\": %llu,\n"
+               "%s  \"rearms_per_recompute\": %.3f,\n"
+               "%s  \"ns_per_visit\": %.2f,\n"
                "%s  \"expansions\": %llu,\n"
                "%s  \"passes\": %llu,\n"
                "%s  \"engine_events\": %llu,\n"
@@ -240,6 +252,8 @@ void json_result(std::FILE* f, const char* indent, const char* key,
                static_cast<unsigned long long>(r.recomputes), indent,
                static_cast<unsigned long long>(r.flow_visits), indent,
                r.per_recompute(r.flow_visits), indent,
+               static_cast<unsigned long long>(r.rearms), indent,
+               r.per_recompute(r.rearms), indent, r.ns_per_visit(), indent,
                static_cast<unsigned long long>(r.expansions), indent,
                static_cast<unsigned long long>(r.passes), indent,
                static_cast<unsigned long long>(r.engine_events), indent,

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "util/text.h"
 namespace hepvine::cluster {
 
 Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
@@ -26,10 +27,10 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   for (std::uint32_t i = 0; i < spec_.worker_count; ++i) {
     WorkerNode node;
     node.id = static_cast<WorkerId>(i);
-    node.uplink = network_->add_link("w" + std::to_string(i) + ".up",
-                                     spec_.worker.nic);
-    node.downlink = network_->add_link("w" + std::to_string(i) + ".down",
-                                       spec_.worker.nic);
+    node.uplink =
+        network_->add_link(util::numbered("w", i, ".up"), spec_.worker.nic);
+    node.downlink =
+        network_->add_link(util::numbered("w", i, ".down"), spec_.worker.nic);
     node.cores = spec_.worker.cores;
     node.memory = spec_.worker.memory;
     node.disk = storage::LocalDisk(spec_.worker.disk,

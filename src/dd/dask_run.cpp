@@ -16,6 +16,7 @@
 #include "obs/observer.h"
 #include "obs/span.h"
 #include "sim/rng.h"
+#include "util/text.h"
 
 namespace hepvine::dd {
 
@@ -679,17 +680,17 @@ class DaskRun {
         if (i) v += ",";
         v += std::to_string(holders[i]);
       }
-      v += "/" + std::to_string(info.consumers_left);
-      b.field_s("f" + std::to_string(f), v);
+      v += util::numbered("/", info.consumers_left);
+      b.field_s(util::numbered("f", f), v);
     }
 
     b.section("procs");
     for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
       const Proc& p = procs_[pid];
       if (!p.alive) continue;
-      b.field_s("p" + std::to_string(pid),
-                "inc=" + std::to_string(p.incarnation) +
-                    " busy=" + std::to_string(p.busy ? 1 : 0) +
+      b.field_s(util::numbered("p", pid),
+                util::numbered("inc=", p.incarnation, " busy=") +
+                    std::to_string(p.busy ? 1 : 0) +
                     " mem=" + std::to_string(p.mem_used) +
                     " held=" + std::to_string(p.holding.size()) +
                     " ser=" + std::to_string(p.ser.bytes) + ":" +

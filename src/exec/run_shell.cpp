@@ -6,6 +6,7 @@
 #include "metrics/attempt_views.h"
 #include "obs/attribution.h"
 #include "obs/span.h"
+#include "util/text.h"
 
 namespace hepvine::exec {
 
@@ -711,8 +712,8 @@ void RunShell::take_snapshot() {
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     const auto& st = table_.at(t);
     // One compact line per task: state/attempts/worker.
-    b.field_s("t" + std::to_string(t),
-              std::to_string(static_cast<int>(st.state)) + "/" +
+    b.field_s(util::numbered("t", t),
+              util::numbered("", static_cast<int>(st.state), "/") +
                   std::to_string(st.attempts) + "/" +
                   std::to_string(st.worker));
   }
@@ -720,11 +721,11 @@ void RunShell::take_snapshot() {
   // poisoned-task detector's memory) and sink-gather completion bits.
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-    if (n != 0) b.field("r" + std::to_string(t), n);
+    if (n != 0) b.field(util::numbered("r", t), n);
   }
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     if (is_sink_[static_cast<std::size_t>(t)] && sink_done(t)) {
-      b.field("s" + std::to_string(t), 1);
+      b.field(util::numbered("s", t), 1);
     }
   }
 
@@ -738,8 +739,8 @@ void RunShell::take_snapshot() {
                                           "sink."};
   retries_.for_each([&b](const Episode& e, std::uint32_t kills) {
     if (e.kind == RetryKind::kFetch) return;
-    std::string key = kKeys[static_cast<int>(e.kind)] + std::to_string(e.a);
-    if (e.kind == RetryKind::kKey) key += "." + std::to_string(e.b);
+    std::string key = util::numbered(kKeys[static_cast<int>(e.kind)], e.a);
+    if (e.kind == RetryKind::kKey) key += util::numbered(".", e.b);
     b.field(key, kills);
   });
 

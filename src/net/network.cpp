@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace hepvine::net {
@@ -12,39 +14,37 @@ namespace hepvine::net {
 LinkId Network::add_link(std::string name, Bandwidth capacity) {
   const auto id = static_cast<LinkId>(links_.size());
   Link link;
-  link.spec = LinkSpec{std::move(name), capacity};
+  link.capacity = capacity;
   links_.push_back(std::move(link));
+  link_specs_.push_back(LinkSpec{std::move(name), capacity});
+  link_scales_.push_back(1.0);
+  link_stats_.emplace_back();
+  link_state_.push_back(kUnreached);
   return id;
 }
 
-Network::Flow* Network::find_flow(FlowId id) {
-  if (id < window_base_) return nullptr;
+std::int32_t Network::find_slot(FlowId id) const {
+  if (id < window_base_) return -1;
   const auto idx = static_cast<std::size_t>(id - window_base_);
-  if (idx >= window_.size()) return nullptr;
-  const std::int32_t slot = window_[idx];
-  return slot < 0 ? nullptr : &slots_[static_cast<std::size_t>(slot)];
+  return idx < window_.size() ? window_[idx] : -1;
 }
 
-const Network::Flow* Network::find_flow(FlowId id) const {
-  return const_cast<Network*>(this)->find_flow(id);
-}
-
-Network::Flow& Network::create_flow(FlowId id) {
+std::int32_t Network::create_flow(FlowId id) {
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::int32_t>(slots_.size());
-    slots_.emplace_back();
-    in_component_.push_back(0);
+    slot = static_cast<std::int32_t>(flows_.size());
+    flows_.emplace_back();
+    hot_.emplace_back();
+    comp_pos_.push_back(-1);
   }
   assert(window_base_ + static_cast<FlowId>(window_.size()) == id);
   window_.push_back(slot);
   live_flows_ += 1;
-  Flow& flow = slots_[static_cast<std::size_t>(slot)];
-  flow.id = id;
-  return flow;
+  flow_at(slot).id = id;
+  return slot;
 }
 
 void Network::destroy_flow(FlowId id) {
@@ -52,8 +52,10 @@ void Network::destroy_flow(FlowId id) {
   const std::int32_t slot = window_[idx];
   assert(slot >= 0);
   // Reset in place so the recycled slot starts clean and the done callback
-  // and event handles release their captures now, not at slot reuse.
-  slots_[static_cast<std::size_t>(slot)] = Flow{};
+  // releases its captures now, not at slot reuse.
+  const auto s = static_cast<std::size_t>(slot);
+  flows_[s] = Flow{};
+  hot_[s] = FlowHot{};
   free_slots_.push_back(slot);
   window_[idx] = -1;
   live_flows_ -= 1;
@@ -75,35 +77,42 @@ void Network::warn(FlowId id, const char* detail) {
   if (on_warn_) on_warn_(engine_.now(), id, detail);
 }
 
-FlowId Network::start_flow(std::vector<LinkId> path, std::uint64_t bytes,
-                           Tick latency, std::function<void(FlowId)> done) {
+FlowId Network::start_flow(const std::vector<LinkId>& path,
+                           std::uint64_t bytes, Tick latency,
+                           std::function<void(FlowId)> done) {
+  if (path.size() > kMaxPathLinks) {
+    throw std::invalid_argument("net: a flow path crosses at most " +
+                                std::to_string(kMaxPathLinks) + " links");
+  }
   const FlowId id = next_flow_id_++;
-  Flow& flow = create_flow(id);
-  flow.path = std::move(path);
+  const std::int32_t slot = create_flow(id);
+  FlowHot& hot = hot_[static_cast<std::size_t>(slot)];
+  for (const LinkId link : path) {
+    assert(link >= 0 && static_cast<std::size_t>(link) < links_.size());
+    hot.path.links[static_cast<std::size_t>(hot.path.size++)] = link;
+    link_stats_[static_cast<std::size_t>(link)].flows_carried += 1;
+  }
+  hot.remaining = static_cast<double>(bytes);
+  hot.last_update = engine_.now();
+  Flow& flow = flow_at(slot);
   flow.total_bytes = bytes;
-  flow.remaining = static_cast<double>(bytes);
   flow.done = std::move(done);
   flow.created_at = engine_.now();
-  flow.last_update = engine_.now();
-  for (LinkId link : flow.path) {
-    assert(link >= 0 && static_cast<std::size_t>(link) < links_.size());
-    links_[static_cast<std::size_t>(link)].stats.flows_carried += 1;
-  }
-  flow.setup = engine_.schedule_after(
-      latency, [this, id] { begin_transfer(id); });
+  engine_.rearm_after(flow.setup, latency,
+                      [this, id] { begin_transfer(id); });
   return id;
 }
 
 void Network::begin_transfer(FlowId id) {
-  Flow* flow = find_flow(id);
-  if (flow == nullptr) return;
-  if (flow->remaining <= 0.0) {
+  const std::int32_t slot = find_slot(id);
+  if (slot < 0) return;
+  FlowHot& hot = hot_[static_cast<std::size_t>(slot)];
+  if (hot.remaining <= 0.0) {
     finish_flow(id);
     return;
   }
-  flow->transferring = true;
-  flow->last_update = engine_.now();
-  const std::int32_t slot = slot_of(*flow);
+  flow_at(slot).transferring = true;
+  hot.last_update = engine_.now();
   // Ids are issued monotonically, so a starting transfer usually sorts at
   // or near the back.
   const auto pos = std::lower_bound(
@@ -112,7 +121,7 @@ void Network::begin_transfer(FlowId id) {
         return e.first < v;
       });
   transferring_.insert(pos, {id, slot});
-  for (LinkId link : flow->path) {
+  for (const LinkId link : hot_[static_cast<std::size_t>(slot)].path) {
     Link& l = links_[static_cast<std::size_t>(link)];
     l.active += 1;
     l.flows.push_back(slot);
@@ -121,7 +130,8 @@ void Network::begin_transfer(FlowId id) {
   request_recompute();
 }
 
-void Network::release_links(Flow& flow) {
+void Network::release_links(std::int32_t slot) {
+  Flow& flow = flow_at(slot);
   if (!flow.transferring) return;
   const auto pos = std::lower_bound(
       transferring_.begin(), transferring_.end(), flow.id,
@@ -130,8 +140,7 @@ void Network::release_links(Flow& flow) {
       });
   assert(pos != transferring_.end() && pos->first == flow.id);
   transferring_.erase(pos);
-  const std::int32_t slot = slot_of(flow);
-  for (LinkId link : flow.path) {
+  for (const LinkId link : hot_[static_cast<std::size_t>(slot)].path) {
     Link& l = links_[static_cast<std::size_t>(link)];
     l.active -= 1;
     auto it = std::find(l.flows.begin(), l.flows.end(), slot);
@@ -144,97 +153,91 @@ void Network::release_links(Flow& flow) {
   request_recompute();
 }
 
-void Network::cancel_flow(FlowId id) {
-  Flow* flow = find_flow(id);
-  if (flow == nullptr) return;
-  engine_.cancel(flow->setup);
-  engine_.cancel(flow->completion);
-  engine_.cancel(flow->failure);
-  if (flow->transferring) settle_flow(*flow);
-  release_links(*flow);
-  flows_cancelled_ += 1;
-  bytes_abandoned_ += flow->attributed;
-  const Tick created = flow->created_at;
-  const std::uint64_t total = flow->total_bytes;
-  const std::uint64_t carried = flow->attributed;
-  destroy_flow(id);
-  if (on_span_) on_span_(created, engine_.now(), id, total, carried, 'C');
-}
+void Network::cancel_flow(FlowId id) { abandon_flow(id, 'C'); }
 
-void Network::fail_flow(FlowId id) {
-  Flow* flow = find_flow(id);
-  if (flow == nullptr) return;
-  engine_.cancel(flow->setup);
-  engine_.cancel(flow->completion);
-  engine_.cancel(flow->failure);
-  if (flow->transferring) settle_flow(*flow);
-  release_links(*flow);
-  flows_failed_ += 1;
-  bytes_abandoned_ += flow->attributed;
-  const Tick created = flow->created_at;
-  const std::uint64_t total = flow->total_bytes;
-  const std::uint64_t carried = flow->attributed;
+void Network::fail_flow(FlowId id) { abandon_flow(id, 'F'); }
+
+void Network::abandon_flow(FlowId id, char outcome) {
+  const std::int32_t slot = find_slot(id);
+  if (slot < 0) return;
+  Flow& flow = flow_at(slot);
+  engine_.cancel(flow.setup);
+  engine_.cancel(flow.completion);
+  engine_.cancel(flow.failure);
+  if (flow.transferring) settle_flow(slot);
+  release_links(slot);
+  (outcome == 'F' ? flows_failed_ : flows_cancelled_) += 1;
+  const std::uint64_t carried = hot_[static_cast<std::size_t>(slot)].attributed;
+  bytes_abandoned_ += carried;
+  const Tick created = flow.created_at;
+  const std::uint64_t total = flow.total_bytes;
   destroy_flow(id);
-  if (on_span_) on_span_(created, engine_.now(), id, total, carried, 'F');
-  if (on_fail_) on_fail_(id);
+  if (on_span_) on_span_(created, engine_.now(), id, total, carried, outcome);
+  if (outcome == 'F' && on_fail_) on_fail_(id);
 }
 
 void Network::arm_flow_fault(FlowId id, std::uint64_t fail_after_bytes) {
-  Flow* flow = find_flow(id);
-  if (flow == nullptr) return;
-  if (flow->total_bytes == 0) return;  // no mid-stream byte to fail on
-  flow->fail_at =
-      std::clamp<std::uint64_t>(fail_after_bytes, 1, flow->total_bytes);
+  const std::int32_t slot = find_slot(id);
+  if (slot < 0) return;
+  Flow& flow = flow_at(slot);
+  if (flow.total_bytes == 0) return;  // no mid-stream byte to fail on
+  hot_[static_cast<std::size_t>(slot)].fail_at =
+      std::clamp<std::uint64_t>(fail_after_bytes, 1, flow.total_bytes);
   // If the flow is live, rates are already assigned and no recompute may be
   // coming; dirty its path and (re)schedule the failure from here. Flows
   // still in setup pick up their failure event in the next recompute.
-  if (flow->transferring) {
-    for (LinkId link : flow->path) mark_dirty(link);
+  if (flow.transferring) {
+    for (const LinkId link : hot_[static_cast<std::size_t>(slot)].path) {
+      mark_dirty(link);
+    }
     request_recompute();
   }
 }
 
 Bandwidth Network::flow_rate(FlowId id) const {
-  const Flow* flow = find_flow(id);
-  return flow == nullptr ? 0.0 : flow->rate;
+  const std::int32_t slot = find_slot(id);
+  return slot < 0 ? 0.0 : hot_[static_cast<std::size_t>(slot)].rate;
 }
 
 void Network::set_link_scale(LinkId id, double factor) {
-  Link& l = links_[static_cast<std::size_t>(id)];
-  if (l.scale == factor) return;
-  l.scale = factor;
+  const auto l = static_cast<std::size_t>(id);
+  if (link_scales_[l] == factor) return;
+  link_scales_[l] = factor;
+  links_[l].capacity = link_specs_[l].capacity * factor;
   mark_dirty(id);
   request_recompute();
 }
 
-void Network::attribute_bytes(Flow& flow, std::uint64_t bytes) {
+void Network::attribute_bytes(FlowHot& hot, std::uint64_t bytes) {
   if (bytes == 0) return;
-  flow.attributed += bytes;
-  for (LinkId link : flow.path) {
-    links_[static_cast<std::size_t>(link)].stats.bytes_carried += bytes;
+  hot.attributed += bytes;
+  for (const LinkId link : hot.path) {
+    link_stats_[static_cast<std::size_t>(link)].bytes_carried += bytes;
   }
 }
 
 void Network::finish_flow(FlowId id) {
-  Flow* flow = find_flow(id);
-  if (flow == nullptr) return;
+  const std::int32_t slot = find_slot(id);
+  if (slot < 0) return;
+  Flow& flow = flow_at(slot);
   // Charge this flow's progress up to now so link statistics include the
   // final stretch (settling is per-flow: each flow has its own last_update).
-  settle_flow(*flow);
-  engine_.cancel(flow->setup);
-  engine_.cancel(flow->completion);
-  engine_.cancel(flow->failure);
-  if (flow->transferring) {
+  settle_flow(slot);
+  engine_.cancel(flow.setup);
+  engine_.cancel(flow.completion);
+  engine_.cancel(flow.failure);
+  if (flow.transferring) {
     // Attribute whatever rounding left behind so a completed flow charges
     // its links exactly total_bytes, no more and no less.
-    assert(flow->attributed <= flow->total_bytes);
-    attribute_bytes(*flow, flow->total_bytes - flow->attributed);
-    release_links(*flow);
+    FlowHot& hot = hot_[static_cast<std::size_t>(slot)];
+    assert(hot.attributed <= flow.total_bytes);
+    attribute_bytes(hot, flow.total_bytes - hot.attributed);
+    release_links(slot);
   }
-  bytes_completed_ += flow->total_bytes;
-  auto done = std::move(flow->done);
-  const Tick created = flow->created_at;
-  const std::uint64_t total = flow->total_bytes;
+  bytes_completed_ += flow.total_bytes;
+  auto done = std::move(flow.done);
+  const Tick created = flow.created_at;
+  const std::uint64_t total = flow.total_bytes;
   destroy_flow(id);
   flows_completed_ += 1;
   if (on_span_) on_span_(created, engine_.now(), id, total, total, 'D');
@@ -252,25 +255,14 @@ void Network::request_recompute() {
   });
 }
 
-void Network::settle_flow(Flow& flow) {
+void Network::settle_flow(std::int32_t slot) {
   const Tick now = engine_.now();
-  if (!flow.transferring) {
-    flow.last_update = now;
-    return;
+  FlowHot& hot = hot_[static_cast<std::size_t>(slot)];
+  const Tick elapsed = now - hot.last_update;
+  if (flow_at(slot).transferring && elapsed > 0 && hot.rate > 0) {
+    attribute_bytes(hot, hot.advance(hot.rate * util::to_seconds(elapsed)));
   }
-  const Tick elapsed = now - flow.last_update;
-  if (elapsed > 0 && flow.rate > 0) {
-    const double moved = flow.rate * util::to_seconds(elapsed);
-    const double applied = std::min(moved, flow.remaining);
-    flow.remaining -= applied;
-    // Attribute whole bytes only; the sub-byte remainder carries over to the
-    // next settle so long-lived slow flows never under-report bytes_carried.
-    flow.carry += applied;
-    const auto whole = static_cast<std::uint64_t>(flow.carry);
-    flow.carry -= static_cast<double>(whole);
-    attribute_bytes(flow, whole);
-  }
-  flow.last_update = now;
+  hot.last_update = now;
 }
 
 namespace {
@@ -284,12 +276,15 @@ constexpr double kSaturatedFraction = 1.0 - 0x1p-20;
 
 }  // namespace
 
-bool Network::saturated(const Link& link) const {
+bool Network::saturated(const Link& link, bool filled) const {
   double load = 0;
   for (const std::int32_t slot : link.flows) {
-    load += slots_[static_cast<std::size_t>(slot)].rate;
+    const auto s = static_cast<std::size_t>(slot);
+    const std::int32_t pos = filled ? comp_pos_[s] : -1;
+    load +=
+        pos >= 0 ? new_rates_[static_cast<std::size_t>(pos)] : hot_[s].rate;
   }
-  return load >= link.spec.capacity * link.scale * kSaturatedFraction;
+  return load >= link.capacity * kSaturatedFraction;
 }
 
 bool Network::collect_component() {
@@ -301,15 +296,15 @@ bool Network::collect_component() {
   // its connected component joined through saturated links, and every
   // mutation dirties the links it touches.
   comp_links_.clear();
-  comp_flows_.clear();
+  comp_slots_.clear();
   if (options_.incremental_recompute) {
     if (dirty_links_.empty()) return false;
     bfs_stack_.clear();
     for (LinkId id : dirty_links_) {
-      Link& link = links_[static_cast<std::size_t>(id)];
-      link.dirty = false;
-      if (!link.visited) {
-        link.visited = true;
+      links_[static_cast<std::size_t>(id)].dirty = false;
+      std::int32_t& state = link_state_[static_cast<std::size_t>(id)];
+      if (state == kUnreached) {
+        state = kQueued;
         bfs_stack_.push_back(id);
       }
     }
@@ -322,18 +317,13 @@ bool Network::collect_component() {
     dirty_links_.clear();
     for (std::size_t i = 0; i < links_.size(); ++i) {
       if (links_[i].active > 0) {
-        links_[i].visited = true;
+        link_state_[i] = static_cast<std::int32_t>(comp_links_.size());
         comp_links_.push_back(static_cast<LinkId>(i));
       }
     }
-    for (const std::int32_t slot : window_) {
-      if (slot < 0) continue;
-      Flow& flow = slots_[static_cast<std::size_t>(slot)];
-      if (!flow.transferring) continue;
-      in_component_[static_cast<std::size_t>(slot)] = 1;
-      comp_flows_.push_back(&flow);  // window order == ascending id
-    }
+    for (const auto& [id, slot] : transferring_) comp_slots_.push_back(slot);
   }
+  gather_component();
   return true;
 }
 
@@ -348,42 +338,100 @@ void Network::walk_component() {
   while (!bfs_stack_.empty()) {
     const LinkId lid = bfs_stack_.back();
     bfs_stack_.pop_back();
+    link_state_[static_cast<std::size_t>(lid)] =
+        static_cast<std::int32_t>(comp_links_.size());
     comp_links_.push_back(lid);
-    const Link& link = links_[static_cast<std::size_t>(lid)];
-    for (const std::int32_t slot : link.flows) {
-      std::uint8_t& mark = in_component_[static_cast<std::size_t>(slot)];
-      if (mark != 0) continue;
-      mark = 1;
-      Flow& flow = slots_[static_cast<std::size_t>(slot)];
-      assert(flow.transferring);
-      comp_flows_.push_back(&flow);
-      for (LinkId pl : flow.path) {
-        Link& p = links_[static_cast<std::size_t>(pl)];
-        if (p.visited || p.boundary) continue;
-        if (saturated(p)) {
-          p.visited = true;
+    for (const std::int32_t slot :
+         links_[static_cast<std::size_t>(lid)].flows) {
+      std::int32_t& mark = comp_pos_[static_cast<std::size_t>(slot)];
+      if (mark >= 0) continue;
+      mark = 0;  // a position once ordered
+      assert(flow_at(slot).transferring);
+      comp_slots_.push_back(slot);
+      for (const LinkId pl : hot_[static_cast<std::size_t>(slot)].path) {
+        std::int32_t& state = link_state_[static_cast<std::size_t>(pl)];
+        if (state != kUnreached) continue;
+        if (saturated(links_[static_cast<std::size_t>(pl)], false)) {
+          state = kQueued;
           bfs_stack_.push_back(pl);
         } else {
-          p.boundary = true;
+          state = kBoundary;
           boundary_links_.push_back(pl);
         }
       }
     }
   }
+  order_component();
+}
+
+void Network::order_component() {
   // Discovery order depends on link lists; the contract below is id order.
   // A component spanning a good share of the transferring flows (the
   // shared-bottleneck regime) is cheaper to pick out of the persistent
   // id-ordered list than to sort.
-  if (comp_flows_.size() * 4 >= transferring_.size()) {
-    comp_flows_.clear();
+  if (comp_slots_.size() * 4 >= transferring_.size()) {
+    comp_slots_.resize(transferring_.size());
+    std::size_t kept = 0;
     for (const auto& [id, slot] : transferring_) {
-      if (in_component_[static_cast<std::size_t>(slot)] != 0) {
-        comp_flows_.push_back(&slots_[static_cast<std::size_t>(slot)]);
-      }
+      comp_slots_[kept] = slot;  // kept only if marked; no branch to miss
+      kept += comp_pos_[static_cast<std::size_t>(slot)] >= 0 ? 1 : 0;
     }
+    comp_slots_.resize(kept);
   } else {
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [](const Flow* a, const Flow* b) { return a->id < b->id; });
+    std::sort(comp_slots_.begin(), comp_slots_.end(),
+              [this](std::int32_t a, std::int32_t b) {
+                return flow_at(a).id < flow_at(b).id;
+              });
+  }
+}
+
+void Network::gather_component() {
+  // Each crossed link gets a dense wf_links_ entry; each component flow,
+  // in id order, gets its position, its old rate, and its crossed links
+  // as wf_links_ indices. Boundary links are left out of the paths. Every
+  // flow on a crossed link is in the component, so each link's member run
+  // holds exactly `active` positions, filled in ascending order. After
+  // this, neither fill touches a Link or a flow's slot.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  wf_links_.clear();
+  wf_share_.clear();
+  wf_live_.clear();
+  std::int32_t members = 0;
+  for (const LinkId id : comp_links_) {
+    const Link& link = links_[static_cast<std::size_t>(id)];
+    WfLink w;
+    w.capacity = link.capacity;
+    w.unfrozen = link.active;
+    w.head = members;
+    w.end = members;
+    members += link.active;
+    const double share = w.unfrozen > 0 ? w.capacity / w.unfrozen : kInf;
+    if (share < kInf) {
+      wf_live_.push_back(static_cast<std::int32_t>(wf_links_.size()));
+    }
+    wf_links_.push_back(w);
+    wf_share_.push_back(share);
+  }
+  wf_members_.resize(static_cast<std::size_t>(members));
+  const std::size_t n = comp_slots_.size();
+  old_rates_.resize(n);
+  new_rates_.assign(n, 0.0);
+  wf_paths_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto slot = static_cast<std::size_t>(comp_slots_[p]);
+    comp_pos_[slot] = static_cast<std::int32_t>(p);
+    const FlowHot& hot = hot_[slot];
+    old_rates_[p] = hot.rate;
+    WfPath& wp = wf_paths_[p];
+    wp.size = 0;
+    for (const LinkId id : hot.path) {
+      const std::int32_t w = link_state_[static_cast<std::size_t>(id)];
+      if (w < 0) continue;
+      wp.links[static_cast<std::size_t>(wp.size++)] = w;
+      wf_members_[static_cast<std::size_t>(
+          wf_links_[static_cast<std::size_t>(w)].end++)] =
+          static_cast<std::int32_t>(p);
+    }
   }
 }
 
@@ -394,10 +442,8 @@ bool Network::widen_component() {
   // fill the larger set again.
   std::size_t kept = 0;
   for (const LinkId id : boundary_links_) {
-    Link& link = links_[static_cast<std::size_t>(id)];
-    if (saturated(link)) {
-      link.boundary = false;
-      link.visited = true;
+    if (saturated(links_[static_cast<std::size_t>(id)], true)) {
+      link_state_[static_cast<std::size_t>(id)] = kQueued;
       bfs_stack_.push_back(id);
     } else {
       boundary_links_[kept++] = id;
@@ -406,11 +452,9 @@ bool Network::widen_component() {
   boundary_links_.resize(kept);
   if (bfs_stack_.empty()) return false;
   recompute_expansions_ += 1;
-  for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-    comp_flows_[i]->rate = old_rates_[i];
-  }
   walk_component();
-  recompute_flow_visits_ += comp_flows_.size();
+  gather_component();
+  recompute_flow_visits_ += comp_slots_.size();
   return true;
 }
 
@@ -421,51 +465,43 @@ void Network::water_fill_reference(bool starve_seam) {
   // The freeze comparison is exact (no tolerance): that makes per-
   // component water-filling bit-identical to the global pass — a link
   // merely *near* another component's bottleneck must not freeze early.
-  old_rates_.clear();
-  for (Flow* flow : comp_flows_) {
-    old_rates_.push_back(flow->rate);
-    flow->rate = 0.0;
+  pending_.resize(comp_slots_.size());
+  for (std::size_t p = 0; p < pending_.size(); ++p) {
+    pending_[p] = static_cast<std::int32_t>(p);
   }
-  for (LinkId id : comp_links_) {
-    Link& link = links_[static_cast<std::size_t>(id)];
-    link.wf_capacity = link.spec.capacity * link.scale;
-    link.wf_unfrozen = link.active;
-  }
-
-  pending_.assign(comp_flows_.begin(), comp_flows_.end());
   while (!starve_seam && !pending_.empty()) {
     double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (LinkId id : comp_links_) {
-      const Link& link = links_[static_cast<std::size_t>(id)];
-      if (link.wf_unfrozen > 0) {
-        bottleneck_share = std::min(
-            bottleneck_share, link.wf_capacity / link.wf_unfrozen);
+    for (const WfLink& link : wf_links_) {
+      if (link.unfrozen > 0) {
+        bottleneck_share =
+            std::min(bottleneck_share, link.capacity / link.unfrozen);
       }
     }
     if (!std::isfinite(bottleneck_share)) break;  // defensive: no load
     recompute_passes_ += 1;
 
     still_pending_.clear();
-    for (Flow* flow : pending_) {
+    for (const std::int32_t p : pending_) {
+      const WfPath& path = wf_paths_[static_cast<std::size_t>(p)];
       bool frozen = false;
-      for (LinkId id : flow->path) {
-        const Link& link = links_[static_cast<std::size_t>(id)];
-        if (link.wf_unfrozen > 0 &&
-            link.wf_capacity / link.wf_unfrozen <= bottleneck_share) {
+      for (const std::int32_t w : path) {
+        const WfLink& link = wf_links_[static_cast<std::size_t>(w)];
+        if (link.unfrozen > 0 &&
+            link.capacity / link.unfrozen <= bottleneck_share) {
           frozen = true;
           break;
         }
       }
       if (frozen) {
-        flow->rate = bottleneck_share;
-        for (LinkId id : flow->path) {
-          Link& link = links_[static_cast<std::size_t>(id)];
-          link.wf_capacity -= bottleneck_share;
-          if (link.wf_capacity < 0) link.wf_capacity = 0;
-          link.wf_unfrozen -= 1;
+        new_rates_[static_cast<std::size_t>(p)] = bottleneck_share;
+        for (const std::int32_t w : path) {
+          WfLink& link = wf_links_[static_cast<std::size_t>(w)];
+          link.capacity -= bottleneck_share;
+          if (link.capacity < 0) link.capacity = 0;
+          link.unfrozen -= 1;
         }
       } else {
-        still_pending_.push_back(flow);
+        still_pending_.push_back(p);
       }
     }
     if (still_pending_.size() == pending_.size()) break;  // defensive
@@ -507,6 +543,78 @@ void Network::push_candidate(std::int32_t link, std::int32_t after) {
   }
 }
 
+std::size_t Network::freeze_solo(std::int32_t link, double b,
+                                 std::uint32_t pass) {
+  // While H is this one link, the bitset holds at most its candidate, so
+  // the next freeze is always that candidate: walk the link's member run
+  // with its state in registers instead of round-tripping each freeze
+  // through the bitset. Once a freeze brings another link into H, hand
+  // the pass back with the bitset as the loop in water_fill_candidates
+  // would have left it. Same freezes, same order, same float operations.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto l = static_cast<std::size_t>(link);
+  WfLink& w = wf_links_[l];
+  if (w.cursor == w.end) return 0;
+  const std::int32_t first = wf_members_[static_cast<std::size_t>(w.cursor)];
+  wf_candidates_[static_cast<std::size_t>(first) >> 6] &=
+      ~(std::uint64_t{1} << (first & 63));
+  double capacity = w.capacity;
+  std::int32_t unfrozen = w.unfrozen;
+  double share = wf_share_[l];
+  std::int32_t cursor = w.cursor;
+  std::int32_t p = -1;
+  std::size_t frozen = 0;
+  bool alone = true;
+  while (cursor < w.end) {
+    const std::int32_t q = wf_members_[static_cast<std::size_t>(cursor++)];
+    if (wf_frozen_[static_cast<std::size_t>(q)] != 0) continue;
+    p = q;
+    const auto fp = static_cast<std::size_t>(p);
+    new_rates_[fp] = b;
+    wf_frozen_[fp] = 1;
+    ++frozen;
+    const WfPath& path = wf_paths_[fp];
+    for (const std::int32_t idx : path) {
+      if (idx == link) {
+        capacity -= b;
+        if (capacity < 0) capacity = 0;
+        unfrozen -= 1;
+        share = unfrozen > 0 ? capacity / unfrozen : kInf;
+        continue;
+      }
+      WfLink& o = wf_links_[static_cast<std::size_t>(idx)];
+      o.capacity -= b;
+      if (o.capacity < 0) o.capacity = 0;
+      o.unfrozen -= 1;
+      wf_share_[static_cast<std::size_t>(idx)] =
+          o.unfrozen > 0 ? o.capacity / o.unfrozen : kInf;
+    }
+    for (const std::int32_t idx : path) {
+      if (idx == link) continue;
+      WfLink& o = wf_links_[static_cast<std::size_t>(idx)];
+      if (!(wf_share_[static_cast<std::size_t>(idx)] <= b)) {
+        o.h_pass = 0;
+      } else if (o.h_pass != pass) {
+        enter_h(idx, p, pass);
+        alone = false;
+      } else {
+        push_candidate(idx, p);  // the link is twice on the path
+      }
+    }
+    if (!(share <= b) || !alone) break;
+  }
+  w.capacity = capacity;
+  w.unfrozen = unfrozen;
+  wf_share_[l] = share;
+  w.cursor = cursor;
+  if (!(share <= b)) {
+    w.h_pass = 0;
+  } else if (!alone) {
+    push_candidate(link, p);
+  }
+  return frozen;
+}
+
 void Network::water_fill_candidates(bool starve_seam) {
   // The reference pass visits every pending flow in id order and freezes
   // it at the bottleneck share b if any of its links has a fair share
@@ -526,48 +634,7 @@ void Network::water_fill_candidates(bool starve_seam) {
   // such a share is never the minimum of a finite pass and never <= a
   // finite b, and the reference stops at an infinite b.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t n = comp_flows_.size();
-  wf_links_.clear();
-  wf_share_.clear();
-  wf_live_.clear();
-  std::int32_t members = 0;
-  for (LinkId id : comp_links_) {
-    Link& link = links_[static_cast<std::size_t>(id)];
-    link.wf_index = static_cast<std::int32_t>(wf_links_.size());
-    WfLink w;
-    w.capacity = link.spec.capacity * link.scale;
-    w.unfrozen = link.active;
-    w.head = members;
-    w.end = members;
-    members += link.active;
-    const double share = w.unfrozen > 0 ? w.capacity / w.unfrozen : kInf;
-    if (share < kInf) wf_live_.push_back(link.wf_index);
-    wf_links_.push_back(w);
-    wf_share_.push_back(share);
-  }
-  // Every flow on a crossed link is in the component, so each link's run
-  // holds exactly `active` positions, filled in ascending order. Boundary
-  // links are left out of the paths.
-  wf_members_.resize(static_cast<std::size_t>(members));
-  wf_paths_.clear();
-  wf_path_begin_.clear();
-  old_rates_.clear();
-  for (std::size_t p = 0; p < n; ++p) {
-    Flow& flow = *comp_flows_[p];
-    old_rates_.push_back(flow.rate);
-    flow.rate = 0.0;
-    wf_path_begin_.push_back(static_cast<std::int32_t>(wf_paths_.size()));
-    for (LinkId id : flow.path) {
-      const Link& link = links_[static_cast<std::size_t>(id)];
-      if (!link.visited) continue;
-      const std::int32_t w = link.wf_index;
-      wf_paths_.push_back(w);
-      wf_members_[static_cast<std::size_t>(
-          wf_links_[static_cast<std::size_t>(w)].end++)] =
-          static_cast<std::int32_t>(p);
-    }
-  }
-  wf_path_begin_.push_back(static_cast<std::int32_t>(wf_paths_.size()));
+  const std::size_t n = comp_slots_.size();
   wf_frozen_.assign(n, 0);
   // All clear between passes: a pass ends only once every bit is consumed.
   const std::size_t words = (n + 63) / 64;
@@ -600,6 +667,11 @@ void Network::water_fill_candidates(bool starve_seam) {
 
     for (const std::int32_t idx : wf_bottlenecks_) enter_h(idx, -1, pass);
     bool froze = false;
+    if (wf_bottlenecks_.size() == 1) {
+      const std::size_t solo = freeze_solo(wf_bottlenecks_.front(), b, pass);
+      unfrozen_flows -= solo;
+      froze = solo > 0;
+    }
     std::size_t word = 0;
     for (;;) {
       // Candidates only ever lie past the last freeze, so the scan for the
@@ -611,30 +683,29 @@ void Network::water_fill_candidates(bool starve_seam) {
           word * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
       const auto fp = static_cast<std::size_t>(p);
-      comp_flows_[fp]->rate = b;
+      new_rates_[fp] = b;
       wf_frozen_[fp] = 1;
       unfrozen_flows -= 1;
       froze = true;
-      const auto path_first = wf_paths_.begin() + wf_path_begin_[fp];
-      const auto path_last = wf_paths_.begin() + wf_path_begin_[fp + 1];
-      for (auto it = path_first; it != path_last; ++it) {
-        WfLink& w = wf_links_[static_cast<std::size_t>(*it)];
+      const WfPath& path = wf_paths_[fp];
+      for (const std::int32_t idx : path) {
+        WfLink& w = wf_links_[static_cast<std::size_t>(idx)];
         w.capacity -= b;
         if (w.capacity < 0) w.capacity = 0;
         w.unfrozen -= 1;
-        wf_share_[static_cast<std::size_t>(*it)] =
+        wf_share_[static_cast<std::size_t>(idx)] =
             w.unfrozen > 0 ? w.capacity / w.unfrozen : kInf;
       }
       // Only the frozen flow's links changed, so only they can enter or
       // leave H. A link staying in H had this flow as its candidate.
-      for (auto it = path_first; it != path_last; ++it) {
-        WfLink& w = wf_links_[static_cast<std::size_t>(*it)];
-        if (!(wf_share_[static_cast<std::size_t>(*it)] <= b)) {
+      for (const std::int32_t idx : path) {
+        WfLink& w = wf_links_[static_cast<std::size_t>(idx)];
+        if (!(wf_share_[static_cast<std::size_t>(idx)] <= b)) {
           w.h_pass = 0;
         } else if (w.h_pass != pass) {
-          enter_h(*it, p, pass);
+          enter_h(idx, p, pass);
         } else {
-          push_candidate(*it, p);
+          push_candidate(idx, p);
         }
       }
     }
@@ -644,18 +715,19 @@ void Network::water_fill_candidates(bool starve_seam) {
   pending_.clear();
   if (unfrozen_flows == 0) return;
   for (std::size_t p = 0; p < n; ++p) {
-    if (wf_frozen_[p] == 0) pending_.push_back(comp_flows_[p]);
+    if (wf_frozen_[p] == 0) pending_.push_back(static_cast<std::int32_t>(p));
   }
 }
 
 void Network::recompute_now() {
   if (!collect_component()) return;
   recomputes_ += 1;
-  recompute_flow_visits_ += comp_flows_.size();
+  recompute_flow_visits_ += comp_slots_.size();
 
-  if (!comp_flows_.empty()) {
-    // Both passes leave each flow's new rate in flow.rate, its old one in
-    // old_rates_, and the flows they failed to rate in pending_.
+  if (!comp_slots_.empty()) {
+    // Both fills leave each flow's new rate in new_rates_ (flows' rates
+    // stay the old ones until rerate_component), and the positions they
+    // failed to rate in pending_.
     const bool starve_seam = debug_starve_once_;
     debug_starve_once_ = false;
     if (options_.incremental_recompute) {
@@ -671,98 +743,125 @@ void Network::recompute_now() {
       // quiet network the run would hang. Self-heal: warn, re-dirty the
       // flow's links, and retry one tick later (not this tick, which would
       // loop); the assert makes an organic occurrence loud in debug builds.
-      for (Flow* flow : pending_) {
+      for (const std::int32_t p : pending_) {
+        const std::int32_t slot = comp_slots_[static_cast<std::size_t>(p)];
         starvation_rescues_ += 1;
-        warn(flow->id, "water-filling left flow unrated; rescue recompute");
-        for (LinkId id : flow->path) mark_dirty(id);
+        warn(flow_at(slot).id,
+             "water-filling left flow unrated; rescue recompute");
+        for (const LinkId id : hot_[static_cast<std::size_t>(slot)].path) {
+          mark_dirty(id);
+        }
       }
       assert(starve_seam &&
              "water-filling left a transferring flow unrated");
       engine_.schedule_after(1, [this] { request_recompute(); });
     }
 
-    // Reschedule completions at the new rates, in ascending flow id. Flows
-    // whose allocation did not change keep their existing completion event
-    // and are NOT settled — settle instants are thus a function of rate
-    // changes alone, which is what makes the incremental and reference
-    // paths produce identical floating-point progress chunking.
-    for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-      Flow& flow = *comp_flows_[i];
-      const double old_rate = old_rates_[i];
-      const double new_rate = flow.rate;
-      const bool rate_unchanged =
-          old_rate > 0.0 &&
-          std::abs(new_rate - old_rate) <= old_rate * 1e-12;
-      const bool failure_current =
-          flow.fail_at == 0 ||
-          (rate_unchanged && engine_.is_pending(flow.failure));
-      if (rate_unchanged && engine_.is_pending(flow.completion) &&
-          failure_current) {
-        continue;  // completion (and failure) times are still exact
-      }
-      flow.rate = old_rate;
-      settle_flow(flow);
-      flow.rate = new_rate;
-      const FlowId fid = flow.id;
-      // Completion/failure moves use Engine::rearm_after — the callbacks
-      // are per-flow constants, so a pending event's slot (and its stored
-      // std::function) is reused rather than reconstructed for every rate
-      // change, and the stored handle is only rewritten when a fresh event
-      // is scheduled. The fired-event order matches cancel+schedule
-      // exactly (one seq either way).
-      if (flow.remaining <= 0.5) {
-        // Fractional residue from settling. An armed failure inside the
-        // residual bytes still wins — the flow was injected to die in its
-        // last bytes, so it must not slip through as a completion.
-        if (flow.fail_at > 0) {
-          engine_.cancel(flow.completion);
-          engine_.rearm_after(flow.failure, 0, [this, fid] { fail_flow(fid); });
-        } else {
-          engine_.cancel(flow.failure);
-          engine_.rearm_after(flow.completion, 0,
-                              [this, fid] { finish_flow(fid); });
-        }
-        continue;
-      }
-      if (flow.rate <= 0.0) {  // stalled (outage) or rescue pending
-        engine_.cancel(flow.completion);
-        engine_.cancel(flow.failure);
-        continue;
-      }
-      if (flow.fail_at > 0) {
-        const double carried =
-            static_cast<double>(flow.total_bytes) - flow.remaining;
-        const double left = static_cast<double>(flow.fail_at) - carried;
-        if (left <= 0.5) {
-          // The armed byte already crossed; fail now.
-          engine_.cancel(flow.completion);
-          engine_.rearm_after(flow.failure, 0, [this, fid] { fail_flow(fid); });
-          continue;  // no completion: the failure removes the flow first
-        }
-        const Tick fail_eta = util::transfer_time(
-            static_cast<std::uint64_t>(std::ceil(left)), flow.rate);
-        engine_.rearm_after(flow.failure, fail_eta,
-                            [this, fid] { fail_flow(fid); });
-        // Scheduled before completion: on an exact tie the failure wins.
-      } else {
-        engine_.cancel(flow.failure);
-      }
-      const Tick eta = util::transfer_time(
-          static_cast<std::uint64_t>(std::ceil(flow.remaining)), flow.rate);
-      engine_.rearm_after(flow.completion, eta,
-                          [this, fid] { finish_flow(fid); });
-    }
+    rerate_component();
   }
 
-  for (LinkId id : comp_links_) {
-    links_[static_cast<std::size_t>(id)].visited = false;
+  for (const LinkId id : comp_links_) {
+    link_state_[static_cast<std::size_t>(id)] = kUnreached;
   }
-  for (LinkId id : boundary_links_) {
-    links_[static_cast<std::size_t>(id)].boundary = false;
+  for (const LinkId id : boundary_links_) {
+    link_state_[static_cast<std::size_t>(id)] = kUnreached;
   }
   boundary_links_.clear();
-  for (Flow* flow : comp_flows_) {
-    in_component_[static_cast<std::size_t>(slot_of(*flow))] = 0;
+  for (const std::int32_t slot : comp_slots_) {
+    comp_pos_[static_cast<std::size_t>(slot)] = -1;
+  }
+}
+
+void Network::rerate_component() {
+  // Pass one: write every new rate; settle each flow whose allocation
+  // changed at its old rate and work out its event moves. Flows whose
+  // allocation did not change keep their existing completion event and
+  // are NOT settled — settle instants are thus a function of rate changes
+  // alone, which is what makes the incremental and reference paths
+  // produce identical floating-point progress chunking. Settling never
+  // touches the engine, so pass two can apply the moves afterwards: in
+  // ascending flow id, as one pass would, so each re-key takes the same
+  // seq.
+  const Tick now = engine_.now();
+  Tick memo_elapsed = 0;  // to_seconds is pure: one division per elapsed
+  double memo_seconds = 0;
+  rearms_.clear();
+  for (std::size_t p = 0; p < comp_slots_.size(); ++p) {
+    const std::int32_t slot = comp_slots_[p];
+    const auto s = static_cast<std::size_t>(slot);
+    FlowHot& hot = hot_[s];
+    const double old_rate = old_rates_[p];
+    const double new_rate = new_rates_[p];
+    hot.rate = new_rate;
+    const bool rate_unchanged =
+        old_rate > 0.0 && std::abs(new_rate - old_rate) <= old_rate * 1e-12;
+    if (rate_unchanged && engine_.is_pending(flows_[s].completion) &&
+        (hot.fail_at == 0 || engine_.is_pending(flows_[s].failure))) {
+      continue;  // completion (and failure) times are still exact
+    }
+    const Tick elapsed = now - hot.last_update;
+    if (elapsed > 0 && old_rate > 0) {
+      if (elapsed != memo_elapsed) {
+        memo_elapsed = elapsed;
+        memo_seconds = util::to_seconds(elapsed);
+      }
+      attribute_bytes(hot, hot.advance(old_rate * memo_seconds));
+    }
+    hot.last_update = now;
+
+    Rearm& rearm = rearms_.emplace_back();
+    rearm.slot = slot;
+    rearm.armed = hot.fail_at > 0;
+    if (hot.remaining <= 0.5) {
+      // Fractional residue from settling. An armed failure inside the
+      // residual bytes still wins — the flow was injected to die in its
+      // last bytes, so it must not slip through as a completion.
+      (rearm.armed ? rearm.fail_after : rearm.finish_after) = 0;
+      continue;
+    }
+    if (new_rate <= 0.0) continue;  // stalled (outage) or rescue pending
+    if (rearm.armed) {
+      const double carried =
+          static_cast<double>(flows_[s].total_bytes) - hot.remaining;
+      const double left = static_cast<double>(hot.fail_at) - carried;
+      if (left <= 0.5) {
+        // The armed byte already crossed; fail now, with no completion:
+        // the failure removes the flow first.
+        rearm.fail_after = 0;
+        continue;
+      }
+      // Scheduled before completion: on an exact tie the failure wins.
+      rearm.fail_after = util::transfer_time(
+          static_cast<std::uint64_t>(std::ceil(left)), new_rate);
+    }
+    rearm.finish_after = util::transfer_time(
+        static_cast<std::uint64_t>(std::ceil(hot.remaining)), new_rate);
+  }
+  recompute_rearms_ += rearms_.size();
+
+  // Pass two: the event moves. They use Engine::rearm_after — the
+  // callbacks are per-flow constants, so a pending event's slot (and its
+  // stored std::function) is reused rather than reconstructed for every
+  // rate change, and the stored reference is only rewritten when a fresh
+  // event is scheduled. The fired-event order matches cancel+schedule
+  // exactly (one seq either way). Cancels take no seq; a flow never armed
+  // has no failure event to cancel.
+  for (const Rearm& rearm : rearms_) {
+    Flow& flow = flow_at(rearm.slot);
+    const FlowId fid = flow.id;
+    if (rearm.finish_after < 0) engine_.cancel(flow.completion);
+    if (rearm.armed) {
+      if (rearm.fail_after < 0) {
+        engine_.cancel(flow.failure);
+      } else {
+        engine_.rearm_after(flow.failure, rearm.fail_after,
+                            [this, fid] { fail_flow(fid); });
+      }
+    }
+    if (rearm.finish_after >= 0) {
+      engine_.rearm_after(flow.completion, rearm.finish_after,
+                          [this, fid] { finish_flow(fid); });
+    }
   }
 }
 

@@ -32,6 +32,8 @@
 // the fail listener fires instead so the scheduler can retry.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -91,16 +93,22 @@ class Network {
 
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] const LinkSpec& link(LinkId id) const {
-    return links_[static_cast<std::size_t>(id)].spec;
+    return link_specs_[static_cast<std::size_t>(id)];
   }
   [[nodiscard]] const LinkStats& link_stats(LinkId id) const {
-    return links_[static_cast<std::size_t>(id)].stats;
+    return link_stats_[static_cast<std::size_t>(id)];
   }
+
+  /// Links a flow's path may cross. Paths are stored inline: a cluster
+  /// path is a source uplink and a sink downlink.
+  static constexpr std::size_t kMaxPathLinks = 3;
 
   /// Start a flow of `bytes` across `path` after `latency` ticks of setup.
   /// `done` fires exactly once when the last byte arrives, unless the flow
   /// is cancelled or killed first. Zero-byte flows complete after `latency`.
-  FlowId start_flow(std::vector<LinkId> path, std::uint64_t bytes,
+  /// Throws std::invalid_argument, issuing no id, for a path of more than
+  /// kMaxPathLinks links.
+  FlowId start_flow(const std::vector<LinkId>& path, std::uint64_t bytes,
                     Tick latency, std::function<void(FlowId)> done);
 
   /// Cancel an in-flight flow (e.g. its endpoint was preempted). The done
@@ -146,13 +154,11 @@ class Network {
   /// outage: flows stall at rate zero and resume when the factor recovers).
   void set_link_scale(LinkId id, double factor);
   [[nodiscard]] double link_scale(LinkId id) const {
-    return links_[static_cast<std::size_t>(id)].scale;
+    return link_scales_[static_cast<std::size_t>(id)];
   }
 
   /// True if the flow is still pending or transferring.
-  [[nodiscard]] bool flow_active(FlowId id) const {
-    return find_flow(id) != nullptr;
-  }
+  [[nodiscard]] bool flow_active(FlowId id) const { return find_slot(id) >= 0; }
 
   /// Current rate of an active flow in bytes/second (0 while in setup).
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
@@ -185,6 +191,12 @@ class Network {
   [[nodiscard]] std::uint64_t recompute_flow_visits() const {
     return recompute_flow_visits_;
   }
+  /// Flows whose rate a recompute changed (or whose events had lapsed):
+  /// each was settled and had its completion or failure event re-keyed.
+  /// The rest of the visits kept their events untouched.
+  [[nodiscard]] std::uint64_t recompute_rearms() const {
+    return recompute_rearms_;
+  }
   /// Re-fills the incremental path ran because a boundary link (one it had
   /// left out for its spare capacity) came out saturated at the new rates.
   [[nodiscard]] std::uint64_t recompute_expansions() const {
@@ -213,52 +225,77 @@ class Network {
                       const std::string& prefix = "net") const;
 
  private:
-  struct Flow {
-    FlowId id = kInvalidFlow;
-    std::vector<LinkId> path;
-    std::uint64_t total_bytes = 0;
-    double remaining = 0;  // bytes yet to move
-    double carry = 0;      // sub-byte settle residue not yet attributed
-    std::uint64_t attributed = 0;  // whole bytes charged to links so far
-    std::uint64_t fail_at = 0;     // injected failure offset; 0 = none
-    Bandwidth rate = 0;    // current allocation; 0 during setup
-    Tick created_at = 0;   // when start_flow admitted it (span listener)
-    Tick last_update = 0;  // when `remaining` was last settled
-    bool transferring = false;
-    std::function<void(FlowId)> done;
-    sim::Engine::EventHandle completion;
-    sim::Engine::EventHandle setup;
-    sim::Engine::EventHandle failure;
+  /// A flow's links, inline (see kMaxPathLinks).
+  struct Path {
+    std::array<LinkId, kMaxPathLinks> links{};
+    std::int32_t size = 0;
+    [[nodiscard]] const LinkId* begin() const { return links.data(); }
+    [[nodiscard]] const LinkId* end() const { return links.data() + size; }
   };
 
+  /// A flow's state off the recompute's path; the rest is in hot_.
+  struct Flow {
+    FlowId id = kInvalidFlow;
+    sim::Engine::EventRef completion;
+    sim::Engine::EventRef failure;
+    std::uint64_t total_bytes = 0;
+    sim::Engine::EventRef setup;
+    Tick created_at = 0;   // when start_flow admitted it (span listener)
+    bool transferring = false;
+    std::function<void(FlowId)> done;
+  };
+
+  /// A flow's state on the recompute's path, one cache line per slot: the
+  /// walk, the gather and the settle each find all they read of a flow in
+  /// it.
+  struct alignas(64) FlowHot {
+    Bandwidth rate = 0;    // current allocation; 0 during setup
+    double remaining = 0;  // bytes yet to move
+    double carry = 0;      // sub-byte settle residue not yet attributed
+    Tick last_update = 0;  // when `remaining` was last settled
+    std::uint64_t attributed = 0;  // whole bytes charged to links so far
+    std::uint64_t fail_at = 0;     // injected failure offset; 0 = none
+    Path path;
+
+    /// Apply `moved` bytes of progress; returns the whole bytes to charge
+    /// to the flow's links. The sub-byte remainder carries over to the
+    /// next settle, so long-lived slow flows never under-report
+    /// bytes_carried.
+    std::uint64_t advance(double moved) {
+      const double applied = std::min(moved, remaining);
+      remaining -= applied;
+      carry += applied;
+      const auto whole = static_cast<std::uint64_t>(carry);
+      carry -= static_cast<double>(whole);
+      return whole;
+    }
+  };
+
+  /// A link's recompute state; its spec, scale and statistics live apart
+  /// (link_specs_, link_scales_, link_stats_).
   struct Link {
-    LinkSpec spec;
-    LinkStats stats;
+    double capacity = 0;      // spec capacity x fault-injected scale
     std::int32_t active = 0;  // flows currently allocated on this link
-    double scale = 1.0;       // fault-injected capacity factor
+    bool dirty = false;       // touched since the last recompute
     /// Slot indices of the transferring flows allocated here (unordered),
     /// so a recompute can walk the touched component instead of every flow.
     std::vector<std::int32_t> flows;
-    bool dirty = false;    // touched since the last recompute
-    // Scratch flags owned by recompute_now: `visited` = in comp_links_
-    // (crossed: its flows are in the recompute); `boundary` = reached by
-    // the incremental walk but left out for its spare capacity.
-    bool visited = false;
-    bool boundary = false;
-    // Water-filling state, valid only inside recompute_now: the reference
-    // pass works on these; the candidate pass on wf_links_[wf_index].
-    double wf_capacity = 0;
-    std::int32_t wf_unfrozen = 0;
-    std::int32_t wf_index = 0;
   };
 
-  /// Dense per-link state of the candidate-driven pass. The run
-  /// [head, end) of wf_members_ holds the component positions (ascending)
-  /// of the link's flows; everything before `head` is frozen. The fair
-  /// share capacity / unfrozen lives apart, in wf_share_, so the per-pass
+  // A link's part in the running recompute (link_state_): >= 0 = crossed
+  // (its flows are in the recompute), the link's index in comp_links_ and
+  // wf_links_; or one of these.
+  static constexpr std::int32_t kUnreached = -1;
+  static constexpr std::int32_t kBoundary = -2;  // left out: spare capacity
+  static constexpr std::int32_t kQueued = -3;    // crossed, on bfs_stack_
+
+  /// Dense per-link state of a fill. The run [head, end) of wf_members_
+  /// holds the component positions (ascending) of the link's flows;
+  /// everything before `head` is frozen. The fair share capacity /
+  /// unfrozen lives apart, in wf_share_, so the candidate pass's per-pass
   /// bottleneck scan reads one packed array.
   struct WfLink {
-    double capacity = 0;  // unallocated capacity, as Link::wf_capacity
+    double capacity = 0;  // unallocated capacity
     std::int32_t unfrozen = 0;
     std::int32_t head = 0;
     std::int32_t end = 0;
@@ -268,42 +305,74 @@ class Network {
     std::uint32_t h_pass = 0;
   };
 
-  // --- flow table --------------------------------------------------------
-  // Dense slot-map: flows live in `slots_` (recycled via `free_slots_`),
-  // and `window_[id - window_base_]` maps a FlowId to its slot (-1 once
-  // the flow is gone). FlowIds are assigned strictly monotonically, so the
-  // window is a deque trimmed from the front as old flows retire; walking
-  // it yields live flows in ascending-id order — the same deterministic
-  // iteration order the previous std::map gave, without the rebalancing.
-  [[nodiscard]] Flow* find_flow(FlowId id);
-  [[nodiscard]] const Flow* find_flow(FlowId id) const;
-  Flow& create_flow(FlowId id);
-  void destroy_flow(FlowId id);
+  /// A component flow's crossed links, as wf_links_ indices.
+  struct WfPath {
+    std::array<std::int32_t, kMaxPathLinks> links{};
+    std::int32_t size = 0;
+    [[nodiscard]] const std::int32_t* begin() const { return links.data(); }
+    [[nodiscard]] const std::int32_t* end() const {
+      return links.data() + size;
+    }
+  };
 
-  [[nodiscard]] std::int32_t slot_of(const Flow& flow) const {
-    return static_cast<std::int32_t>(&flow - slots_.data());
+  /// A settled flow's event moves, applied after every settle of the
+  /// recompute: the delay to schedule each event at, or -1 to cancel it.
+  struct Rearm {
+    std::int32_t slot = 0;
+    bool armed = false;  // fail_at set: the flow may hold a failure event
+    Tick fail_after = -1;
+    Tick finish_after = -1;
+  };
+
+  // --- flow table --------------------------------------------------------
+  // Dense slot-map: flows live in `flows_` and `hot_`, both indexed by
+  // slot (recycled via `free_slots_`), and `window_[id - window_base_]`
+  // maps a FlowId to its slot (-1 once the flow is gone). FlowIds are
+  // assigned strictly monotonically, so the window is a deque trimmed from
+  // the front as old flows retire; walking it yields live flows in
+  // ascending-id order.
+  [[nodiscard]] std::int32_t find_slot(FlowId id) const;
+  std::int32_t create_flow(FlowId id);
+  void destroy_flow(FlowId id);
+  [[nodiscard]] Flow& flow_at(std::int32_t slot) {
+    return flows_[static_cast<std::size_t>(slot)];
   }
 
   void begin_transfer(FlowId id);
   void finish_flow(FlowId id);
+  /// cancel_flow and fail_flow: tear down with outcome 'C' or 'F'.
+  void abandon_flow(FlowId id, char outcome);
   void request_recompute();
   void recompute_now();
-  /// Fill comp_links_/comp_flows_ (id order); false = nothing to do.
+  /// Fill comp_links_/comp_slots_ (id order); false = nothing to do.
   bool collect_component();
   /// Cross the links on bfs_stack_ and every saturated link reached from
   /// them; the unsaturated ones reached go to boundary_links_.
   void walk_component();
-  /// Cross the boundary links saturated at the new rates and put the
-  /// component back at its old rates; false = none, the fill stands.
+  /// Put the component in id order (after a walk).
+  void order_component();
+  /// Read each component flow's hot line once into the fill's dense
+  /// arrays (old rate, crossed links), and each crossed link's capacity
+  /// into wf_links_.
+  void gather_component();
+  /// Cross the boundary links saturated at the new rates; false = none,
+  /// the fill stands. Rates are only written back after the last fill, so
+  /// the walk on from them sees the old ones.
   bool widen_component();
-  [[nodiscard]] bool saturated(const Link& link) const;
+  /// Whether the link's flows, at the current rates (or with the
+  /// component's at its new ones), sum to about its capacity.
+  [[nodiscard]] bool saturated(const Link& link, bool filled) const;
   void water_fill_reference(bool starve);
   void water_fill_candidates(bool starve);
+  /// Freeze the pass's flows while `link` alone is in H; returns how many.
+  std::size_t freeze_solo(std::int32_t link, double b, std::uint32_t pass);
   void enter_h(std::int32_t link, std::int32_t after, std::uint32_t pass);
   void push_candidate(std::int32_t link, std::int32_t after);
-  void settle_flow(Flow& flow);
-  void attribute_bytes(Flow& flow, std::uint64_t bytes);
-  void release_links(Flow& flow);
+  /// Settle the component's changed flows and move their events.
+  void rerate_component();
+  void settle_flow(std::int32_t slot);
+  void attribute_bytes(FlowHot& hot, std::uint64_t bytes);
+  void release_links(std::int32_t slot);
   void mark_dirty(LinkId id);
   void warn(FlowId id, const char* detail);
 
@@ -316,18 +385,26 @@ class Network {
   NetworkOptions options_;
   // vine-snapshot: derived(rates are a pure function of the live flow set)
   std::vector<Link> links_;
+  // vine-snapshot: derived(link table, rebuilt by the cluster at startup)
+  std::vector<LinkSpec> link_specs_;
+  // vine-snapshot: derived(scale faults replay with the event stream)
+  std::vector<double> link_scales_;
+  // vine-snapshot: derived(statistic, reproduced by replay)
+  std::vector<LinkStats> link_stats_;
 
   // vine-snapshot: derived(the managers snapshot the flows they own)
-  std::vector<Flow> slots_;
+  std::vector<Flow> flows_;
+  // vine-snapshot: derived(by slot; rates and progress replay with flows)
+  std::vector<FlowHot> hot_;
   // vine-snapshot: derived(slot recycling replays with the flow stream)
   std::vector<std::int32_t> free_slots_;
-  // vine-snapshot: derived(id-recency window over slots_, itself derived)
+  // vine-snapshot: derived(id-recency window over slots, itself derived)
   std::deque<std::int32_t> window_;
   // vine-snapshot: derived(id-recency window base; replays with the stream)
   FlowId window_base_ = 1;
-  // vine-snapshot: derived(count over slots_, itself derived)
+  // vine-snapshot: derived(count over slots, itself derived)
   std::size_t live_flows_ = 0;
-  // vine-snapshot: derived(index over slots_, itself derived)
+  // vine-snapshot: derived(index over slots, itself derived)
   std::vector<std::pair<FlowId, std::int32_t>> transferring_;  // (id, slot)
 
   // vine-snapshot: derived(monotone id allocator; replays with the stream)
@@ -340,23 +417,28 @@ class Network {
   std::vector<LinkId> dirty_links_;
 
   // Scratch buffers reused across recomputes to avoid per-event allocation;
-  // all dead between events, hence derived.
+  // all dead between events, hence derived. Per-position arrays are
+  // indexed by a flow's rank in the id-ordered component.
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> bfs_stack_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> link_state_;  // by link id
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> comp_links_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> boundary_links_;
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<Flow*> comp_flows_;
+  std::vector<std::int32_t> comp_slots_;  // by position
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<Flow*> pending_;
+  std::vector<std::int32_t> comp_pos_;  // by slot; -1 = not in it
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<Flow*> still_pending_;
+  std::vector<double> old_rates_;  // by position
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<double> old_rates_;
+  std::vector<double> new_rates_;  // by position
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<std::uint8_t> in_component_;  // by slot
+  std::vector<std::int32_t> pending_;  // unrated positions
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<std::int32_t> still_pending_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<WfLink> wf_links_;
   // vine-snapshot: derived(scratch, dead between events)
@@ -368,13 +450,13 @@ class Network {
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> wf_members_;
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<std::int32_t> wf_paths_;
-  // vine-snapshot: derived(scratch, dead between events)
-  std::vector<std::int32_t> wf_path_begin_;
+  std::vector<WfPath> wf_paths_;  // by position
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::uint8_t> wf_frozen_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::uint64_t> wf_candidates_;
+  // vine-snapshot: derived(scratch, dead between events)
+  std::vector<Rearm> rearms_;
 
   // Statistics: recomputed verbatim by replay, exported via RunReport.
   // vine-snapshot: derived(statistic, reproduced by replay)
@@ -391,6 +473,8 @@ class Network {
   std::uint64_t recomputes_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_flow_visits_ = 0;
+  // vine-snapshot: derived(statistic, reproduced by replay)
+  std::uint64_t recompute_rearms_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_passes_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)

@@ -8,10 +8,11 @@ namespace hepvine::sim {
 
 namespace {
 
-/// Strict (at, seq) order; every entry's key is distinct.
+/// Strict (at, seq) order; every entry's key is distinct. Bitwise, so a
+/// sift's child pick compiles to a conditional add, not a branch.
 [[nodiscard]] bool before(Tick at_a, std::uint64_t seq_a, Tick at_b,
                           std::uint64_t seq_b) noexcept {
-  return at_a != at_b ? at_a < at_b : seq_a < seq_b;
+  return (at_a < at_b) | ((at_a == at_b) & (seq_a < seq_b));
 }
 
 }  // namespace
@@ -32,9 +33,11 @@ void Engine::sift_down(std::uint32_t pos, QueueEntry entry) {
   for (;;) {
     std::uint32_t child = 2 * pos + 1;
     if (child >= n) break;
-    if (child + 1 < n && before(heap_[child + 1].at, heap_[child + 1].seq,
-                                heap_[child].at, heap_[child].seq)) {
-      ++child;
+    if (child + 1 < n) {
+      child += before(heap_[child + 1].at, heap_[child + 1].seq,
+                      heap_[child].at, heap_[child].seq)
+                   ? 1
+                   : 0;
     }
     const QueueEntry& c = heap_[child];
     if (!before(c.at, c.seq, entry.at, entry.seq)) break;
@@ -51,7 +54,7 @@ void Engine::heap_push(QueueEntry entry) {
 
 Engine::QueueEntry Engine::heap_pop_front() {
   const QueueEntry top = heap_.front();
-  arena_->slot(top.slot).heap_pos = EventArena::kNotInHeap;
+  heap_pos_[top.slot] = kNotInHeap;
   const QueueEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
@@ -59,7 +62,7 @@ Engine::QueueEntry Engine::heap_pop_front() {
 }
 
 void Engine::heap_erase(std::uint32_t pos) {
-  arena_->slot(heap_[pos].slot).heap_pos = EventArena::kNotInHeap;
+  heap_pos_[heap_[pos].slot] = kNotInHeap;
   const QueueEntry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // erased the last entry
@@ -77,14 +80,14 @@ void Engine::heap_erase(std::uint32_t pos) {
 void Engine::heap_rebuild() {
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    arena_->slot(heap_[i].slot).heap_pos = static_cast<std::uint32_t>(i);
+    heap_pos_[heap_[i].slot] = static_cast<std::uint32_t>(i);
   }
 }
 
 void Engine::enqueue(Tick at, std::uint64_t seq, std::uint32_t slot) {
   arena_->slot(slot).live_seq = seq;
   if (at == now_) {
-    arena_->slot(slot).heap_pos = EventArena::kNotInHeap;
+    heap_pos_[slot] = kNotInHeap;
     bucket_.push_back(QueueEntry{at, seq, slot});
     return;
   }
@@ -93,8 +96,8 @@ void Engine::enqueue(Tick at, std::uint64_t seq, std::uint32_t slot) {
 
 void Engine::move_slot(std::uint32_t slot, Tick at) {
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t pos = arena_->slot(slot).heap_pos;
-  if (pos == EventArena::kNotInHeap) {
+  const std::uint32_t pos = heap_pos_[slot];
+  if (pos == kNotInHeap) {
     // A now-bucket entry cannot be moved inside the FIFO: enqueue a fresh
     // entry and leave the old one as a superseded tombstone, counted toward
     // the purge trigger like a cancellation.
@@ -124,23 +127,22 @@ void Engine::move_slot(std::uint32_t slot, Tick at) {
 }
 
 void Engine::cancel_slot(std::uint32_t slot) {
-  auto& s = arena_->slot(slot);
-  if (s.heap_pos != EventArena::kNotInHeap) {
-    heap_erase(s.heap_pos);
+  if (heap_pos_[slot] != kNotInHeap) {
+    heap_erase(heap_pos_[slot]);
     arena_->release(slot);
     return;
   }
-  s.cancelled = true;
+  arena_->slot(slot).cancelled = true;
   ++arena_->cancelled_pending;
 }
 
 Engine::EventHandle Engine::schedule_at(Tick at, Callback fn) {
   if (at < now_) at = now_;
   maybe_purge_cancelled();
-  const std::uint32_t slot = arena_->allocate(std::move(fn));
+  const std::uint32_t slot = allocate(std::move(fn));
   const std::uint32_t gen = arena_->slot(slot).gen;
   enqueue(at, next_seq_++, slot);
-  return EventHandle(arena_, slot, gen);
+  return EventHandle(arena_, EventRef{slot, gen});
 }
 
 std::vector<Engine::EventHandle> Engine::schedule_many(
@@ -154,7 +156,7 @@ std::vector<Engine::EventHandle> Engine::schedule_many(
   // a distinct (at, seq), so the pop sequence is the unique sorted order.
   const bool bulk_heap = at != now_ && fns.size() >= 64;
   for (auto& fn : fns) {
-    const std::uint32_t slot = arena_->allocate(std::move(fn));
+    const std::uint32_t slot = allocate(std::move(fn));
     const std::uint32_t gen = arena_->slot(slot).gen;
     const std::uint64_t seq = next_seq_++;
     if (bulk_heap) {
@@ -163,7 +165,7 @@ std::vector<Engine::EventHandle> Engine::schedule_many(
     } else {
       enqueue(at, seq, slot);
     }
-    handles.emplace_back(EventHandle(arena_, slot, gen));
+    handles.emplace_back(EventHandle(arena_, EventRef{slot, gen}));
   }
   if (bulk_heap) heap_rebuild();
   return handles;
@@ -225,7 +227,7 @@ bool Engine::step() {
     // Move the callback out and recycle the slot before running, so
     // captured state is released promptly even if the handle outlives the
     // event and the slot is immediately reusable by callbacks it runs.
-    Callback fn = std::move(slot.fn);
+    Callback fn = std::move(arena_->fn(entry.slot));
     arena_->release(entry.slot);
     fn();
     return true;

@@ -16,11 +16,11 @@
 // strict (at, seq) order, so the firing sequence is bit-identical to the
 // single priority-queue implementation this replaces.
 //
-// Each slot records where its entry sits in the heap, so a reschedule of a
-// live heap event sifts that entry in place (and a move to the current tick
-// lifts it out into the bucket) instead of leaving a superseded tombstone
-// behind; only moves of now-bucket events, whose FIFO order cannot be
-// edited in place, still leave one.
+// A dense slot-indexed array records where each slot's entry sits in the
+// heap, so a reschedule of a live heap event sifts that entry in place (and
+// a move to the current tick lifts it out into the bucket) instead of
+// leaving a superseded tombstone behind; only moves of now-bucket events,
+// whose FIFO order cannot be edited in place, still leave one.
 #pragma once
 
 #include <cstddef>
@@ -42,65 +42,63 @@ class Engine {
   /// each recycle bumps the slot's generation so outstanding handles go
   /// inert instead of aliasing the new occupant. A 32-bit generation would
   /// need four billion reuses of one slot while a stale handle to it
-  /// survives before a false match — not a realistic hazard here.
+  /// survives before a false match — not a realistic hazard here. A slot's
+  /// callback sits in a slab; its bookkeeping in a dense array, which is
+  /// all a pending check or a re-key reads.
   struct EventArena {
     using Callback = std::function<void()>;
     static constexpr std::uint32_t kChunkShift = 12;  // 4096 slots per slab
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
-    static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
-
     struct Slot {
-      Callback fn;
       /// Seq of the queue entry that currently owns this slot. A
       /// reschedule of a now-bucket event enqueues a fresh entry for the
       /// same slot; the older entry sees a seq mismatch at pop time and is
       /// discarded without firing or releasing (the slot still belongs to
       /// the new entry).
       std::uint64_t live_seq = 0;
-      /// Index of this slot's entry in the heap, or kNotInHeap while it
-      /// sits in the now-bucket (or is free).
-      // vine-snapshot: derived(heap index; replay rebuilds the queue)
-      std::uint32_t heap_pos = kNotInHeap;
-      std::uint32_t gen = 0;
+      /// Never 0, which marks an empty EventRef.
+      std::uint32_t gen = 1;
       bool cancelled = false;
     };
 
-    std::vector<std::unique_ptr<Slot[]>> chunks;
+    std::vector<std::unique_ptr<Callback[]>> chunks;
+    std::vector<Slot> slots;
     std::vector<std::uint32_t> free_slots;
     /// Cancelled events still sitting in a queue (tombstones).
     std::size_t cancelled_pending = 0;
 
-    [[nodiscard]] Slot& slot(std::uint32_t idx) noexcept {
-      return chunks[idx >> kChunkShift][idx & (kChunkSize - 1)];
-    }
+    [[nodiscard]] Slot& slot(std::uint32_t idx) noexcept { return slots[idx]; }
     [[nodiscard]] const Slot& slot(std::uint32_t idx) const noexcept {
+      return slots[idx];
+    }
+    [[nodiscard]] Callback& fn(std::uint32_t idx) noexcept {
       return chunks[idx >> kChunkShift][idx & (kChunkSize - 1)];
     }
 
-    [[nodiscard]] std::uint32_t allocate(Callback fn) {
+    [[nodiscard]] std::uint32_t allocate(Callback f) {
       if (free_slots.empty()) grow();
       const std::uint32_t idx = free_slots.back();
       free_slots.pop_back();
-      slot(idx).fn = std::move(fn);
+      fn(idx) = std::move(f);
       return idx;
     }
 
     /// Return a slot to the free list (after firing or tombstone pop).
     /// Bumping the generation here is what invalidates stale handles.
     void release(std::uint32_t idx) {
+      fn(idx) = nullptr;
       Slot& s = slot(idx);
-      s.fn = nullptr;
       s.cancelled = false;
-      s.heap_pos = kNotInHeap;
-      ++s.gen;
+      if (++s.gen == 0) s.gen = 1;
       free_slots.push_back(idx);
     }
 
     void grow() {
       const auto base =
           static_cast<std::uint32_t>(chunks.size()) << kChunkShift;
-      chunks.push_back(std::make_unique<Slot[]>(kChunkSize));
+      chunks.push_back(std::make_unique<Callback[]>(kChunkSize));
+      slots.resize(slots.size() + kChunkSize);
       free_slots.reserve(free_slots.size() + kChunkSize);
       // Reverse order so the lowest index pops first (cosmetic only:
       // allocation order never affects event firing order).
@@ -117,6 +115,16 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Bare (slot, generation) reference to an event, valid only against the
+  /// engine that issued it. For code that holds the engine and outlives
+  /// none of it (the flow network): checks and moves cost no weak_ptr
+  /// control-block traffic, and a copy is two words. Default = no event.
+  struct EventRef {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;  // 0 = no event
+    friend bool operator==(EventRef, EventRef) = default;
+  };
+
   /// Handle to a scheduled event; allows cancellation. Copyable; all copies
   /// refer to the same underlying event. Safe to hold across engine
   /// destruction (goes inert) and across slot reuse (generation mismatch).
@@ -131,8 +139,8 @@ class Engine {
     void cancel() const {
       auto arena = arena_.lock();
       if (!arena) return;
-      auto& s = arena->slot(slot_);
-      if (s.gen != gen_ || s.cancelled) return;
+      auto& s = arena->slot(ref_.slot);
+      if (s.gen != ref_.gen || s.cancelled) return;
       s.cancelled = true;
       ++arena->cancelled_pending;
     }
@@ -141,18 +149,16 @@ class Engine {
     [[nodiscard]] bool pending() const {
       auto arena = arena_.lock();
       if (!arena) return false;
-      const auto& s = arena->slot(slot_);
-      return s.gen == gen_ && !s.cancelled;
+      const auto& s = arena->slot(ref_.slot);
+      return s.gen == ref_.gen && !s.cancelled;
     }
 
    private:
     friend class Engine;
-    EventHandle(std::weak_ptr<EventArena> arena, std::uint32_t slot,
-                std::uint32_t gen)
-        : arena_(std::move(arena)), slot_(slot), gen_(gen) {}
+    EventHandle(std::weak_ptr<EventArena> arena, EventRef ref)
+        : arena_(std::move(arena)), ref_(ref) {}
     std::weak_ptr<EventArena> arena_;
-    std::uint32_t slot_ = 0;
-    std::uint32_t gen_ = 0;
+    EventRef ref_;
   };
 
   /// Current simulated time.
@@ -161,22 +167,33 @@ class Engine {
   /// Schedule `fn` to run at absolute time `at` (clamped to now()).
   EventHandle schedule_at(Tick at, Callback fn);
 
+  /// True if `ref` (issued by this engine) names an event that has not
+  /// fired and is not cancelled.
+  [[nodiscard]] bool is_pending(EventRef ref) const noexcept {
+    if (ref.gen == 0) return false;
+    const auto& s = arena_->slot(ref.slot);
+    return s.gen == ref.gen && !s.cancelled;
+  }
+
   /// Same answer as handle.pending(), checked against this engine: a
   /// handle from another (or a destroyed) engine is never pending here.
   /// Arena identity is a control-block comparison, so unlike
   /// weak_ptr::lock() it costs no atomic refcount operations.
   [[nodiscard]] bool is_pending(const EventHandle& handle) const noexcept {
-    if (!owns(handle)) return false;
-    const auto& s = arena_->slot(handle.slot_);
-    return s.gen == handle.gen_ && !s.cancelled;
+    return owns(handle) && is_pending(handle.ref_);
+  }
+
+  /// Cancel `ref`'s event if it is pending. A heap entry is removed in
+  /// place and its slot recycled at once; a now-bucket entry is left as a
+  /// tombstone, as handle.cancel() leaves every entry.
+  void cancel(EventRef ref) {
+    if (is_pending(ref)) cancel_slot(ref.slot);
   }
 
   /// Same effect as handle.cancel() for this engine's handles (no-op for
-  /// others), without refcount traffic. A heap entry is removed in place
-  /// and its slot recycled at once; a now-bucket entry is left as a
-  /// tombstone, as handle.cancel() leaves every entry.
+  /// others), without refcount traffic.
   void cancel(const EventHandle& handle) {
-    if (is_pending(handle)) cancel_slot(handle.slot_);
+    if (owns(handle)) cancel(handle.ref_);
   }
 
   /// Schedule `fn` to run `delay` ticks from now (delay < 0 clamps to 0).
@@ -199,15 +216,14 @@ class Engine {
   /// std::function construction, move, and destruction — the dominant cost
   /// when the flow network re-rates hundreds of transfers per recompute —
   /// and, for a heap entry, the tombstone: the entry is re-keyed and sifted
-  /// in place. Templated on the callable for exactly that reason: the
-  /// lambda is only wrapped into a std::function on the cold not-live path,
-  /// so the hot path passes two words in registers. All copies of the
-  /// handle refer to the moved event afterwards.
+  /// in place. All copies of the handle refer to the moved event
+  /// afterwards.
   template <typename F>
   EventHandle reschedule_at(const EventHandle& handle, Tick at, F&& fn) {
-    EventHandle moved = handle;
-    rearm_at(moved, at, std::forward<F>(fn));
-    return moved;
+    EventRef ref = owns(handle) ? handle.ref_ : EventRef{};
+    const EventRef before = ref;
+    rearm_at(ref, at, std::forward<F>(fn));
+    return ref == before ? handle : EventHandle(arena_, ref);
   }
   template <typename F>
   EventHandle reschedule_after(const EventHandle& handle, Tick delay,
@@ -216,26 +232,27 @@ class Engine {
                          std::forward<F>(fn));
   }
 
-  /// reschedule_at for a handle the caller stores: same event semantics,
-  /// but `handle` is updated in place, and only when a fresh event had to
-  /// be scheduled. Returning a handle copies its weak_ptr (atomic refcount
-  /// operations), which the flow network's re-rate loop would otherwise pay
-  /// on every move.
+  /// reschedule_at for a reference the caller stores: same event
+  /// semantics, but `ref` is updated in place, and only when a fresh event
+  /// had to be scheduled (an empty `ref` schedules one, exactly as
+  /// schedule_at would). Templated on the callable: the lambda is only
+  /// wrapped into a std::function on that cold path, so the hot path
+  /// passes two words in registers.
   template <typename F>
-  void rearm_at(EventHandle& handle, Tick at, F&& fn) {
+  void rearm_at(EventRef& ref, Tick at, F&& fn) {
     if (at < now_) at = now_;
     maybe_purge_cancelled();
-    if (is_pending(handle)) {
-      move_slot(handle.slot_, at);
+    if (is_pending(ref)) {
+      move_slot(ref.slot, at);
       return;
     }
-    const std::uint32_t slot = arena_->allocate(Callback(std::forward<F>(fn)));
-    handle = EventHandle(arena_, slot, arena_->slot(slot).gen);
+    const std::uint32_t slot = allocate(Callback(std::forward<F>(fn)));
+    ref = EventRef{slot, arena_->slot(slot).gen};
     enqueue(at, next_seq_++, slot);
   }
   template <typename F>
-  void rearm_after(EventHandle& handle, Tick delay, F&& fn) {
-    rearm_at(handle, now_ + (delay > 0 ? delay : 0), std::forward<F>(fn));
+  void rearm_after(EventRef& ref, Tick delay, F&& fn) {
+    rearm_at(ref, now_ + (delay > 0 ? delay : 0), std::forward<F>(fn));
   }
 
   /// Execute the next pending event. Returns false if the queue is empty.
@@ -310,13 +327,22 @@ class Engine {
   /// Cancel a live slot: in place for heap entries, tombstone in the bucket.
   void cancel_slot(std::uint32_t slot);
 
-  // Binary min-heap on (at, seq) that keeps every slot's heap_pos current.
+  /// Arena allocate that keeps heap_pos_ covering every slot.
+  [[nodiscard]] std::uint32_t allocate(Callback fn) {
+    const std::uint32_t slot = arena_->allocate(std::move(fn));
+    if (slot >= heap_pos_.size()) {
+      heap_pos_.resize(arena_capacity(), kNotInHeap);
+    }
+    return slot;
+  }
+
+  // Binary min-heap on (at, seq) that keeps every slot's heap_pos_ current.
   void heap_push(QueueEntry entry);
   QueueEntry heap_pop_front();
   void heap_erase(std::uint32_t pos);
   void heap_place(std::uint32_t pos, const QueueEntry& entry) {
     heap_[pos] = entry;
-    arena_->slot(entry.slot).heap_pos = pos;
+    heap_pos_[entry.slot] = pos;
   }
   void sift_up(std::uint32_t pos, QueueEntry entry);
   void sift_down(std::uint32_t pos, QueueEntry entry);
@@ -342,6 +368,12 @@ class Engine {
   std::vector<QueueEntry> bucket_;  // FIFO of events with at == now()
   // vine-snapshot: derived(cursor into bucket_, which is itself derived)
   std::size_t bucket_head_ = 0;
+  static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
+  /// By arena slot: the index of the slot's heap entry, or kNotInHeap
+  /// while it sits in the now-bucket. Kept apart from the arena's slots so
+  /// a sift's writes land in one dense array.
+  // vine-snapshot: derived(heap index; replay rebuilds the queue)
+  std::vector<std::uint32_t> heap_pos_;
 };
 
 }  // namespace hepvine::sim

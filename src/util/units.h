@@ -52,14 +52,23 @@ using Bandwidth = double;
 /// Megabytes/second to bytes/second.
 [[nodiscard]] constexpr Bandwidth mbs(double m) noexcept { return m * 1e6; }
 
+/// static_cast<Tick>(std::ceil(x)), without the libm call baseline x86-64
+/// makes for std::ceil. Exact on [0, 2^63): truncation is exact there, and
+/// so is the step up, since every double from 2^52 up is an integer.
+/// Anything else takes std::ceil.
+[[nodiscard]] inline Tick ceil_to_tick(double x) noexcept {
+  if (!(x >= 0.0 && x < 0x1p63)) return static_cast<Tick>(std::ceil(x));
+  const auto t = static_cast<Tick>(x);
+  return static_cast<double>(t) < x ? t + 1 : t;
+}
+
 /// Time to move `bytes` at `rate`, rounded up to a whole tick (min 1 tick
 /// for any nonzero payload so causality is preserved).
 [[nodiscard]] inline Tick transfer_time(std::uint64_t bytes,
                                         Bandwidth rate) noexcept {
   if (bytes == 0) return 0;
   const double secs = static_cast<double>(bytes) / rate;
-  const auto ticks = static_cast<Tick>(
-      std::ceil(secs * static_cast<double>(kSec)));
+  const Tick ticks = ceil_to_tick(secs * static_cast<double>(kSec));
   return ticks > 0 ? ticks : 1;
 }
 

@@ -221,14 +221,41 @@ class NaiveQueue {
   std::map<int, std::pair<util::Tick, std::uint64_t>> live_;
 };
 
+/// How a property run splits its operations: an op draws r in [0, 100)
+/// and takes the first kind whose bound exceeds r (the rest are steps).
+struct OpMix {
+  std::uint64_t schedule;
+  std::uint64_t batch;
+  std::uint64_t rekey;
+  std::uint64_t cancel;
+  std::uint64_t run_until;
+  /// Re-keys and schedules land within this many ticks of now() (plus
+  /// the mix's far ticks), so small values make same-tick ties common.
+  std::int64_t near;
+  /// Half the re-keys and cancels go through bare EventRefs
+  /// (Engine::rearm_at / cancel / is_pending), as the flow network's do.
+  bool refs;
+};
+
+/// The default mix, and one of mostly re-keys over a handful of ticks:
+/// the flow network's load, which re-keys a hundred completions per
+/// recompute, many onto the same tick.
+constexpr OpMix kMixes[] = {{22, 26, 50, 60, 63, 8, false},
+                            {8, 10, 62, 70, 72, 2, true}};
+
 TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+  for (std::uint64_t run = 0; run < 16; ++run) {
+    const std::uint64_t seed = 1 + run % 8;
+    const OpMix& mix = kMixes[run / 8];
     SCOPED_TRACE(seed);
+    SCOPED_TRACE(run / 8);
     Rng rng(seed);
     NaiveQueue model;
     std::vector<int> fired;
     std::vector<Engine::EventHandle> handles;
     std::vector<int> handle_event;  // the event each handle refers to
+    std::vector<Engine::EventRef> refs;
+    std::vector<int> ref_event;  // the event each ref last named
     int next_event = 0;
     auto fire = [&fired](int event) {
       return [&fired, event] { fired.push_back(event); };
@@ -241,7 +268,7 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
         const std::uint64_t r = rng.uniform_below(10);
         if (r < 3) return engine.now();
         if (r < 4) return engine.now() - 5;
-        if (r < 9) return engine.now() + rng.uniform_int(1, 8);
+        if (r < 9) return engine.now() + rng.uniform_int(1, mix.near);
         return engine.now() + rng.uniform_int(100, 1000);
       };
       auto schedule = [&](util::Tick at) {
@@ -278,9 +305,9 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
           const std::size_t before = engine.pending();
           schedule(engine.now() + 1);
           EXPECT_LT(engine.pending(), before / 2) << "no purge";
-        } else if (r < 22) {
+        } else if (r < mix.schedule) {
           schedule(pick_tick());
-        } else if (r < 26) {
+        } else if (r < mix.batch) {
           // schedule_many: a bulk future batch (>= 64, one re-heapify), or
           // a small batch that may land in the now-bucket.
           const bool bulk = rng.uniform_below(3) == 0;
@@ -298,7 +325,24 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
           for (auto& h : engine.schedule_many(at, std::move(fns))) {
             handles.push_back(std::move(h));
           }
-        } else if (r < 50 && !handles.empty()) {
+        } else if (r < mix.rekey && mix.refs && rng.uniform_below(2) == 0) {
+          // Re-key a bare ref: a live one moves, a dead (or new, empty)
+          // one schedules afresh, exactly as schedule_at would.
+          if (refs.empty() || rng.uniform_below(8) == 0) {
+            refs.emplace_back();
+            ref_event.push_back(-1);
+          }
+          const auto i = rng.uniform_below(refs.size());
+          const util::Tick at = pick_tick();
+          const int fresh = next_event++;
+          engine.rearm_at(refs[i], at, fire(fresh));
+          if (ref_event[i] >= 0 && model.live(ref_event[i])) {
+            model.move(ref_event[i], at);
+          } else {
+            ref_event[i] = fresh;
+            model.add(fresh, at);
+          }
+        } else if (r < mix.rekey && !handles.empty()) {
           // Reschedule any handle: live ones move (later, earlier, to now,
           // or out of the now-bucket); dead ones schedule afresh.
           const auto i = rng.uniform_below(handles.size());
@@ -317,7 +361,12 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
             handle_event[i] = fresh;
             model.add(fresh, at);
           }
-        } else if (r < 60 && !handles.empty()) {
+        } else if (r < mix.cancel && mix.refs && !refs.empty() &&
+                   rng.uniform_below(2) == 0) {
+          const auto i = rng.uniform_below(refs.size());
+          engine.cancel(refs[i]);
+          if (ref_event[i] >= 0) model.remove(ref_event[i]);
+        } else if (r < mix.cancel && !handles.empty()) {
           const auto i = rng.uniform_below(handles.size());
           if (rng.uniform_below(2) == 0) {
             handles[i].cancel();
@@ -325,7 +374,7 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
             engine.cancel(handles[i]);
           }
           model.remove(handle_event[i]);
-        } else if (r < 63) {
+        } else if (r < mix.run_until) {
           const util::Tick deadline = engine.now() + rng.uniform_int(0, 10);
           const std::size_t base = fired.size();
           engine.run_until(deadline);
@@ -350,6 +399,11 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
           ASSERT_EQ(handles[i].pending(), live);
           ASSERT_EQ(engine.is_pending(handles[i]), live);
         }
+        if (!refs.empty()) {
+          const auto i = rng.uniform_below(refs.size());
+          ASSERT_EQ(engine.is_pending(refs[i]),
+                    ref_event[i] >= 0 && model.live(ref_event[i]));
+        }
       }
       while (!model.empty()) step_both();
       EXPECT_FALSE(engine.step());
@@ -357,6 +411,9 @@ TEST(EngineProperty, RandomSequencesFireInNaiveModelOrder) {
       for (const auto& h : handles) {
         EXPECT_FALSE(h.pending());
         EXPECT_FALSE(engine.is_pending(h));
+      }
+      for (const Engine::EventRef ref : refs) {
+        EXPECT_FALSE(engine.is_pending(ref));
       }
       // Leave live events behind for the destruction check below.
       for (int i = 0; i < 100; ++i) schedule(engine.now() + 1 + i % 7);

@@ -17,6 +17,7 @@
 // bits after every fired event and the same fired-event sequence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -155,10 +156,22 @@ struct WfTrace {
   std::vector<std::tuple<Tick, net::FlowId>> warns;
   std::uint64_t executed = 0;
   std::uint64_t rescues = 0;
+  // Per fired event, an FNV-1a digest of every link's bytes_carried.
+  std::vector<std::uint64_t> link_bytes;
   // Work counters; they differ between the paths by design.
   std::vector<std::uint64_t> visits;  // cumulative, per fired event
   std::uint64_t expansions = 0;
+  std::size_t peak_active = 0;
 };
+
+std::uint64_t link_bytes_digest(const net::Network& network) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t l = 0; l < network.link_count(); ++l) {
+    h ^= network.link_stats(static_cast<net::LinkId>(l)).bytes_carried;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// A scenario adds links and flows (returning the flow ids it started)
 /// and may schedule capacity changes on the engine.
@@ -189,7 +202,9 @@ WfTrace replay(bool incremental, const WfScenario& scenario) {
       }
     }
     trace.rate_bits.push_back(std::move(bits));
+    trace.link_bytes.push_back(link_bytes_digest(network));
     trace.visits.push_back(network.recompute_flow_visits());
+    trace.peak_active = std::max(trace.peak_active, network.active_flows());
   }
   trace.executed = engine.executed();
   trace.rescues = network.starvation_rescues();
@@ -201,6 +216,7 @@ WfTrace replay(bool incremental, const WfScenario& scenario) {
 void expect_same_traces(const WfTrace& inc, const WfTrace& ref) {
   EXPECT_EQ(inc.ticks, ref.ticks);
   EXPECT_EQ(inc.rate_bits, ref.rate_bits);
+  EXPECT_EQ(inc.link_bytes, ref.link_bytes);
   EXPECT_EQ(inc.spans, ref.spans);
   EXPECT_EQ(inc.warns, ref.warns);
   EXPECT_EQ(inc.executed, ref.executed);
@@ -597,6 +613,103 @@ TEST(WaterFillDifferential, OutageAndInfiniteLinksOnTheBoundary) {
   EXPECT_EQ(visits_at(trace, util::seconds(0.01)), 7u);
   // At scale 0, d is crossed: a flow joining a re-fills both sides.
   EXPECT_EQ(visits_at(trace, util::seconds(0.03)), 15u);
+}
+
+TEST(WaterFillDifferential, NeighbourJoinsALoneBottleneckMidPass) {
+  // Link a (1e9, 7 flows) alone sets b = 1e9/7. Its first flow also
+  // crosses m, whose share starts above b and rounds to exactly b once
+  // that flow freezes, while a's own share drifts one ulp below b. So the
+  // freeze brings m into H beside a mid-pass: the single-link fill must
+  // hand the pass back with a's next candidate marked, or a's other six
+  // flows wait for a later pass at the drifted share.
+  const WfTrace trace =
+      expect_same_water_fill([](sim::Engine&, net::Network& network) {
+        const net::LinkId a = network.add_link("a", 1e9);
+        const net::LinkId m = network.add_link("m", 857142857.1428573);
+        std::vector<net::FlowId> ids;
+        ids.push_back(
+            network.start_flow({a, m}, 50'000'000, 0, [](net::FlowId) {}));
+        for (int i = 0; i < 6; ++i) {
+          ids.push_back(network.start_flow(
+              {a, network.add_link("own", 1e12)},
+              60'000'000 + 1'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        for (int i = 0; i < 5; ++i) {
+          ids.push_back(network.start_flow(
+              {m, network.add_link("own", 1e12)},
+              70'000'000 + 1'000'000 * static_cast<std::uint64_t>(i), 0,
+              [](net::FlowId) {}));
+        }
+        return ids;
+      });
+  EXPECT_EQ(first_rates(trace).size(), 1u);
+}
+
+TEST(WaterFillDifferential, SaturationShapedBottleneck) {
+  // The manager-saturation regime the recompute's hot path is built for:
+  // one FS link and the manager's two NIC links shared by a couple of
+  // hundred concurrent flows, each also crossing one of 600 worker
+  // downlinks that keep spare capacity (the boundary links). FS fills run
+  // over one link with over a hundred members and take several ulp-drift
+  // passes. Arrivals are staggered; completions, cancels, kills and armed
+  // faults land in between.
+  const WfScenario scenario = [](sim::Engine& engine, net::Network& network) {
+    sim::Rng rng(24, "saturation-shaped");
+    const net::LinkId fs = network.add_link("fs", 6e9);
+    const net::LinkId mgr_up = network.add_link("mgr-up", 1.25e9);
+    const net::LinkId mgr_down = network.add_link("mgr-down", 1.25e9);
+    std::vector<net::LinkId> down;
+    for (int w = 0; w < 600; ++w) {
+      down.push_back(network.add_link("down", 1.25e9));
+    }
+    constexpr std::uint64_t kFlows = 1200;
+    for (std::uint64_t i = 0; i < kFlows; ++i) {
+      const net::LinkId d = down[rng.uniform_below(down.size())];
+      const std::uint64_t kind = rng.uniform_below(8);
+      std::vector<net::LinkId> path = {fs, d};
+      std::uint64_t bytes = (6 + rng.uniform_below(5)) * util::kMB;
+      if (kind == 6) {
+        path = {mgr_up, d};
+        bytes /= 4;
+      } else if (kind == 7) {
+        path = {d, mgr_down};
+        bytes /= 8;
+      }
+      const auto at = static_cast<Tick>(rng.uniform_below(1'000'000));
+      engine.schedule_at(at, [&network, path, bytes] {
+        network.start_flow(path, bytes, 200, [](net::FlowId) {});
+      });
+    }
+    for (int e = 0; e < 240; ++e) {
+      const auto at = static_cast<Tick>(rng.uniform_below(500'000));
+      // Ids of flows not started yet, or gone, are ignored by the network.
+      const auto id = static_cast<net::FlowId>(1 + rng.uniform_below(kFlows));
+      const std::uint64_t kind = rng.uniform_below(4);
+      if (kind == 0) {
+        engine.schedule_at(at, [&network, id] { network.cancel_flow(id); });
+      } else if (kind == 1) {
+        engine.schedule_at(at, [&network, id] { network.fail_flow(id); });
+      } else {
+        const std::uint64_t offset = 1 + rng.uniform_below(8 * util::kMB);
+        engine.schedule_at(at, [&network, id, offset] {
+          network.arm_flow_fault(id, offset);
+        });
+      }
+    }
+    std::vector<net::FlowId> ids;
+    for (net::FlowId id = 1; id <= static_cast<net::FlowId>(kFlows); ++id) {
+      ids.push_back(id);
+    }
+    return ids;
+  };
+  const WfTrace inc = replay(true, scenario);
+  const WfTrace ref = replay(false, scenario);
+  expect_same_traces(inc, ref);
+  EXPECT_GE(inc.peak_active, 200u);
+  EXPECT_LT(inc.visits.back(), ref.visits.back());
+  // Every flow leaves the network once: done, cancelled or failed.
+  EXPECT_EQ(inc.spans.size(), 1200u);
 }
 
 /// A randomized scenario: shared and per-node links with capacities that

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -369,6 +370,79 @@ TEST_F(NetFixture, IncrementalRecomputeVisitsOnlyTouchedComponent) {
   // One visit for the long flow, one per short-flow arrival (departure
   // recomputes find an empty component).
   EXPECT_LE(net.recompute_flow_visits(), 51u + 5u);
+}
+
+TEST_F(NetFixture, PathLongerThanInlineCapacityIsRejected) {
+  std::vector<LinkId> path;
+  for (std::size_t i = 0; i <= Network::kMaxPathLinks; ++i) {
+    path.push_back(net.add_link("l", 1e9));
+  }
+  EXPECT_THROW(net.start_flow(path, 1'000'000, 0, [](FlowId) {}),
+               std::invalid_argument);
+  // Nothing was admitted: no id spent, no link charged.
+  EXPECT_EQ(net.active_flows(), 0u);
+  for (const LinkId link : path) {
+    EXPECT_EQ(net.link_stats(link).flows_carried, 0u);
+  }
+  path.pop_back();
+  EXPECT_EQ(net.start_flow(path, 1'000'000, 0, [](FlowId) {}), FlowId{1});
+  engine.run();
+  EXPECT_EQ(net.flows_completed(), 1u);
+}
+
+/// One run of flows over 1-, 2- and 3-link paths that share links: each
+/// flow's completion tick, every link's bytes, and the events fired.
+struct PathRun {
+  std::vector<Tick> finished;
+  std::vector<std::uint64_t> link_bytes;
+  std::size_t events = 0;
+};
+
+PathRun run_mixed_paths(bool incremental) {
+  sim::Engine engine;
+  Network net(engine, NetworkOptions{incremental});
+  const LinkId fs = net.add_link("fs", 2.5e9);
+  const LinkId mgr = net.add_link("mgr", 1.25e9);
+  std::vector<LinkId> up;
+  std::vector<LinkId> down;
+  for (int n = 0; n < 6; ++n) {
+    up.push_back(net.add_link("up", 1e9));
+    down.push_back(net.add_link("down", 1.25e9));
+  }
+  PathRun run;
+  run.finished.assign(36, -1);
+  for (int i = 0; i < 36; ++i) {
+    const auto n = static_cast<std::size_t>(i % 6);
+    const auto peer = static_cast<std::size_t>((i + 1) % 6);
+    std::vector<LinkId> path;
+    switch (i % 3) {
+      case 0: path = {down[n]}; break;
+      case 1: path = {i % 2 == 0 ? fs : mgr, down[n]}; break;
+      default: path = {fs, up[peer], down[n]}; break;
+    }
+    const auto bytes = 5'000'000 + 700'000 * static_cast<std::uint64_t>(i);
+    engine.schedule_at(2'000 * (i % 5), [&net, &engine, &run, path, bytes, i] {
+      net.start_flow(path, bytes, 100, [&engine, &run, i](FlowId) {
+        run.finished[static_cast<std::size_t>(i)] = engine.now();
+      });
+    });
+  }
+  engine.run();
+  for (std::size_t l = 0; l < net.link_count(); ++l) {
+    run.link_bytes.push_back(
+        net.link_stats(static_cast<LinkId>(l)).bytes_carried);
+  }
+  run.events = engine.executed();
+  return run;
+}
+
+TEST(NetworkPaths, OneTwoAndThreeLinkPathsMatchOnBothArms) {
+  const PathRun inc = run_mixed_paths(true);
+  const PathRun ref = run_mixed_paths(false);
+  EXPECT_EQ(inc.finished, ref.finished);
+  EXPECT_EQ(inc.link_bytes, ref.link_bytes);
+  EXPECT_EQ(inc.events, ref.events);
+  for (const Tick t : inc.finished) EXPECT_GT(t, 0);
 }
 
 // --- recompute-path parity: both paths must pass the same regressions ----

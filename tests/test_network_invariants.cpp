@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/engine.h"
+#include "util/text.h"
 
 namespace hepvine::net {
 namespace {
@@ -93,8 +94,8 @@ TEST_P(RecomputePath, EveryFlowIsBottleneckedAtASaturatedLink) {
   std::vector<LinkId> up;
   std::vector<LinkId> down;
   for (int i = 0; i < 5; ++i) {
-    up.push_back(net.add_link("u" + std::to_string(i), 1e9 + 4e8 * i));
-    down.push_back(net.add_link("d" + std::to_string(i), 1.2e9 + 3e8 * i));
+    up.push_back(net.add_link(util::numbered("u", i), 1e9 + 4e8 * i));
+    down.push_back(net.add_link(util::numbered("d", i), 1.2e9 + 3e8 * i));
   }
 
   struct Probe {
@@ -181,8 +182,8 @@ Outcome run_scenario(bool incremental) {
   std::vector<LinkId> up;
   std::vector<LinkId> down;
   for (int i = 0; i < 6; ++i) {
-    up.push_back(net.add_link("u" + std::to_string(i), 1e9 + 2e8 * i));
-    down.push_back(net.add_link("d" + std::to_string(i), 1e9 + 1.5e8 * i));
+    up.push_back(net.add_link(util::numbered("u", i), 1e9 + 2e8 * i));
+    down.push_back(net.add_link(util::numbered("d", i), 1e9 + 1.5e8 * i));
   }
 
   Outcome out;

@@ -16,6 +16,7 @@
 #include "obs/txn_log.h"
 #include "obs/txn_query.h"
 #include "scheduler_test_util.h"
+#include "util/text.h"
 #include "vine/vine_scheduler.h"
 
 namespace hepvine {
@@ -138,7 +139,7 @@ TEST(StatsRegistry, CountersHaveStablePointers) {
   *a = 5;
   // Force growth; the first pointer must stay valid.
   for (int i = 0; i < 100; ++i) {
-    *reg.counter("c" + std::to_string(i)) = static_cast<std::uint64_t>(i);
+    *reg.counter(util::numbered("c", i)) = static_cast<std::uint64_t>(i);
   }
   *a += 1;
   EXPECT_DOUBLE_EQ(reg.value("a"), 6.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace hepvine::exec {
 namespace {
@@ -19,7 +20,8 @@ dag::ValuePtr scalar(double v) {
 TaskGraph diamond() {
   TaskGraph graph;
   TaskSpec a;
-  a.category = "a";
+  // Move-assigned: assigning the literal trips a false GCC 12 -Wrestrict.
+  a.category = std::string("a");
   graph.add_task(std::move(a));
   TaskSpec b;
   b.deps = {0};
