@@ -36,8 +36,8 @@ void BM_EngineCancelChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
     for (std::size_t i = 0; i < n; ++i) {
-      auto handle = engine.schedule_at(1'000'000, [] {});
-      handle.cancel();
+      const auto ref = engine.schedule_at(1'000'000, [] {});
+      engine.cancel(ref);
       engine.schedule_at(static_cast<util::Tick>(i), [] {});
     }
     engine.run();

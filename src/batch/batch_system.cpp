@@ -54,7 +54,7 @@ bool BatchSystem::release_slot(std::uint32_t slot) {
   if (draining_ || slot >= slot_states_.size()) return false;
   SlotState& state = slot_states_[slot];
   if (!state.running) return false;
-  state.preemption_event.cancel();
+  engine_.cancel(state.preemption_event);
   state.running = false;
   --active_;
   ++releases_;
@@ -68,7 +68,7 @@ bool BatchSystem::release_slot(std::uint32_t slot) {
 void BatchSystem::drain() {
   draining_ = true;
   for (auto& state : slot_states_) {
-    state.preemption_event.cancel();
+    engine_.cancel(state.preemption_event);
   }
 }
 
@@ -109,7 +109,7 @@ void BatchSystem::preempt_slot(std::uint32_t slot) {
   if (draining_) return;
   SlotState& state = slot_states_[slot];
   if (!state.running) return;
-  state.preemption_event.cancel();  // forced evictions race the armed timer
+  engine_.cancel(state.preemption_event);  // forced evictions race the timer
   state.running = false;
   --active_;
   ++preemptions_;

@@ -98,7 +98,7 @@ class BatchSystem {
   struct SlotState {
     std::uint32_t incarnation = 0;
     bool running = false;
-    sim::Engine::EventHandle preemption_event;
+    sim::Engine::EventRef preemption_event;
   };
 
   void start_slot(std::uint32_t slot);

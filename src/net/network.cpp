@@ -77,7 +77,7 @@ void Network::warn(FlowId id, const char* detail) {
   if (on_warn_) on_warn_(engine_.now(), id, detail);
 }
 
-FlowId Network::start_flow(const std::vector<LinkId>& path,
+FlowId Network::start_flow(std::span<const LinkId> path,
                            std::uint64_t bytes, Tick latency,
                            std::function<void(FlowId)> done) {
   if (path.size() > kMaxPathLinks) {

@@ -37,6 +37,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,9 +109,16 @@ class Network {
   /// `done` fires exactly once when the last byte arrives, unless the flow
   /// is cancelled or killed first. Zero-byte flows complete after `latency`.
   /// Throws std::invalid_argument, issuing no id, for a path of more than
-  /// kMaxPathLinks links.
-  FlowId start_flow(const std::vector<LinkId>& path, std::uint64_t bytes,
+  /// kMaxPathLinks links. The path is only read: it is copied inline.
+  FlowId start_flow(std::span<const LinkId> path, std::uint64_t bytes,
                     Tick latency, std::function<void(FlowId)> done);
+  /// start_flow over a braced path such as {uplink, downlink}, which a
+  /// span cannot bind to; nothing is allocated for it.
+  FlowId start_flow(std::initializer_list<LinkId> path, std::uint64_t bytes,
+                    Tick latency, std::function<void(FlowId)> done) {
+    return start_flow(std::span<const LinkId>(path.begin(), path.size()),
+                      bytes, latency, std::move(done));
+  }
 
   /// Cancel an in-flight flow (e.g. its endpoint was preempted). The done
   /// callback is not invoked. Unknown/finished ids are ignored.

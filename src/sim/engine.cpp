@@ -1,6 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -77,15 +76,8 @@ void Engine::heap_erase(std::uint32_t pos) {
   sift_down(pos, last);
 }
 
-void Engine::heap_rebuild() {
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    heap_pos_[heap_[i].slot] = static_cast<std::uint32_t>(i);
-  }
-}
-
 void Engine::enqueue(Tick at, std::uint64_t seq, std::uint32_t slot) {
-  arena_->slot(slot).live_seq = seq;
+  arena_.slot(slot).live_seq = seq;
   if (at == now_) {
     heap_pos_[slot] = kNotInHeap;
     bucket_.push_back(QueueEntry{at, seq, slot});
@@ -99,9 +91,7 @@ void Engine::move_slot(std::uint32_t slot, Tick at) {
   const std::uint32_t pos = heap_pos_[slot];
   if (pos == kNotInHeap) {
     // A now-bucket entry cannot be moved inside the FIFO: enqueue a fresh
-    // entry and leave the old one as a superseded tombstone, counted toward
-    // the purge trigger like a cancellation.
-    ++arena_->cancelled_pending;
+    // entry and leave the old one behind as a tombstone.
     enqueue(at, seq, slot);
     return;
   }
@@ -112,7 +102,7 @@ void Engine::move_slot(std::uint32_t slot, Tick at) {
     enqueue(at, seq, slot);
     return;
   }
-  arena_->slot(slot).live_seq = seq;
+  arena_.slot(slot).live_seq = seq;
   QueueEntry entry = heap_[pos];
   // The fresh seq exceeds every seq in the queue, so the key only grows
   // unless the tick moves earlier.
@@ -127,75 +117,24 @@ void Engine::move_slot(std::uint32_t slot, Tick at) {
 }
 
 void Engine::cancel_slot(std::uint32_t slot) {
-  if (heap_pos_[slot] != kNotInHeap) {
-    heap_erase(heap_pos_[slot]);
-    arena_->release(slot);
-    return;
-  }
-  arena_->slot(slot).cancelled = true;
-  ++arena_->cancelled_pending;
+  if (heap_pos_[slot] != kNotInHeap) heap_erase(heap_pos_[slot]);
+  // A bucket entry stays queued: the release resets the slot's live_seq,
+  // which turns the entry into a tombstone.
+  arena_.release(slot);
 }
 
-Engine::EventHandle Engine::schedule_at(Tick at, Callback fn) {
+Engine::EventRef Engine::schedule_at(Tick at, Callback fn) {
   if (at < now_) at = now_;
-  maybe_purge_cancelled();
   const std::uint32_t slot = allocate(std::move(fn));
-  const std::uint32_t gen = arena_->slot(slot).gen;
   enqueue(at, next_seq_++, slot);
-  return EventHandle(arena_, EventRef{slot, gen});
-}
-
-std::vector<Engine::EventHandle> Engine::schedule_many(
-    Tick at, std::vector<Callback> fns) {
-  if (at < now_) at = now_;
-  maybe_purge_cancelled();
-  std::vector<EventHandle> handles;
-  handles.reserve(fns.size());
-  // Large future-tick batches: append then one O(n) re-heapify instead of
-  // per-event sifts. Heap layout never affects pop order — every entry has
-  // a distinct (at, seq), so the pop sequence is the unique sorted order.
-  const bool bulk_heap = at != now_ && fns.size() >= 64;
-  for (auto& fn : fns) {
-    const std::uint32_t slot = allocate(std::move(fn));
-    const std::uint32_t gen = arena_->slot(slot).gen;
-    const std::uint64_t seq = next_seq_++;
-    if (bulk_heap) {
-      arena_->slot(slot).live_seq = seq;
-      heap_.push_back(QueueEntry{at, seq, slot});
-    } else {
-      enqueue(at, seq, slot);
-    }
-    handles.emplace_back(EventHandle(arena_, EventRef{slot, gen}));
-  }
-  if (bulk_heap) heap_rebuild();
-  return handles;
-}
-
-void Engine::purge_cancelled_now() {
-  auto dead = [this](const QueueEntry& entry) {
-    const auto& s = arena_->slot(entry.slot);
-    if (entry.seq != s.live_seq) return true;  // superseded; slot lives on
-    if (!s.cancelled) return false;
-    arena_->release(entry.slot);
-    return true;
-  };
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
-  heap_rebuild();
-  bucket_.erase(bucket_.begin(),
-                bucket_.begin() + static_cast<std::ptrdiff_t>(bucket_head_));
-  bucket_head_ = 0;
-  // remove_if is stable, so surviving bucket entries keep FIFO order.
-  bucket_.erase(std::remove_if(bucket_.begin(), bucket_.end(), dead),
-                bucket_.end());
-  arena_->cancelled_pending = 0;
+  return EventRef{slot, arena_.slot(slot).gen};
 }
 
 Engine::QueueEntry Engine::pop_next() {
   // Heap entries at the current tick always precede bucket entries (their
   // seqs are smaller; see enqueue()), so the bucket drains only when the
   // heap has nothing due at now().
-  const bool bucket_live = bucket_head_ < bucket_.size();
-  if (bucket_live && (heap_.empty() || heap_.front().at > now_)) {
+  if (bucket_next()) {
     QueueEntry entry = bucket_[bucket_head_++];
     if (bucket_head_ == bucket_.size()) {
       bucket_.clear();
@@ -207,28 +146,33 @@ Engine::QueueEntry Engine::pop_next() {
   return heap_pop_front();
 }
 
+bool Engine::next_live(Tick& at) {
+  // The heap holds no tombstones: cancels and moves edit it in place.
+  while (bucket_next()) {
+    const QueueEntry& front = bucket_[bucket_head_];
+    if (front.seq == arena_.slot(front.slot).live_seq) {
+      at = now_;
+      return true;
+    }
+    (void)pop_next();
+  }
+  if (heap_.empty()) return false;
+  at = heap_.front().at;
+  return true;
+}
+
 bool Engine::step() {
   while (pending() > 0) {
     const QueueEntry entry = pop_next();
-    auto& slot = arena_->slot(entry.slot);
-    // Superseded by a reschedule: a newer entry owns this slot. Discard
-    // without firing and without releasing.
-    if (entry.seq != slot.live_seq) {
-      if (arena_->cancelled_pending > 0) --arena_->cancelled_pending;
-      continue;
-    }
-    if (slot.cancelled) {
-      if (arena_->cancelled_pending > 0) --arena_->cancelled_pending;
-      arena_->release(entry.slot);
-      continue;
-    }
+    // A bucket tombstone: its event was moved or cancelled.
+    if (entry.seq != arena_.slot(entry.slot).live_seq) continue;
     now_ = entry.at;
     ++executed_;
     // Move the callback out and recycle the slot before running, so
-    // captured state is released promptly even if the handle outlives the
-    // event and the slot is immediately reusable by callbacks it runs.
-    Callback fn = std::move(arena_->fn(entry.slot));
-    arena_->release(entry.slot);
+    // captured state is released promptly and the slot is immediately
+    // reusable by callbacks it runs.
+    Callback fn = std::move(arena_.fn(entry.slot));
+    arena_.release(entry.slot);
     fn();
     return true;
   }
@@ -242,24 +186,10 @@ void Engine::run() {
 
 std::size_t Engine::run_until(Tick deadline) {
   std::size_t fired = 0;
-  while (pending() > 0) {
-    const bool bucket_live = bucket_head_ < bucket_.size();
-    if (bucket_live && (heap_.empty() || heap_.front().at > now_)) {
-      // Bucket entries are due at now(); fire them only inside the window.
-      if (now_ > deadline) break;
-      if (step()) ++fired;
-      continue;
-    }
-    // Skip cancelled heap entries without advancing time. (Moves re-key
-    // heap entries in place, so no superseded entry ever sits in the heap.)
-    if (arena_->slot(heap_.front().slot).cancelled) {
-      const QueueEntry dead = heap_pop_front();
-      arena_->release(dead.slot);
-      if (arena_->cancelled_pending > 0) --arena_->cancelled_pending;
-      continue;
-    }
-    if (heap_.front().at > deadline) break;
-    if (step()) ++fired;
+  Tick at = 0;
+  while (next_live(at) && at <= deadline) {
+    step();
+    ++fired;
   }
   if (now_ < deadline) now_ = deadline;
   return fired;

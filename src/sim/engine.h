@@ -1,26 +1,28 @@
 // Deterministic discrete-event simulation engine.
 //
 // Single-threaded. Events are ordered by (time, sequence number) so runs
-// with identical inputs replay identically. Events are cancellable, which
-// the flow-level network model relies on: a transfer's completion event is
-// rescheduled whenever bandwidth shares change.
+// with identical inputs replay identically. Events are cancellable and
+// movable, which the flow-level network model relies on: a transfer's
+// completion event is re-keyed whenever bandwidth shares change.
 //
 // Hot-path layout: event records live in a slab/free-list arena instead of
-// one heap allocation per event. Handles address events by (slot index,
-// generation); the generation is bumped every time a slot is recycled, so
-// a stale handle to a fired or purged event can never touch its slot's new
-// occupant. Pending events sit either in a hand-rolled binary heap (future
-// ticks) or in a FIFO "now bucket" (events scheduled for the current tick)
-// that is drained before time advances — same-tick completion bursts cost
-// O(1) per event instead of a heap round-trip. Both containers pop in
-// strict (at, seq) order, so the firing sequence is bit-identical to the
-// single priority-queue implementation this replaces.
+// one heap allocation per event. An EventRef addresses an event by (slot
+// index, generation); the generation is bumped every time a slot is
+// recycled, so a stale ref to a fired or cancelled event can never touch
+// its slot's new occupant. Pending events sit either in a hand-rolled
+// binary heap (future ticks) or in a FIFO "now bucket" (events scheduled
+// for the current tick) that is drained before time advances — same-tick
+// completion bursts cost O(1) per event instead of a heap round-trip. Both
+// containers pop in strict (at, seq) order, so the firing sequence is
+// bit-identical to a single priority queue.
 //
 // A dense slot-indexed array records where each slot's entry sits in the
-// heap, so a reschedule of a live heap event sifts that entry in place (and
-// a move to the current tick lifts it out into the bucket) instead of
-// leaving a superseded tombstone behind; only moves of now-bucket events,
-// whose FIFO order cannot be edited in place, still leave one.
+// heap, so a cancel removes a heap entry in place and a move re-keys it in
+// place (or lifts it into the bucket when it becomes due now). Only the
+// bucket's FIFO cannot be edited in place: cancelling or moving one of its
+// events leaves a tombstone there, discarded when it reaches the front.
+// The bucket drains before time advances, so tombstones never outlive
+// their tick and need no purge.
 #pragma once
 
 #include <cstddef>
@@ -39,34 +41,31 @@ using util::Tick;
 class Engine {
  private:
   /// Slab-allocated event records. Slots are recycled through a free list;
-  /// each recycle bumps the slot's generation so outstanding handles go
-  /// inert instead of aliasing the new occupant. A 32-bit generation would
-  /// need four billion reuses of one slot while a stale handle to it
-  /// survives before a false match — not a realistic hazard here. A slot's
-  /// callback sits in a slab; its bookkeeping in a dense array, which is
-  /// all a pending check or a re-key reads.
+  /// each recycle bumps the slot's generation so outstanding refs go inert
+  /// instead of aliasing the new occupant. A 32-bit generation would need
+  /// four billion reuses of one slot while a stale ref to it survives
+  /// before a false match — not a realistic hazard here. A slot's callback
+  /// sits in a slab; its bookkeeping in a dense array, which is all a
+  /// pending check or a re-key reads.
   struct EventArena {
     using Callback = std::function<void()>;
     static constexpr std::uint32_t kChunkShift = 12;  // 4096 slots per slab
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+    /// live_seq of a free slot: no queue entry owns it.
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
     struct Slot {
-      /// Seq of the queue entry that currently owns this slot. A
-      /// reschedule of a now-bucket event enqueues a fresh entry for the
-      /// same slot; the older entry sees a seq mismatch at pop time and is
-      /// discarded without firing or releasing (the slot still belongs to
-      /// the new entry).
-      std::uint64_t live_seq = 0;
+      /// Seq of the queue entry that currently owns this slot. A bucket
+      /// entry whose seq differs is a tombstone: its event was moved (a
+      /// newer entry owns the slot) or cancelled (the slot was released).
+      std::uint64_t live_seq = kNoSeq;
       /// Never 0, which marks an empty EventRef.
       std::uint32_t gen = 1;
-      bool cancelled = false;
     };
 
     std::vector<std::unique_ptr<Callback[]>> chunks;
     std::vector<Slot> slots;
     std::vector<std::uint32_t> free_slots;
-    /// Cancelled events still sitting in a queue (tombstones).
-    std::size_t cancelled_pending = 0;
 
     [[nodiscard]] Slot& slot(std::uint32_t idx) noexcept { return slots[idx]; }
     [[nodiscard]] const Slot& slot(std::uint32_t idx) const noexcept {
@@ -84,12 +83,12 @@ class Engine {
       return idx;
     }
 
-    /// Return a slot to the free list (after firing or tombstone pop).
-    /// Bumping the generation here is what invalidates stale handles.
+    /// Return a slot to the free list (after firing or cancelling).
+    /// Bumping the generation here is what invalidates stale refs.
     void release(std::uint32_t idx) {
       fn(idx) = nullptr;
       Slot& s = slot(idx);
-      s.cancelled = false;
+      s.live_seq = kNoSeq;
       if (++s.gen == 0) s.gen = 1;
       free_slots.push_back(idx);
     }
@@ -116,139 +115,57 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Bare (slot, generation) reference to an event, valid only against the
-  /// engine that issued it. For code that holds the engine and outlives
-  /// none of it (the flow network): checks and moves cost no weak_ptr
-  /// control-block traffic, and a copy is two words. Default = no event.
+  /// engine that issued it: ask that engine whether it is_pending, cancel
+  /// it, or move it with rearm_at/after. A copy is two words; a ref to a
+  /// fired or cancelled event is inert. Default = no event.
   struct EventRef {
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;  // 0 = no event
     friend bool operator==(EventRef, EventRef) = default;
   };
 
-  /// Handle to a scheduled event; allows cancellation. Copyable; all copies
-  /// refer to the same underlying event. Safe to hold across engine
-  /// destruction (goes inert) and across slot reuse (generation mismatch).
-  /// Code that holds the engine should prefer Engine::is_pending/cancel,
-  /// which answer the same questions without weak_ptr::lock() refcount
-  /// traffic.
-  class EventHandle {
-   public:
-    EventHandle() = default;
-
-    /// Cancel the event if it has not yet fired. Safe to call repeatedly.
-    void cancel() const {
-      auto arena = arena_.lock();
-      if (!arena) return;
-      auto& s = arena->slot(ref_.slot);
-      if (s.gen != ref_.gen || s.cancelled) return;
-      s.cancelled = true;
-      ++arena->cancelled_pending;
-    }
-
-    /// True if the event is still pending (not fired, not cancelled).
-    [[nodiscard]] bool pending() const {
-      auto arena = arena_.lock();
-      if (!arena) return false;
-      const auto& s = arena->slot(ref_.slot);
-      return s.gen == ref_.gen && !s.cancelled;
-    }
-
-   private:
-    friend class Engine;
-    EventHandle(std::weak_ptr<EventArena> arena, EventRef ref)
-        : arena_(std::move(arena)), ref_(ref) {}
-    std::weak_ptr<EventArena> arena_;
-    EventRef ref_;
-  };
-
   /// Current simulated time.
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
   /// Schedule `fn` to run at absolute time `at` (clamped to now()).
-  EventHandle schedule_at(Tick at, Callback fn);
+  EventRef schedule_at(Tick at, Callback fn);
+
+  /// Schedule `fn` to run `delay` ticks from now (delay < 0 clamps to 0).
+  EventRef schedule_after(Tick delay, Callback fn) {
+    return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(fn));
+  }
 
   /// True if `ref` (issued by this engine) names an event that has not
   /// fired and is not cancelled.
   [[nodiscard]] bool is_pending(EventRef ref) const noexcept {
-    if (ref.gen == 0) return false;
-    const auto& s = arena_->slot(ref.slot);
-    return s.gen == ref.gen && !s.cancelled;
+    return ref.gen != 0 && arena_.slot(ref.slot).gen == ref.gen;
   }
 
-  /// Same answer as handle.pending(), checked against this engine: a
-  /// handle from another (or a destroyed) engine is never pending here.
-  /// Arena identity is a control-block comparison, so unlike
-  /// weak_ptr::lock() it costs no atomic refcount operations.
-  [[nodiscard]] bool is_pending(const EventHandle& handle) const noexcept {
-    return owns(handle) && is_pending(handle.ref_);
-  }
-
-  /// Cancel `ref`'s event if it is pending. A heap entry is removed in
-  /// place and its slot recycled at once; a now-bucket entry is left as a
-  /// tombstone, as handle.cancel() leaves every entry.
+  /// Cancel `ref`'s event if it is pending; safe to call repeatedly. The
+  /// slot is recycled at once. A heap entry is removed in place; a
+  /// now-bucket entry is left as a tombstone until the bucket drains.
   void cancel(EventRef ref) {
     if (is_pending(ref)) cancel_slot(ref.slot);
   }
 
-  /// Same effect as handle.cancel() for this engine's handles (no-op for
-  /// others), without refcount traffic.
-  void cancel(const EventHandle& handle) {
-    if (owns(handle)) cancel(handle.ref_);
-  }
-
-  /// Schedule `fn` to run `delay` ticks from now (delay < 0 clamps to 0).
-  EventHandle schedule_after(Tick delay, Callback fn) {
-    return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(fn));
-  }
-
-  /// Batched schedule: every callback fires at `at` (clamped to now()), in
-  /// argument order. Same-tick batches land in the FIFO now-bucket with no
-  /// heap traffic; future-tick batches of any size pay one heap rebuild
-  /// instead of per-event sifts once the batch is large enough.
-  std::vector<EventHandle> schedule_many(Tick at, std::vector<Callback> fns);
-
-  /// Move a still-pending event to a new time, reusing its slot and its
-  /// stored callback — `fn` is only consumed when the handle is no longer
-  /// live (fired, cancelled, or from another engine), so callers must pass
-  /// a callback behaviorally identical to the original. Consumes exactly
-  /// one seq like cancel()+schedule_at, so the fired-event order is
-  /// bit-identical to that pattern; what it saves is the per-reschedule
-  /// std::function construction, move, and destruction — the dominant cost
-  /// when the flow network re-rates hundreds of transfers per recompute —
-  /// and, for a heap entry, the tombstone: the entry is re-keyed and sifted
-  /// in place. All copies of the handle refer to the moved event
-  /// afterwards.
-  template <typename F>
-  EventHandle reschedule_at(const EventHandle& handle, Tick at, F&& fn) {
-    EventRef ref = owns(handle) ? handle.ref_ : EventRef{};
-    const EventRef before = ref;
-    rearm_at(ref, at, std::forward<F>(fn));
-    return ref == before ? handle : EventHandle(arena_, ref);
-  }
-  template <typename F>
-  EventHandle reschedule_after(const EventHandle& handle, Tick delay,
-                               F&& fn) {
-    return reschedule_at(handle, now_ + (delay > 0 ? delay : 0),
-                         std::forward<F>(fn));
-  }
-
-  /// reschedule_at for a reference the caller stores: same event
-  /// semantics, but `ref` is updated in place, and only when a fresh event
-  /// had to be scheduled (an empty `ref` schedules one, exactly as
-  /// schedule_at would). Templated on the callable: the lambda is only
-  /// wrapped into a std::function on that cold path, so the hot path
-  /// passes two words in registers.
+  /// Move `ref`'s still-pending event to `at` (clamped to now()), reusing
+  /// its slot and its stored callback — `fn` is only consumed when `ref`
+  /// names no pending event, in which case a fresh event is scheduled
+  /// exactly as schedule_at would and `ref` is updated to it. Callers must
+  /// therefore pass a callback behaviourally identical to the original.
+  /// Consumes exactly one seq like cancel()+schedule_at, so the fired
+  /// order is bit-identical to that pattern; what it saves is the
+  /// std::function construction per move — the dominant cost when the
+  /// flow network re-rates hundreds of transfers per recompute — and, for
+  /// a heap entry, the tombstone. Templated on the callable: the lambda is
+  /// only wrapped into a std::function on the cold path.
   template <typename F>
   void rearm_at(EventRef& ref, Tick at, F&& fn) {
-    if (at < now_) at = now_;
-    maybe_purge_cancelled();
-    if (is_pending(ref)) {
-      move_slot(ref.slot, at);
+    if (!is_pending(ref)) {
+      ref = schedule_at(at, Callback(std::forward<F>(fn)));
       return;
     }
-    const std::uint32_t slot = allocate(Callback(std::forward<F>(fn)));
-    ref = EventRef{slot, arena_->slot(slot).gen};
-    enqueue(at, next_seq_++, slot);
+    move_slot(ref.slot, at < now_ ? now_ : at);
   }
   template <typename F>
   void rearm_after(EventRef& ref, Tick delay, F&& fn) {
@@ -268,49 +185,23 @@ class Engine {
   /// Total events executed so far (diagnostics).
   [[nodiscard]] std::size_t executed() const noexcept { return executed_; }
 
-  /// Events currently pending (including cancelled-but-not-popped ones).
+  /// Queue entries: pending events plus the current tick's bucket
+  /// tombstones (none once run_until(deadline >= now()) has returned).
   [[nodiscard]] std::size_t pending() const noexcept {
     return heap_.size() + (bucket_.size() - bucket_head_);
   }
 
   /// Free-list depth + live slots currently allocated (test introspection).
   [[nodiscard]] std::size_t arena_capacity() const noexcept {
-    return arena_->chunks.size() * EventArena::kChunkSize;
+    return arena_.chunks.size() * EventArena::kChunkSize;
   }
 
  private:
-  /// Arena identity via control-block comparison: no refcount traffic,
-  /// unlike weak_ptr::lock(). A handle from a destroyed engine keeps its
-  /// (expired) control block, so it can never alias a live arena's.
-  [[nodiscard]] bool owns(const EventHandle& handle) const noexcept {
-    return !handle.arena_.owner_before(arena_) &&
-           !arena_.owner_before(handle.arena_);
-  }
-
   struct QueueEntry {
     Tick at = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
   };
-  struct Later {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Drop cancelled-but-unpopped entries when they dominate the queue.
-  /// Handle-side cancels and now-bucket moves leave tombstones; without
-  /// compaction those accumulate under cancel-heavy load.
-  /// The guard is inline — it runs on every schedule — while the purge
-  /// itself (in-place remove + re-heapify, O(n) against the old pop/push
-  /// rebuild's O(n log n)) stays out of line.
-  void maybe_purge_cancelled() {
-    const std::size_t cp = arena_->cancelled_pending;
-    if (cp < 4096 || cp * 2 < pending()) return;
-    purge_cancelled_now();
-  }
-  void purge_cancelled_now();
 
   /// Insert one allocated slot into the right container. Same-tick events
   /// are FIFO in the bucket; their seqs are necessarily larger than any
@@ -318,6 +209,16 @@ class Engine {
   /// while now() < T), so "bucket only when the heap has nothing at now()"
   /// preserves the global (at, seq) pop order.
   void enqueue(Tick at, std::uint64_t seq, std::uint32_t slot);
+
+  /// True when the next entry in (at, seq) order is the bucket's front.
+  [[nodiscard]] bool bucket_next() const noexcept {
+    return bucket_head_ < bucket_.size() &&
+           (heap_.empty() || heap_.front().at > now_);
+  }
+
+  /// Discard the tombstones at the front of the pop order, then report the
+  /// next event's tick. Returns false when no event is pending.
+  bool next_live(Tick& at);
 
   /// Pop the next entry in (at, seq) order. Pre: pending() > 0.
   QueueEntry pop_next();
@@ -329,7 +230,7 @@ class Engine {
 
   /// Arena allocate that keeps heap_pos_ covering every slot.
   [[nodiscard]] std::uint32_t allocate(Callback fn) {
-    const std::uint32_t slot = arena_->allocate(std::move(fn));
+    const std::uint32_t slot = arena_.allocate(std::move(fn));
     if (slot >= heap_pos_.size()) {
       heap_pos_.resize(arena_capacity(), kNotInHeap);
     }
@@ -346,8 +247,6 @@ class Engine {
   }
   void sift_up(std::uint32_t pos, QueueEntry entry);
   void sift_down(std::uint32_t pos, QueueEntry entry);
-  /// Re-heapify the whole vector and re-index every slot (bulk paths).
-  void heap_rebuild();
 
   // The event queue is deliberately NOT snapshot-bearing state: its
   // entries hold closures (they capture `this` and cannot move between
@@ -361,7 +260,7 @@ class Engine {
   // vine-snapshot: derived(counter of executed events; replay recounts it)
   std::size_t executed_ = 0;
   // vine-snapshot: derived(slab of closures; unserializable by design)
-  std::shared_ptr<EventArena> arena_ = std::make_shared<EventArena>();
+  EventArena arena_;
   // vine-snapshot: derived(pending closures; replay rebuilds the queue)
   std::vector<QueueEntry> heap_;    // binary min-heap on (at, seq)
   // vine-snapshot: derived(pending closures; replay rebuilds the queue)

@@ -1,22 +1,22 @@
-// Fixture: VL008 — stored EventHandle re-armed or poked past the
+// Fixture: VL008 — stored EventRef re-armed or read past the engine's
 // generation check.
 #include <vector>
 
 struct Timers {
-  sim::EventHandle completion_;             // tracked scalar handle
-  std::vector<sim::EventHandle> retries_;   // tracked handle container
+  sim::Engine::EventRef completion_;            // tracked scalar ref
+  std::vector<sim::Engine::EventRef> retries_;  // tracked ref container
 };
 
-void observe(const sim::EventHandle& h);
-void use(const sim::EventHandle& h);
+void observe(sim::Engine::EventRef ref);
+void use(sim::Engine::EventRef ref);
 void tick();
 
 void misuse(Timers& tm, sim::Engine& eng, std::size_t i) {
-  observe(tm.completion_);  // plain use: the handle is live
+  observe(tm.completion_);  // plain use: the ref is live
   // flagged: re-arm after a plain use — the superseded event still fires
   tm.completion_ = eng.schedule_at(10, tick);
-  // flagged: .fire() bypasses the generation check
-  tm.completion_.fire();
+  // flagged: .slot may name a slot recycled to another event
+  const auto slot = tm.completion_.slot;
   use(tm.retries_[i]);  // plain use of a container entry
   // flagged: container slot re-armed after a plain use
   tm.retries_[i] = eng.schedule_after(5, tick);

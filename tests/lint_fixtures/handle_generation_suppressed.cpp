@@ -1,9 +1,9 @@
 // Fixture: line suppression silences VL008 on the re-arm below it.
 struct Timers {
-  sim::EventHandle completion_;
+  sim::Engine::EventRef completion_;
 };
 
-void observe(const sim::EventHandle& h);
+void observe(sim::Engine::EventRef ref);
 void tick();
 
 void misuse(Timers& tm, sim::Engine& eng) {
@@ -11,5 +11,5 @@ void misuse(Timers& tm, sim::Engine& eng) {
   // vine-lint: suppress(handle-generation) — teardown path, the old event is drained
   tm.completion_ = eng.schedule_at(10, tick);
   // vine-lint: suppress(handle-generation) — debug probe behind an assert
-  tm.completion_.fire();
+  const auto slot = tm.completion_.slot;
 }

@@ -100,6 +100,37 @@ TEST(Batch, ForcePreemptOnIdleSlotIsNoop) {
   EXPECT_EQ(batch.preemptions(), 0u);
 }
 
+TEST(Batch, ForcedPreemptionAndReleaseRemoveTheirTimers) {
+  // Each running slot arms one preemption timer. A forced preemption and a
+  // factory release each cancel theirs: it leaves the event queue at once
+  // and never fires.
+  sim::Engine engine;
+  BatchSpec spec;
+  spec.first_match_delay = 0;
+  spec.match_window = 0;
+  spec.preemption_rate_per_hour = 1.0;
+  spec.resubmit_on_preempt = false;
+  BatchSystem batch(engine, spec, 11);
+  std::vector<std::uint32_t> ended;
+  batch.submit(3, nullptr, [&](std::uint32_t slot, std::uint32_t) {
+    ended.push_back(slot);
+  });
+  engine.run_until(0);  // all three start and arm their timers
+  ASSERT_EQ(batch.active_workers(), 3u);
+  ASSERT_EQ(engine.executed(), 3u);
+  ASSERT_EQ(engine.pending(), 3u);
+  batch.force_preempt(0);
+  EXPECT_EQ(engine.pending(), 2u);
+  ASSERT_TRUE(batch.release_slot(1));
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();
+  // Only slot 2's timer fired.
+  EXPECT_EQ(engine.executed(), 4u);
+  EXPECT_EQ(ended, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(batch.preemptions(), 2u);
+  EXPECT_EQ(batch.releases(), 1u);
+}
+
 TEST(Batch, DrainStopsFuturePreemptions) {
   sim::Engine engine;
   BatchSpec spec;

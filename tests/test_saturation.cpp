@@ -1,7 +1,7 @@
 // Manager-saturation hot path: the slab event arena, the flat/dense
 // container swaps, and the indexed dispatch index must all be invisible
 // to the simulation's observable behaviour. The arena tests pin the
-// handle/generation contract; the differential tests prove the indexed
+// EventRef/generation contract; the differential tests prove the indexed
 // choose_worker and the container swaps replay bit-identically against
 // the reference scans (vine) and across runs (vine, dd).
 #include <gtest/gtest.h>
@@ -28,17 +28,18 @@ using testutil::tiny_cluster;
 using testutil::tiny_dv3;
 
 // ---------------------------------------------------------------------
-// Event arena: slab allocation, generation-counted handles, batching.
+// Event arena: slab allocation, generation-counted refs, in-place moves.
 // ---------------------------------------------------------------------
 
 TEST(EventArena, CancelledEventDoesNotFire) {
   sim::Engine engine;
   int fired = 0;
-  auto h = engine.schedule_at(10, [&] { ++fired; });
+  const auto ref = engine.schedule_at(10, [&] { ++fired; });
   engine.schedule_at(20, [&] { ++fired; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
+  EXPECT_TRUE(engine.is_pending(ref));
+  engine.cancel(ref);
+  EXPECT_FALSE(engine.is_pending(ref));
+  EXPECT_EQ(engine.pending(), 1u);
   engine.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(engine.now(), 20);
@@ -46,127 +47,74 @@ TEST(EventArena, CancelledEventDoesNotFire) {
 
 TEST(EventArena, SlotReuseBumpsGeneration) {
   // Fire an event, then schedule another: the arena recycles the slot.
-  // The stale handle must stay inert — cancelling it must not touch the
-  // recycled slot's new occupant.
+  // The stale ref must stay inert — cancelling or re-arming it must not
+  // touch the recycled slot's new occupant.
   sim::Engine engine;
   int first = 0;
   int second = 0;
-  auto stale = engine.schedule_at(1, [&] { ++first; });
+  int third = 0;
+  const auto stale = engine.schedule_at(1, [&] { ++first; });
   engine.run();
   EXPECT_EQ(first, 1);
-  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(engine.is_pending(stale));
 
-  auto fresh = engine.schedule_at(2, [&] { ++second; });
-  stale.cancel();  // must be a no-op even if the slot was recycled
-  EXPECT_TRUE(fresh.pending());
+  const auto fresh = engine.schedule_at(2, [&] { ++second; });
+  ASSERT_EQ(fresh.slot, stale.slot);  // recycled
+  EXPECT_NE(fresh.gen, stale.gen);
+  EXPECT_FALSE(engine.is_pending(stale));
+  engine.cancel(stale);  // must be a no-op on the recycled slot
+  EXPECT_TRUE(engine.is_pending(fresh));
+  auto rearmed = stale;
+  engine.rearm_at(rearmed, 3, [&] { ++third; });  // schedules afresh
+  EXPECT_NE(rearmed, fresh);
+  EXPECT_TRUE(engine.is_pending(fresh));
   engine.run();
   EXPECT_EQ(second, 1);
-}
-
-TEST(EventArena, HandleOutlivesEngine) {
-  sim::Engine::EventHandle handle;
-  {
-    sim::Engine engine;
-    handle = engine.schedule_at(5, [] {});
-    EXPECT_TRUE(handle.pending());
-  }
-  // The arena is gone; the handle must go inert, not dangle.
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // must not crash
-}
-
-TEST(EventArena, ScheduleManyPreservesArgumentOrder) {
-  sim::Engine engine;
-  std::vector<int> order;
-  std::vector<sim::Engine::Callback> batch;
-  for (int i = 0; i < 100; ++i) {
-    batch.emplace_back([&order, i] { order.push_back(i); });
-  }
-  auto handles = engine.schedule_many(50, std::move(batch));
-  ASSERT_EQ(handles.size(), 100u);
-  // Interleave a single-event schedule at the same tick after the batch:
-  // FIFO within a tick means it fires last.
-  engine.schedule_at(50, [&order] { order.push_back(100); });
-  handles[7].cancel();
-  engine.run();
-  ASSERT_EQ(order.size(), 100u);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    int expected = static_cast<int>(i);
-    if (expected >= 7) ++expected;  // 7 was cancelled
-    EXPECT_EQ(order[i], expected);
-  }
-}
-
-TEST(EventArena, MassCancellationPurgesTombstones) {
-  // Cancel-heavy load (the flow network's reschedule pattern) must not
-  // leave the queue dominated by tombstones: after the purge kicks in,
-  // pending() reflects live events, not cancelled husks.
-  sim::Engine engine;
-  std::vector<sim::Engine::EventHandle> handles;
-  int fired = 0;
-  constexpr int kEvents = 8192;
-  for (int i = 0; i < kEvents; ++i) {
-    handles.push_back(engine.schedule_at(1000 + i, [&] { ++fired; }));
-  }
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    if (i % 8 != 0) handles[i].cancel();  // cancel 7/8ths
-  }
-  // The purge runs lazily at the next schedule once tombstones dominate.
-  engine.schedule_at(1, [&] { ++fired; });
-  EXPECT_LT(engine.pending(), static_cast<std::size_t>(kEvents) / 2)
-      << "purge must drop tombstones";
-  engine.run();
-  EXPECT_EQ(fired, kEvents / 8 + 1);
+  EXPECT_EQ(third, 1);
+  EXPECT_EQ(engine.now(), 3);
 }
 
 TEST(EventArena, RescheduleMovesEventAndKeepsStoredCallback) {
-  // A live event's reschedule reuses the slot and the callback already
-  // stored in it; the replacement callback is only consumed when the
-  // handle is dead. Observable contract: the original callback fires at
-  // the new time, exactly once.
+  // Re-arming a live event reuses the slot and the callback already
+  // stored in it; the replacement callback is only consumed when the ref
+  // is dead. Observable contract: the original callback fires at the new
+  // time, exactly once.
   sim::Engine engine;
   int original = 0;
   int replacement = 0;
-  auto h = engine.schedule_at(10, [&] { ++original; });
-  h = engine.reschedule_at(h, 30, [&] { ++replacement; });
-  EXPECT_TRUE(h.pending());
+  auto ref = engine.schedule_at(10, [&] { ++original; });
+  const auto before = ref;
+  engine.rearm_at(ref, 30, [&] { ++replacement; });
+  EXPECT_EQ(ref, before);
+  EXPECT_TRUE(engine.is_pending(ref));
   engine.run();
   EXPECT_EQ(original, 1);
   EXPECT_EQ(replacement, 0);
   EXPECT_EQ(engine.now(), 30);
 
-  // A dead handle falls back to a fresh schedule with the new callback.
-  h = engine.reschedule_at(h, 40, [&] { ++replacement; });
-  EXPECT_TRUE(h.pending());
+  // A dead ref falls back to a fresh schedule with the new callback.
+  engine.rearm_after(ref, 10, [&] { ++replacement; });
+  EXPECT_TRUE(engine.is_pending(ref));
   engine.run();
   EXPECT_EQ(original, 1);
   EXPECT_EQ(replacement, 1);
-
-  // A handle from another engine must not touch this engine's slots.
-  sim::Engine other;
-  auto foreign = other.schedule_at(5, [&] { ++original; });
-  auto local = engine.reschedule_at(foreign, 50, [&] { ++replacement; });
-  EXPECT_TRUE(foreign.pending());
-  EXPECT_TRUE(local.pending());
-  engine.run();
-  EXPECT_EQ(replacement, 2);
-  EXPECT_EQ(original, 1);  // the foreign event never ran
+  EXPECT_EQ(engine.now(), 40);
 }
 
 TEST(EventArena, RescheduleOrderMatchesCancelPlusSchedule) {
-  // reschedule_at consumes exactly one seq, like cancel()+schedule_at —
-  // so interleaved same-tick events fire in the same order under either
-  // pattern. This is the bit-identity contract the flow network's
-  // re-rate loop depends on.
-  auto run = [](bool use_reschedule) {
+  // rearm_at consumes exactly one seq, like cancel()+schedule_at — so
+  // interleaved same-tick events fire in the same order under either
+  // pattern. This is the bit-identity contract the flow network's re-rate
+  // loop depends on.
+  auto run = [](bool use_rearm) {
     sim::Engine engine;
     std::vector<int> order;
     auto moved = engine.schedule_at(10, [&] { order.push_back(0); });
     engine.schedule_at(20, [&] { order.push_back(1); });
-    if (use_reschedule) {
-      moved = engine.reschedule_at(moved, 20, [&] { order.push_back(0); });
+    if (use_rearm) {
+      engine.rearm_at(moved, 20, [&] { order.push_back(0); });
     } else {
-      moved.cancel();
+      engine.cancel(moved);
       moved = engine.schedule_at(20, [&] { order.push_back(0); });
     }
     engine.schedule_at(20, [&] { order.push_back(2); });
@@ -174,6 +122,7 @@ TEST(EventArena, RescheduleOrderMatchesCancelPlusSchedule) {
     return order;
   };
   EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(run(true), (std::vector<int>{1, 0, 2}));
 }
 
 TEST(EventArena, SlabReusedAcrossWaves) {

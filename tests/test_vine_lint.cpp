@@ -268,7 +268,7 @@ TEST(VineLintSnapshotCompleteness, IndexCountsTypesMembersAndWriters) {
 
 TEST(VineLintHandleGeneration, FlagsUncheckedRearmAndInternalsAccess) {
   const auto findings = lint_fixture("handle_generation_bad.cpp");
-  // Re-arm after a plain use, .fire() internals access, container re-arm.
+  // Re-arm after a plain use, a .slot read, container re-arm.
   EXPECT_EQ(count_rule(findings, Rule::kHandleGeneration), 3)
       << hepvine::lint::format_findings(findings);
   EXPECT_TRUE(only_rule(findings, Rule::kHandleGeneration));
@@ -627,6 +627,10 @@ TEST(VineLintTree, WholeTreeIsClean) {
   const auto findings = linter.run();
   EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
   EXPECT_GT(linter.files_scanned(), 100u);
+  // VL008 keys on stored EventRef declarations: the network's completion,
+  // failure and setup refs and the batch system's preemption timer. Fewer
+  // means the index has gone blind to them.
+  EXPECT_GE(linter.index_stats().handle_members, 4u);
 }
 
 }  // namespace

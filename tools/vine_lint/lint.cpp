@@ -41,10 +41,10 @@ const RuleInfo kRules[kRuleCount] = {
      "unserialized member silently diverges the RESTORE rerun from the "
      "anchor snapshot"},
     {Rule::kHandleGeneration, "VL008", "handle-generation",
-     "cancel() the stored handle (or check pending()) before re-arming it, "
-     "or hand it to engine.reschedule_at/after which supersedes in place; "
-     "only cancel()/pending() are generation-checked, so any other access "
-     "can touch a recycled slot"},
+     "engine.cancel() the stored EventRef (or check engine.is_pending()) "
+     "before re-arming it, or hand it to engine.rearm_at/after which "
+     "re-keys it in place; only the engine checks a ref's generation, so "
+     "reading .slot/.gen outside src/sim can touch a recycled slot"},
     {Rule::kFlatAliasing, "VL009", "flat-container-aliasing",
      "re-find() after any insert/erase/operator[] on a FlatMap/FlatSet — "
      "the backing sorted vector reallocates and shifts, invalidating every "
@@ -1198,7 +1198,7 @@ void rule_float_accum(const FileCtx& ctx) {
 // Pass 1: the symbol index. One lightweight pass per file collects the
 // cross-file facts pass 2 needs: annotated state types with their member
 // lists, the identifier set of every SnapshotBuilder writer region, fast
-// path tunable registrations, and the names of EventHandle- and
+// path tunable registrations, and the names of EventRef- and
 // FlatMap/FlatSet-typed members (so uses in other translation units are
 // still recognized).
 // ---------------------------------------------------------------------------
@@ -1304,8 +1304,8 @@ struct SymbolIndex {
   std::set<std::string> writer_idents;
   std::size_t writer_regions = 0;
   std::vector<IndexedFlag> flags;
-  std::set<std::string> handle_members;            // scalar EventHandle names
-  std::set<std::string> handle_container_members;  // container-of-handle names
+  std::set<std::string> handle_members;            // scalar EventRef names
+  std::set<std::string> handle_container_members;  // container-of-ref names
   std::set<std::string> flat_members;              // FlatMap/FlatSet names
 };
 
@@ -1508,15 +1508,15 @@ void collect_writer_regions(const std::vector<Token>& t, SymbolIndex& idx) {
   }
 }
 
-/// Declarations of EventHandle / FlatMap / FlatSet variables. Scalar
-/// handles are tracked when they are members (inside a type body) or named
-/// like members (trailing '_'); containers of handles and flat containers
-/// are tracked wherever declared.
+/// Declarations of EventRef / FlatMap / FlatSet variables. Scalar refs
+/// are tracked when they are members (inside a type body) or named like
+/// members (trailing '_'); containers of refs and flat containers are
+/// tracked wherever declared.
 void collect_typed_names(const FileData& fd, SymbolIndex& idx) {
   const auto& t = fd.lexed.tokens;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].kind != Token::kIdent) continue;
-    if (t[i].text == "EventHandle") {
+    if (t[i].text == "EventRef") {
       std::size_t j = i + 1;
       std::size_t closers = 0;
       while (tok_is(t, j, ">")) {
@@ -1764,12 +1764,16 @@ void rule_snapshot_completeness(
 
 void rule_handle_generation(const FileCtx& ctx, const SymbolIndex& idx) {
   if (path_contains_dir(ctx.path, "src/sim")) {
-    return;  // the implementation layer pokes slots by design
+    return;  // the implementation layer reads slots by design
   }
   const auto& t = ctx.toks;
   const std::set<std::string>& scalars = idx.handle_members;
   const std::set<std::string>& containers = idx.handle_container_members;
   if (scalars.empty() && containers.empty()) return;
+
+  auto is_rearm = [](const std::string& x) {
+    return x == "rearm_at" || x == "rearm_after";
+  };
 
   auto stmt_arms_without_handoff = [&](std::size_t from) {
     bool arms = false;
@@ -1777,36 +1781,48 @@ void rule_handle_generation(const FileCtx& ctx, const SymbolIndex& idx) {
       if (t[s].kind == Token::kPunct && t[s].text == ";") break;
       if (t[s].kind != Token::kIdent) continue;
       const std::string& x = t[s].text;
-      if (x == "schedule_at" || x == "schedule_after" ||
-          x == "schedule_many") {
-        arms = true;
-      }
-      if (x == "reschedule_at" || x == "reschedule_after") return false;
+      if (x == "schedule_at" || x == "schedule_after") arms = true;
+      if (is_rearm(x)) return false;
     }
     return arms;
+  };
+
+  // True when the ref at q is the first argument of engine.cancel(),
+  // engine.is_pending() or engine.rearm_at/after(): the calls that check
+  // its generation.
+  auto engine_checked = [&](std::size_t q) {
+    int depth = 0;
+    for (std::size_t b = q; b-- > 0;) {
+      const std::string& x = t[b].text;
+      if (x == ")" || x == "]") {
+        ++depth;
+      } else if ((x == "(" || x == "[") && depth > 0) {
+        --depth;
+      } else if (x == "(") {
+        if (b < 2 || t[b - 1].kind != Token::kIdent) return false;
+        const std::string& call = t[b - 1].text;
+        if (call != "cancel" && call != "is_pending" && !is_rearm(call)) {
+          return false;
+        }
+        return t[b - 2].text == "." || t[b - 2].text == "->";
+      } else if (x == "[" || x == ";" || x == "{" || x == "}" ||
+                 (x == "," && depth == 0)) {
+        return false;
+      }
+    }
+    return false;
   };
 
   auto previous_use_sanctions = [&](std::size_t p, const std::string& name) {
     for (std::size_t q = p; q-- > 0;) {
       if (t[q].kind != Token::kIdent || t[q].text != name) continue;
-      // Declaration site (EventHandle x; / vector<EventHandle> x;).
-      if (q > 0 && (t[q - 1].text == "EventHandle" || t[q - 1].text == ">")) {
+      // Declaration site (EventRef x; / vector<EventRef> x;).
+      if (q > 0 && (t[q - 1].text == "EventRef" || t[q - 1].text == ">")) {
         return true;
       }
-      // Generation-checked access.
-      if (tok_is(t, q + 1, ".") && q + 2 < t.size() &&
-          (t[q + 2].text == "cancel" || t[q + 2].text == "pending")) {
-        return true;
-      }
-      // Hand-off into reschedule_at/after(handle, ...).
-      const std::size_t back = (q > 8) ? q - 8 : 0;
-      for (std::size_t b = back; b < q; ++b) {
-        if (t[b].kind == Token::kIdent &&
-            (t[b].text == "reschedule_at" || t[b].text == "reschedule_after")) {
-          return true;
-        }
-      }
-      return false;  // plain previous use: the re-arm loses that event
+      // Otherwise only a generation-checked engine call sanctions; a plain
+      // previous use means the re-arm loses that event.
+      return engine_checked(q);
     }
     return true;  // first occurrence in this file
   };
@@ -1817,38 +1833,33 @@ void rule_handle_generation(const FileCtx& ctx, const SymbolIndex& idx) {
     const bool scalar = scalars.count(name) != 0;
     const bool container = containers.count(name) != 0;
     if (!scalar && !container) continue;
-    if (p > 0 && (t[p - 1].text == "EventHandle" || t[p - 1].text == ">")) {
+    if (p > 0 && (t[p - 1].text == "EventRef" || t[p - 1].text == ">")) {
       continue;  // the declaration itself
     }
     // Re-arm: X = ...schedule_*(...) or X[...] = ...schedule_*(...).
-    std::size_t eq = kNpos;
-    if (tok_is(t, p + 1, "=")) {
-      eq = p + 1;
-    } else if (container && tok_is(t, p + 1, "[")) {
-      const std::size_t bc = match_forward(t, p + 1, "[", "]");
-      if (tok_is(t, bc + 1, "=")) eq = bc + 1;
+    std::size_t after = p + 1;  // the token past X or X[...]
+    if (container && tok_is(t, p + 1, "[")) {
+      after = match_forward(t, p + 1, "[", "]") + 1;
     }
-    if (eq != kNpos) {
-      if (stmt_arms_without_handoff(eq + 1) &&
+    if (tok_is(t, after, "=")) {
+      if (stmt_arms_without_handoff(after + 1) &&
           !previous_use_sanctions(p, name)) {
         ctx.report(Rule::kHandleGeneration, t[p].line,
-                   "stored EventHandle '" + name +
-                       "' is re-armed without cancel()/pending() or a "
-                       "reschedule hand-off — the superseded event still "
+                   "stored EventRef '" + name +
+                       "' is re-armed without engine.cancel()/is_pending() "
+                       "or a rearm hand-off — the superseded event still "
                        "fires");
       }
       continue;
     }
-    // Internals access on a scalar handle: only cancel()/pending() are
-    // generation-checked.
-    if (scalar && tok_is(t, p + 1, ".") && p + 3 < t.size() &&
-        t[p + 2].kind == Token::kIdent && tok_is(t, p + 3, "(") &&
-        t[p + 2].text != "cancel" && t[p + 2].text != "pending") {
+    // Internals: the slot and generation mean something only to the
+    // engine, which checks them against the slot's current occupant.
+    if (tok_is(t, after, ".") && after + 1 < t.size() &&
+        (t[after + 1].text == "slot" || t[after + 1].text == "gen")) {
       ctx.report(Rule::kHandleGeneration, t[p].line,
-                 "access to EventHandle '" + name + "' via ." +
-                     t[p + 2].text +
-                     "() bypasses the generation check; only "
-                     "cancel()/pending() are stale-safe");
+                 "read of EventRef '" + name + "' ." + t[after + 1].text +
+                     " bypasses the engine's generation check; ask "
+                     "engine.is_pending() instead");
     }
   }
 }

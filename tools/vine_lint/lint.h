@@ -11,7 +11,7 @@
 // the scan set: struct/class member lists for pragma-annotated state types,
 // the identifier set of every SnapshotBuilder writer region, fast-path
 // tunable registrations and their branch reads, and the names of
-// EventHandle- and FlatMap/FlatSet-typed members. Pass 2 runs the per-file
+// EventRef- and FlatMap/FlatSet-typed members. Pass 2 runs the per-file
 // rules plus cross-file rules against the index:
 //
 //   VL001 unordered-iter           iteration over std::unordered_map/set
@@ -21,7 +21,7 @@
 //   VL005 txn-subject              txn subjects missing from the subject table
 //   VL006 float-accum              naive float accumulation in digest files
 //   VL007 snapshot-completeness    mutable state-type member never serialized
-//   VL008 handle-generation        stored EventHandle re-armed or poked unsafely
+//   VL008 handle-generation        stored EventRef re-armed or read unsafely
 //   VL009 flat-container-aliasing  FlatMap/FlatSet alias held across a mutation
 //   VL010 tunable-parity           fast-path branch without reference/test twin
 //   VL011 pragma-hygiene           malformed or unknown lint/snapshot pragmas
@@ -98,7 +98,7 @@ struct IndexStats {
   std::size_t writer_idents = 0;    // distinct identifiers in those scopes
   std::size_t fastpath_flags = 0;   // // vine-fastpath: opt-in tunables
   std::size_t branch_reads = 0;     // if/ternary reads of those tunables
-  std::size_t handle_members = 0;   // EventHandle-typed member names
+  std::size_t handle_members = 0;   // stored EventRef member names
   std::size_t flat_members = 0;     // FlatMap/FlatSet-typed member names
 };
 
@@ -144,7 +144,7 @@ class Linter {
   /// the pass-2 scan set, so fixtures exercise the cross-file rules
   /// self-contained. `path` is used for reporting and for path-based
   /// exemptions (src/util/ may read the environment, src/sim is the
-  /// EventHandle implementation layer).
+  /// EventRef implementation layer).
   [[nodiscard]] std::vector<Finding> lint_text(const std::string& path,
                                                const std::string& text);
 
