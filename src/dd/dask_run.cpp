@@ -9,14 +9,12 @@
 #include "dd/dask_distributed.h"
 #include "exec/run_shell.h"
 #include "exec/serial_resource.h"
-#include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
 #include "exec/time_model.h"
 #include "obs/observer.h"
 #include "obs/span.h"
 #include "sim/rng.h"
-#include "util/text.h"
 
 namespace hepvine::dd {
 
@@ -31,7 +29,6 @@ using util::Tick;
 
 constexpr std::int32_t kNoProc = -1;
 
-// vine-snapshot: state
 class DaskRun {
  public:
   DaskRun(const dag::TaskGraph& graph, cluster::Cluster& cluster,
@@ -45,10 +42,9 @@ class DaskRun {
         rng_(options.seed, "dask-run"),
         scheduler_(cluster.engine()),
         obs_(obs::make_observation(options.observability)),
-        shell_(graph, cluster, options_, table_, rng_, scheduler_, obs_,
+        shell_(graph, cluster, options_, table_, scheduler_, obs_,
                exec::RunShell::Identity{
                    "dask.distributed", "scheduler", "node ", "peer key ",
-                   "dask_run",
                    "event queue drained before completion", false},
                hooks()) {
     build_tables();
@@ -147,7 +143,6 @@ class DaskRun {
     h.dispatch = [this](TaskId t, std::int32_t pid) { dispatch(t, pid); };
     h.releasable = [this](WorkerId w) { return node_releasable(w); };
     h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
-    h.snapshot_sections = [this] { return snapshot_sections(); };
     h.chrome_args = [this](TaskId t) {
       return ",\"proc\":" +
              std::to_string(shell_.attempt_at<Attempt>(t).proc);
@@ -659,46 +654,6 @@ class DaskRun {
     });
   }
 
-  // --------------------------------------------------------------------
-  // Manager HA. The shell snapshots the run and task state; dd adds the
-  // sections for state that lives in process memory, not worker disks.
-  // --------------------------------------------------------------------
-  ha::SnapshotBuilder snapshot_sections() {
-    ha::SnapshotBuilder b;
-    b.section("keys");
-    for (FileId f = 0; f < static_cast<FileId>(files_.size()); ++f) {
-      const auto& info = files_[static_cast<std::size_t>(f)];
-      if (!info.at_client && info.holders.empty() &&
-          info.consumers_left == 0) {
-        continue;
-      }
-      std::string v = info.at_client ? "c" : "-";
-      v += "/";
-      std::vector<std::int32_t> holders = info.holders;
-      std::sort(holders.begin(), holders.end());
-      for (std::size_t i = 0; i < holders.size(); ++i) {
-        if (i) v += ",";
-        v += std::to_string(holders[i]);
-      }
-      v += util::numbered("/", info.consumers_left);
-      b.field_s(util::numbered("f", f), v);
-    }
-
-    b.section("procs");
-    for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
-      const Proc& p = procs_[pid];
-      if (!p.alive) continue;
-      b.field_s(util::numbered("p", pid),
-                util::numbered("inc=", p.incarnation, " busy=") +
-                    std::to_string(p.busy ? 1 : 0) +
-                    " mem=" + std::to_string(p.mem_used) +
-                    " held=" + std::to_string(p.holding.size()) +
-                    " ser=" + std::to_string(p.ser.bytes) + ":" +
-                    std::to_string(p.ser.charged));
-    }
-    return b;
-  }
-
   /// Factory shrink: a node may go when all its processes are idle and
   /// hold no result keys (releasing a holder would force lineage resets).
   [[nodiscard]] bool node_releasable(WorkerId w) const {
@@ -758,17 +713,13 @@ class DaskRun {
   std::vector<FileInfo> files_;
   /// Task running on each process slot, dense by pid; kInvalidTask when
   /// the slot is idle.
-  // vine-snapshot: derived(inverse of the per-task worker column in the tasks section)
   std::vector<TaskId> running_on_;
 
   std::shared_ptr<obs::RunObservation> obs_;
 
-  // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint32_t cores_per_node_ = 1;
-  // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint64_t mem_per_proc_ = 0;
 
-  // vine-snapshot: serialized(the shell writes its run and tasks sections itself)
   exec::RunShell shell_;
 };
 

@@ -6,7 +6,6 @@
 #include "metrics/attempt_views.h"
 #include "obs/attribution.h"
 #include "obs/span.h"
-#include "util/text.h"
 
 namespace hepvine::exec {
 
@@ -15,7 +14,7 @@ using dag::TaskId;
 
 RunShell::RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
                    const RunOptions& options, TaskStateTable& table,
-                   sim::Rng& rng, SerialResource& loop,
+                   SerialResource& loop,
                    std::shared_ptr<obs::RunObservation> obs,
                    Identity identity, Hooks hooks)
     : graph_(graph),
@@ -23,7 +22,6 @@ RunShell::RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
       engine_(cluster.engine()),
       options_(options),
       table_(table),
-      rng_(rng),
       loop_(loop),
       obs_(std::move(obs)),
       identity_(std::move(identity)),
@@ -52,8 +50,8 @@ RunReport RunShell::execute() {
   // With the elastic factory on, only min_workers slots start matching;
   // the factory starts parked slots as queue depth demands.
   const std::uint32_t initial_workers =
-      options_.ha.factory.enabled()
-          ? std::max(options_.ha.factory.min_workers, 1U)
+      options_.factory.enabled()
+          ? std::max(options_.factory.min_workers, 1U)
           : 0xffffffffU;
   cluster_.request_workers([this](WorkerId w) { on_node_up(w); },
                            [this](WorkerId w) { on_node_down(w); },
@@ -63,7 +61,6 @@ RunReport RunShell::execute() {
     if (!finished_) fail_run("exceeded max simulated time");
   });
   if (hooks_.start) hooks_.start();
-  schedule_snapshot();
 
   while (!finished_ && engine_.step()) {
   }
@@ -76,6 +73,11 @@ RunReport RunShell::execute() {
     assert(cluster_.network().flow_active(open.first) &&
            "a transfer left the network without a close");
   }
+  // Nothing queued may start once the run is over. Flows still in the
+  // network keep their slot tokens and release them when the network
+  // destroys them, after this shell and its engine may be gone.
+  mgr_gate_.drop_waiters();
+  fs_gate_.drop_waiters();
 
   if (injector_) {
     injector_->stop();
@@ -83,10 +85,7 @@ RunReport RunShell::execute() {
   }
   if (factory_) {
     factory_->stop();
-    report_.ha.factory_grow_events = factory_->grow_events();
-    report_.ha.factory_shrink_events = factory_->shrink_events();
-    report_.ha.workers_started = factory_->workers_started();
-    report_.ha.workers_released = factory_->workers_released();
+    report_.factory = factory_->stats();
   }
   report_.worker_preemptions = cluster_.batch().preemptions();
   report_.task_attempts = total_attempts_;
@@ -98,6 +97,8 @@ RunReport RunShell::execute() {
     obs_->finalize(engine_.now());
     report_.observation = obs_;
   }
+  assert(mgr_gate_.queued() == 0 && fs_gate_.queued() == 0 &&
+         "a gate waiter outlived the run");
   return std::move(report_);
 }
 
@@ -189,7 +190,7 @@ net::FlowId RunShell::start_transfer(Wire wire, Tick latency,
   write_transfer(&obs::TxnLog::transfer_start, wire);
   const net::FlowId flow =
       cluster_.transfer(from, wire.dst, wire.bytes, latency, std::move(landed));
-  wires_.emplace(flow, OpenWire{wire, engine_.now(), retry.episode});
+  wires_.emplace(flow, OpenWire{wire, engine_.now()});
   // Registered at once: offer_transfer draws from the injector's rng.
   if ((retry.killed || retry.again) && injector_) {
     injector_->offer_transfer(flow, wire.bytes,
@@ -217,16 +218,6 @@ void RunShell::retry_killed(const Retry& retry) {
     return;
   }
   engine_.schedule_after(injector_->backoff_delay(kills), retry.again);
-}
-
-std::map<Episode, std::pair<net::FlowId, Wire>> RunShell::open_episodes(
-    RetryKind kind) const {
-  std::map<Episode, std::pair<net::FlowId, Wire>> open;
-  for (const auto& [flow, w] : wires_) {
-    if (w.episode.kind != kind) continue;
-    open.emplace(w.episode, std::pair(flow, w.wire));
-  }
-  return open;
 }
 
 std::optional<RunShell::OpenWire> RunShell::take_wire(net::FlowId flow) {
@@ -621,20 +612,15 @@ void RunShell::begin_fault_injection() {
     return !finished_ && crash_worker(w);
   };
   hooks.lose_cached_file = hooks_.lose_cached_file;
-  hooks.crash_manager = [this] {
-    if (finished_) return false;
-    on_manager_crash();
-    return true;
-  };
   injector_->arm(std::move(hooks));
 }
 
 // ---------------------------------------------------------------------------
-// Manager HA: crash handling, checkpointing, elastic factory.
+// Elastic factory.
 // ---------------------------------------------------------------------------
 
 void RunShell::begin_factory() {
-  if (!options_.ha.factory.enabled()) return;
+  if (!options_.factory.enabled()) return;
   ha::Factory::Hooks hooks;
   hooks.queue_depth = [this]() -> std::size_t {
     return table_.ready_count() + attempts_live_;
@@ -644,7 +630,7 @@ void RunShell::begin_factory() {
     return cluster_.batch().start_slots(n);
   };
   hooks.shrink = [this](std::uint32_t n) { return release_idle(n); };
-  factory_ = std::make_unique<ha::Factory>(engine_, options_.ha.factory,
+  factory_ = std::make_unique<ha::Factory>(engine_, options_.factory,
                                            std::move(hooks));
   factory_->start();
 }
@@ -665,116 +651,6 @@ std::uint32_t RunShell::release_idle(std::uint32_t n) {
     }
   }
   return released;
-}
-
-/// An injected MANAGER_CRASH landed. The crash tick and the snapshot series
-/// already sit in report_.ha; ending the run here leaves the txn log with
-/// its tail intact, which is exactly what ha::recover() replays.
-void RunShell::on_manager_crash() {
-  report_.ha.manager_crashed = true;
-  report_.ha.crash_tick = engine_.now();
-  fail_run("manager crashed (injected manager_crash fault)");
-}
-
-void RunShell::schedule_snapshot() {
-  if (!options_.ha.snapshots_enabled()) return;
-  engine_.schedule_after(options_.ha.snapshot_interval, [this] {
-    if (finished_) return;
-    take_snapshot();
-    schedule_snapshot();
-  });
-}
-
-/// Serialize the manager's logical state (ha/snapshot.h documents what is
-/// deliberately excluded). The order of fields and sections is fixed:
-/// recovery compares snapshot digests byte for byte, so the shell's run and
-/// tasks sections, the engine's sections and the trailing injector and rng
-/// sections always come out in the same sequence. The digest lands on a
-/// SNAPSHOT txn anchor line and the serialization cost is charged to the
-/// serial control loop.
-void RunShell::take_snapshot() {
-  ha::SnapshotBuilder b;
-
-  b.section("run");
-  b.field("tasks_total", graph_.size());
-  b.field("tasks_done", table_.done_count());
-  b.field("task_attempts", total_attempts_);
-  b.field("lineage_resets", lineage_resets_);
-  b.field("sinks_outstanding", sinks_outstanding_);
-  b.field("worker_crashes", report_.worker_crashes);
-  if (hooks_.snapshot_run_fields) b.append(hooks_.snapshot_run_fields());
-  // The round-robin cursor is real scheduler state: two managers that
-  // agree on everything else but disagree on the cursor dispatch the next
-  // task to different workers.
-  b.field_i("rr_cursor", rr_cursor_);
-
-  b.section("tasks");
-  for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-    const auto& st = table_.at(t);
-    // One compact line per task: state/attempts/worker.
-    b.field_s(util::numbered("t", t),
-              util::numbered("", static_cast<int>(st.state), "/") +
-                  std::to_string(st.attempts) + "/" +
-                  std::to_string(st.worker));
-  }
-  // Sparse task-keyed state: per-producer lineage-reset counts (the
-  // poisoned-task detector's memory) and sink-gather completion bits.
-  for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-    const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-    if (n != 0) b.field(util::numbered("r", t), n);
-  }
-  for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-    if (is_sink_[static_cast<std::size_t>(t)] && sink_done(t)) {
-      b.field(util::numbered("s", t), 1);
-    }
-  }
-
-  b.append(hooks_.snapshot_sections());
-
-  // Open retry episodes, in kind order, then by id. A fetch's kills ride
-  // the engine's flows entry of that fetch instead.
-  b.section("backoff");
-  // Key prefix by RetryKind (kNone and kFetch never appear).
-  static constexpr const char* kKeys[] = {"", "", "fs.", "relay.", "key.",
-                                          "sink."};
-  retries_.for_each([&b](const Episode& e, std::uint32_t kills) {
-    if (e.kind == RetryKind::kFetch) return;
-    std::string key = util::numbered(kKeys[static_cast<int>(e.kind)], e.a);
-    if (e.kind == RetryKind::kKey) key += util::numbered(".", e.b);
-    b.field(key, kills);
-  });
-
-  // Unconditional (zeros without an injector): a run whose only fault was
-  // the manager crash itself must snapshot byte-identically to its
-  // crash-stripped recovery rerun, which has no injector at all.
-  {
-    const fault::InjectionStats zero;
-    const fault::InjectionStats& fs = injector_ ? injector_->stats() : zero;
-    b.section("injector");
-    b.field("faults_injected", fs.faults_injected);
-    b.field("worker_crashes", fs.worker_crashes);
-    b.field("cache_losses", fs.cache_losses);
-    b.field("cache_loss_noops", fs.cache_loss_noops);
-    b.field("transfers_killed", fs.transfers_killed);
-    b.field("fs_degradations", fs.fs_degradations);
-    b.field("stragglers", fs.stragglers);
-    b.field("manager_crashes", fs.manager_crashes);
-    b.field("transfer_retries", fs.transfer_retries);
-    b.field("transfer_giveups", fs.transfer_giveups);
-    b.field("backoff_wait", static_cast<std::uint64_t>(fs.backoff_wait));
-    b.field("fs_degraded_time",
-            static_cast<std::uint64_t>(fs.fs_degraded_time));
-  }
-
-  b.section("rng");
-  b.field_rng(identity_.rng_field, rng_.state());
-
-  ha::SnapshotRecord rec = b.finish(engine_.now(), snapshot_seq_++);
-  loop_.acquire(options_.ha.snapshot_cost(rec.bytes));
-  if (txn_on()) {
-    obs_->txn().snapshot_write(engine_.now(), rec.seq, rec.bytes, rec.digest);
-  }
-  report_.ha.snapshots.push_back(std::move(rec));
 }
 
 }  // namespace hepvine::exec

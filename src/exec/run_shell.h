@@ -2,27 +2,26 @@
 //
 // A RunShell drives one run from the worker request to the finished
 // RunReport: observability sinks, the profiler span log, fault injection,
-// the elastic factory, manager-HA snapshots, completion and failure. It
-// owns the live attempt slots and records each finished attempt exactly
-// once, as an obs::AttemptSpan that feeds the span log, the txn SPAN line
-// and the per-attempt Chrome span. It also owns the transfer record: every
-// flow an engine starts goes through start_transfer and closes exactly once
-// with land, fail or cancel, which write the transfer-matrix cell, the txn
+// the elastic factory, completion and failure. It owns the live attempt
+// slots and records each finished attempt exactly once, as an
+// obs::AttemptSpan that feeds the span log, the txn SPAN line and the
+// per-attempt Chrome span. It also owns the transfer record: every flow an
+// engine starts goes through start_transfer and closes exactly once with
+// land, fail or cancel, which write the transfer-matrix cell, the txn
 // TRANSFER lines and the peer Chrome arrow from one Wire, behind the two
 // admission gates, and it reads a worker's imports from the shared
 // filesystem for either engine (read_imports). It owns the retry record:
 // a transfer whose kills retry names its episode, the logical operation
 // it serves, and on each kill the shell counts the kill in its one
 // ledger, gives up past the kill budget (the TRANSFER_GIVEUP line, then
-// the engine's lost-input path) or waits the capped backoff and restarts,
-// and it writes the snapshot's backoff section. And it owns the
-// residency record: every file arriving on or leaving a worker's disk or
-// object store is one residency call, which writes the txn CACHE/STORE
-// line, the CacheSpan of a disk drop, the CacheTrace eviction mark and the
-// RunReport cache and store tallies. The engines (vine/wq in vine_run.cpp,
-// Dask.Distributed in dask_run.cpp) keep only scheduling, the choice of
-// what to move or drop, where a retry re-sources from, and their own
-// snapshot sections, and plug in through Hooks — the same std::function
+// the engine's lost-input path) or waits the capped backoff and restarts.
+// And it owns the residency record: every file arriving on or leaving a
+// worker's disk or object store is one residency call, which writes the
+// txn CACHE/STORE line, the CacheSpan of a disk drop, the CacheTrace
+// eviction mark and the RunReport cache and store tallies. The engines
+// (vine/wq in vine_run.cpp, Dask.Distributed in dask_run.cpp) keep only
+// scheduling, the choice of what to move or drop and where a retry
+// re-sources from, and plug in through Hooks — the same std::function
 // idiom as ha::Factory::Hooks and fault::FaultInjector::Hooks.
 #pragma once
 
@@ -30,7 +29,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,12 +42,10 @@
 #include "fault/backoff_ledger.h"
 #include "fault/fault_injector.h"
 #include "ha/factory.h"
-#include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "obs/stats_registry.h"
-#include "sim/rng.h"
 #include "util/flat_map.h"
 
 namespace hepvine::exec {
@@ -87,8 +83,8 @@ struct Wire {
   std::uint64_t bytes = 0;
 };
 
-/// What a retried transfer serves, with its ids; the order is the
-/// snapshot's backoff section order. kNone: the transfer is not retried.
+/// What a retried transfer serves, with its ids. kNone: the transfer is not
+/// retried.
 ///   kFetch      vine/wq staging fetch: a = file, b = destination worker
 ///   kManagerFs  vine/wq shared-FS read to the manager: a = file
 ///   kRelay      vine/wq relay pull to the manager: a = file
@@ -129,17 +125,15 @@ struct ResidencyEvent {
   std::uint64_t bytes = 0;
 };
 
-// vine-snapshot: state
 class RunShell {
  public:
   /// Per-engine wording: names and failure text differ between engines and
-  /// appear in traces, snapshots and reports, so they stay as they were.
+  /// appear in traces and reports, so they stay as they were.
   struct Identity {
     std::string scheduler;       // RunReport::scheduler
     std::string manager_lane;    // Chrome lane of the serial control loop
     std::string worker_lane;     // Chrome lane prefix, followed by the id
     std::string peer_flow;       // Chrome peer arrow, followed by the file
-    std::string rng_field;       // snapshot field holding the engine rng
     std::string drained_reason;  // failure text when the event queue drains
     /// Name the task's category in the poisoned-task failure text.
     bool category_in_failures = false;
@@ -147,7 +141,7 @@ class RunShell {
 
   struct Hooks {
     /// Arm the engine's own timers, after workers are requested and the
-    /// sim-time limit is armed, before the first snapshot is scheduled.
+    /// sim-time limit is armed.
     std::function<void()> start;
     /// A worker connected / disconnected (the shell has already logged it).
     std::function<void(cluster::WorkerId)> node_up;
@@ -167,19 +161,14 @@ class RunShell {
     std::function<bool(cluster::WorkerId)> releasable;
     /// Perf-log gauges after the shell's tasks.* set (optional).
     std::function<void(obs::StatsRegistry&)> gauges;
-    /// Engine-only fields for the end of the snapshot's run section, before
-    /// rr_cursor (optional).
-    std::function<ha::SnapshotBuilder()> snapshot_run_fields;
-    /// The engine's own snapshot sections, between tasks and backoff.
-    std::function<ha::SnapshotBuilder()> snapshot_sections;
     /// Extra `,"key":value` pairs for an attempt's Chrome span (optional).
     std::function<std::string(dag::TaskId)> chrome_args;
   };
 
-  /// `table`, `rng` and `loop` (the serial control loop) belong to the
-  /// engine and must outlive the shell.
+  /// `table` and `loop` (the serial control loop) belong to the engine
+  /// and must outlive the shell.
   RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
-           const RunOptions& options, TaskStateTable& table, sim::Rng& rng,
+           const RunOptions& options, TaskStateTable& table,
            SerialResource& loop, std::shared_ptr<obs::RunObservation> obs,
            Identity identity, Hooks hooks);
 
@@ -194,7 +183,7 @@ class RunShell {
   [[nodiscard]] RunReport& report() noexcept { return report_; }
   [[nodiscard]] bool txn_on() const { return obs_->txn_enabled(); }
   [[nodiscard]] bool trace_on() const { return obs_->trace_enabled(); }
-  /// Dispatch round-robin cursor (a snapshotted scheduler decision input).
+  /// Dispatch round-robin cursor (a scheduler decision input).
   [[nodiscard]] std::int32_t& rr_cursor() noexcept { return rr_cursor_; }
 
   [[nodiscard]] bool is_sink(dag::TaskId t) const {
@@ -246,12 +235,12 @@ class RunShell {
   /// Start `wire` as a flow (Cluster::transfer) and open its record: the
   /// txn START line, then the flow, then, when `retry` is not empty, its
   /// registration as an injector kill target. The record names its source
-  /// by Cluster::matrix_endpoint and carries the retry episode. `landed`
-  /// runs when the last byte arrives and closes the record with land or
-  /// fail. A kill is the retry record's: it writes FAILED, runs
-  /// `retry.killed`, and counts one kill of the episode. A capped episode
-  /// ends at RetryPolicy::max_transfer_retries kills: TRANSFER_GIVEUP, then
-  /// `give_up`. Otherwise `again` runs after RetryPolicy::backoff(kills).
+  /// by Cluster::matrix_endpoint. `landed` runs when the last byte arrives
+  /// and closes the record with land or fail. A kill is the retry record's:
+  /// it writes FAILED, runs `retry.killed`, and counts one kill of the
+  /// episode. A capped episode ends at RetryPolicy::max_transfer_retries
+  /// kills: TRANSFER_GIVEUP, then `give_up`. Otherwise `again` runs after
+  /// RetryPolicy::backoff(kills).
   net::FlowId start_transfer(Wire wire, Tick latency,
                              std::function<void(net::FlowId)> landed,
                              Retry retry = {});
@@ -266,14 +255,6 @@ class RunShell {
   /// The operation behind `episode` succeeded or ended otherwise: a later
   /// kill starts a fresh episode at backoff(1).
   void end_episode(const Episode& episode) { retries_.reset(episode); }
-  /// Kills counted so far in `episode`.
-  [[nodiscard]] std::uint32_t kills(const Episode& episode) const {
-    return retries_.attempts(episode);
-  }
-  /// The live transfers serving episodes of `kind`, by episode: each
-  /// flow and its wire (the source by Cluster::matrix_endpoint).
-  [[nodiscard]] std::map<Episode, std::pair<net::FlowId, Wire>> open_episodes(
-      RetryKind kind) const;
   /// Bytes with no flow of their own (dispatch arguments riding the control
   /// channel): the matrix cell and the xfer.* counters.
   void record_bytes(std::size_t src, std::size_t dst, std::uint64_t bytes);
@@ -342,13 +323,9 @@ class RunShell {
   void begin_fault_injection();
   void begin_factory();
   std::uint32_t release_idle(std::uint32_t n);
-  void on_manager_crash();
-  void schedule_snapshot();
-  void take_snapshot();
   struct OpenWire {
     Wire wire;
     Tick started = 0;
-    Episode episode;
   };
   /// Close `flow`'s open wire and drop it as a kill target.
   std::optional<OpenWire> take_wire(net::FlowId flow);
@@ -367,11 +344,9 @@ class RunShell {
   sim::Engine& engine_;
   const RunOptions& options_;
   TaskStateTable& table_;
-  sim::Rng& rng_;
   SerialResource& loop_;
   std::shared_ptr<obs::RunObservation> obs_;
   const Identity identity_;
-  // vine-snapshot: derived(engine callbacks bound at construction)
   Hooks hooks_;
 
   RunReport report_;
@@ -379,51 +354,35 @@ class RunShell {
   /// an attempt's address stable while other slots churn, so references
   /// held across staging callbacks stay valid.
   std::vector<std::unique_ptr<AttemptBase>> attempts_;
-  // vine-snapshot: derived(count of non-null attempts_ slots)
   std::size_t attempts_live_ = 0;
   std::size_t total_attempts_ = 0;
   std::size_t lineage_resets_ = 0;
   std::vector<std::uint32_t> reset_counts_;  // lineage resets per producer
-  // vine-snapshot: derived(graph property, rebuilt at startup)
   std::vector<bool> is_sink_;
   std::vector<char> sink_done_;  // indexed by TaskId; only sinks are set
   std::size_t sinks_outstanding_ = 0;
   std::int32_t rr_cursor_ = 0;
 
-  // The gates' waiter queues hold closures that replay rebuilds.
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
   net::FlowGate mgr_gate_{64};
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
   net::FlowGate fs_gate_{256};
   /// Transfers started and not yet closed, by flow id.
-  // vine-snapshot: derived(txn records of live flows; the engines snapshot the flows, retried ones through open_episodes)
   util::FlatMap<net::FlowId, OpenWire> wires_;
   /// Kills per open episode: the one count behind every retried transfer.
   fault::BackoffLedger<Episode> retries_;
-  // vine-snapshot: derived(counts of the engine's snapshotted disk and store contents)
   std::vector<Resident> resident_;
   // Perf counters (owned by the stats registry; null unless registered).
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_via_manager_ = nullptr;
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_peer_ = nullptr;
-  // vine-snapshot: derived(pointer into the stats registry, observability only)
   std::uint64_t* bytes_via_fs_ = nullptr;
 
   // Null/empty unless RunOptions::faults is set.
   std::unique_ptr<fault::FaultInjector> injector_;
   // Workers crashed by the run (disk overflow, injected crash) or released
   // by the factory; consulted when the disconnect lands to label it.
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
   std::vector<bool> pending_crash_;
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
   std::vector<bool> pending_release_;
-  // vine-snapshot: derived(sizing re-derived from queue depth each poll)
   std::unique_ptr<ha::Factory> factory_;
-  std::uint64_t snapshot_seq_ = 0;
-  // vine-snapshot: derived(re-entrancy latch, always false between events)
   bool pumping_ = false;
-  // vine-snapshot: derived(teardown latch; no snapshots are taken after finish)
   bool finished_ = false;
 };
 

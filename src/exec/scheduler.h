@@ -10,7 +10,7 @@
 #include "cluster/cluster.h"
 #include "dag/task_graph.h"
 #include "fault/fault_schedule.h"
-#include "ha/ha_options.h"
+#include "ha/factory.h"
 #include "metrics/cache_trace.h"
 #include "metrics/transfer_matrix.h"
 #include "obs/observer.h"
@@ -75,10 +75,9 @@ struct RunOptions {
   /// Recovery knobs: capped exponential re-fetch backoff and the
   /// poisoned-task detector. Always consulted, faults or not.
   fault::RetryPolicy fault_retry;
-  /// Manager high availability: snapshot cadence + recovery cost model +
-  /// elastic worker factory. All disabled by default — a default-HA run is
-  /// byte-identical to a pre-HA run.
-  ha::HaOptions ha;
+  /// Elastic worker factory (ha/factory.h). Disabled by default: every
+  /// provisioned worker starts up front.
+  ha::FactorySpec factory;
 };
 
 struct RunReport {
@@ -130,10 +129,9 @@ struct RunReport {
   /// RunOptions::faults was empty.
   fault::InjectionStats faults;
 
-  /// Manager-HA observations: whether (and when) the manager crashed, the
-  /// snapshot series it produced, and factory elasticity counters. Feed a
-  /// crashed report to ha::recover() (ha/recovery.h) to rebuild the run.
-  ha::HaRunState ha;
+  /// What the elastic factory did (grow and shrink events, workers started
+  /// and released). All zero when RunOptions::factory is disabled.
+  ha::FactoryStats factory;
 
   /// Fraction of the makespan the manager's control loop was busy
   /// (dispatching, ingesting results, brokering transfers). Near 1.0 means

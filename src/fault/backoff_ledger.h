@@ -13,8 +13,7 @@
 // manager FS reads, relay pulls, dd input fetches, sink gathers) is an
 // episode kind there.
 //
-// Header-only and deterministic: std::map keeps iteration (and therefore
-// snapshot serialization, ha/snapshot.h) in key order.
+// Header-only.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +39,6 @@ class BackoffLedger {
 
   [[nodiscard]] bool empty() const { return counts_.empty(); }
   [[nodiscard]] std::size_t size() const { return counts_.size(); }
-
-  /// Visit every open episode in key order (snapshot serialization).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, attempts] : counts_) fn(key, attempts);
-  }
 
  private:
   std::map<Key, std::uint32_t> counts_;

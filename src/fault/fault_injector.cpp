@@ -79,14 +79,6 @@ void FaultInjector::fire(const FaultEvent& ev) {
     case FaultKind::kStraggler:
       begin_straggle_window(ev.worker, ev.factor, ev.duration);
       break;
-    case FaultKind::kManagerCrash: {
-      if (hooks_.crash_manager && hooks_.crash_manager()) {
-        stats_.manager_crashes += 1;
-        stats_.faults_injected += 1;
-        txn(to_string(ev.kind), "manager=0");
-      }
-      break;
-    }
   }
 }
 

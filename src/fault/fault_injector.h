@@ -48,11 +48,6 @@ class FaultInjector {
     /// Returns the number of replicas actually lost.
     std::function<std::size_t(std::int32_t worker, std::int64_t file)>
         lose_cached_file;
-    /// Tear the manager itself down. The scheduler records its HA state
-    /// (crash tick, snapshot series) and ends the run; ha::recover()
-    /// rebuilds it from the latest snapshot + txn tail. Returns true if the
-    /// run was still live (a crash after completion does not count).
-    std::function<bool()> crash_manager;
   };
 
   /// `observation` may be null (or disabled); the injector then records

@@ -17,8 +17,6 @@ const char* to_string(FaultKind kind) {
       return "FS_DEGRADE";
     case FaultKind::kStraggler:
       return "STRAGGLER";
-    case FaultKind::kManagerCrash:
-      return "MANAGER_CRASH";
   }
   return "UNKNOWN";
 }
@@ -84,14 +82,6 @@ FaultSchedule& FaultSchedule::straggler(Tick at, std::int32_t worker,
   ev.worker = worker;
   ev.factor = slowdown;
   ev.duration = duration;
-  events.push_back(ev);
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::crash_manager(Tick at) {
-  FaultEvent ev;
-  ev.at = at;
-  ev.kind = FaultKind::kManagerCrash;
   events.push_back(ev);
   return *this;
 }

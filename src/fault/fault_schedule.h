@@ -28,7 +28,6 @@ enum class FaultKind : std::uint8_t {
   kTransferKill,  // kill up to `count` registered in-flight transfers
   kFsDegrade,     // scale shared-FS bandwidth to `factor` for `duration`
   kStraggler,     // slow a worker's compute by `factor` for `duration`
-  kManagerCrash,  // tear the manager down mid-campaign (HA recovery path)
 };
 
 [[nodiscard]] const char* to_string(FaultKind kind);
@@ -105,13 +104,11 @@ struct FaultSchedule {
   FaultSchedule& fs_outage(Tick at, Tick duration);
   FaultSchedule& straggler(Tick at, std::int32_t worker, double slowdown,
                            Tick duration);
-  FaultSchedule& crash_manager(Tick at);
 };
 
 /// What the injector actually did, copied into RunReport at the end of the
 /// run. "Landed" means the fault had a live target (a crash of an already
 /// dead worker, or a cache loss of an absent file, does not count).
-// vine-snapshot: state
 struct InjectionStats {
   std::uint64_t faults_injected = 0;  // events that landed, total
   std::uint64_t worker_crashes = 0;
@@ -124,7 +121,6 @@ struct InjectionStats {
   std::uint64_t transfers_killed = 0;
   std::uint64_t fs_degradations = 0;
   std::uint64_t stragglers = 0;
-  std::uint64_t manager_crashes = 0;
   // Recovery-time breakdown:
   std::uint64_t transfer_retries = 0;  // backoff re-fetches taken
   /// Transfers whose kill budget was exhausted: the consumer stopped

@@ -30,14 +30,14 @@ void Factory::evaluate() {
   if (want > have && hooks_.grow) {
     const std::uint32_t started = hooks_.grow(want - have);
     if (started > 0) {
-      grow_events_ += 1;
-      workers_started_ += started;
+      stats_.grow_events += 1;
+      stats_.workers_started += started;
     }
   } else if (want < have && hooks_.shrink) {
     const std::uint32_t released = hooks_.shrink(have - want);
     if (released > 0) {
-      shrink_events_ += 1;
-      workers_released_ += released;
+      stats_.shrink_events += 1;
+      stats_.workers_released += released;
     }
   }
   engine_.schedule_after(spec_.evaluation_interval, [this] { evaluate(); });

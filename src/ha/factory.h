@@ -14,10 +14,35 @@
 #include <cstdint>
 #include <functional>
 
-#include "ha/ha_options.h"
 #include "sim/engine.h"
+#include "util/units.h"
 
 namespace hepvine::ha {
+
+using util::Tick;
+
+/// The factory's knobs (RunOptions::factory). Disabled (max_workers == 0)
+/// the run starts every provisioned worker up front.
+struct FactorySpec {
+  std::uint32_t min_workers = 1;
+  /// 0 disables the factory entirely.
+  std::uint32_t max_workers = 0;
+  /// Demand model: one worker per this many queued-or-running tasks.
+  std::uint32_t tasks_per_worker = 4;
+  /// Cadence of the factory's evaluation loop.
+  Tick evaluation_interval = 5 * util::kSec;
+
+  [[nodiscard]] bool enabled() const { return max_workers > 0; }
+};
+
+/// What the factory did in one run (RunReport::factory); all zero when it
+/// is disabled.
+struct FactoryStats {
+  std::uint32_t grow_events = 0;
+  std::uint32_t shrink_events = 0;
+  std::uint32_t workers_started = 0;
+  std::uint32_t workers_released = 0;
+};
 
 class Factory {
  public:
@@ -46,16 +71,7 @@ class Factory {
   /// clamped to [min_workers, max_workers]. Exposed for unit tests.
   [[nodiscard]] std::uint32_t target(std::size_t depth) const;
 
-  [[nodiscard]] std::uint32_t grow_events() const { return grow_events_; }
-  [[nodiscard]] std::uint32_t shrink_events() const {
-    return shrink_events_;
-  }
-  [[nodiscard]] std::uint32_t workers_started() const {
-    return workers_started_;
-  }
-  [[nodiscard]] std::uint32_t workers_released() const {
-    return workers_released_;
-  }
+  [[nodiscard]] const FactoryStats& stats() const { return stats_; }
 
  private:
   void evaluate();
@@ -64,10 +80,7 @@ class Factory {
   FactorySpec spec_;
   Hooks hooks_;
   bool stopped_ = false;
-  std::uint32_t grow_events_ = 0;
-  std::uint32_t shrink_events_ = 0;
-  std::uint32_t workers_started_ = 0;
-  std::uint32_t workers_released_ = 0;
+  FactoryStats stats_;
 };
 
 }  // namespace hepvine::ha

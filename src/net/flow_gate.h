@@ -12,8 +12,11 @@
 // as any copy of the token lives; capture it in the flow's completion
 // callback and the slot releases automatically on completion — or on
 // cancellation, because cancelling a flow destroys its callback. Tokens
-// co-own the gate's state, so they remain safe even if the FlowGate object
-// itself is destroyed first.
+// co-own the gate's state, so a token may outlive the FlowGate object (a
+// flow still in the network when its scheduler is gone). Destroying the
+// gate drops its queued starters unrun, so releasing such a token frees
+// the slot and starts nothing: a starter calls back into the scheduler
+// that submitted it, which may no longer exist.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,10 @@ class FlowGate {
   /// A limit of 0 means unbounded.
   explicit FlowGate(std::uint32_t limit)
       : state_(std::make_shared<State>(limit)) {}
+  ~FlowGate() { drop_waiters(); }
+
+  FlowGate(const FlowGate&) = delete;
+  FlowGate& operator=(const FlowGate&) = delete;
 
   /// Run `fn` now if a slot is free, else queue it. `fn` receives the slot
   /// token; dropping all copies of the token frees the slot.
@@ -41,6 +48,15 @@ class FlowGate {
     }
     state_->queue.push_back(std::move(fn));
     pump(state_);
+  }
+
+  /// Drop every queued starter unrun. Slots already handed out stay held
+  /// until their tokens die.
+  void drop_waiters() {
+    // Emptied before the starters die, so a token their destruction
+    // releases pumps an empty queue.
+    std::deque<Starter> dropped;
+    dropped.swap(state_->queue);
   }
 
   [[nodiscard]] std::uint32_t active() const noexcept {

@@ -78,7 +78,6 @@ struct NetworkOptions {
   bool incremental_recompute = true;
 };
 
-// vine-snapshot: state
 class Network {
  public:
   explicit Network(sim::Engine& engine, NetworkOptions options = {})
@@ -385,116 +384,63 @@ class Network {
   void mark_dirty(LinkId id);
   void warn(FlowId id, const char* detail);
 
-  // The network is below the snapshot line: the managers serialize the
-  // logical flow set they own (the `flows` snapshot sections in vine/dd),
-  // and deterministic replay regenerates every link rate, completion
-  // callback and statistic from the same event stream. Nothing here is
-  // restored directly, so each member is an explicit derived() exemption.
   sim::Engine& engine_;
   NetworkOptions options_;
-  // vine-snapshot: derived(rates are a pure function of the live flow set)
   std::vector<Link> links_;
-  // vine-snapshot: derived(link table, rebuilt by the cluster at startup)
   std::vector<LinkSpec> link_specs_;
-  // vine-snapshot: derived(scale faults replay with the event stream)
   std::vector<double> link_scales_;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::vector<LinkStats> link_stats_;
 
-  // vine-snapshot: derived(the managers snapshot the flows they own)
   std::vector<Flow> flows_;
-  // vine-snapshot: derived(by slot; rates and progress replay with flows)
   std::vector<FlowHot> hot_;
-  // vine-snapshot: derived(slot recycling replays with the flow stream)
   std::vector<std::int32_t> free_slots_;
-  // vine-snapshot: derived(id-recency window over slots, itself derived)
   std::deque<std::int32_t> window_;
-  // vine-snapshot: derived(id-recency window base; replays with the stream)
   FlowId window_base_ = 1;
-  // vine-snapshot: derived(count over slots, itself derived)
   std::size_t live_flows_ = 0;
-  // vine-snapshot: derived(index over slots, itself derived)
   std::vector<std::pair<FlowId, std::int32_t>> transferring_;  // (id, slot)
 
-  // vine-snapshot: derived(monotone id allocator; replays with the stream)
   FlowId next_flow_id_ = 1;
-  // vine-snapshot: derived(event-queue latch; the queue is not restored)
   bool recompute_scheduled_ = false;
-  // vine-snapshot: derived(test-only starvation trigger, never set in prod)
   bool debug_starve_once_ = false;
-  // vine-snapshot: derived(recompute work list, drained within the event)
   std::vector<LinkId> dirty_links_;
 
   // Scratch buffers reused across recomputes to avoid per-event allocation;
   // all dead between events, hence derived. Per-position arrays are
   // indexed by a flow's rank in the id-ordered component.
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> bfs_stack_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> link_state_;  // by link id
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> comp_links_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> boundary_links_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> comp_slots_;  // by position
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> comp_pos_;  // by slot; -1 = not in it
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<double> old_rates_;  // by position
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<double> new_rates_;  // by position
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> pending_;  // unrated positions
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> still_pending_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<WfLink> wf_links_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<double> wf_share_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> wf_live_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> wf_bottlenecks_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::int32_t> wf_members_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<WfPath> wf_paths_;  // by position
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::uint8_t> wf_frozen_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<std::uint64_t> wf_candidates_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<Rearm> rearms_;
 
   // Statistics: recomputed verbatim by replay, exported via RunReport.
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t bytes_completed_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t flows_completed_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t flows_cancelled_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t flows_failed_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t bytes_abandoned_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recomputes_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_flow_visits_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_rearms_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_passes_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_expansions_ = 0;
-  // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t starvation_rescues_ = 0;
-  // vine-snapshot: derived(closure; rewired by the owning run at startup)
   std::function<void(FlowId)> on_fail_;
-  // vine-snapshot: derived(closure; rewired by the owning run at startup)
   std::function<void(Tick, FlowId, const char*)> on_warn_;
-  // vine-snapshot: derived(closure; rewired by the owning run at startup)
   std::function<void(Tick, Tick, FlowId, std::uint64_t, std::uint64_t, char)>
       on_span_;
 };

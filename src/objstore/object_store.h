@@ -16,8 +16,7 @@
 // spill victims in LRU order when the per-node byte budget is exceeded.
 //
 // The store carries manager-visible logical state only: the scheduler
-// (src/vine) drives every transition and serializes the store into its
-// HA snapshot, so recovery stays bit-identical with the store enabled.
+// (src/vine) drives every transition.
 #pragma once
 
 #include <cstdint>
@@ -37,21 +36,19 @@ using NodeId = std::int32_t;
 inline constexpr NodeId kNoHolder = -1;
 
 /// One in-memory object: a task output that never touched disk.
-// vine-snapshot: state
 struct StoreEntry {
   std::uint64_t bytes = 0;   // payload size (== catalog file size)
   std::uint32_t refs = 0;    // live by-reference consumer attempts
   Tick put_at = 0;           // publication time; LRU spill order
 };
 
-/// A snapshot-iteration row: one object with its holder.
+/// One resident object with its holder (ObjectStore::objects).
 struct StoreItem {
   NodeId holder = kNoHolder;
   FileId file = data::kInvalidFile;
   StoreEntry entry;
 };
 
-// vine-snapshot: state
 class ObjectStore {
  public:
   ObjectStore() = default;
@@ -97,9 +94,8 @@ class ObjectStore {
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t total_objects() const;
 
-  /// All resident objects in ascending (file id) order — the snapshot
-  /// serialization order. Each file has exactly one holder, so file id
-  /// alone is a total order.
+  /// All resident objects in ascending (file id) order. Each file has
+  /// exactly one holder, so file id alone is a total order.
   [[nodiscard]] std::vector<StoreItem> objects() const;
 
  private:

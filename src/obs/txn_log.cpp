@@ -30,8 +30,6 @@ TxnLog::TxnLog(std::size_t ring_capacity, const std::string& path)
           "# time_us SPAN task ATTEMPT attempt worker ready dispatched "
           "staged exec compute exec_end SUCCESS|FAILURE category\n",
           file_);
-      std::fputs("# time_us SNAPSHOT seq WRITE size_bytes digest\n", file_);
-      std::fputs("# time_us RECOVER seq RESTORE|REPLAY|DONE detail\n", file_);
     }
   }
 }
@@ -200,25 +198,6 @@ void TxnLog::span_attempt(Tick t, std::int64_t task, std::uint32_t attempt,
                 t, task, attempt, worker, ready, dispatched, staged, exec,
                 compute, exec_end, success ? "SUCCESS" : "FAILURE",
                 category.empty() ? "default" : category.c_str());
-  push(buf);
-}
-
-void TxnLog::snapshot_write(Tick t, std::uint64_t seq, std::uint64_t bytes,
-                            const std::string& digest) {
-  if (!enabled_) return;
-  char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " SNAPSHOT %" PRIu64 " WRITE %" PRIu64 " %s", t,
-                seq, bytes, digest.c_str());
-  push(buf);
-}
-
-void TxnLog::recover_phase(Tick t, std::uint64_t seq, const char* phase,
-                           const std::string& detail) {
-  if (!enabled_) return;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%" PRId64 " RECOVER %" PRIu64 " %s %s", t,
-                seq, phase, detail.c_str());
   push(buf);
 }
 

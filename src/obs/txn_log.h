@@ -61,7 +61,7 @@ inline constexpr TxnSubjectInfo kTxnSubjects[] = {
     {"MANAGER", true}, {"TASK", true},  {"WORKER", true},
     {"CACHE", true},   {"TRANSFER", false}, {"LIBRARY", true},
     {"FAULT", true},   {"NET", true},   {"SPAN", true},
-    {"SNAPSHOT", true}, {"RECOVER", true}, {"STORE", true},
+    {"STORE", true},
 };
 
 [[nodiscard]] constexpr bool txn_subject_registered(std::string_view s) {
@@ -174,20 +174,6 @@ class TxnLog {
                     std::int32_t worker, Tick ready, Tick dispatched,
                     Tick staged, Tick exec, Tick compute, Tick exec_end,
                     bool success, const std::string& category);
-
-  /// `time SNAPSHOT seq WRITE size_bytes digest` — the manager serialized
-  /// its logical state (ha/snapshot.h). The digest lets ha::recover() find
-  /// the matching convergence point in a rerun's journal, and the line
-  /// itself is the anchor the txn-tail comparison cuts at.
-  void snapshot_write(Tick t, std::uint64_t seq, std::uint64_t bytes,
-                      const std::string& digest);
-
-  /// `time RECOVER seq PHASE detail` — one line per recovery-protocol
-  /// phase (RESTORE, REPLAY, DONE), written by ha::recover() into its
-  /// journal rather than the live campaign stream: the recovering manager's
-  /// own log must stay byte-comparable to the uninterrupted run's.
-  void recover_phase(Tick t, std::uint64_t seq, const char* phase,
-                     const std::string& detail);
 
   // --- inspection --------------------------------------------------------
   /// Total events recorded (including lines already rotated out of the

@@ -37,7 +37,6 @@ namespace hepvine::sim {
 
 using util::Tick;
 
-// vine-snapshot: state
 class Engine {
  private:
   /// Slab-allocated event records. Slots are recycled through a free list;
@@ -248,30 +247,17 @@ class Engine {
   void sift_up(std::uint32_t pos, QueueEntry entry);
   void sift_down(std::uint32_t pos, QueueEntry entry);
 
-  // The event queue is deliberately NOT snapshot-bearing state: its
-  // entries hold closures (they capture `this` and cannot move between
-  // processes, in the simulation exactly as in the real manager), so HA
-  // recovery re-executes deterministically from run start instead of
-  // restoring the queue (see ha/snapshot.h). now_ rides along in every
-  // snapshot via the tick stamp.
   Tick now_ = 0;
-  // vine-snapshot: derived(seq order is reproduced by deterministic replay)
   std::uint64_t next_seq_ = 0;
-  // vine-snapshot: derived(counter of executed events; replay recounts it)
   std::size_t executed_ = 0;
-  // vine-snapshot: derived(slab of closures; unserializable by design)
   EventArena arena_;
-  // vine-snapshot: derived(pending closures; replay rebuilds the queue)
   std::vector<QueueEntry> heap_;    // binary min-heap on (at, seq)
-  // vine-snapshot: derived(pending closures; replay rebuilds the queue)
   std::vector<QueueEntry> bucket_;  // FIFO of events with at == now()
-  // vine-snapshot: derived(cursor into bucket_, which is itself derived)
   std::size_t bucket_head_ = 0;
   static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
   /// By arena slot: the index of the slot's heap entry, or kNotInHeap
   /// while it sits in the now-bucket. Kept apart from the arena's slots so
   /// a sift's writes land in one dense array.
-  // vine-snapshot: derived(heap index; replay rebuilds the queue)
   std::vector<std::uint32_t> heap_pos_;
 };
 

@@ -14,7 +14,6 @@
 
 namespace hepvine::sim {
 
-// vine-snapshot: state
 class Rng {
  public:
   Rng() : Rng(0xdeadbeefcafef00dULL) {}
@@ -114,9 +113,7 @@ class Rng {
     return std::exp(normal(mu, sigma));
   }
 
-  /// Raw generator state, in xoshiro word order. A manager snapshot
-  /// (ha/snapshot.h) captures this so the stream position is part of the
-  /// checkpointed logical state.
+  /// Raw generator state, in xoshiro word order.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
     return {s_[0], s_[1], s_[2], s_[3]};
   }
@@ -125,7 +122,6 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
-  // vine-snapshot: serialized(state() is exported via field_rng by every writer)
   std::uint64_t s_[4] = {};
 };
 

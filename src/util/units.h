@@ -80,7 +80,6 @@ using Bandwidth = double;
 /// lifetime bytes and lifetime ticks charged, and each call returns the
 /// difference between the exact cumulative cost and what was already
 /// charged — so any split of a byte stream sums to the same total.
-// vine-snapshot: state
 struct TickAccumulator {
   std::uint64_t bytes = 0;  // lifetime bytes charged through this clock
   Tick charged = 0;         // lifetime ticks returned so far

@@ -31,7 +31,6 @@
 
 namespace hepvine::vine {
 
-// vine-snapshot: state
 class Placement {
  public:
   using WorkerId = cluster::WorkerId;
@@ -163,24 +162,17 @@ class Placement {
   const WorkerDisk& disk_;
   const objstore::ObjectStore& store_;
 
-  // Everything below is a function of worker state the engine snapshots,
-  // rebuilt as events touch workers, or scratch dead between dispatches.
-  // vine-snapshot: derived(alive with a free core, per the snapshotted cores)
+  // Everything below is a function of worker state, rebuilt as events
+  // touch workers, or scratch dead between dispatches.
   EligibleSet eligible_;
-  // vine-snapshot: derived(index over snapshotted worker state)
   DispatchIndex dispatch_index_;
-  // vine-snapshot: derived(sum over the live attempts on each worker)
   std::vector<std::uint64_t> mem_in_use_;
   // Locality scoring stamps loc_epoch_ per candidate instead of clearing a
   // map: a worker's score is valid only when its stamp equals the current
   // epoch, so reset between dispatches is one counter increment.
-  // vine-snapshot: derived(scratch, dead between dispatches)
   std::vector<WorkerId> scratch_holders_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
   std::vector<std::uint64_t> loc_score_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
   std::vector<std::uint32_t> loc_epoch_;
-  // vine-snapshot: derived(scratch, dead between dispatches)
   std::uint32_t loc_epoch_cur_ = 0;
 };
 

@@ -13,7 +13,6 @@
 
 namespace hepvine::vine {
 
-// vine-snapshot: state
 class ReplicaTable {
  public:
   explicit ReplicaTable(std::size_t files)

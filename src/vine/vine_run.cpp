@@ -9,7 +9,7 @@
 // attempt counter) or a worker incarnation before acting, which makes
 // preemption/crash handling uniform: invalidate the token, requeue the
 // task, and let stale events fall on the floor. The run lifecycle itself
-// (observability, profiling, faults, snapshots, completion) lives in
+// (observability, profiling, faults, completion) lives in
 // exec::RunShell (exec/run_shell.h).
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "dag/task_graph.h"
 #include "exec/run_shell.h"
 #include "exec/serial_resource.h"
-#include "ha/snapshot.h"
 #include "net/flow_gate.h"
 #include "exec/task_state.h"
 #include "exec/time_model.h"
@@ -49,7 +48,6 @@ using exec::TaskState;
 using obs::Residency;
 using util::Tick;
 
-// vine-snapshot: state
 class VineRun {
  public:
   VineRun(const dag::TaskGraph& graph, cluster::Cluster& cluster,
@@ -66,10 +64,9 @@ class VineRun {
         manager_(cluster.engine()),
         workers_rt_(cluster.worker_count()),
         obs_(obs::make_observation(options.observability)),
-        shell_(graph, cluster, options_, table_, rng_, manager_, obs_,
+        shell_(graph, cluster, options_, table_, manager_, obs_,
                exec::RunShell::Identity{
                    std::move(name), "manager", "worker ", "peer file ",
-                   "vine_run",
                    "event queue drained before workflow completion", true},
                hooks()) {
     build_file_table();
@@ -439,9 +436,8 @@ class VineRun {
   /// (the files currently staging to that worker) — a Fetch is heavy
   /// (waiter callbacks), and a single flat global map paid an O(active
   /// fetches) move-and-destroy per insert/erase at 10k workers. Global
-  /// iteration (worker teardown's peer-source scan, snapshots) walks
-  /// shards in worker order, files ascending within, which is
-  /// deterministic either way.
+  /// iteration (worker teardown's peer-source scan) walks shards in worker
+  /// order, files ascending within, which is deterministic either way.
   std::vector<util::FlatMap<FileId, Fetch>> worker_fetches_;
 
   [[nodiscard]] Fetch* fetch_find(const FetchKey& key) {
@@ -1412,8 +1408,9 @@ class VineRun {
   }
 
   /// Debug builds audit every live worker when a run succeeds: its disk
-  /// ledger is settled (WorkerDisk::settled), and the residency record
-  /// counts exactly the files on its disk and the objects in its store.
+  /// ledger is settled (WorkerDisk::settled), only its open peer slots
+  /// still pin a file, and the residency record counts exactly the files
+  /// on its disk and the objects in its store.
   void check_completion() {
     shell_.check_completion();
     if (!shell_.report().success) return;
@@ -1422,6 +1419,9 @@ class VineRun {
          ++w) {
       if (!cluster_.worker(w).alive) continue;
       assert(disk_->settled(w));
+      [[maybe_unused]] std::uint32_t pins = 0;
+      for (const auto& [f, entry] : disk_->files(w)) pins += entry.pins;
+      assert(pins == workers_rt_[static_cast<std::size_t>(w)].active_out);
       assert(shell_.resident(w).disk == disk_->cached_files(w).size());
       assert(shell_.resident(w).store ==
              static_cast<std::size_t>(std::count_if(
@@ -1581,14 +1581,6 @@ class VineRun {
     h.dispatch = [this](TaskId t, WorkerId w) { dispatch(t, w); };
     h.releasable = [this](WorkerId w) { return worker_releasable(w); };
     h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
-    h.snapshot_run_fields = [this] {
-      ha::SnapshotBuilder b;
-      b.field("cache_evictions", shell_.report().cache_evictions);
-      b.field("cache_evicted_bytes", shell_.report().cache_evicted_bytes);
-      b.field("cache_gc_drops", shell_.report().cache_gc_drops);
-      return b;
-    };
-    h.snapshot_sections = [this] { return snapshot_sections(); };
     return h;
   }
 
@@ -1656,126 +1648,6 @@ class VineRun {
     });
   }
 
-  // ---------------------------------------------------------------------
-  // Manager HA. The shell snapshots the run and task state and the open
-  // retry episodes; the engine adds worker disks, the object store and
-  // live flows.
-  // ---------------------------------------------------------------------
-  ha::SnapshotBuilder snapshot_sections() {
-    ha::SnapshotBuilder b;
-    b.section("replicas");
-    for (FileId f = 0; f < static_cast<FileId>(files_.size()); ++f) {
-      const bool at_mgr = replicas_->at_manager(f);
-      const auto holders = replicas_->holders_sorted(f);
-      const std::uint32_t left =
-          consumers_left_[static_cast<std::size_t>(f)];
-      if (!at_mgr && holders.empty() && left == 0) continue;
-      std::string v = at_mgr ? "m" : "-";
-      v += "/";
-      for (std::size_t i = 0; i < holders.size(); ++i) {
-        if (i) v += ",";
-        v += std::to_string(holders[i]);
-      }
-      v += "/" + std::to_string(left);
-      b.field_s("f" + std::to_string(f), v);
-    }
-
-    // Peer-slot ledger + pin sets, guarded by incarnation so a recovered
-    // manager never resurrects a pin against a re-matched slot.
-    b.section("workers");
-    for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
-         ++w) {
-      const auto& node = cluster_.worker(w);
-      if (!node.alive) continue;
-      const auto& rt = workers_rt_[static_cast<std::size_t>(w)];
-      std::string v = "inc=" + std::to_string(node.incarnation) +
-                      " out=" + std::to_string(rt.active_out) +
-                      " cores=" + std::to_string(node.cores_in_use) +
-                      " ser=" + std::to_string(rt.ser.bytes) + ":" +
-                      std::to_string(rt.ser.charged) + " pins=";
-      bool first = true;
-      for (const auto& [f, entry] : disk_->files(w)) {
-        if (entry.pins == 0) continue;
-        if (!first) v += ",";
-        first = false;
-        v += std::to_string(f) + ":" + std::to_string(entry.pins);
-      }
-      b.field_s("w" + std::to_string(w), v);
-    }
-
-    // Node-local object store: every in-memory object (holder, bytes,
-    // live refs, publication tick, holder's resident total) plus the
-    // budget and the residency record's store tally. Files have a single
-    // holder, so file id alone orders the section deterministically.
-    b.section("store");
-    b.field("capacity", store_.capacity());
-    b.field("objects", store_.total_objects());
-    const exec::RunReport& tally = shell_.report();
-    b.field("puts", tally.store_puts);
-    b.field("put_bytes", tally.store_put_bytes);
-    b.field("ref_hits", tally.store_ref_hits);
-    b.field("spills", tally.store_spills);
-    b.field("spill_bytes", tally.store_spill_bytes);
-    b.field("drops", tally.store_drops);
-    for (const objstore::StoreItem& item : store_.objects()) {
-      const objstore::StoreEntry& entry = item.entry;
-      b.field_s("o" + std::to_string(item.file),
-                "w=" + std::to_string(item.holder) +
-                    " b=" + std::to_string(entry.bytes) +
-                    " r=" + std::to_string(entry.refs) +
-                    " t=" + std::to_string(entry.put_at) +
-                    " u=" + std::to_string(store_.used(item.holder)));
-    }
-
-    b.section("flows");
-    {
-      // (file, worker) order, matching the historical global-map layout.
-      std::vector<std::pair<FetchKey, std::uint32_t>> live_fetches;
-      for (std::size_t dst = 0; dst < worker_fetches_.size(); ++dst) {
-        const auto w = static_cast<WorkerId>(dst);
-        for (const auto& [f, fetch] : worker_fetches_[dst]) {
-          live_fetches.push_back(
-              {FetchKey{f, w}, shell_.kills({RetryKind::kFetch, f, w})});
-        }
-      }
-      std::sort(live_fetches.begin(), live_fetches.end());
-      for (const auto& [key, kills] : live_fetches) {
-        b.field_s("fetch." + std::to_string(key.first) + "." +
-                      std::to_string(key.second),
-                  "kills=" + std::to_string(kills));
-      }
-    }
-    for (const auto& [relay, open] : shell_.open_episodes(RetryKind::kRelay)) {
-      b.field_s("relay." + std::to_string(relay.a),
-                std::to_string(open.second.src - cluster_.worker_endpoint(0)));
-    }
-    for (const auto& [t, flow] : return_flows_) {
-      b.field_s("return." + std::to_string(t), std::to_string(flow));
-    }
-    for (const auto& [t, fw] : sink_flows_) {
-      b.field_s("sink." + std::to_string(t), std::to_string(fw.second));
-    }
-    for (const auto& [f, waiters] : manager_inflight_) {
-      b.field_s("mgr." + std::to_string(f),
-                std::to_string(waiters.size()));
-    }
-    for (const auto& [read, open] :
-         shell_.open_episodes(RetryKind::kManagerFs)) {
-      b.field_s("mgrfs." + std::to_string(read.a), std::to_string(open.first));
-    }
-    // The throttle queue is ordered state: admission order decides which
-    // fetch starts first when a gate slot frees up.
-    if (!throttle_queue_.empty()) {
-      std::string q;
-      for (const auto& [f, w] : throttle_queue_) {
-        if (!q.empty()) q += ",";
-        q += std::to_string(f) + ":" + std::to_string(w);
-      }
-      b.field_s("throttle", q);
-    }
-    return b;
-  }
-
   /// Factory shrink: a worker may go when it runs nothing and sources no
   /// peer transfer.
   [[nodiscard]] bool worker_releasable(WorkerId w) const {
@@ -1804,9 +1676,7 @@ class VineRun {
   /// Node-local object store: in-memory FunctionCall outputs exchanged by
   /// reference between colocated consumers (VineTunables::object_store).
   objstore::ObjectStore store_;
-  // vine-snapshot: derived(built once from the graph before any event runs)
   std::map<std::string, FileId> function_bodies_;
-  // vine-snapshot: derived(fixed at startup from RunOptions)
   FileId env_file_ = data::kInvalidFile;
 
   /// Pending consumers per file (graph-derived; see build_file_table).
@@ -1820,18 +1690,14 @@ class VineRun {
   /// Last disk usage recorded per worker by the cache sampler (sentinel =
   /// never sampled); the sampler skips workers whose usage is unchanged.
   static constexpr std::uint64_t kNoCacheSample = ~0ull;
-  // vine-snapshot: derived(trace-sampler dedup memo, observability only)
   std::vector<std::uint64_t> cache_sample_last_;
-  /// Where tasks and replicas go; its eligibility set, memory in use and
-  /// dispatch index are functions of worker state the snapshot carries.
-  // vine-snapshot: derived(placement state over snapshotted worker state)
+  /// Where tasks and replicas go: the eligibility set, memory in use and
+  /// dispatch index over worker state.
   std::unique_ptr<Placement> placement_;
 
   // Scratch buffer reused across dispatches to avoid per-task allocation.
-  // vine-snapshot: derived(scratch, dead between dispatches)
   std::vector<FileId> scratch_files_;
 
-  // vine-snapshot: serialized(the shell writes its run and tasks sections itself)
   exec::RunShell shell_;
 };
 

@@ -27,7 +27,6 @@
 
 namespace hepvine::vine {
 
-// vine-snapshot: state
 class WorkerDisk {
  public:
   using WorkerId = cluster::WorkerId;
@@ -140,18 +139,11 @@ class WorkerDisk {
     return reclaim_bytes_[static_cast<std::size_t>(f)];
   }
 
-  // Pins and cached files are written by VineRun's snapshot; used,
-  // committed and reclaimable bytes follow from the cached files, the
-  // live attempts and the pins. Last-use ticks are rebuilt by the
-  // deterministic rerun recovery runs, evictions included
-  // (ManagerHa.RecoveryBitIdenticalUnderDiskPressure).
-  // vine-snapshot: serialized(pins= in the workers section, holders in the replicas section)
+  // Used, committed and reclaimable bytes follow from the cached files,
+  // the live attempts and the pins.
   std::vector<Disk> disks_;
-  // vine-snapshot: derived(fixed at construction from the file table)
   std::vector<std::uint64_t> sizes_;
-  // vine-snapshot: derived(fixed at construction from the file table)
   std::vector<std::uint64_t> reclaim_bytes_;
-  // vine-snapshot: derived(the watching index, not disk state)
   DispatchIndex* index_ = nullptr;
 };
 

@@ -96,15 +96,39 @@ TEST(FlowGate, UnboundedRunsImmediately) {
 }
 
 TEST(FlowGate, TokensOutliveGateObject) {
+  // A flow still in the network outlives its scheduler and the gate: when
+  // the network finally destroys it, releasing its token must neither
+  // touch freed memory (the state is shared-owned) nor start the starter
+  // still queued behind it, which would call into the dead scheduler.
   net::FlowGate::SlotToken survivor;
+  bool queued_ran = false;
   {
     net::FlowGate gate(1);
     gate.submit([&](net::FlowGate::SlotToken token) {
       survivor = std::move(token);
     });
+    gate.submit([&](net::FlowGate::SlotToken) { queued_ran = true; });
+    EXPECT_EQ(gate.queued(), 1u);
   }
-  survivor.reset();  // must not touch freed memory (state is shared-owned)
-  SUCCEED();
+  survivor.reset();
+  EXPECT_FALSE(queued_ran) << "a destroyed gate started a queued starter";
+}
+
+TEST(FlowGate, DropWaitersKeepsHeldSlots) {
+  net::FlowGate gate(1);
+  net::FlowGate::SlotToken held;
+  int started = 0;
+  gate.submit([&](net::FlowGate::SlotToken token) {
+    ++started;
+    held = std::move(token);
+  });
+  gate.submit([&](net::FlowGate::SlotToken) { ++started; });
+  gate.drop_waiters();
+  EXPECT_EQ(gate.queued(), 0u);
+  EXPECT_EQ(gate.active(), 1u);
+  held.reset();
+  EXPECT_EQ(started, 1);
+  EXPECT_EQ(gate.active(), 0u);
 }
 
 TEST(FlowGate, CopiedTokensHoldTheSlotUntilLastCopyDies) {

@@ -68,15 +68,6 @@ TEST(FaultSchedule, BuildersFillEventFields) {
   EXPECT_DOUBLE_EQ(schedule.events[5].factor, 8.0);
 }
 
-TEST(FaultSchedule, ManagerCrashBuilderFillsEventFields) {
-  fault::FaultSchedule schedule;
-  schedule.crash_manager(util::seconds(9));
-  ASSERT_EQ(schedule.events.size(), 1u);
-  EXPECT_EQ(schedule.events[0].kind, fault::FaultKind::kManagerCrash);
-  EXPECT_EQ(schedule.events[0].at, util::seconds(9));
-  EXPECT_FALSE(schedule.empty());
-}
-
 TEST(BackoffLedger, EscalatesPerKeyAndResetsOnSuccess) {
   // Regression (sticky escalation): the raw per-file counters this class
   // replaced were never cleared on success, so a later, independent failure
@@ -95,21 +86,6 @@ TEST(BackoffLedger, EscalatesPerKeyAndResetsOnSuccess) {
   EXPECT_EQ(ledger.next_attempt(7), 1u);  // fresh episode, not 3
   ledger.reset(42);  // resetting an unknown key is a no-op
   EXPECT_EQ(ledger.size(), 2u);
-}
-
-TEST(BackoffLedger, VisitsOpenEpisodesInKeyOrder) {
-  // Snapshot serialization (ha/snapshot.h) depends on a deterministic
-  // visitation order regardless of insertion order.
-  fault::BackoffLedger<std::int64_t> ledger;
-  ledger.next_attempt(30);
-  ledger.next_attempt(10);
-  ledger.next_attempt(20);
-  ledger.next_attempt(10);
-  std::string seen;
-  ledger.for_each([&seen](std::int64_t key, std::uint32_t attempts) {
-    seen += std::to_string(key) + ":" + std::to_string(attempts) + " ";
-  });
-  EXPECT_EQ(seen, "10:2 20:1 30:1 ");
 }
 
 TEST(FaultSchedule, EmptyDetection) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "scheduler_test_util.h"
 #include "vine/replica_table.h"
 
@@ -241,6 +243,35 @@ TEST_F(VineEndToEnd, NoPeerTransfersFallsBackToManagerRelay) {
   EXPECT_EQ(report.transfers.peer_bytes(), 0u);
   EXPECT_GT(report.transfers.manager_bytes(), 0u);
   EXPECT_EQ(sink_digest(report), reference_digest(graph));
+}
+
+TEST_F(VineEndToEnd, CutRunWithGateWaitersTearsDownCleanly) {
+  // 480 cores start at once and every attempt stages a cold chunk from the
+  // shared filesystem, which admits 256 streams: the rest wait in the fs
+  // gate when max_sim_time cuts the run. The scheduler is destroyed first,
+  // then the cluster, whose network destroys the live flows and so
+  // releases their gate slots. Nothing queued may start then: a starter
+  // calls back into the destroyed scheduler (caught under ASan).
+  const apps::WorkloadSpec workload = tiny_dv3(600, 600);
+  exec::RunOptions options = fast_options();
+  options.observability.enabled = true;
+  options.max_sim_time = util::seconds(10);
+  graph = apps::build_workload(workload, options.seed);
+  auto cluster = std::make_unique<cluster::Cluster>(tiny_cluster(40));
+  exec::RunReport report;
+  {
+    VineScheduler scheduler;
+    report = scheduler.run(graph, *cluster, options);
+  }
+  EXPECT_FALSE(report.success);
+  EXPECT_EQ(report.failure_reason, "exceeded max simulated time");
+  std::size_t fs_open = 0;
+  for (const auto& x : txn_transfers(report.observation->txn().text())) {
+    if (x.close < 0 && x.src == cluster->fs_endpoint()) ++fs_open;
+  }
+  EXPECT_EQ(fs_open, 256u) << "the fs gate was not full at the cut";
+  EXPECT_GT(report.task_attempts, 256u) << "no attempt waited in the gate";
+  cluster.reset();
 }
 
 // Parameterized sweep: every (mode, hoist, peer) combination must produce

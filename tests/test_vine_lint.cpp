@@ -224,45 +224,6 @@ TEST(VineLintFloatAccum, NonDigestFilesAreOutOfScope) {
 }
 
 // ---------------------------------------------------------------------------
-// VL007 snapshot-completeness
-// ---------------------------------------------------------------------------
-
-TEST(VineLintSnapshotCompleteness, FlagsUnserializedStateMember) {
-  const auto findings = lint_fixture("snapshot_completeness_bad.cpp");
-  EXPECT_EQ(count_rule(findings, Rule::kSnapshotCompleteness), 1)
-      << hepvine::lint::format_findings(findings);
-  EXPECT_TRUE(only_rule(findings, Rule::kSnapshotCompleteness));
-  ASSERT_FALSE(findings.empty());
-  EXPECT_NE(findings[0].message.find("rr_cursor"), std::string::npos)
-      << findings[0].message;
-}
-
-TEST(VineLintSnapshotCompleteness, QuietWhenSerializedOrExempt) {
-  const auto findings = lint_fixture("snapshot_completeness_clean.cpp");
-  EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
-}
-
-TEST(VineLintSnapshotCompleteness, SuppressionSilencesRule) {
-  const auto findings = lint_fixture("snapshot_completeness_suppressed.cpp");
-  EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
-}
-
-TEST(VineLintSnapshotCompleteness, IndexCountsTypesMembersAndWriters) {
-  LintOptions opts;
-  opts.roots = {fixture_path("snapshot_completeness_bad.cpp")};
-  opts.subjects = kSubjects;
-  Linter linter(std::move(opts));
-  (void)linter.run();
-  const auto& s = linter.index_stats();
-  EXPECT_EQ(s.files_indexed, 1u);
-  EXPECT_EQ(s.state_types, 1u);
-  EXPECT_GE(s.members_checked, 2u);  // tasks_done + rr_cursor
-  EXPECT_GE(s.members_exempt, 1u);   // fanout_cache is derived()
-  EXPECT_EQ(s.writer_regions, 1u);
-  EXPECT_GT(s.writer_idents, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // VL008 handle-generation
 // ---------------------------------------------------------------------------
 
@@ -435,10 +396,9 @@ TEST(VineLintMeta, MalformedPragmaOpsAreHardErrors) {
   const auto findings = lint_snippet(
       "src/foo.cpp",
       "// vine-lint: suppress\n"
-      "// vine-snapshot: derived()\n"
       "// vine-fastpath: sometimes\n"
       "int x = 0;\n");
-  EXPECT_EQ(count_rule(findings, Rule::kPragmaHygiene), 3)
+  EXPECT_EQ(count_rule(findings, Rule::kPragmaHygiene), 2)
       << hepvine::lint::format_findings(findings);
 }
 
@@ -510,9 +470,10 @@ TEST(VineLintMeta, RuleIdsResolveForOnlyFlag) {
   auto rule = rule_from_name("VL009");
   ASSERT_TRUE(rule.has_value());
   EXPECT_EQ(*rule, Rule::kFlatAliasing);
-  rule = rule_from_name("vl007");
+  rule = rule_from_name("vl008");
   ASSERT_TRUE(rule.has_value());
-  EXPECT_EQ(*rule, Rule::kSnapshotCompleteness);
+  EXPECT_EQ(*rule, Rule::kHandleGeneration);
+  EXPECT_FALSE(rule_from_name("VL007").has_value());  // retired id
   EXPECT_FALSE(rule_from_name("VL999").has_value());
 }
 

@@ -34,12 +34,6 @@ const RuleInfo kRules[kRuleCount] = {
     {Rule::kFloatAccum, "VL006", "float-accum",
      "accumulate through util::DetSum (compensated summation) so digest "
      "inputs do not drift with rounding order"},
-    {Rule::kSnapshotCompleteness, "VL007", "snapshot-completeness",
-     "serialize the member in every SnapshotBuilder writer (b.field / "
-     "field_i / field_s / field_rng) or annotate it with "
-     "// vine-snapshot: derived(<why it is rebuilt, not state>) — an "
-     "unserialized member silently diverges the RESTORE rerun from the "
-     "anchor snapshot"},
     {Rule::kHandleGeneration, "VL008", "handle-generation",
      "engine.cancel() the stored EventRef (or check engine.is_pending()) "
      "before re-arming it, or hand it to engine.rearm_at/after which "
@@ -54,8 +48,7 @@ const RuleInfo kRules[kRuleCount] = {
      "negated early-out) and name the tunable in a differential test under "
      "tests/ so the fast path stays verifiable against it"},
     {Rule::kPragmaHygiene, "VL011", "pragma-hygiene",
-     "fix the pragma: rule names must match --list-rules, vine-snapshot "
-     "ops are state | derived(<why>) | serialized(<how>), vine-fastpath "
+     "fix the pragma: rule names must match --list-rules, vine-fastpath "
      "ops are opt-in, and suppressions need a trailing justification"},
     {Rule::kUnsequencedDraws, "VL012", "unsequenced-draws",
      "take each draw into a named local, one statement per draw, in the "
@@ -251,15 +244,12 @@ LexResult lex(const std::string& text) {
 // Pragmas.
 //   // vine-lint: allow(rule) | suppress(rule)
 //     allow() covers the whole file; suppress() its own line and the next.
-//   // vine-snapshot: state | derived(<why>) | serialized(<how>)
-//     state marks the next struct/class as snapshot-bearing; derived and
-//     serialized exempt the member declared on the same or next line.
 //   // vine-fastpath: opt-in
 //     marks the tunable declared on the same or next line as a fast path
 //     that VL010 holds to reference-branch and differential-test parity.
-// Malformed pragmas (unknown rule names, unknown ops, empty reasons) are
-// collected as issues and reported as VL011 — a typo in a suppression must
-// never silently disable nothing.
+// Malformed pragmas (unknown rule names, unknown ops) are collected as
+// issues and reported as VL011 — a typo in a suppression must never
+// silently disable nothing.
 // ---------------------------------------------------------------------------
 
 struct PragmaIssue {
@@ -274,14 +264,11 @@ struct FilePragmas {
   /// Lines bearing `// vine-lint: suppress(...)` and whether a trailing
   /// justification follows the pragma groups.
   std::vector<std::pair<int, bool>> suppress_sites;
-  std::set<int> state_lines;                 // lines bearing the state pragma
-  std::map<int, std::string> member_exempt;  // line -> "derived: <why>" etc
-  std::set<int> fastpath_lines;              // opt-in tunable pragma lines
+  std::set<int> fastpath_lines;  // opt-in tunable pragma lines
 };
 
-/// Extract `op(content)` with paren counting so reasons may contain calls,
-/// e.g. derived(rebuilt by index_flush()). Returns content and advances p
-/// past the closing paren; returns nullopt if no '(' at p.
+/// Extract `op(content)` with paren counting. Returns content and advances
+/// p past the closing paren; returns nullopt if no '(' at p.
 std::optional<std::string> parse_paren_group(const std::string& s,
                                              std::size_t& p) {
   if (p >= s.size() || s[p] != '(') return std::nullopt;
@@ -376,30 +363,7 @@ FilePragmas collect_pragmas(const std::vector<Comment>& comments) {
                                         has_alnum(c.text, groups_end));
       }
     }
-    // Family 2: vine-snapshot contract pragmas.
-    pos = pragma_at(c.text, "vine-snapshot:");
-    if (pos != std::string::npos) {
-      pos += 14;
-      std::size_t p = pos;
-      const std::string op = next_pragma_word(c.text, p);
-      if (op == "state") {
-        out.state_lines.insert(c.line);
-      } else if (op == "derived" || op == "serialized") {
-        auto why = parse_paren_group(c.text, p);
-        if (!why || !has_alnum(*why, 0)) {
-          out.issues.push_back({c.line, "vine-snapshot " + op +
-                                            "() needs a non-empty reason"});
-        } else {
-          out.member_exempt[c.line] = op + ": " + *why;
-        }
-      } else {
-        out.issues.push_back(
-            {c.line, "unknown vine-snapshot op '" + op +
-                         "' (expected state | derived(<why>) | "
-                         "serialized(<how>))"});
-      }
-    }
-    // Family 3: vine-fastpath tunable registration.
+    // Family 2: vine-fastpath tunable registration.
     pos = pragma_at(c.text, "vine-fastpath:");
     if (pos != std::string::npos) {
       pos += 14;
@@ -1196,16 +1160,13 @@ void rule_float_accum(const FileCtx& ctx) {
 
 // ---------------------------------------------------------------------------
 // Pass 1: the symbol index. One lightweight pass per file collects the
-// cross-file facts pass 2 needs: annotated state types with their member
-// lists, the identifier set of every SnapshotBuilder writer region, fast
-// path tunable registrations, and the names of EventRef- and
-// FlatMap/FlatSet-typed members (so uses in other translation units are
-// still recognized).
+// cross-file facts pass 2 needs: fast-path tunable registrations and the
+// names of EventRef- and FlatMap/FlatSet-typed members (so uses in other
+// translation units are still recognized).
 // ---------------------------------------------------------------------------
 
+/// The body of a named struct/class definition.
 struct TypeSpan {
-  std::string name;
-  int decl_line = 0;
   std::size_t body_begin = 0;  // token index just past '{'
   std::size_t body_end = 0;    // token index of the matching '}'
 };
@@ -1221,8 +1182,6 @@ std::vector<TypeSpan> find_type_spans(const std::vector<Token>& t) {
     std::size_t j = i + 1;
     while (tok_is(t, j, "[")) j = match_forward(t, j, "[", "]") + 1;
     if (j >= t.size() || t[j].kind != Token::kIdent) continue;  // anonymous
-    const std::string name = t[j].text;
-    const int decl_line = t[j].line;
     std::size_t k = j + 1;
     if (tok_is(t, k, "final")) ++k;
     if (tok_is(t, k, ":")) {
@@ -1231,7 +1190,7 @@ std::vector<TypeSpan> find_type_spans(const std::vector<Token>& t) {
     if (!tok_is(t, k, "{")) continue;  // forward decl or elaborated use
     const std::size_t close = match_forward(t, k, "{", "}");
     if (close >= t.size()) continue;
-    out.push_back(TypeSpan{name, decl_line, k + 1, close});
+    out.push_back(TypeSpan{k + 1, close});
   }
   return out;
 }
@@ -1270,21 +1229,6 @@ std::size_t match_angle(const std::vector<Token>& t, std::size_t i,
   return kNpos;
 }
 
-struct IndexedMember {
-  std::string name;
-  std::string type;
-  int line = 0;       // the declarator name's line (used for reporting)
-  int stmt_line = 0;  // first line of the declaration statement
-  bool exempt = false;  // derived()/serialized() pragma on its line
-};
-
-struct IndexedType {
-  std::string name;
-  std::string file;
-  int line = 0;
-  std::vector<IndexedMember> members;
-};
-
 struct FlagRead {
   enum Kind { kGuard, kElse, kTernary, kBare };
   std::string file;
@@ -1300,9 +1244,6 @@ struct IndexedFlag {
 };
 
 struct SymbolIndex {
-  std::vector<IndexedType> state_types;
-  std::set<std::string> writer_idents;
-  std::size_t writer_regions = 0;
   std::vector<IndexedFlag> flags;
   std::set<std::string> handle_members;            // scalar EventRef names
   std::set<std::string> handle_container_members;  // container-of-ref names
@@ -1316,197 +1257,6 @@ struct FileData {
   FilePragmas pragmas;
   std::vector<TypeSpan> spans;
 };
-
-/// Data-member extraction for VL007, generalized from the VL004 collector:
-/// keeps template-typed members (angle groups collapse), skips nested type
-/// bodies, methods, constructors, static/constexpr/const members, and
-/// reference members (none of which are independently serializable state).
-/// Multi-declarator statements (`int a, b;`) register the first declarator
-/// only — the style here is one member per line.
-void collect_state_members(const std::vector<Token>& t,
-                           const TypeSpan& span,
-                           std::vector<IndexedMember>& out) {
-  struct Piece {
-    std::size_t idx = 0;
-    bool group = false;
-  };
-  std::size_t k = span.body_begin;
-  while (k < span.body_end) {
-    const std::string& lead = t[k].text;
-    if (t[k].kind == Token::kIdent &&
-        (lead == "public" || lead == "private" || lead == "protected") &&
-        tok_is(t, k + 1, ":")) {
-      k += 2;
-      continue;
-    }
-    if (t[k].kind == Token::kIdent &&
-        (lead == "struct" || lead == "class" || lead == "union" ||
-         lead == "enum")) {
-      // Nested type: skip its body and any trailing declarator wholesale.
-      std::size_t j = k;
-      while (j < span.body_end && t[j].text != "{" && t[j].text != ";") ++j;
-      if (tok_is(t, j, "{")) {
-        j = match_forward(t, j, "{", "}") + 1;
-        while (j < span.body_end && t[j].text != ";") ++j;
-      }
-      k = j + 1;
-      continue;
-    }
-    // Collect one statement, collapsing (), [], {} and template <> groups.
-    std::vector<Piece> stmt;
-    bool saw_paren = false;
-    bool ended_by_body = false;
-    while (k < span.body_end) {
-      const std::string& s = t[k].text;
-      if (t[k].kind == Token::kPunct) {
-        if (s == ";") {
-          ++k;
-          break;
-        }
-        if (s == "{") {
-          const std::size_t bc = match_forward(t, k, "{", "}");
-          if (saw_paren) {  // method or constructor body
-            k = bc + 1;
-            if (k < span.body_end && t[k].text == ";") ++k;
-            ended_by_body = true;
-            break;
-          }
-          stmt.push_back({k, true});  // brace initializer
-          k = bc + 1;
-          continue;
-        }
-        if (s == "(") {
-          saw_paren = true;
-          stmt.push_back({k, true});
-          k = match_forward(t, k, "(", ")") + 1;
-          continue;
-        }
-        if (s == "[") {
-          stmt.push_back({k, true});
-          k = match_forward(t, k, "[", "]") + 1;
-          continue;
-        }
-        if (s == "<" && !stmt.empty() && !stmt.back().group &&
-            t[stmt.back().idx].kind == Token::kIdent) {
-          const std::size_t ac = match_angle(t, k, span.body_end);
-          if (ac != kNpos) {
-            stmt.push_back({k, true});
-            k = ac + 1;
-            continue;
-          }
-        }
-      }
-      stmt.push_back({k, false});
-      ++k;
-    }
-    if (stmt.empty() || ended_by_body) continue;
-
-    auto text_at = [&](std::size_t m) -> const std::string& {
-      return t[stmt[m].idx].text;
-    };
-    std::size_t s0 = 0;
-    while (s0 < stmt.size()) {
-      const std::string& s = text_at(s0);
-      if (stmt[s0].group && s == "[") {  // [[attribute]]
-        ++s0;
-        continue;
-      }
-      if (s == "mutable" || s == "volatile" || s == "inline" ||
-          s == "explicit") {
-        ++s0;
-        continue;
-      }
-      break;
-    }
-    if (s0 >= stmt.size()) continue;
-    const std::string& first = text_at(s0);
-    static const std::set<std::string> kSkipLead = {
-        "public",    "private",  "protected", "using",    "friend",
-        "typedef",   "template", "static",    "operator", "virtual",
-        "~",         "requires", "alignas",   "const",    "constexpr",
-        "consteval", "constinit", "extern",   "decltype"};
-    if (kSkipLead.count(first) != 0) continue;
-    if (first == span.name && s0 + 1 < stmt.size() && stmt[s0 + 1].group &&
-        text_at(s0 + 1) == "(") {
-      continue;  // constructor declaration without a body
-    }
-    std::size_t first_paren = kNpos;
-    std::size_t first_init = kNpos;
-    for (std::size_t m = s0; m < stmt.size(); ++m) {
-      const std::string& s = text_at(m);
-      if (stmt[m].group && s == "(" && first_paren == kNpos) first_paren = m;
-      if (first_init == kNpos &&
-          ((stmt[m].group && s == "{") || (!stmt[m].group && s == "="))) {
-        first_init = m;
-      }
-    }
-    if (first_paren != kNpos &&
-        (first_init == kNpos || first_paren < first_init)) {
-      continue;  // function declaration
-    }
-    const std::size_t limit = (first_init == kNpos) ? stmt.size() : first_init;
-    bool is_ref = false;
-    std::size_t name_idx = kNpos;
-    for (std::size_t m = s0; m < limit; ++m) {
-      if (stmt[m].group) continue;
-      const Token& tk = t[stmt[m].idx];
-      if (tk.kind == Token::kIdent) name_idx = m;
-      if (tk.text == "&" || tk.text == "&&") is_ref = true;
-    }
-    if (is_ref || name_idx == kNpos) continue;
-    std::string type_str;
-    for (std::size_t m = s0; m < name_idx; ++m) {
-      const std::string& s = text_at(m);
-      if (stmt[m].group) {
-        if (s == "<") type_str += "<>";
-        continue;
-      }
-      if (s == "::" || s == "*") {
-        type_str += s;
-        continue;
-      }
-      if (!type_str.empty() && type_str.back() != ':') type_str += ' ';
-      type_str += s;
-    }
-    out.push_back(IndexedMember{text_at(name_idx), type_str,
-                                t[stmt[name_idx].idx].line,
-                                t[stmt.front().idx].line, false});
-  }
-}
-
-/// A writer region is the lexical scope from a `SnapshotBuilder <var>`
-/// declaration to the close of its enclosing block. Every identifier inside
-/// joins the serialized set: a member counts as covered when its name (or
-/// the name with the trailing '_' stripped, for accessor-style emission)
-/// appears in any region across the whole scan set.
-void collect_writer_regions(const std::vector<Token>& t, SymbolIndex& idx) {
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent || t[i].text != "SnapshotBuilder") {
-      continue;
-    }
-    if (i > 0 && t[i - 1].text == "class") continue;  // the definition
-    std::size_t j = i + 1;
-    if (j >= t.size() || t[j].kind != Token::kIdent) continue;
-    const std::string& after = t[j + 1].text;
-    if (after != ";" && after != "{" && after != "(" && after != "=") {
-      continue;  // member function qualifier, return type, etc.
-    }
-    ++idx.writer_regions;
-    int depth = 0;
-    for (std::size_t k = j; k < t.size(); ++k) {
-      if (t[k].kind == Token::kPunct) {
-        if (t[k].text == "{") {
-          ++depth;
-        } else if (t[k].text == "}") {
-          if (depth == 0) break;
-          --depth;
-        }
-      } else if (t[k].kind == Token::kIdent) {
-        idx.writer_idents.insert(t[k].text);
-      }
-    }
-  }
-}
 
 /// Declarations of EventRef / FlatMap / FlatSet variables. Scalar refs
 /// are tracked when they are members (inside a type body) or named like
@@ -1583,49 +1333,8 @@ void collect_fastpath_flags(const FileData& fd, SymbolIndex& idx,
   }
 }
 
-void index_file(const FileData& fd, SymbolIndex& idx, IndexStats& stats,
+void index_file(const FileData& fd, SymbolIndex& idx,
                 std::vector<Finding>& findings) {
-  const auto& t = fd.lexed.tokens;
-  // State types: attach each `vine-snapshot: state` pragma to the first
-  // type whose declaration opens within the next three lines.
-  for (int pragma_line : fd.pragmas.state_lines) {
-    const TypeSpan* best = nullptr;
-    for (const TypeSpan& s : fd.spans) {
-      if (s.decl_line >= pragma_line && s.decl_line <= pragma_line + 3 &&
-          (best == nullptr || s.decl_line < best->decl_line)) {
-        best = &s;
-      }
-    }
-    if (best == nullptr) {
-      if (!is_suppressed(fd.pragmas, Rule::kPragmaHygiene, pragma_line)) {
-        findings.push_back(
-            Finding{fd.path, pragma_line, Rule::kPragmaHygiene,
-                    "vine-snapshot: state pragma does not precede a "
-                    "struct/class definition"});
-      }
-      continue;
-    }
-    IndexedType ty;
-    ty.name = best->name;
-    ty.file = fd.path;
-    ty.line = best->decl_line;
-    collect_state_members(t, *best, ty.members);
-    for (IndexedMember& m : ty.members) {
-      // The pragma may sit on the declarator's line, the line above it, or
-      // (for declarations that wrap) the line above the statement start.
-      for (int l : {m.line, m.line - 1, m.stmt_line, m.stmt_line - 1}) {
-        if (fd.pragmas.member_exempt.count(l) != 0) {
-          m.exempt = true;
-          break;
-        }
-      }
-      ++stats.members_checked;
-      if (m.exempt) ++stats.members_exempt;
-    }
-    idx.state_types.push_back(std::move(ty));
-    ++stats.state_types;
-  }
-  collect_writer_regions(t, idx);
   collect_typed_names(fd, idx);
   collect_fastpath_flags(fd, idx, findings);
 }
@@ -1722,38 +1431,6 @@ void scan_flag_reads(const FileData& fd, SymbolIndex& idx,
         flag.reads.push_back(FlagRead{fd.path, t[p].line, kind});
         ++stats.branch_reads;
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// VL007 snapshot-completeness (cross-file)
-// ---------------------------------------------------------------------------
-
-void rule_snapshot_completeness(
-    const SymbolIndex& idx,
-    const std::map<std::string, const FilePragmas*>& pragmas_by_file,
-    std::vector<Finding>& out) {
-  for (const IndexedType& st : idx.state_types) {
-    const FilePragmas* pg = nullptr;
-    auto pit = pragmas_by_file.find(st.file);
-    if (pit != pragmas_by_file.end()) pg = pit->second;
-    for (const IndexedMember& m : st.members) {
-      if (m.exempt) continue;
-      std::string stripped = m.name;
-      if (!stripped.empty() && stripped.back() == '_') stripped.pop_back();
-      if (idx.writer_idents.count(m.name) != 0 ||
-          idx.writer_idents.count(stripped) != 0) {
-        continue;
-      }
-      if (pg != nullptr &&
-          is_suppressed(*pg, Rule::kSnapshotCompleteness, m.line)) {
-        continue;
-      }
-      out.push_back(Finding{
-          st.file, m.line, Rule::kSnapshotCompleteness,
-          "state type '" + st.name + "' member '" + m.name + "' (" + m.type +
-              ") is never serialized by any SnapshotBuilder writer"});
     }
   }
 }
@@ -2357,7 +2034,7 @@ std::optional<Rule> rule_from_name(std::string_view name) {
   for (const RuleInfo& info : kRules) {
     if (name == info.name) return info.rule;
   }
-  // Accept the rule id too ("VL007", case-insensitive) for --only.
+  // Accept the rule id too ("VL008", case-insensitive) for --only.
   if (name.size() == 5) {
     std::string upper(name);
     for (char& c : upper) c = static_cast<char>(std::toupper(
@@ -2494,10 +2171,8 @@ std::vector<Finding> Linter::lint_text(const std::string& path,
   stats_.files_indexed = 1;
   SymbolIndex idx;
   std::vector<Finding> findings;
-  index_file(fd, idx, stats_, findings);
+  index_file(fd, idx, findings);
   scan_flag_reads(fd, idx, stats_);
-  stats_.writer_regions = idx.writer_regions;
-  stats_.writer_idents = idx.writer_idents.size();
   stats_.fastpath_flags = idx.flags.size();
   stats_.handle_members = idx.handle_members.size();
   stats_.flat_members = idx.flat_members.size();
@@ -2506,7 +2181,6 @@ std::vector<Finding> Linter::lint_text(const std::string& path,
                  opts_.require_suppress_justification, findings);
   const std::map<std::string, const FilePragmas*> by_file = {
       {fd.path, &fd.pragmas}};
-  rule_snapshot_completeness(idx, by_file, findings);
   rule_tunable_parity(idx, by_file, load_test_corpus(), findings);
 
   std::sort(findings.begin(), findings.end(),
@@ -2555,11 +2229,9 @@ std::vector<Finding> Linter::run() {
     fds[i].path = files[i];
     fds[i].raw = read_file(files[i]);
     build_file(fds[i]);
-    index_file(fds[i], idx, stats_, findings);
+    index_file(fds[i], idx, findings);
   }
   for (FileData& fd : fds) scan_flag_reads(fd, idx, stats_);
-  stats_.writer_regions = idx.writer_regions;
-  stats_.writer_idents = idx.writer_idents.size();
   stats_.fastpath_flags = idx.flags.size();
   stats_.handle_members = idx.handle_members.size();
   stats_.flat_members = idx.flat_members.size();
@@ -2571,7 +2243,6 @@ std::vector<Finding> Linter::run() {
     run_file_rules(fd, idx, opts_.subjects, subjects_loaded_,
                    opts_.require_suppress_justification, findings);
   }
-  rule_snapshot_completeness(idx, by_file, findings);
   rule_tunable_parity(idx, by_file, load_test_corpus(), findings);
 
   sort_findings(findings);

@@ -8,11 +8,9 @@
 // historically broken replay in distributed schedulers.
 //
 // v2 runs in two passes. Pass 1 builds a symbol index over every file in
-// the scan set: struct/class member lists for pragma-annotated state types,
-// the identifier set of every SnapshotBuilder writer region, fast-path
-// tunable registrations and their branch reads, and the names of
-// EventRef- and FlatMap/FlatSet-typed members. Pass 2 runs the per-file
-// rules plus cross-file rules against the index:
+// the scan set: fast-path tunable registrations and their branch reads,
+// and the names of EventRef- and FlatMap/FlatSet-typed members. Pass 2
+// runs the per-file rules plus cross-file rules against the index:
 //
 //   VL001 unordered-iter           iteration over std::unordered_map/set
 //   VL002 ambient-entropy          wall clocks, rand(), random_device, getenv
@@ -20,21 +18,17 @@
 //   VL004 uninit-pod               scalar struct members left uninitialized
 //   VL005 txn-subject              txn subjects missing from the subject table
 //   VL006 float-accum              naive float accumulation in digest files
-//   VL007 snapshot-completeness    mutable state-type member never serialized
 //   VL008 handle-generation        stored EventRef re-armed or read unsafely
 //   VL009 flat-container-aliasing  FlatMap/FlatSet alias held across a mutation
 //   VL010 tunable-parity           fast-path branch without reference/test twin
-//   VL011 pragma-hygiene           malformed or unknown lint/snapshot pragmas
+//   VL011 pragma-hygiene           malformed or unknown lint/fastpath pragmas
 //   VL012 unsequenced-draws        two or more Rng draws in one argument list
 //
 // Suppression is explicit and greppable:
 //   // vine-lint: allow(<rule-name>)     — disable a rule for a whole file
 //   // vine-lint: suppress(<rule-name>)  — disable for this line and the next
 //
-// Contract pragmas consumed by the index:
-//   // vine-snapshot: state             — next struct/class is snapshot-bearing
-//   // vine-snapshot: derived(<why>)    — member is rebuilt, not serialized
-//   // vine-snapshot: serialized(<how>) — member is serialized indirectly
+// Contract pragma consumed by the index:
 //   // vine-fastpath: opt-in            — member is a fast-path tunable flag
 #pragma once
 
@@ -53,7 +47,6 @@ enum class Rule {
   kUninitPod,
   kTxnSubject,
   kFloatAccum,
-  kSnapshotCompleteness,
   kHandleGeneration,
   kFlatAliasing,
   kTunableParity,
@@ -61,7 +54,7 @@ enum class Rule {
   kUnsequencedDraws,
 };
 
-inline constexpr std::size_t kRuleCount = 12;
+inline constexpr std::size_t kRuleCount = 11;
 
 struct RuleInfo {
   Rule rule = Rule::kUnorderedIter;
@@ -91,11 +84,6 @@ std::string format_findings(const std::vector<Finding>& findings);
 /// Pass-1 symbol-index counters, for CI job summaries and tests.
 struct IndexStats {
   std::size_t files_indexed = 0;
-  std::size_t state_types = 0;      // // vine-snapshot: state annotations
-  std::size_t members_checked = 0;  // mutable members of state types
-  std::size_t members_exempt = 0;   // derived()/serialized() exemptions
-  std::size_t writer_regions = 0;   // SnapshotBuilder lexical scopes
-  std::size_t writer_idents = 0;    // distinct identifiers in those scopes
   std::size_t fastpath_flags = 0;   // // vine-fastpath: opt-in tunables
   std::size_t branch_reads = 0;     // if/ternary reads of those tunables
   std::size_t handle_members = 0;   // stored EventRef member names

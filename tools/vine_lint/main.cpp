@@ -3,7 +3,7 @@
 //   vine_lint --root <repo>            # scans <repo>/{src,bench,tools}
 //   vine_lint file.cpp dir/ ...        # scans explicit paths
 //   vine_lint --list-rules             # print the rule table
-//   vine_lint --only=VL007,VL009 ...   # run everything, report these rules
+//   vine_lint --only=VL008,VL009 ...   # run everything, report these rules
 //   vine_lint --stats ...              # print symbol-index counters
 //
 // Exit status: 0 clean, 1 findings, 2 usage/configuration error.
@@ -28,16 +28,13 @@ void print_rules() {
 
 void print_stats(const hepvine::lint::IndexStats& s) {
   std::printf(
-      "vine_lint index: %zu file(s), %zu state type(s), %zu member(s) "
-      "checked (%zu exempt), %zu writer region(s) covering %zu "
-      "identifier(s), %zu fast-path flag(s) with %zu branch read(s), "
-      "%zu handle member(s), %zu flat member(s)\n",
-      s.files_indexed, s.state_types, s.members_checked, s.members_exempt,
-      s.writer_regions, s.writer_idents, s.fastpath_flags, s.branch_reads,
-      s.handle_members, s.flat_members);
+      "vine_lint index: %zu file(s), %zu fast-path flag(s) with %zu branch "
+      "read(s), %zu handle member(s), %zu flat member(s)\n",
+      s.files_indexed, s.fastpath_flags, s.branch_reads, s.handle_members,
+      s.flat_members);
 }
 
-/// Parse "VL007,flat-container-aliasing,..." into rules; returns false and
+/// Parse "VL008,flat-container-aliasing,..." into rules; returns false and
 /// reports the offending name on error.
 bool parse_only(const std::string& list,
                 std::vector<hepvine::lint::Rule>* out) {
@@ -103,8 +100,8 @@ int main(int argc, char** argv) {
           "                 [--stats] [--require-suppress-justification]\n"
           "                 [--list-rules] [paths...]\n"
           "With no paths, scans DIR/src, DIR/bench and DIR/tools.\n"
-          "--only takes a comma-separated list of rule ids (VL007) or\n"
-          "names (snapshot-completeness); all rules still run, output is\n"
+          "--only takes a comma-separated list of rule ids (VL008) or\n"
+          "names (handle-generation); all rules still run, output is\n"
           "filtered. --tests points VL010 at the differential-test corpus\n"
           "(default DIR/tests).\n");
       return 0;
