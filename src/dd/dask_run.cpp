@@ -74,7 +74,6 @@ class DaskRun {
     std::uint64_t size = 0;
     data::FileKind kind = data::FileKind::kIntermediate;
     TaskId producer = dag::kInvalidTask;
-    std::uint32_t consumers_left = 0;  // for memory release
     std::vector<std::int32_t> holders;  // procs holding the key
     bool at_client = false;
   };
@@ -89,8 +88,6 @@ class DaskRun {
     }
     for (const auto& task : graph_.tasks()) {
       files_[static_cast<std::size_t>(task.output_file)].producer = task.id;
-      files_[static_cast<std::size_t>(task.output_file)].consumers_left =
-          static_cast<std::uint32_t>(task.dependents.size());
     }
     cores_per_node_ = cluster_.spec().worker.cores;
     procs_.resize(static_cast<std::size_t>(cluster_.worker_count()) *
@@ -117,8 +114,6 @@ class DaskRun {
 
   struct Attempt : exec::AttemptBase {
     std::int32_t proc = kNoProc;
-    std::uint32_t staging_outstanding = 0;
-    std::vector<dag::ValuePtr> inputs;
   };
 
   /// The engine's side of the run lifecycle (exec/run_shell.h).
@@ -141,16 +136,20 @@ class DaskRun {
     };
     h.place = [this](TaskId t) { return choose_proc(t); };
     h.dispatch = [this](TaskId t, std::int32_t pid) { dispatch(t, pid); };
+    h.release_attempt = [this](TaskId t) { release_attempt(t); };
+    // A key no consumer needs any more leaves process memory (what real
+    // Dask does); lineage can no longer recover it from there.
+    h.file_dead = [this](FileId f) { lose_held_key(cluster::kNoWorker, f); };
+    h.gather_sink = [this](TaskId t, WorkerId node) { gather_sink(t, node); };
     h.releasable = [this](WorkerId w) { return node_releasable(w); };
     h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
     h.chrome_args = [this](TaskId t) {
       return ",\"proc\":" +
              std::to_string(shell_.attempt_at<Attempt>(t).proc);
     };
+    h.audit = [this] { audit(); };
     return h;
   }
-
-  [[nodiscard]] bool txn_on() const { return shell_.txn_on(); }
 
   void add_gauges(obs::StatsRegistry& stats) {
     stats.gauge("procs.alive", [this] {
@@ -224,7 +223,7 @@ class DaskRun {
     if (running_on(pid) != dag::kInvalidTask) {
       const TaskId t = running_on(pid);
       running_on(pid) = dag::kInvalidTask;
-      fail_attempt(t);
+      shell_.fail_attempt(t);
       if (shell_.finished()) return;
     }
     p.busy = false;
@@ -261,7 +260,8 @@ class DaskRun {
   // --------------------------------------------------------------------
   /// Drop the in-memory result key `f` from every process on node `w`
   /// (w = kNoWorker: from every holder). Lost keys are rediscovered at the
-  /// next precheck or fetch and lineage-reset their producer.
+  /// next precheck or fetch and lineage-reset their producer. Also
+  /// Hooks::lose_cached_file.
   std::size_t lose_held_key(WorkerId w, FileId f) {
     if (shell_.finished() || f < 0 ||
         static_cast<std::size_t>(f) >= files_.size()) {
@@ -388,22 +388,13 @@ class DaskRun {
     p.busy = true;
     running_on(pid) = t;
     attempt.proc = pid;
-    attempt.inputs = table_.gather_inputs(t);
     const Token token = shell_.token(t);
-
-    scheduler_.acquire_then(tun_.dispatch_cost, [this, token, pid] {
-      if (!shell_.token_valid(token)) return;
-      shell_.record_bytes(cluster_.manager_endpoint(),
-                          cluster_.worker_endpoint(node_of(pid)),
-                          options_.python.argument_bytes);
-      engine_.schedule_after(cluster_.control_rtt() / 2, [this, token, pid] {
-        begin_staging(token, pid);
-      });
-    });
+    shell_.send_attempt(token, tun_.dispatch_cost,
+                        options_.python.argument_bytes,
+                        [this, token, pid] { begin_staging(token, pid); });
   }
 
   void begin_staging(const Token& token, std::int32_t pid) {
-    if (!shell_.token_valid(token)) return;
     const auto& task = graph_.task(token.task);
     auto& attempt = shell_.attempt_at<Attempt>(token.task);
     attempt.span_staged = engine_.now();
@@ -437,8 +428,7 @@ class DaskRun {
       shell_.end_episode({RetryKind::kKey, token.task, f});
       if (!ok) {
         // Lost key: fail this attempt and lineage-reset the producer.
-        const TaskId t = token.task;
-        fail_attempt(t);
+        shell_.fail_attempt(token.task);
         if (shell_.finished()) return;
         const TaskId producer = file(f).producer;
         if (producer != dag::kInvalidTask &&
@@ -514,12 +504,7 @@ class DaskRun {
   }
 
   void start_exec(const Token& token, std::int32_t pid) {
-    if (!shell_.token_valid(token)) return;
-    table_.mark_running(token.task);
-    if (txn_on()) {
-      obs_->txn().task_running(engine_.now(), token.task, node_of(pid));
-    }
-    shell_.attempt_at<Attempt>(token.task).span_exec = engine_.now();
+    shell_.start_running(token.task);
     const auto& task = graph_.task(token.task);
     const auto& node = cluster_.worker(node_of(pid));
     Proc& p = proc(pid);
@@ -531,38 +516,24 @@ class DaskRun {
     const Tick compute = exec::modeled_exec_ticks(
         task, node.effective_speed(), options_.exec_time_jitter, rng_);
 
-    if (!p.imports_loaded) {
-      // First task in this process: cold interpreter plus the full import
-      // stack. Dask workers have no TaskVine-style environment
-      // distribution — the software stack lives on the shared filesystem,
-      // so every process's imports hit the metadata server and data path
-      // (a 300-process start is an import storm).
-      p.imports_loaded = true;
-      shell_.read_imports(
-          node_of(pid), pre + options_.python.interpreter_startup,
-          [this, token, pid, incarnation = p.incarnation] {
-            return shell_.token_valid(token) &&
-                   proc(pid).incarnation == incarnation;
-          },
-          [this, token, pid, compute] {
-            const Tick cpu = options_.imports.total_cpu_cost();
-            shell_.attempt_at<Attempt>(token.task).span_compute =
-                engine_.now() + cpu;
-            engine_.schedule_after(cpu + compute, [this, token, pid] {
-              complete_exec(token, pid);
-            });
-          });
-      return;
-    }
-
-    shell_.attempt_at<Attempt>(token.task).span_compute = engine_.now() + pre;
-    engine_.schedule_after(pre + compute, [this, token, pid] {
-      complete_exec(token, pid);
-    });
+    // The first task in a process pays a cold interpreter plus the full
+    // import stack. Dask workers have no TaskVine-style environment
+    // distribution — the software stack lives on the shared filesystem,
+    // so every process's imports hit the metadata server and data path
+    // (a 300-process start is an import storm).
+    const bool cold = !p.imports_loaded;
+    p.imports_loaded = true;
+    shell_.compute(
+        token, cold ? pre + options_.python.interpreter_startup : pre, compute,
+        cold,
+        [this, token, pid, incarnation = p.incarnation] {
+          return shell_.token_valid(token) &&
+                 proc(pid).incarnation == incarnation;
+        },
+        [this, token, pid] { complete_exec(token, pid); });
   }
 
   void complete_exec(const Token& token, std::int32_t pid) {
-    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
     const auto& task = graph_.task(t);
     Proc& p = proc(pid);
@@ -578,57 +549,11 @@ class DaskRun {
     p.holding.push_back(task.output_file);
     file(task.output_file).holders.push_back(pid);
 
-    auto& attempt = shell_.attempt_at<Attempt>(t);
-    attempt.span_exec_end = engine_.now();
-    dag::ValuePtr value =
-        task.spec.fn ? task.spec.fn(attempt.inputs) : nullptr;
-
+    dag::ValuePtr value = shell_.evaluate(t);
     p.busy = false;
     running_on(pid) = dag::kInvalidTask;
-
-    scheduler_.acquire_then(
-        tun_.result_cost + cluster_.control_rtt() / 2,
-        [this, token, pid, value = std::move(value)]() mutable {
-          finalize_task(token, pid, std::move(value));
-        });
-  }
-
-  void finalize_task(const Token& token, std::int32_t pid,
-                     dag::ValuePtr value) {
-    if (!shell_.token_valid(token)) return;
-    const TaskId t = token.task;
-
-    if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    shell_.record_attempt_span(t, node_of(pid), /*failed=*/false);
-
-    table_.mark_done(t, std::move(value), engine_.now());
-    shell_.attempt_erase(t);
-    if (txn_on()) obs_->txn().task_done(engine_.now(), t, "SUCCESS");
-
-    // Release dependency keys whose consumers are all finished.
-    for (TaskId dep : graph_.task(t).spec.deps) {
-      release_consumer(graph_.task(dep).output_file);
-    }
-
-    if (shell_.is_sink(t)) gather_sink(t, node_of(pid));
-    shell_.check_completion();
-    shell_.pump();
-  }
-
-  void release_consumer(FileId f) {
-    auto& info = file(f);
-    if (info.consumers_left > 0 && --info.consumers_left == 0) {
-      for (std::int32_t holder : info.holders) {
-        Proc& p = proc(holder);
-        p.mem_used = info.size > p.mem_used ? 0 : p.mem_used - info.size;
-        auto& hold = p.holding;
-        hold.erase(std::remove(hold.begin(), hold.end(), f), hold.end());
-      }
-      info.holders.clear();
-      // Lineage can no longer recover this key from memory, but all its
-      // consumers are done, so nothing will ask for it (releasing is what
-      // real Dask does).
-    }
+    shell_.succeed(token, tun_.result_cost + cluster_.control_rtt() / 2,
+                   std::move(value));
   }
 
   void gather_sink(TaskId t, WorkerId node) {
@@ -664,17 +589,9 @@ class DaskRun {
     return true;
   }
 
-  // --------------------------------------------------------------------
-  // Failures.
-  // --------------------------------------------------------------------
-  void fail_attempt(TaskId t) {
-    const auto& st = table_.at(t);
-    if (st.state != TaskState::kDispatched &&
-        st.state != TaskState::kRunning) {
-      return;
-    }
-    if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-    // The attempt's input fetches end with it.
+  /// Hooks::release_attempt: the attempt's input fetches end with it, and
+  /// a process it still occupies (it failed before exiting) is free.
+  void release_attempt(TaskId t) {
     const auto& spec = graph_.task(t).spec;
     for (FileId f : spec.input_files) {
       shell_.end_episode({RetryKind::kKey, t, f});
@@ -682,21 +599,22 @@ class DaskRun {
     for (TaskId dep : spec.deps) {
       shell_.end_episode({RetryKind::kKey, t, graph_.task(dep).output_file});
     }
-    if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
-      const std::int32_t pid = a->proc;
-      if (pid != kNoProc) {
-        running_on(pid) = dag::kInvalidTask;
-        if (proc(pid).alive) proc(pid).busy = false;
+    const std::int32_t pid = shell_.attempt_at<Attempt>(t).proc;
+    if (running_on(pid) == t) {
+      running_on(pid) = dag::kInvalidTask;
+      if (proc(pid).alive) proc(pid).busy = false;
+    }
+  }
+
+  /// Hooks::audit: no process is busy, and every live one holds only sink
+  /// keys (every other key died with its last consumer).
+  void audit() {
+    for (const Proc& p : procs_) {
+      assert(!p.busy);
+      for ([[maybe_unused]] FileId f : p.holding) {
+        assert(shell_.is_sink(file(f).producer) && "dead key outlived run");
       }
-      shell_.record_attempt_span(t, pid == kNoProc ? -1 : node_of(pid),
-                                 /*failed=*/true);
-      shell_.attempt_erase(t);
     }
-    if (table_.at(t).attempts >= options_.max_task_retries) {
-      shell_.fail_run("task " + std::to_string(t) + " exceeded retry limit");
-      return;
-    }
-    table_.requeue(t, engine_.now());
   }
 
   // --------------------------------------------------------------------

@@ -28,6 +28,7 @@ RunShell::RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
       hooks_(std::move(hooks)),
       attempts_(graph.size()),
       reset_counts_(graph.size(), 0),
+      consumers_left_(graph.catalog().size(), 0),
       is_sink_(graph.size(), false),
       sink_done_(graph.size(), 0),
       resident_(cluster.worker_count()),
@@ -41,6 +42,13 @@ RunShell::RunShell(const dag::TaskGraph& graph, cluster::Cluster& cluster,
     is_sink_[static_cast<std::size_t>(sink)] = true;
     ++sinks_outstanding_;
   }
+  const auto hold_inputs = [this](TaskId t, Tick /*now*/) {
+    for_each_input(t, [this](data::FileId f) {
+      ++consumers_left_[static_cast<std::size_t>(f)];
+    });
+  };
+  for (const auto& task : graph.tasks()) hold_inputs(task.id, 0);
+  table_.set_undone_listener(hold_inputs);
 }
 
 RunReport RunShell::execute() {
@@ -121,6 +129,7 @@ void RunShell::open_attempt(TaskId t, std::int32_t worker,
   ++total_attempts_;
   attempt->span_ready = table_.at(t).ready_at;
   attempt->span_dispatched = engine_.now();
+  attempt->inputs = table_.gather_inputs(t);
   auto& slot = attempts_[static_cast<std::size_t>(t)];
   assert(!slot && "dispatching a task with a live attempt");
   slot = std::move(attempt);
@@ -139,6 +148,74 @@ void RunShell::attempt_erase(TaskId t) {
   if (!slot) return;
   slot.reset();
   --attempts_live_;
+}
+
+void RunShell::start_running(TaskId t) {
+  table_.mark_running(t);
+  if (txn_on()) obs_->txn().task_running(engine_.now(), t, table_.at(t).worker);
+  attempt_at<AttemptBase>(t).span_exec = engine_.now();
+}
+
+dag::ValuePtr RunShell::evaluate(TaskId t) {
+  AttemptBase& a = attempt_at<AttemptBase>(t);
+  a.span_exec_end = engine_.now();
+  const auto& fn = graph_.task(t).spec.fn;
+  dag::ValuePtr value = fn ? fn(a.inputs) : nullptr;
+  a.inputs.clear();
+  return value;
+}
+
+void RunShell::succeed(const AttemptToken& token, Tick cost,
+                       dag::ValuePtr value) {
+  loop_.acquire_then(cost, [this, token, value = std::move(value)]() mutable {
+    if (!token_valid(token)) return;
+    const TaskId t = token.task;
+    const std::int32_t worker = table_.at(t).worker;
+    hooks_.release_attempt(t);
+    if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
+    record_attempt_span(t, worker, /*failed=*/false);
+    table_.mark_done(t, std::move(value), engine_.now());
+    attempt_erase(t);
+    if (txn_on()) obs_->txn().task_done(engine_.now(), t, "SUCCESS");
+    for_each_input(t, [this](data::FileId f) {
+      auto& left = consumers_left_[static_cast<std::size_t>(f)];
+      assert(left > 0 && "consumer count underflow");
+      if (left > 0 && --left == 0) hooks_.file_dead(f);
+    });
+    if (is_sink(t)) hooks_.gather_sink(t, worker);
+    check_completion();
+    pump();
+  });
+}
+
+void RunShell::fail_attempt(TaskId t) {
+  const TaskRuntime& st = table_.at(t);
+  if (st.state != TaskState::kDispatched && st.state != TaskState::kRunning) {
+    return;
+  }
+  const std::int32_t worker = st.worker;
+  if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
+  // The attempt that spent the retry budget failed the run and left `t`
+  // dispatched, so its token stays valid until the loop stops; a second
+  // failure of it in the same event writes only its line.
+  if (!attempts_[static_cast<std::size_t>(t)]) return;
+  hooks_.release_attempt(t);
+  record_attempt_span(t, worker, /*failed=*/true);
+  attempt_erase(t);
+  if (st.attempts >= options_.max_task_retries) {
+    fail_run(task_label(t) + " exceeded " +
+             std::to_string(options_.max_task_retries) + " attempts");
+    return;
+  }
+  table_.requeue(t, engine_.now());
+}
+
+std::string RunShell::task_label(TaskId t) const {
+  std::string label = "task " + std::to_string(t);
+  if (identity_.category_in_failures) {
+    label += " (" + graph_.task(t).spec.category + ")";
+  }
+  return label;
 }
 
 void RunShell::record_attempt_span(TaskId t, std::int32_t worker,
@@ -444,11 +521,8 @@ void RunShell::lineage_reset(TaskId producer) {
   count += 1;
   const std::uint32_t limit = options_.fault_retry.poisoned_reset_threshold;
   if (limit > 0 && count > limit) {
-    std::string task = "task " + std::to_string(producer);
-    if (identity_.category_in_failures) {
-      task += " (" + graph_.task(producer).spec.category + ")";
-    }
-    fail_run(task + " poisoned: output lost " + std::to_string(count) +
+    fail_run(task_label(producer) + " poisoned: output lost " +
+             std::to_string(count) +
              " times, exceeding the reset threshold of " +
              std::to_string(limit));
   }
@@ -464,6 +538,9 @@ void RunShell::check_completion() {
       report_.results[sink] = table_.at(sink).result;
     }
     cluster_.batch().drain();
+#ifndef NDEBUG
+    if (hooks_.audit) hooks_.audit();
+#endif
   }
 }
 

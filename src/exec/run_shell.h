@@ -2,27 +2,35 @@
 //
 // A RunShell drives one run from the worker request to the finished
 // RunReport: observability sinks, the profiler span log, fault injection,
-// the elastic factory, completion and failure. It owns the live attempt
-// slots and records each finished attempt exactly once, as an
-// obs::AttemptSpan that feeds the span log, the txn SPAN line and the
-// per-attempt Chrome span. It also owns the transfer record: every flow an
-// engine starts goes through start_transfer and closes exactly once with
-// land, fail or cancel, which write the transfer-matrix cell, the txn
-// TRANSFER lines and the peer Chrome arrow from one Wire, behind the two
-// admission gates, and it reads a worker's imports from the shared
-// filesystem for either engine (read_imports). It owns the retry record:
-// a transfer whose kills retry names its episode, the logical operation
-// it serves, and on each kill the shell counts the kill in its one
-// ledger, gives up past the kill budget (the TRANSFER_GIVEUP line, then
-// the engine's lost-input path) or waits the capped backoff and restarts.
-// And it owns the residency record: every file arriving on or leaving a
-// worker's disk or object store is one residency call, which writes the
-// txn CACHE/STORE line, the CacheSpan of a disk drop, the CacheTrace
-// eviction mark and the RunReport cache and store tallies. The engines
-// (vine/wq in vine_run.cpp, Dask.Distributed in dask_run.cpp) keep only
-// scheduling, the choice of what to move or drop and where a retry
-// re-sources from, and plug in through Hooks — the same std::function
-// idiom as ha::Factory::Hooks and fault::FaultInjector::Hooks.
+// the elastic factory, completion and failure. It owns the attempt record:
+// the live attempt slots and every task-state transition of an attempt —
+// the dispatch hop, RUNNING, the process and its imports, the result
+// ingest with RETRIEVED and DONE, the failed attempt with its retry
+// budget — each one call that makes the TaskStateTable transition and
+// writes its txn line and span phase, and records the finished attempt
+// exactly once, as an obs::AttemptSpan that feeds the span log, the txn
+// SPAN line and the per-attempt Chrome span. With it go the per-file
+// consumer counts: a file whose consumers are all done is dead, and a
+// lineage reset counts the demoted consumers again. It also owns the
+// transfer record: every flow an engine starts goes through
+// start_transfer and closes exactly once with land, fail or cancel, which
+// write the transfer-matrix cell, the txn TRANSFER lines and the peer
+// Chrome arrow from one Wire, behind the two admission gates, and it reads
+// a worker's imports from the shared filesystem for either engine
+// (read_imports). It owns the retry record: a transfer whose kills retry
+// names its episode, the logical operation it serves, and on each kill
+// the shell counts the kill in its one ledger, gives up past the kill
+// budget (the TRANSFER_GIVEUP line, then the engine's lost-input path) or
+// waits the capped backoff and restarts. And it owns the residency record:
+// every file arriving on or leaving a worker's disk or object store is one
+// residency call, which writes the txn CACHE/STORE line, the CacheSpan of
+// a disk drop, the CacheTrace eviction mark and the RunReport cache and
+// store tallies. The engines (vine/wq in vine_run.cpp, Dask.Distributed in
+// dask_run.cpp) keep only placement, staging, output production, resource
+// release and the sink gather, the choice of what to move or drop and
+// where a retry re-sources from, and plug in through Hooks — the same
+// std::function idiom as ha::Factory::Hooks and
+// fault::FaultInjector::Hooks.
 #pragma once
 
 #include <cassert>
@@ -58,7 +66,8 @@ struct AttemptToken {
 };
 
 /// The phase boundaries of one live attempt (obs/span.h), -1 until the
-/// attempt reaches the phase. Engines derive their attempt records from it.
+/// attempt reaches the phase, and what it carries between phases. Engines
+/// derive their attempt records from it.
 struct AttemptBase {
   AttemptBase() = default;
   AttemptBase(const AttemptBase&) = delete;
@@ -70,6 +79,10 @@ struct AttemptBase {
   Tick span_exec = -1;
   Tick span_compute = -1;
   Tick span_exec_end = -1;  // process exit: core freed, output written
+  /// Dependency values, gathered at dispatch; evaluate consumes them.
+  std::vector<dag::ValuePtr> inputs;
+  /// Inputs still staging; the engine starts the run when none is left.
+  std::uint32_t staging_outstanding = 0;
 };
 
 /// One data movement between transfer-matrix endpoints (Cluster
@@ -135,7 +148,8 @@ class RunShell {
     std::string worker_lane;     // Chrome lane prefix, followed by the id
     std::string peer_flow;       // Chrome peer arrow, followed by the file
     std::string drained_reason;  // failure text when the event queue drains
-    /// Name the task's category in the poisoned-task failure text.
+    /// Name the task's category in the failure texts (poisoned task,
+    /// retry limit).
     bool category_in_failures = false;
   };
 
@@ -157,12 +171,24 @@ class RunShell {
     std::function<std::int32_t(dag::TaskId)> place;
     /// Send `t` to the slot `place` chose (begin_attempt and onwards).
     std::function<void(dag::TaskId, std::int32_t slot)> dispatch;
+    /// `t`'s attempt is over, its result ingested or failed: free what the
+    /// engine still holds for it (cores, memory, pins, an output return, a
+    /// process slot).
+    std::function<void(dag::TaskId)> release_attempt;
+    /// No pending consumer of `f` is left: drop its copies.
+    std::function<void(data::FileId)> file_dead;
+    /// Bring sink `t`'s result from `worker` to the manager; the engine
+    /// calls mark_sink_done when it lands.
+    std::function<void(dag::TaskId, std::int32_t worker)> gather_sink;
     /// May the factory release this connected worker right now?
     std::function<bool(cluster::WorkerId)> releasable;
     /// Perf-log gauges after the shell's tasks.* set (optional).
     std::function<void(obs::StatsRegistry&)> gauges;
     /// Extra `,"key":value` pairs for an attempt's Chrome span (optional).
     std::function<std::string(dag::TaskId)> chrome_args;
+    /// Debug builds: the engine's end-of-run conservation laws, checked
+    /// once when the run succeeds (optional).
+    std::function<void()> audit;
   };
 
   /// `table` and `loop` (the serial control loop) belong to the engine
@@ -197,7 +223,8 @@ class RunShell {
 
   // --- attempts -----------------------------------------------------------
   /// Dispatch `t` to `worker`: marks it dispatched, counts the attempt and
-  /// opens its slot with the ready/dispatched phases stamped.
+  /// opens its slot with the ready/dispatched phases stamped and the
+  /// dependency values gathered.
   template <class A>
   A& begin_attempt(dag::TaskId t, std::int32_t worker) {
     auto owned = std::make_unique<A>();
@@ -217,19 +244,65 @@ class RunShell {
     assert(slot && "no live attempt");
     return static_cast<A&>(*slot);
   }
-  template <class A>
-  [[nodiscard]] A* attempt_find(dag::TaskId t) {
-    return static_cast<A*>(attempts_[static_cast<std::size_t>(t)].get());
-  }
-  void attempt_erase(dag::TaskId t);
   [[nodiscard]] std::size_t attempts_live() const noexcept {
     return attempts_live_;
   }
 
-  /// The single record of a finished attempt (the slot must still be
-  /// live): appends the AttemptSpan to the span log and, when enabled,
-  /// writes the txn SPAN line and the attempt's Chrome span.
-  void record_attempt_span(dag::TaskId t, std::int32_t worker, bool failed);
+  // --- the attempt record -------------------------------------------------
+  // After begin_attempt an attempt runs send_attempt, the engine's staging,
+  // start_running, compute, the engine's output, evaluate and succeed, or
+  // ends early in fail_attempt. Each call makes its TaskStateTable
+  // transition and writes its txn line and span phase, so neither engine
+  // does. Continuations run only while the attempt is live.
+
+  /// The dispatch hop: `cost` on the control loop, the dispatch payload
+  /// (`bytes` manager→worker on the control channel), then half an RTT
+  /// later `staged()`, the engine's staging.
+  template <class Staged>
+  void send_attempt(const AttemptToken& token, Tick cost, std::uint64_t bytes,
+                    Staged staged) {
+    loop_.acquire_then(cost, [this, token, bytes, staged = std::move(staged)] {
+      if (!token_valid(token)) return;
+      record_bytes(cluster_.manager_endpoint(),
+                   cluster_.worker_endpoint(table_.at(token.task).worker),
+                   bytes);
+      after(cluster_.control_rtt() / 2, token, staged);
+    });
+  }
+  /// The attempt runs: RUNNING in the table and the txn log, span_exec.
+  void start_running(dag::TaskId t);
+  /// The attempt's process: `pre` of start-up, or, with `imports`, a read
+  /// of the import stack `pre` from now (read_imports, asking `alive`) and
+  /// its CPU cost; span_compute; then `run` of compute and `done()`.
+  template <class Alive, class Done>
+  void compute(const AttemptToken& token, Tick pre, Tick run, bool imports,
+               Alive alive, Done done) {
+    if (!imports) {
+      attempt_at<AttemptBase>(token.task).span_compute = engine_.now() + pre;
+      after(pre + run, token, std::move(done));
+      return;
+    }
+    read_imports(table_.at(token.task).worker, pre, std::move(alive),
+                 [this, token, run, done = std::move(done)] {
+                   const Tick cpu = options_.imports.total_cpu_cost();
+                   attempt_at<AttemptBase>(token.task).span_compute =
+                       engine_.now() + cpu;
+                   after(cpu + run, token, done);
+                 });
+  }
+  /// Process exit: span_exec_end, then the task's function over the
+  /// dependency values. Returns the result.
+  dag::ValuePtr evaluate(dag::TaskId t);
+  /// The result-ingest hop and the success: `cost` on the control loop,
+  /// then Hooks::release_attempt, RETRIEVED SUCCESS, the span, DONE after
+  /// the WAITING lines of the dependents it readies, one consumer count
+  /// released per input (Hooks::file_dead at zero, dependencies first),
+  /// the sink gather, check_completion and pump.
+  void succeed(const AttemptToken& token, Tick cost, dag::ValuePtr value);
+  /// Fail `t`'s live attempt, if it has one: RETRIEVED FAILURE,
+  /// Hooks::release_attempt, the failed span; then requeue, or fail the run
+  /// once `t` has spent RunOptions::max_task_retries attempts.
+  void fail_attempt(dag::TaskId t);
 
   // --- transfers ----------------------------------------------------------
   /// Start `wire` as a flow (Cluster::transfer) and open its record: the
@@ -255,9 +328,6 @@ class RunShell {
   /// The operation behind `episode` succeeded or ended otherwise: a later
   /// kill starts a fresh episode at backoff(1).
   void end_episode(const Episode& episode) { retries_.reset(episode); }
-  /// Bytes with no flow of their own (dispatch arguments riding the control
-  /// channel): the matrix cell and the xfer.* counters.
-  void record_bytes(std::size_t src, std::size_t dst, std::uint64_t bytes);
   /// The xfer.bytes_{via_manager,peer,via_fs} counters, for Hooks::gauges
   /// to place.
   void add_transfer_counters(obs::StatsRegistry& stats);
@@ -314,6 +384,31 @@ class RunShell {
  private:
   void open_attempt(dag::TaskId t, std::int32_t worker,
                     std::unique_ptr<AttemptBase> attempt);
+  void attempt_erase(dag::TaskId t);
+  /// The single record of a finished attempt (the slot must still be
+  /// live): appends the AttemptSpan to the span log and, when enabled,
+  /// writes the txn SPAN line and the attempt's Chrome span.
+  void record_attempt_span(dag::TaskId t, std::int32_t worker, bool failed);
+  /// `done()` `delay` from now, while the attempt behind `token` lives.
+  template <class Done>
+  void after(Tick delay, const AttemptToken& token, Done done) {
+    engine_.schedule_after(delay, [this, token, done = std::move(done)] {
+      if (token_valid(token)) done();
+    });
+  }
+  /// `f(file)` for each input file of `t`: dependency outputs, then
+  /// dataset inputs.
+  template <class F>
+  void for_each_input(dag::TaskId t, F f) const {
+    const auto& spec = graph_.task(t).spec;
+    for (dag::TaskId dep : spec.deps) f(graph_.task(dep).output_file);
+    for (data::FileId file : spec.input_files) f(file);
+  }
+  /// "task N", with " (category)" when the identity asks for it.
+  [[nodiscard]] std::string task_label(dag::TaskId t) const;
+  /// Bytes with no flow of their own (dispatch arguments riding the control
+  /// channel, send_attempt): the matrix cell and the xfer.* counters.
+  void record_bytes(std::size_t src, std::size_t dst, std::uint64_t bytes);
   void on_node_up(cluster::WorkerId w);
   void on_node_down(cluster::WorkerId w);
   void begin_observation();
@@ -358,6 +453,10 @@ class RunShell {
   std::size_t total_attempts_ = 0;
   std::size_t lineage_resets_ = 0;
   std::vector<std::uint32_t> reset_counts_;  // lineage resets per producer
+  /// Pending consumers per file: one count per (task, input file) edge
+  /// whose task is not done. At zero the file is dead (Hooks::file_dead);
+  /// a lineage reset that demotes a done task counts its edges again.
+  std::vector<std::uint32_t> consumers_left_;
   std::vector<bool> is_sink_;
   std::vector<char> sink_done_;  // indexed by TaskId; only sinks are set
   std::size_t sinks_outstanding_ = 0;

@@ -113,9 +113,9 @@ class TaskStateTable {
   /// Observe every done->waiting demotion performed by `reset_lost`. Fires
   /// once per demoted task, in the (deterministic) DFS discovery order,
   /// after the whole reset set left kDone but before readiness is
-  /// recomputed. Schedulers that account per-file consumer reference
-  /// counts need this: a demoted consumer will complete (and decrement)
-  /// again, so its references must be re-acquired.
+  /// recomputed. The run shell's per-file consumer counts need this: a
+  /// demoted consumer will complete (and release its inputs) again, so its
+  /// counts come back.
   using UndoneListener = std::function<void(dag::TaskId, Tick)>;
   void set_undone_listener(UndoneListener fn) { on_undone_ = std::move(fn); }
 

@@ -39,6 +39,13 @@ std::uint64_t ObjectStore::object_bytes(NodeId n, FileId file) const {
   return it == node.end() ? 0 : it->second.bytes;
 }
 
+std::uint32_t ObjectStore::refs(NodeId n, FileId file) const {
+  if (n < 0 || static_cast<std::size_t>(n) >= objects_.size()) return 0;
+  const auto& node = objects_[static_cast<std::size_t>(n)];
+  auto it = node.find(file);
+  return it == node.end() ? 0 : it->second.refs;
+}
+
 void ObjectStore::add_ref(NodeId n, FileId file) {
   auto& node = objects_[static_cast<std::size_t>(n)];
   auto it = node.find(file);

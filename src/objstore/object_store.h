@@ -69,6 +69,9 @@ class ObjectStore {
   /// Payload size of `file` on node `n` (0 when absent).
   [[nodiscard]] std::uint64_t object_bytes(NodeId n, FileId file) const;
 
+  /// Live by-reference handles on `file` at node `n` (0 when absent).
+  [[nodiscard]] std::uint32_t refs(NodeId n, FileId file) const;
+
   /// Take / release a by-reference handle. Release is tolerant of an
   /// object that was force-spilled or wiped while referenced.
   void add_ref(NodeId n, FileId file);

@@ -44,7 +44,6 @@ using cluster::WorkerId;
 using data::FileId;
 using dag::TaskId;
 using exec::RetryKind;
-using exec::TaskState;
 using obs::Residency;
 using util::Tick;
 
@@ -142,34 +141,6 @@ class VineRun {
     }
     worker_fetches_.resize(cluster_.worker_count());
     cache_sample_last_.assign(cluster_.worker_count(), kNoCacheSample);
-
-    // Consumer reference counts, derived from the task graph: one count
-    // per (task, file-it-reads) edge, covering both dependency outputs and
-    // dataset inputs. Decremented as consuming tasks complete; a file at
-    // zero has no pending reader and is garbage-collected cluster-wide.
-    // Sink outputs and runtime files have no consuming edges, so their
-    // count stays zero and is simply never decremented into a GC.
-    consumers_left_.assign(files_.size(), 0);
-    for (const auto& task : graph_.tasks()) {
-      for (TaskId dep : task.spec.deps) {
-        consumers_left_[static_cast<std::size_t>(
-            graph_.task(dep).output_file)] += 1;
-      }
-      for (data::FileId f : task.spec.input_files) {
-        consumers_left_[static_cast<std::size_t>(f)] += 1;
-      }
-    }
-    // A lineage reset demotes done consumers back to waiting: they will
-    // complete (and decrement) again, so their references come back.
-    table_.set_undone_listener([this](TaskId t, Tick /*now*/) {
-      for (TaskId dep : graph_.task(t).spec.deps) {
-        consumers_left_[static_cast<std::size_t>(
-            graph_.task(dep).output_file)] += 1;
-      }
-      for (data::FileId f : graph_.task(t).spec.input_files) {
-        consumers_left_[static_cast<std::size_t>(f)] += 1;
-      }
-    });
   }
 
   FileId add_runtime_file(std::uint64_t size, data::FileKind kind) {
@@ -185,8 +156,6 @@ class VineRun {
   using Token = exec::AttemptToken;
 
   struct Attempt : exec::AttemptBase {
-    std::uint32_t staging_outstanding = 0;
-    std::vector<dag::ValuePtr> inputs;
     bool resources_released = false;
     /// Disk bytes this attempt expects to add to its worker (missing
     /// inputs + output); reserved logically at dispatch so concurrent
@@ -223,7 +192,7 @@ class VineRun {
   };
 
   // ---------------------------------------------------------------------
-  // Worker-disk lifecycle: pins, consumer-refcount GC, pressure eviction.
+  // Worker-disk lifecycle: pins, GC of dead files, pressure eviction.
   // disk_ keeps the per-worker state and marks the placement index stale
   // itself on every mutation.
   // ---------------------------------------------------------------------
@@ -258,21 +227,17 @@ class VineRun {
     attempt.pin_worker = cluster::kNoWorker;
   }
 
-  /// One consuming task of `f` completed. At zero pending consumers the
-  /// file is dead: drop every worker replica (manager copies stay — they
-  /// back sink results and relays and cost no worker disk).
-  void release_consumer_ref(FileId f) {
-    auto& left = consumers_left_[static_cast<std::size_t>(f)];
-    assert(left > 0 && "consumer refcount underflow");
-    if (left == 0) return;
-    if (--left == 0) gc_file(f);
-  }
-
+  /// `f` has no pending consumer left (Hooks::file_dead): drop every
+  /// worker replica and its store object. Manager copies stay: they back
+  /// sink results and relays and cost no worker disk.
   void gc_file(FileId f) {
-    // An in-memory store object dies with its last consumer too. Running
-    // consumers hold consumer refs, so at this point store refs are zero.
+    // An in-memory store object dies with its last consumer too. Every
+    // consumer attempt, finished or failed, has released its handle by now.
     const objstore::NodeId sh = store_.holder_of(f);
-    if (sh != objstore::kNoHolder) drop_store_object(sh, f);
+    if (sh != objstore::kNoHolder) {
+      assert(store_.refs(sh, f) == 0 && "GC of a store object still in use");
+      drop_store_object(sh, f);
+    }
     for (WorkerId holder : replicas_->holders_sorted(f)) {
       if (disk_->pins(holder, f) > 0) continue;  // in use by a live transfer
       drop_worker_copy(holder, f, Residency::kGc);
@@ -480,7 +445,7 @@ class VineRun {
     const std::vector<TaskId> here = std::move(rt.here);
     rt.here.clear();
     for (TaskId t : here) {
-      fail_attempt(t, /*requeue=*/true);
+      shell_.fail_attempt(t);
       if (shell_.finished()) return;
     }
 
@@ -618,7 +583,6 @@ class VineRun {
     placement_->take_memory(w, graph_.task(t).spec.memory_bytes);
     workers_rt_[static_cast<std::size_t>(w)].here.push_back(t);
 
-    attempt.inputs = table_.gather_inputs(t);
     needed_files(t, scratch_files_);
     attempt.disk_committed = placement_->missing_bytes(w, scratch_files_) +
                              graph_.task(t).spec.output_bytes;
@@ -653,17 +617,11 @@ class VineRun {
         options_.mode == exec::ExecMode::kStandardTasks) {
       wire_bytes += options_.python.function_body_bytes;
     }
-    manager_.acquire_then(dispatch_cost(), [this, token, w, wire_bytes] {
-      if (!shell_.token_valid(token)) return;
-      shell_.record_bytes(cluster_.manager_endpoint(),
-                          cluster_.worker_endpoint(w), wire_bytes);
-      engine_.schedule_after(cluster_.control_rtt() / 2,
-                             [this, token, w] { begin_staging(token, w); });
-    });
+    shell_.send_attempt(token, dispatch_cost(), wire_bytes,
+                        [this, token, w] { begin_staging(token, w); });
   }
 
   void begin_staging(const Token& token, WorkerId w) {
-    if (!shell_.token_valid(token)) return;
     needed_files(token.task, scratch_files_);
     auto& attempt = shell_.attempt_at<Attempt>(token.task);
     attempt.span_staged = engine_.now();
@@ -697,7 +655,7 @@ class VineRun {
 
   void abort_attempt_for_lost_input(const Token& token) {
     const TaskId t = token.task;
-    fail_attempt(t, /*requeue=*/true);
+    shell_.fail_attempt(t);
     if (shell_.finished()) return;
     // t is kReady from the requeue; resetting its lost inputs demotes it.
     shell_.precheck_inputs(t);
@@ -1103,7 +1061,6 @@ class VineRun {
   // Execution.
   // ---------------------------------------------------------------------
   void maybe_start_exec(const Token& token, WorkerId w) {
-    if (!shell_.token_valid(token)) return;
     if (options_.mode == exec::ExecMode::kFunctionCalls) {
       auto& rt = workers_rt_[static_cast<std::size_t>(w)];
       if (rt.lib != LibState::kReady) {
@@ -1115,11 +1072,8 @@ class VineRun {
   }
 
   void start_exec(const Token& token, WorkerId w) {
-    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
-    table_.mark_running(t);
-    if (txn_on()) obs_->txn().task_running(engine_.now(), t, w);
-    shell_.attempt_at<Attempt>(t).span_exec = engine_.now();
+    shell_.start_running(t);
     const auto& task = graph_.task(t);
     const auto& node = cluster_.worker(w);
 
@@ -1162,27 +1116,13 @@ class VineRun {
     const Tick write =
         store_output(t) ? 0 : node.disk.write_time(task.spec.output_bytes);
 
-    if (shared_imports) {
-      shell_.read_imports(
-          w, pre, [this, token] { return shell_.token_valid(token); },
-          [this, token, w, compute, write] {
-            const Tick cpu = options_.imports.total_cpu_cost();
-            shell_.attempt_at<Attempt>(token.task).span_compute =
-                engine_.now() + cpu;
-            engine_.schedule_after(cpu + compute + write, [this, token, w] {
-              complete_exec(token, w);
-            });
-          });
-    } else {
-      shell_.attempt_at<Attempt>(t).span_compute = engine_.now() + pre;
-      engine_.schedule_after(pre + compute + write, [this, token, w] {
-        complete_exec(token, w);
-      });
-    }
+    shell_.compute(
+        token, pre, compute + write, shared_imports,
+        [this, token] { return shell_.token_valid(token); },
+        [this, token, w] { complete_exec(token, w); });
   }
 
   void complete_exec(const Token& token, WorkerId w) {
-    if (!shell_.token_valid(token)) return;
     const TaskId t = token.task;
     const auto& task = graph_.task(t);
 
@@ -1211,21 +1151,15 @@ class VineRun {
     attempt.pinned.push_back(task.output_file);
     pin_file(w, task.output_file);
     if (!store_output(t)) maybe_replicate(task.output_file);
-    attempt.span_exec_end = engine_.now();
-    dag::ValuePtr value =
-        task.spec.fn ? task.spec.fn(attempt.inputs) : nullptr;
-    attempt.inputs.clear();
+    dag::ValuePtr value = shell_.evaluate(t);
 
     // The process exits: core and memory free immediately; the manager
     // learns of the result after the control hop + its own handling cost.
     release_resources(t, w);
 
     if (policy_.retain_outputs_on_worker) {
-      manager_.acquire_then(
-          result_cost() + cluster_.control_rtt() / 2,
-          [this, token, w, value = std::move(value)]() mutable {
-            finalize_task(token, w, std::move(value));
-          });
+      shell_.succeed(token, result_cost() + cluster_.control_rtt() / 2,
+                     std::move(value));
     } else {
       // Work Queue: ship the output back to the manager; the worker's
       // sandbox copy is deleted on arrival.
@@ -1251,16 +1185,12 @@ class VineRun {
               shell_.land(flow);
               replicas_->set_at_manager(f);
               drop_worker_copy(w, f, Residency::kSandbox);
-              manager_.acquire_then(
-                  result_cost(), [this, token, w,
-                                  value = std::move(value)]() mutable {
-                    finalize_task(token, w, std::move(value));
-                  });
+              shell_.succeed(token, result_cost(), std::move(value));
             },
             {.killed = [this, t, token] {
               return_flows_.erase(t);
               if (shell_.token_valid(token)) {
-                fail_attempt(t, /*requeue=*/true);
+                shell_.fail_attempt(t);
                 shell_.pump();
               }
               return false;  // nothing left to re-send
@@ -1277,39 +1207,6 @@ class VineRun {
     replicas_->remove(f, w);
     shell_.residency({why, w, f, file(f).size});
     return true;
-  }
-
-  void finalize_task(const Token& token, WorkerId w, dag::ValuePtr value) {
-    if (!shell_.token_valid(token)) return;
-    const TaskId t = token.task;
-    return_flows_.erase(t);
-    remove_from_here(w, t);
-
-    if (txn_on()) {
-      obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    }
-    shell_.record_attempt_span(t, w, /*failed=*/false);
-
-    table_.mark_done(t, std::move(value), engine_.now());
-    unpin_attempt(shell_.attempt_at<Attempt>(t));
-    shell_.attempt_erase(t);
-    if (txn_on()) obs_->txn().task_done(engine_.now(), t, "SUCCESS");
-
-    // This completion consumed its dependency outputs and dataset inputs
-    // once; files whose last pending consumer it was are dead and get
-    // garbage-collected cluster-wide (TaskVine prunes cache entries with
-    // no pending consumers; without this, long workflows exhaust worker
-    // disks). Sink outputs have no consuming edge, so GC never sees them.
-    for (TaskId dep : graph_.task(t).spec.deps) {
-      release_consumer_ref(graph_.task(dep).output_file);
-    }
-    for (FileId f : graph_.task(t).spec.input_files) {
-      release_consumer_ref(f);
-    }
-
-    if (shell_.is_sink(t)) fetch_sink_result(t);
-    check_completion();
-    shell_.pump();
   }
 
   /// Proactively replicate a freshly produced intermediate onto additional
@@ -1404,16 +1301,14 @@ class VineRun {
 
   void on_sink_fetched(TaskId t) {
     shell_.end_episode({RetryKind::kSink, t});
-    if (shell_.mark_sink_done(t)) check_completion();
+    if (shell_.mark_sink_done(t)) shell_.check_completion();
   }
 
-  /// Debug builds audit every live worker when a run succeeds: its disk
-  /// ledger is settled (WorkerDisk::settled), only its open peer slots
-  /// still pin a file, and the residency record counts exactly the files
-  /// on its disk and the objects in its store.
-  void check_completion() {
-    shell_.check_completion();
-    if (!shell_.report().success) return;
+  /// Hooks::audit: every live worker's disk ledger is settled
+  /// (WorkerDisk::settled), only its open peer slots still pin a file, and
+  /// the residency record counts exactly the files on its disk and the
+  /// objects in its store.
+  void audit() const {
     [[maybe_unused]] const auto objects = store_.objects();
     for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
          ++w) {
@@ -1499,60 +1394,33 @@ class VineRun {
   // Failure plumbing.
   // ---------------------------------------------------------------------
   void release_resources(TaskId t, WorkerId w) {
-    Attempt* attempt = shell_.attempt_find<Attempt>(t);
-    if (attempt == nullptr || attempt->resources_released) return;
-    attempt->resources_released = true;
+    Attempt& attempt = shell_.attempt_at<Attempt>(t);
+    if (attempt.resources_released) return;
+    attempt.resources_released = true;
     auto& node = cluster_.worker(w);
     if (node.cores_in_use > 0) node.cores_in_use -= 1;
     placement_->free_memory(w, graph_.task(t).spec.memory_bytes);
-    disk_->uncommit(w, attempt->disk_committed);
+    disk_->uncommit(w, attempt.disk_committed);
     if (node.alive && node.cores_free() > 0) placement_->set_eligible(w, true);
     shell_.pump();
   }
 
-  void remove_from_here(WorkerId w, TaskId t) {
-    auto& here = workers_rt_[static_cast<std::size_t>(w)].here;
-    here.erase(std::remove(here.begin(), here.end(), t), here.end());
-  }
-
-  /// Fail the current attempt of a dispatched/running task. Records the
-  /// failed attempt, releases worker resources, cancels any output-return
-  /// flow, and (optionally) requeues the task.
-  void fail_attempt(TaskId t, bool requeue) {
-    const auto& st = table_.at(t);
-    if (st.state != TaskState::kDispatched &&
-        st.state != TaskState::kRunning) {
-      return;
-    }
-    const WorkerId w = st.worker;
-    if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-
+  /// Hooks::release_attempt: cancel an output return still in flight (one
+  /// that landed waits for ingestion with no flow), free the core, memory
+  /// and disk commitment if the process has not exited, and drop the pins.
+  /// Freeing capacity pumps.
+  void release_attempt(TaskId t) {
+    const WorkerId w = table_.at(t).worker;
     if (auto it = return_flows_.find(t); it != return_flows_.end()) {
-      // A return that already landed is waiting for ingestion: no flow.
       if (cluster_.network().flow_active(it->second)) {
         shell_.cancel(it->second);
       }
       return_flows_.erase(it);
     }
-    if (w != cluster::kNoWorker) {
-      release_resources(t, w);
-      remove_from_here(w, t);
-    }
-    if (Attempt* a = shell_.attempt_find<Attempt>(t)) {
-      shell_.record_attempt_span(t, w, /*failed=*/true);
-      unpin_attempt(*a);
-      shell_.attempt_erase(t);
-    }
-
-    if (table_.at(t).attempts >= options_.max_task_retries) {
-      shell_.fail_run("task " + std::to_string(t) + " (" +
-               graph_.task(t).spec.category + ") exceeded " +
-               std::to_string(options_.max_task_retries) + " attempts");
-      return;
-    }
-    if (requeue) {
-      table_.requeue(t, engine_.now());
-    }
+    release_resources(t, w);
+    auto& here = workers_rt_[static_cast<std::size_t>(w)].here;
+    here.erase(std::remove(here.begin(), here.end(), t), here.end());
+    unpin_attempt(shell_.attempt_at<Attempt>(t));
   }
 
   // ---------------------------------------------------------------------
@@ -1579,8 +1447,12 @@ class VineRun {
                                        shell_.attempts_live());
     };
     h.dispatch = [this](TaskId t, WorkerId w) { dispatch(t, w); };
+    h.release_attempt = [this](TaskId t) { release_attempt(t); };
+    h.file_dead = [this](FileId f) { gc_file(f); };
+    h.gather_sink = [this](TaskId t, WorkerId) { fetch_sink_result(t); };
     h.releasable = [this](WorkerId w) { return worker_releasable(w); };
     h.gauges = [this](obs::StatsRegistry& stats) { add_gauges(stats); };
+    h.audit = [this] { audit(); };
     return h;
   }
 
@@ -1679,8 +1551,6 @@ class VineRun {
   std::map<std::string, FileId> function_bodies_;
   FileId env_file_ = data::kInvalidFile;
 
-  /// Pending consumers per file (graph-derived; see build_file_table).
-  std::vector<std::uint32_t> consumers_left_;
   std::map<FileId, std::vector<std::function<void(bool)>>> manager_inflight_;
   std::map<TaskId, net::FlowId> return_flows_;
   std::map<TaskId, std::pair<net::FlowId, WorkerId>> sink_flows_;

@@ -21,7 +21,10 @@
 // ablation the DataPolicy::evict_on_pressure knob exists for.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -168,6 +171,43 @@ TEST(DiskLifecycle, RefcountGcMatchesTxnLogOnWorkload) {
   EXPECT_EQ(cs.evictions, report.cache_evictions);
   EXPECT_EQ(cs.losses, 0u);
   EXPECT_GE(cs.inserts, graph.size());
+}
+
+TEST(DiskLifecycle, ConsumedDatasetInputsLeaveEveryDisk) {
+  // A dataset input is dead once its last consumer finishes, like any
+  // intermediate: GC drops every worker copy. At successful completion no
+  // disk still holds a dataset input that was staged onto it.
+  exec::RunOptions options = fast_options();
+  options.observability.enabled = true;
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(24),
+                                                    options.seed);
+  cluster::Cluster cluster(tiny_cluster(4, 0.0, options.seed));
+  const auto report = VineScheduler().run(graph, cluster, options);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  ASSERT_NE(report.observation, nullptr);
+
+  std::map<std::string, bool> held;  // "file worker" -> on disk
+  std::istringstream in(report.observation->txn().text());
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string tick, subject, f, verb, bytes, w;
+    if (!(fields >> tick >> subject >> f >> verb >> bytes >> w) ||
+        subject != "CACHE") {
+      continue;
+    }
+    held[f + " " + w] = verb == "INSERT";
+  }
+  std::size_t staged = 0;
+  for (const auto& file : graph.catalog()) {
+    if (file.kind != data::FileKind::kDatasetInput) continue;
+    for (const auto& [key, on_disk] : held) {
+      if (key.substr(0, key.find(' ')) != std::to_string(file.id)) continue;
+      ++staged;
+      EXPECT_FALSE(on_disk) << "dataset input " << key << " outlived its "
+                            << "last consumer";
+    }
+  }
+  EXPECT_GT(staged, 0u);
 }
 
 // --- eviction composes with injected cache loss -------------------------

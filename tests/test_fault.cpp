@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "dag/value.h"
 #include "dd/dask_distributed.h"
 #include "fault/backoff_ledger.h"
 #include "fault/fault_schedule.h"
@@ -621,6 +622,56 @@ TEST(DaskFaults, GiveupCountsOnlyItsOwnAttemptsKills) {
     }
   }
   EXPECT_GT(giveups, 0u);
+}
+
+TEST(DaskFaults, NannyRestartDropsHeldKeysAndTheProducerReRuns) {
+  // One node, two single-core processes with 8 GB of memory each. A's 5 GB
+  // result key sits in process 0 when X, queued behind A and B, runs there
+  // and its 4 GB result overflows the slice: the nanny restarts process 0,
+  // and A's key must die with it. C, A's consumer, waits on B until well
+  // after the restart, so a key the restarted process kept would still
+  // serve C; a dropped one makes C's dispatch reset A, which runs again.
+  dag::TaskGraph graph;
+  const auto task = [&graph](std::vector<dag::TaskId> deps, double cpu,
+                             std::uint64_t output, double value) {
+    dag::TaskSpec spec;
+    spec.deps = std::move(deps);
+    spec.cpu_seconds = cpu;
+    spec.output_bytes = output;
+    spec.fn = [value](const std::vector<dag::ValuePtr>& in) {
+      double sum = value;
+      for (const auto& v : in) {
+        sum += dynamic_cast<const dag::ScalarValue&>(*v).get();
+      }
+      return std::make_shared<dag::ScalarValue>(sum);
+    };
+    return graph.add_task(spec);
+  };
+  const dag::TaskId a = task({}, 1.0, 5 * util::kGB, 1.0);
+  const dag::TaskId b = task({}, 30.0, 512 * util::kMB, 2.0);
+  task({}, 1.0, 4 * util::kGB, 3.0);  // X
+  task({a, b}, 1.0, 1 * util::kMB, 4.0);  // C
+  cluster::ClusterSpec spec = tiny_cluster(1);
+  spec.worker.cores = 2;
+  spec.worker.memory = 16 * util::kGB;
+  cluster::Cluster cluster(spec);
+  const auto report =
+      dd::DaskDistScheduler().run(graph, cluster, txn_options(31));
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_GE(report.worker_crashes, 1u);
+  EXPECT_GE(report.lineage_resets, 1u);
+  ASSERT_NE(report.observation, nullptr);
+  const std::string txn = report.observation->txn().text();
+  const std::string done = " TASK " + std::to_string(a) + " DONE SUCCESS";
+  const auto first = txn.find(done);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_NE(txn.find(done, first + 1), std::string::npos)
+      << "A's key died with its process, yet A never ran again:\n" << txn;
+  const auto expected = dag::evaluate_serially(graph);
+  ASSERT_EQ(report.results.size(), expected.size());
+  for (const auto& [sink, value] : expected) {
+    EXPECT_EQ(report.results.at(sink)->digest(), value->digest());
+  }
 }
 
 // --- the kill budget ------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -187,6 +189,60 @@ TEST(ObjectStoreRun, StoreOffIsInert) {
   EXPECT_EQ(off.report.store_drops, 0u);
   EXPECT_EQ(off.txn.find(" STORE "), std::string::npos)
       << "a disabled store must not emit STORE transactions";
+}
+
+TEST(ObjectStoreRun, FailedAttemptsReleaseTheirReferences) {
+  // Transfer kills past the budget abort consumers mid-staging while they
+  // already hold by-reference handles on their colocated inputs. Each
+  // failed attempt must give its handles back: the object dies by GC once
+  // its last consumer finishes, and Debug builds assert that GC never
+  // drops an object that still has live handles.
+  const apps::WorkloadSpec workload = tiny_dv3();
+  const dag::TaskGraph graph = apps::build_workload(workload, 3);
+  exec::RunOptions options = store_options();
+  options.max_task_retries = 30;
+  // Every killed fetch gives up at once. The environment comes from the
+  // shared filesystem: a library whose environment fetch gives up never
+  // starts.
+  options.faults.stochastic.transfer_kill_prob = 0.4;
+  options.fault_retry.max_transfer_retries = 1;
+  options.env_from_shared_fs = true;
+  VineTunables tun;
+  tun.object_store = true;
+  std::size_t failed_holding_refs = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    options.faults.seed = seed;
+    cluster::Cluster cluster(tiny_cluster(4));
+    const auto report =
+        VineScheduler(taskvine_policy(), tun).run(graph, cluster, options);
+    ASSERT_TRUE(report.success) << report.failure_reason;
+    EXPECT_EQ(sink_digest(report), reference_digest(graph));
+    // A handle is taken at dispatch: a REF line on the attempt's worker at
+    // its dispatch tick, for the output of one of its dependencies.
+    std::set<std::string> refs;  // "tick file worker"
+    std::istringstream in(report.observation->txn().text());
+    for (std::string line; std::getline(in, line);) {
+      std::istringstream fields(line);
+      std::string tick, subject, f, verb, bytes, w;
+      if (fields >> tick >> subject >> f >> verb >> bytes >> w &&
+          subject == "STORE" && verb == "REF") {
+        refs.insert(tick + " " + f + " " + w);
+      }
+    }
+    for (const auto& a : report.profile.attempts()) {
+      if (!a.failed) continue;
+      for (dag::TaskId dep : graph.task(a.task).spec.deps) {
+        if (refs.count(std::to_string(a.dispatched_at) + " " +
+                       std::to_string(graph.task(dep).output_file) + " " +
+                       std::to_string(a.worker)) != 0) {
+          ++failed_holding_refs;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed_holding_refs, 0u)
+      << "no failed attempt held a by-reference handle";
 }
 
 TEST(ObjectStoreRun, TinyCapacityForcesSpillEverythingAndStaysCorrect) {
