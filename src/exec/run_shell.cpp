@@ -611,8 +611,12 @@ void RunShell::begin_observation() {
 void RunShell::add_engine_gauges(obs::StatsRegistry& stats) {
   stats.gauge("engine.events_executed",
               [this] { return static_cast<double>(engine_.executed()); });
-  stats.gauge("engine.events_pending",
-              [this] { return static_cast<double>(engine_.pending()); });
+  // Flow events count one each, as if each were its own engine entry:
+  // the network queues one entry for all of them.
+  stats.gauge("engine.events_pending", [this] {
+    const std::size_t flows = cluster_.network().pending_flow_events();
+    return static_cast<double>(engine_.pending() + flows - (flows > 0 ? 1 : 0));
+  });
 }
 
 void RunShell::schedule_perf_sample() {

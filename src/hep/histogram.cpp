@@ -20,17 +20,7 @@ void Histogram1D::fill(double x, double weight) {
   // floating point (up to ~2^42 entries), which makes histogram merging
   // exactly associative and commutative. Tests exploit this to assert
   // bit-identical results under any reduction tree shape.
-  weight = std::round(weight * 1024.0) / 1024.0;
-  ++entries_;
-  if (x < lo_) {
-    underflow_ += weight;
-  } else if (x >= hi_) {
-    overflow_ += weight;
-  } else {
-    auto bin = static_cast<std::size_t>((x - lo_) / width_);
-    if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge guard
-    counts_[bin] += weight;
-  }
+  add(x, std::round(weight * 1024.0) / 1024.0);
 }
 
 void Histogram1D::merge(const Histogram1D& other) {

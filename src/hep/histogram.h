@@ -23,9 +23,12 @@ class Histogram1D {
   Histogram1D() = default;
   Histogram1D(std::uint32_t bins, double lo, double hi);
 
+  /// Fill with unit weight: exactly what fill(x, 1.0) adds, since 1.0 is
+  /// already a multiple of 1/1024, without the rounding call.
+  void fill(double x) { add(x, 1.0); }
   /// Fill with a weight. Weights are quantized to multiples of 1/1024 so
   /// that accumulation is exactly associative/commutative (see .cpp).
-  void fill(double x, double weight = 1.0);
+  void fill(double x, double weight);
   void merge(const Histogram1D& other);
 
   [[nodiscard]] std::uint32_t bins() const noexcept {
@@ -52,6 +55,23 @@ class Histogram1D {
   friend bool operator==(const Histogram1D&, const Histogram1D&) = default;
 
  private:
+  /// Add an already quantized weight to x's bin. Sums of multiples of
+  /// 1/1024 are exact, so they do not depend on the order of the fills.
+  void add(double x, double weight) {
+    ++entries_;
+    if (x < lo_) {
+      // vine-lint: suppress(float-accum) — exact sum of 1/1024 multiples
+      underflow_ += weight;
+    } else if (x >= hi_) {
+      // vine-lint: suppress(float-accum) — exact sum of 1/1024 multiples
+      overflow_ += weight;
+    } else {
+      auto bin = static_cast<std::size_t>((x - lo_) / width_);
+      if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge guard
+      counts_[bin] += weight;
+    }
+  }
+
   double lo_ = 0.0;
   double hi_ = 1.0;
   double width_ = 1.0;

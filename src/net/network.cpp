@@ -4,10 +4,13 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "net/max_min.h"
 
 namespace hepvine::net {
 
@@ -38,7 +41,9 @@ std::int32_t Network::create_flow(FlowId id) {
     slot = static_cast<std::int32_t>(flows_.size());
     flows_.emplace_back();
     hot_.emplace_back();
+    armed_keys_.emplace_back();
     comp_pos_.push_back(-1);
+    events_.reserve_slots(flows_.size());
   }
   assert(window_base_ + static_cast<FlowId>(window_.size()) == id);
   window_.push_back(slot);
@@ -54,6 +59,8 @@ void Network::destroy_flow(FlowId id) {
   // Reset in place so the recycled slot starts clean and the done callback
   // releases its captures now, not at slot reuse.
   const auto s = static_cast<std::size_t>(slot);
+  assert(!events_.key(slot).live() && !armed_keys_[s].finish.live() &&
+         !armed_keys_[s].fail.live());
   flows_[s] = Flow{};
   hot_[s] = FlowHot{};
   free_slots_.push_back(slot);
@@ -139,7 +146,13 @@ void Network::release_links(std::int32_t slot) {
         return e.first < v;
       });
   assert(pos != transferring_.end() && pos->first == flow.id);
-  transferring_.erase(pos);
+  // The entry becomes a tombstone rather than shifting the id-ordered tail
+  // down; tombstones are swept once they are an eighth of the list.
+  pos->second = -1;
+  if (++transferring_dead_ * 8 > transferring_.size()) {
+    std::erase_if(transferring_, [](const auto& e) { return e.second < 0; });
+    transferring_dead_ = 0;
+  }
   for (const LinkId link : hot_[static_cast<std::size_t>(slot)].path) {
     Link& l = links_[static_cast<std::size_t>(link)];
     l.active -= 1;
@@ -162,8 +175,7 @@ void Network::abandon_flow(FlowId id, char outcome) {
   if (slot < 0) return;
   Flow& flow = flow_at(slot);
   engine_.cancel(flow.setup);
-  engine_.cancel(flow.completion);
-  engine_.cancel(flow.failure);
+  drop_keys(slot);
   if (flow.transferring) settle_flow(slot);
   release_links(slot);
   (outcome == 'F' ? flows_failed_ : flows_cancelled_) += 1;
@@ -224,8 +236,7 @@ void Network::finish_flow(FlowId id) {
   // final stretch (settling is per-flow: each flow has its own last_update).
   settle_flow(slot);
   engine_.cancel(flow.setup);
-  engine_.cancel(flow.completion);
-  engine_.cancel(flow.failure);
+  drop_keys(slot);
   if (flow.transferring) {
     // Attribute whatever rounding left behind so a completed flow charges
     // its links exactly total_bytes, no more and no less.
@@ -243,6 +254,59 @@ void Network::finish_flow(FlowId id) {
   if (on_span_) on_span_(created, engine_.now(), id, total, total, 'D');
   if (done) done(id);
   request_recompute();
+}
+
+void Network::drop_keys(std::int32_t slot) {
+  if (!events_.key(slot).live()) return;  // nor any armed key
+  armed_keys_[static_cast<std::size_t>(slot)] = ArmedKeys{};
+  events_.set(slot, Key{});
+  sync_event();
+}
+
+std::size_t Network::pending_flow_events() const {
+  std::size_t pending = 0;
+  for (std::size_t s = 0; s < flows_.size(); ++s) {
+    const ArmedKeys& armed = armed_keys_[s];
+    pending += hot_[s].fail_at > 0
+                   ? static_cast<std::size_t>(armed.finish.live()) +
+                         static_cast<std::size_t>(armed.fail.live())
+                   : static_cast<std::size_t>(
+                         events_.key(static_cast<std::int32_t>(s)).live());
+  }
+  return pending;
+}
+
+void Network::sync_event() {
+  events_.repair();
+  const std::int32_t top = events_.top();
+  if (top < 0) {
+    engine_.cancel(event_);
+    event_key_ = Key{};
+    return;
+  }
+  const Key& key = events_.key(top);
+  if (key == event_key_ && engine_.is_pending(event_)) return;
+  event_key_ = key;
+  engine_.rearm_keyed(event_, key.at, key.seq, [this] { fire_event(); });
+}
+
+bool Network::event_synced() const {
+  const std::int32_t top = events_.top();
+  if (top < 0) return !engine_.is_pending(event_);
+  return engine_.is_pending(event_) && events_.key(top) == event_key_;
+}
+
+void Network::fire_event() {
+  // The engine has retired event_; dropping the fired key re-queues it
+  // under the next minimum.
+  const std::int32_t slot = events_.top();
+  assert(slot >= 0 && events_.key(slot) == event_key_);
+  const FlowId id = flow_at(slot).id;
+  if (armed_keys_[static_cast<std::size_t>(slot)].fail == event_key_) {
+    fail_flow(id);
+  } else {
+    finish_flow(id);
+  }
 }
 
 void Network::request_recompute() {
@@ -265,17 +329,8 @@ void Network::settle_flow(std::int32_t slot) {
   hot.last_update = now;
 }
 
-namespace {
-
-// A link is saturated when its flows' rates sum to at least this fraction
-// of its capacity. A link that enters the freeze set ends a fill summing
-// to its capacity within n * 2^-52 relative rounding, so the margin
-// covers any link with fewer than 2^30 flows. It only decides which links
-// the walk crosses; computed rates get no tolerance.
-constexpr double kSaturatedFraction = 1.0 - 0x1p-20;
-
-}  // namespace
-
+// kSaturatedFraction (max_min.h) only decides which links the walk
+// crosses; computed rates get no tolerance.
 bool Network::saturated(const Link& link, bool filled) const {
   double load = 0;
   for (const std::int32_t slot : link.flows) {
@@ -321,7 +376,9 @@ bool Network::collect_component() {
         comp_links_.push_back(static_cast<LinkId>(i));
       }
     }
-    for (const auto& [id, slot] : transferring_) comp_slots_.push_back(slot);
+    for (const auto& [id, slot] : transferring_) {
+      if (slot >= 0) comp_slots_.push_back(slot);
+    }
   }
   gather_component();
   return true;
@@ -369,10 +426,11 @@ void Network::order_component() {
   // A component spanning a good share of the transferring flows (the
   // shared-bottleneck regime) is cheaper to pick out of the persistent
   // id-ordered list than to sort.
-  if (comp_slots_.size() * 4 >= transferring_.size()) {
+  if (comp_slots_.size() * 4 >= transferring_.size() - transferring_dead_) {
     comp_slots_.resize(transferring_.size());
     std::size_t kept = 0;
     for (const auto& [id, slot] : transferring_) {
+      if (slot < 0) continue;  // a tombstone
       comp_slots_[kept] = slot;  // kept only if marked; no branch to miss
       kept += comp_pos_[static_cast<std::size_t>(slot)] >= 0 ? 1 : 0;
     }
@@ -758,7 +816,10 @@ void Network::recompute_now() {
     }
 
     rerate_component();
+    sync_event();
   }
+  assert(event_synced());
+  assert(starvation_rescues_ != 0 || rates_max_min_fair());
 
   for (const LinkId id : comp_links_) {
     link_state_[static_cast<std::size_t>(id)] = kUnreached;
@@ -773,19 +834,19 @@ void Network::recompute_now() {
 }
 
 void Network::rerate_component() {
-  // Pass one: write every new rate; settle each flow whose allocation
-  // changed at its old rate and work out its event moves. Flows whose
-  // allocation did not change keep their existing completion event and
-  // are NOT settled — settle instants are thus a function of rate changes
-  // alone, which is what makes the incremental and reference paths
-  // produce identical floating-point progress chunking. Settling never
-  // touches the engine, so pass two can apply the moves afterwards: in
-  // ascending flow id, as one pass would, so each re-key takes the same
-  // seq.
+  // Write every new rate; settle each flow whose allocation changed at its
+  // old rate and re-key its events. Flows whose allocation did not change
+  // keep their existing keys and are NOT settled — settle instants are
+  // thus a function of rate changes alone, which is what makes the
+  // incremental and reference paths produce identical floating-point
+  // progress chunking. Flows go in ascending id, and each takes its
+  // failure seq before its completion seq, so every key gets the seq an
+  // engine event moved the same way would have; a dropped key takes none.
+  // Settling never touches the engine, so issuing seqs in the same loop
+  // changes no order.
   const Tick now = engine_.now();
   Tick memo_elapsed = 0;  // to_seconds is pure: one division per elapsed
   double memo_seconds = 0;
-  rearms_.clear();
   for (std::size_t p = 0; p < comp_slots_.size(); ++p) {
     const std::int32_t slot = comp_slots_[p];
     const auto s = static_cast<std::size_t>(slot);
@@ -793,10 +854,12 @@ void Network::rerate_component() {
     const double old_rate = old_rates_[p];
     const double new_rate = new_rates_[p];
     hot.rate = new_rate;
+    const bool armed = hot.fail_at > 0;
     const bool rate_unchanged =
         old_rate > 0.0 && std::abs(new_rate - old_rate) <= old_rate * 1e-12;
-    if (rate_unchanged && engine_.is_pending(flows_[s].completion) &&
-        (hot.fail_at == 0 || engine_.is_pending(flows_[s].failure))) {
+    if (rate_unchanged &&
+        (armed ? armed_keys_[s].finish.live() && armed_keys_[s].fail.live()
+               : events_.key(slot).live())) {
       continue;  // completion (and failure) times are still exact
     }
     const Tick elapsed = now - hot.last_update;
@@ -808,61 +871,70 @@ void Network::rerate_component() {
       attribute_bytes(hot, hot.advance(old_rate * memo_seconds));
     }
     hot.last_update = now;
+    recompute_rearms_ += 1;
 
-    Rearm& rearm = rearms_.emplace_back();
-    rearm.slot = slot;
-    rearm.armed = hot.fail_at > 0;
+    // Delays to key each event at; -1 drops it.
+    Tick fail_after = -1;
+    Tick finish_after = -1;
     if (hot.remaining <= 0.5) {
       // Fractional residue from settling. An armed failure inside the
       // residual bytes still wins — the flow was injected to die in its
       // last bytes, so it must not slip through as a completion.
-      (rearm.armed ? rearm.fail_after : rearm.finish_after) = 0;
-      continue;
-    }
-    if (new_rate <= 0.0) continue;  // stalled (outage) or rescue pending
-    if (rearm.armed) {
-      const double carried =
-          static_cast<double>(flows_[s].total_bytes) - hot.remaining;
-      const double left = static_cast<double>(hot.fail_at) - carried;
-      if (left <= 0.5) {
+      (armed ? fail_after : finish_after) = 0;
+    } else if (new_rate > 0.0) {  // else stalled (outage) or rescue pending
+      const double left =
+          armed ? static_cast<double>(hot.fail_at) -
+                      (static_cast<double>(flows_[s].total_bytes) -
+                       hot.remaining)
+                : 0.0;
+      if (armed && left <= 0.5) {
         // The armed byte already crossed; fail now, with no completion:
         // the failure removes the flow first.
-        rearm.fail_after = 0;
-        continue;
-      }
-      // Scheduled before completion: on an exact tie the failure wins.
-      rearm.fail_after = util::transfer_time(
-          static_cast<std::uint64_t>(std::ceil(left)), new_rate);
-    }
-    rearm.finish_after = util::transfer_time(
-        static_cast<std::uint64_t>(std::ceil(hot.remaining)), new_rate);
-  }
-  recompute_rearms_ += rearms_.size();
-
-  // Pass two: the event moves. They use Engine::rearm_after — the
-  // callbacks are per-flow constants, so a pending event's slot (and its
-  // stored std::function) is reused rather than reconstructed for every
-  // rate change, and the stored reference is only rewritten when a fresh
-  // event is scheduled. The fired-event order matches cancel+schedule
-  // exactly (one seq either way). Cancels take no seq; a flow never armed
-  // has no failure event to cancel.
-  for (const Rearm& rearm : rearms_) {
-    Flow& flow = flow_at(rearm.slot);
-    const FlowId fid = flow.id;
-    if (rearm.finish_after < 0) engine_.cancel(flow.completion);
-    if (rearm.armed) {
-      if (rearm.fail_after < 0) {
-        engine_.cancel(flow.failure);
+        fail_after = 0;
       } else {
-        engine_.rearm_after(flow.failure, rearm.fail_after,
-                            [this, fid] { fail_flow(fid); });
+        // Keyed before completion: on an exact tie the failure wins.
+        if (armed) {
+          fail_after = util::transfer_time(util::ceil_bytes(left), new_rate);
+        }
+        finish_after =
+            util::transfer_time(util::ceil_bytes(hot.remaining), new_rate);
       }
     }
-    if (rearm.finish_after >= 0) {
-      engine_.rearm_after(flow.completion, rearm.finish_after,
-                          [this, fid] { finish_flow(fid); });
+    if (!armed) {
+      events_.set(slot, finish_after < 0
+                            ? Key{}
+                            : Key{now + finish_after, engine_.issue_seq()});
+      continue;
     }
+    ArmedKeys& keys = armed_keys_[s];
+    keys.fail =
+        fail_after < 0 ? Key{} : Key{now + fail_after, engine_.issue_seq()};
+    keys.finish = finish_after < 0
+                      ? Key{}
+                      : Key{now + finish_after, engine_.issue_seq()};
+    events_.set(slot,
+                EventIndex::before(keys.fail, keys.finish) ? keys.fail
+                                                           : keys.finish);
   }
+}
+
+bool Network::rates_max_min_fair() const {
+  std::vector<double> capacities;
+  capacities.reserve(links_.size());
+  for (const Link& link : links_) capacities.push_back(link.capacity);
+  std::vector<std::vector<std::int32_t>> paths;
+  std::vector<double> rates;
+  for (const auto& [id, slot] : transferring_) {
+    if (slot < 0) continue;
+    const FlowHot& hot = hot_[static_cast<std::size_t>(slot)];
+    paths.emplace_back(hot.path.begin(), hot.path.end());
+    rates.push_back(hot.rate);
+  }
+  const std::string violation = check_max_min(capacities, paths, rates);
+  if (!violation.empty()) {
+    std::fprintf(stderr, "net: not max-min fair: %s\n", violation.c_str());
+  }
+  return violation.empty();
 }
 
 void Network::register_stats(obs::StatsRegistry& registry,

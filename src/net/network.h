@@ -6,7 +6,7 @@
 // the set of active flows changes, per-flow rates are recomputed by
 // progressive water-filling (the classic max-min fair allocation), progress
 // is settled at the old rates, and each flow's completion event is
-// rescheduled. Rate recomputation is batched per tick: any number of flow
+// re-keyed. Rate recomputation is batched per tick: any number of flow
 // arrivals/departures at the same instant trigger a single recompute.
 //
 // Scaling: each recompute is restricted to the links touched since the
@@ -24,6 +24,13 @@
 // implementation; both paths produce bit-identical rates and event times
 // (see DESIGN.md "Incremental max-min recompute"), which the differential
 // tests enforce.
+//
+// Flow events: a flow's completion and armed failure are keys (tick, seq)
+// in an index by flow slot (EventIndex), not engine events. Each re-rate
+// takes the moved keys' seqs from the engine in the order one event move
+// per key would have, and the network queues one engine entry under the
+// index minimum (Engine::rearm_keyed). Every flow event therefore fires
+// where its own engine event would have, and counts as one engine event.
 //
 // Fault injection hooks: a flow can be killed mid-stream (`fail_flow`) or
 // armed to fail once a byte offset has been carried (`arm_flow_fault`), and
@@ -43,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/event_index.h"
 #include "obs/stats_registry.h"
 #include "sim/engine.h"
 #include "util/units.h"
@@ -84,6 +92,7 @@ class Network {
       : engine_(engine), options_(options) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+  ~Network() { engine_.cancel(event_); }
 
   [[nodiscard]] const NetworkOptions& options() const noexcept {
     return options_;
@@ -172,6 +181,10 @@ class Network {
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
 
   [[nodiscard]] std::size_t active_flows() const { return live_flows_; }
+  /// Flow completions and armed failures still to fire, counted by a
+  /// scan of every flow slot. The engine holds one entry for all of them
+  /// while there are any.
+  [[nodiscard]] std::size_t pending_flow_events() const;
   [[nodiscard]] std::uint64_t total_bytes_completed() const {
     return bytes_completed_;
   }
@@ -200,8 +213,8 @@ class Network {
     return recompute_flow_visits_;
   }
   /// Flows whose rate a recompute changed (or whose events had lapsed):
-  /// each was settled and had its completion or failure event re-keyed.
-  /// The rest of the visits kept their events untouched.
+  /// each was settled and had its completion or failure key re-keyed.
+  /// The rest of the visits kept their keys untouched.
   [[nodiscard]] std::uint64_t recompute_rearms() const {
     return recompute_rearms_;
   }
@@ -244,8 +257,6 @@ class Network {
   /// A flow's state off the recompute's path; the rest is in hot_.
   struct Flow {
     FlowId id = kInvalidFlow;
-    sim::Engine::EventRef completion;
-    sim::Engine::EventRef failure;
     std::uint64_t total_bytes = 0;
     sim::Engine::EventRef setup;
     Tick created_at = 0;   // when start_flow admitted it (span listener)
@@ -323,13 +334,14 @@ class Network {
     }
   };
 
-  /// A settled flow's event moves, applied after every settle of the
-  /// recompute: the delay to schedule each event at, or -1 to cancel it.
-  struct Rearm {
-    std::int32_t slot = 0;
-    bool armed = false;  // fail_at set: the flow may hold a failure event
-    Tick fail_after = -1;
-    Tick finish_after = -1;
+  using Key = EventIndex::Key;
+
+  /// The event keys of a flow with an armed fault; Key{} = no such event.
+  /// The index holds the earlier of the two. A flow never armed has only
+  /// a completion, and the index holds its key alone.
+  struct ArmedKeys {
+    Key finish;
+    Key fail;
   };
 
   // --- flow table --------------------------------------------------------
@@ -350,6 +362,16 @@ class Network {
   void finish_flow(FlowId id);
   /// cancel_flow and fail_flow: tear down with outcome 'C' or 'F'.
   void abandon_flow(FlowId id, char outcome);
+  /// Drop a flow's keys (no seq is taken) and re-key the engine entry if
+  /// the minimum moved.
+  void drop_keys(std::int32_t slot);
+  /// Queue the engine entry under the index minimum, or cancel it when no
+  /// flow has an event. At most one engine move.
+  void sync_event();
+  /// The engine entry fired: finish or fail the flow holding the minimum.
+  void fire_event();
+  /// Whether the engine entry is queued under the index minimum.
+  [[nodiscard]] bool event_synced() const;
   void request_recompute();
   void recompute_now();
   /// Fill comp_links_/comp_slots_ (id order); false = nothing to do.
@@ -376,8 +398,11 @@ class Network {
   std::size_t freeze_solo(std::int32_t link, double b, std::uint32_t pass);
   void enter_h(std::int32_t link, std::int32_t after, std::uint32_t pass);
   void push_candidate(std::int32_t link, std::int32_t after);
-  /// Settle the component's changed flows and move their events.
+  /// Settle the component's changed flows and write their new keys into
+  /// the event index; sync_event() then repairs it and moves the entry.
   void rerate_component();
+  /// Debug: the current rates pass check_max_min (see max_min.h).
+  [[nodiscard]] bool rates_max_min_fair() const;
   void settle_flow(std::int32_t slot);
   void attribute_bytes(FlowHot& hot, std::uint64_t bytes);
   void release_links(std::int32_t slot);
@@ -397,7 +422,14 @@ class Network {
   std::deque<std::int32_t> window_;
   FlowId window_base_ = 1;
   std::size_t live_flows_ = 0;
-  std::vector<std::pair<FlowId, std::int32_t>> transferring_;  // (id, slot)
+  /// (id, slot) of the transferring flows in id order; slot -1 marks a
+  /// tombstone left by a departure.
+  std::vector<std::pair<FlowId, std::int32_t>> transferring_;
+  std::size_t transferring_dead_ = 0;  // tombstones in transferring_
+  EventIndex events_;  // each slot's earliest key
+  std::vector<ArmedKeys> armed_keys_;  // by slot; flows with fail_at set
+  sim::Engine::EventRef event_;  // queued under event_key_
+  Key event_key_;
 
   FlowId next_flow_id_ = 1;
   bool recompute_scheduled_ = false;
@@ -425,7 +457,6 @@ class Network {
   std::vector<WfPath> wf_paths_;  // by position
   std::vector<std::uint8_t> wf_frozen_;
   std::vector<std::uint64_t> wf_candidates_;
-  std::vector<Rearm> rearms_;
 
   // Statistics: recomputed verbatim by replay, exported via RunReport.
   std::uint64_t bytes_completed_ = 0;

@@ -116,6 +116,65 @@ void Engine::move_slot(std::uint32_t slot, Tick at) {
   }
 }
 
+void Engine::enqueue_keyed(Tick at, std::uint64_t seq, std::uint32_t slot) {
+  assert(at >= now_);
+  arena_.slot(slot).live_seq = seq;
+  const QueueEntry entry{at, seq, slot};
+  if (at != now_) {
+    heap_push(entry);
+    return;
+  }
+  // Due now. The live bucket entries are in seq order, and every heap
+  // entry due now pops before them, so an entry older than all of them
+  // belongs in the heap. Tombstones (this slot's old entry among them: the
+  // live_seq above retired it) hold no place.
+  const auto live = [this](const QueueEntry& e) {
+    return e.seq == arena_.slot(e.slot).live_seq;
+  };
+  std::size_t front = bucket_head_;
+  while (front < bucket_.size() && !live(bucket_[front])) ++front;
+  if (front == bucket_.size() || seq < bucket_[front].seq) {
+    heap_push(entry);
+    return;
+  }
+  heap_pos_[slot] = kNotInHeap;
+  std::size_t back = bucket_.size();
+  while (!live(bucket_[back - 1])) --back;
+  if (bucket_[back - 1].seq < seq) {
+    bucket_.push_back(entry);
+    return;
+  }
+  // Between two live entries: a key older than a same-tick event queued
+  // after it was issued, re-armed after a sibling key it shared a tick
+  // with was dropped. Rare, so the FIFO takes an insert.
+  std::size_t pos = front + 1;
+  while (!live(bucket_[pos]) || bucket_[pos].seq < seq) ++pos;
+  bucket_.insert(bucket_.begin() + static_cast<std::ptrdiff_t>(pos), entry);
+}
+
+void Engine::move_slot_keyed(std::uint32_t slot, Tick at, std::uint64_t seq) {
+  // A seq names one key, so an entry already queued under it stays put.
+  if (arena_.slot(slot).live_seq == seq) return;
+  const std::uint32_t pos = heap_pos_[slot];
+  if (pos == kNotInHeap || at == now_) {
+    // A bucket entry stays behind as a tombstone; a heap entry due now is
+    // placed afresh, since it may belong in the bucket.
+    if (pos != kNotInHeap) heap_erase(pos);
+    enqueue_keyed(at, seq, slot);
+    return;
+  }
+  arena_.slot(slot).live_seq = seq;
+  QueueEntry entry = heap_[pos];
+  const bool earlier = before(at, seq, entry.at, entry.seq);
+  entry.at = at;
+  entry.seq = seq;
+  if (earlier) {
+    sift_up(pos, entry);
+  } else {
+    sift_down(pos, entry);
+  }
+}
+
 void Engine::cancel_slot(std::uint32_t slot) {
   if (heap_pos_[slot] != kNotInHeap) heap_erase(heap_pos_[slot]);
   // A bucket entry stays queued: the release resets the slot's live_seq,
@@ -131,9 +190,9 @@ Engine::EventRef Engine::schedule_at(Tick at, Callback fn) {
 }
 
 Engine::QueueEntry Engine::pop_next() {
-  // Heap entries at the current tick always precede bucket entries (their
-  // seqs are smaller; see enqueue()), so the bucket drains only when the
-  // heap has nothing due at now().
+  // Heap entries at the current tick always precede live bucket entries
+  // (their seqs are smaller; see enqueue() and enqueue_keyed()), so the
+  // bucket drains only when the heap has nothing due at now().
   if (bucket_next()) {
     QueueEntry entry = bucket_[bucket_head_++];
     if (bucket_head_ == bucket_.size()) {

@@ -2,8 +2,10 @@
 //
 // Single-threaded. Events are ordered by (time, sequence number) so runs
 // with identical inputs replay identically. Events are cancellable and
-// movable, which the flow-level network model relies on: a transfer's
-// completion event is re-keyed whenever bandwidth shares change.
+// movable. An owner of many would-be events can also keep their keys
+// itself and queue only the earliest under its issued key: the flow-level
+// network re-keys its transfers' completions whenever bandwidth shares
+// change, and queues one entry per network.
 //
 // Hot-path layout: event records live in a slab/free-list arena instead of
 // one heap allocation per event. An EventRef addresses an event by (slot
@@ -171,6 +173,31 @@ class Engine {
     rearm_at(ref, now_ + (delay > 0 ? delay : 0), std::forward<F>(fn));
   }
 
+  /// Keyed entries, for an owner that keeps many would-be events' keys
+  /// itself and queues only the earliest. issue_seq() takes the seq the
+  /// next scheduled event would have got; rearm_keyed() then queues `ref`
+  /// under that key, moving its pending event (or scheduling `fn` afresh,
+  /// as rearm_at does), and consumes no seq. So a key fires exactly where
+  /// an event scheduled at `at` when `seq` was issued would have fired.
+  /// Pre: at >= now(); no other queued entry holds `seq`; when at == now(),
+  /// no live same-tick entry issued after `seq` has fired yet — true of
+  /// any key whose event would still be pending. A key due now goes to the
+  /// heap when it is older than every live now-bucket entry, to the
+  /// bucket's back when it is newer than all of them, and in between to
+  /// its seq's place in the bucket. Re-arming under the key the event
+  /// already has changes nothing.
+  [[nodiscard]] std::uint64_t issue_seq() noexcept { return next_seq_++; }
+  template <typename F>
+  void rearm_keyed(EventRef& ref, Tick at, std::uint64_t seq, F&& fn) {
+    if (!is_pending(ref)) {
+      const std::uint32_t slot = allocate(Callback(std::forward<F>(fn)));
+      enqueue_keyed(at, seq, slot);
+      ref = EventRef{slot, arena_.slot(slot).gen};
+      return;
+    }
+    move_slot_keyed(ref.slot, at, seq);
+  }
+
   /// Execute the next pending event. Returns false if the queue is empty.
   bool step();
 
@@ -205,8 +232,9 @@ class Engine {
   /// Insert one allocated slot into the right container. Same-tick events
   /// are FIFO in the bucket; their seqs are necessarily larger than any
   /// heap entry at the same tick (heap entries at tick T were scheduled
-  /// while now() < T), so "bucket only when the heap has nothing at now()"
-  /// preserves the global (at, seq) pop order.
+  /// while now() < T, or are keyed entries older than every live bucket
+  /// entry), so "bucket only when the heap has nothing at now()" preserves
+  /// the global (at, seq) pop order.
   void enqueue(Tick at, std::uint64_t seq, std::uint32_t slot);
 
   /// True when the next entry in (at, seq) order is the bucket's front.
@@ -224,6 +252,10 @@ class Engine {
 
   /// Re-key a live slot's entry to (at, fresh seq). Pre: the slot is live.
   void move_slot(std::uint32_t slot, Tick at);
+  /// Queue an allocated slot under an issued key (see rearm_keyed).
+  void enqueue_keyed(Tick at, std::uint64_t seq, std::uint32_t slot);
+  /// Re-key a live slot's entry to an issued key. Pre: the slot is live.
+  void move_slot_keyed(std::uint32_t slot, Tick at, std::uint64_t seq);
   /// Cancel a live slot: in place for heap entries, tombstone in the bucket.
   void cancel_slot(std::uint32_t slot);
 

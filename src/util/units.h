@@ -7,6 +7,7 @@
 // transfer never finishes early).
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -60,6 +61,14 @@ using Bandwidth = double;
   if (!(x >= 0.0 && x < 0x1p63)) return static_cast<Tick>(std::ceil(x));
   const auto t = static_cast<Tick>(x);
   return static_cast<double>(t) < x ? t + 1 : t;
+}
+
+/// static_cast<std::uint64_t>(std::ceil(x)) for a byte count x in
+/// [0, 2^64), inline and exact for the reason ceil_to_tick is.
+[[nodiscard]] inline std::uint64_t ceil_bytes(double x) noexcept {
+  assert(x >= 0.0 && x < 0x1p64);
+  const auto b = static_cast<std::uint64_t>(x);
+  return static_cast<double>(b) < x ? b + 1 : b;
 }
 
 /// Time to move `bytes` at `rate`, rounded up to a whole tick (min 1 tick

@@ -1065,6 +1065,8 @@ class VineRun {
       auto& rt = workers_rt_[static_cast<std::size_t>(w)];
       if (rt.lib != LibState::kReady) {
         rt.waiting_for_lib.push_back(token);
+        // An install whose environment fetch gave up left no library.
+        if (rt.lib == LibState::kNone) install_library(w);
         return;
       }
     }
@@ -1334,8 +1336,12 @@ class VineRun {
     if (txn_on()) obs_->txn().library_sent(engine_.now(), w);
     const std::uint32_t incarnation = cluster_.worker(w).incarnation;
     auto continue_install = [this, w, incarnation](bool ok) {
-      if (!worker_current(w, incarnation) || !ok) return;
-      library_startup(w, incarnation);
+      if (!worker_current(w, incarnation)) return;
+      if (ok) {
+        library_startup(w, incarnation);
+      } else {
+        library_failed(w);
+      }
     };
     if (env_file_ != data::kInvalidFile) {
       stage_file(env_file_, w, continue_install);
@@ -1369,6 +1375,22 @@ class VineRun {
         library_ready(w, incarnation);
       });
     }
+  }
+
+  /// The environment fetch gave up: the worker has no library, and each
+  /// attempt waiting for it fails through the retry budget. The next
+  /// function call dispatched here installs the library again.
+  void library_failed(WorkerId w) {
+    auto& rt = workers_rt_[static_cast<std::size_t>(w)];
+    rt.lib = LibState::kNone;
+    const std::vector<Token> waiting = std::move(rt.waiting_for_lib);
+    rt.waiting_for_lib.clear();
+    for (const Token& token : waiting) {
+      if (!shell_.token_valid(token)) continue;
+      shell_.fail_attempt(token.task);
+      if (shell_.finished()) return;
+    }
+    shell_.pump();
   }
 
   void library_ready(WorkerId w, std::uint32_t incarnation) {

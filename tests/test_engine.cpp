@@ -201,6 +201,99 @@ TEST(Engine, ExecutedCountsOnlyFiredEvents) {
 }
 
 // ---------------------------------------------------------------------
+// Keyed entries: an issued seq, queued later under its own key.
+// ---------------------------------------------------------------------
+
+TEST(EngineKeyed, DueLaterFiresWhereItsIssuedSeqSorts) {
+  Engine engine;
+  std::vector<char> order;
+  engine.schedule_at(10, [&] { order.push_back('a'); });
+  const std::uint64_t seq = engine.issue_seq();
+  engine.schedule_at(10, [&] { order.push_back('c'); });
+  Engine::EventRef keyed;
+  engine.rearm_keyed(keyed, 10, seq, [&] { order.push_back('b'); });
+  EXPECT_TRUE(engine.is_pending(keyed));
+  EXPECT_EQ(engine.pending(), 3u);
+  engine.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+  EXPECT_EQ(engine.executed(), 3u);
+}
+
+TEST(EngineKeyed, DueNowAndOlderThanTheBucketGoesToTheHeap) {
+  // Heap entries due now pop before the bucket, so a key older than every
+  // live bucket entry fires first.
+  Engine engine;
+  std::vector<char> order;
+  engine.schedule_at(5, [&] {
+    const std::uint64_t seq = engine.issue_seq();
+    engine.schedule_after(0, [&] { order.push_back('b'); });
+    static Engine::EventRef keyed;
+    engine.rearm_keyed(keyed, engine.now(), seq,
+                       [&] { order.push_back('a'); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
+}
+
+TEST(EngineKeyed, DueNowAndNewerThanTheBucketGoesToItsBack) {
+  Engine engine;
+  std::vector<char> order;
+  Engine::EventRef keyed;
+  engine.schedule_at(5, [&] {
+    engine.schedule_after(0, [&] { order.push_back('a'); });
+    const std::uint64_t seq = engine.issue_seq();
+    engine.rearm_keyed(keyed, engine.now(), seq,
+                       [&] { order.push_back('b'); });
+    engine.schedule_after(0, [&] { order.push_back('c'); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+}
+
+TEST(EngineKeyed, DueNowBetweenBucketEntriesTakesItsSeqPlace) {
+  // The flow network reaches this when a key due now is re-armed after the
+  // sibling key it was queued under is dropped: same-tick events older
+  // than the key and newer than it are both still queued.
+  Engine engine;
+  std::vector<char> order;
+  Engine::EventRef keyed;
+  engine.schedule_at(5, [&] {
+    engine.schedule_after(0, [&] { order.push_back('a'); });
+    const std::uint64_t first = engine.issue_seq();
+    const std::uint64_t second = engine.issue_seq();
+    engine.rearm_keyed(keyed, engine.now(), first, [&] {
+      order.push_back('x');  // dropped below: must never fire
+    });
+    engine.schedule_after(0, [&] { order.push_back('c'); });
+    // `first` is dropped; the entry moves to `second`, which sorts after
+    // 'a' and before 'c'.
+    engine.rearm_keyed(keyed, engine.now(), second, [] {});
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'x', 'c'}));
+  EXPECT_EQ(engine.executed(), 4u);
+}
+
+TEST(EngineKeyed, RekeyOutOfTheBucketLeavesATombstone) {
+  Engine engine;
+  int fired = 0;
+  engine.schedule_at(0, [] {});
+  Engine::EventRef keyed;
+  // Back of the bucket, behind the plain event.
+  engine.rearm_keyed(keyed, 0, engine.issue_seq(), [&] { ++fired; });
+  EXPECT_EQ(engine.pending(), 2u);
+  engine.rearm_keyed(keyed, 7, engine.issue_seq(), [] {});
+  EXPECT_EQ(engine.pending(), 3u) << "the bucket entry stays as a tombstone";
+  EXPECT_EQ(engine.run_until(0), 1u);  // the plain event only
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(engine.pending(), 1u) << "tombstones do not outlive the tick";
+  engine.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.now(), 7);
+  EXPECT_EQ(engine.executed(), 2u);
+}
+
+// ---------------------------------------------------------------------
 // Property test: random operation sequences against a naive model.
 // ---------------------------------------------------------------------
 
@@ -210,11 +303,14 @@ TEST(Engine, ExecutedCountsOnlyFiredEvents) {
 class NaiveQueue {
  public:
   void add(int id, util::Tick at) {
-    at = std::max(at, now_);
-    const std::uint64_t seq = next_seq_++;
+    add_keyed(id, std::max(at, now_), issue());
+  }
+  /// A key whose seq was issued earlier; consumes none.
+  void add_keyed(int id, util::Tick at, std::uint64_t seq) {
     queue_.emplace(at, seq, id);
     live_[id] = {at, seq};
   }
+  std::uint64_t issue() { return next_seq_++; }
   void remove(int id) {
     const auto it = live_.find(id);
     if (it == live_.end()) return;
@@ -420,6 +516,124 @@ TEST(EngineProperty, InPlaceMovesLeaveNoTombstones) {
   EXPECT_EQ(engine.run_until(engine.now()), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(EngineProperty, KeyedOwnerFiresEveryKeyInModelOrder) {
+  // An owner in the flow network's pattern: it keeps many keys, issues
+  // fresh seqs for a batch of them at a time (some due now), drops some
+  // without taking a seq, and queues one engine entry under its minimum.
+  // Plain events are scheduled, moved and cancelled around it.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    NaiveQueue model;
+    Engine engine;
+    std::vector<int> fired;
+    std::set<std::tuple<util::Tick, std::uint64_t, int>> keys;  // the owner's
+    Engine::EventRef entry;
+    int next_event = 0;
+    auto sync = [&](auto& self) -> void {
+      if (keys.empty()) {
+        engine.cancel(entry);
+        return;
+      }
+      const auto [at, seq, id] = *keys.begin();
+      engine.rearm_keyed(entry, at, seq, [&fired, &keys, &self] {
+        fired.push_back(std::get<2>(*keys.begin()));
+        keys.erase(keys.begin());
+        self(self);
+      });
+    };
+    std::vector<Engine::EventRef> refs;
+    std::vector<int> ref_event;
+    auto near = [&]() -> util::Tick {
+      return rng.uniform_below(3) == 0
+                 ? engine.now()
+                 : engine.now() + rng.uniform_int(1, 6);
+    };
+    auto step_both = [&] {
+      const bool stepped = engine.step();
+      ASSERT_EQ(stepped, !model.empty());
+      if (!stepped) return;
+      ASSERT_EQ(fired.back(), model.pop());
+      ASSERT_EQ(engine.now(), model.now());
+    };
+    for (int op = 0; op < 4000 && !HasFatalFailure(); ++op) {
+      const std::uint64_t r = rng.uniform_below(100);
+      if (r < 20) {
+        const int event = next_event++;
+        const util::Tick at = near();
+        refs.push_back(engine.schedule_at(
+            at, [&fired, event] { fired.push_back(event); }));
+        ref_event.push_back(event);
+        model.add(event, at);
+      } else if (r < 35 && !refs.empty()) {
+        const auto i = rng.uniform_below(refs.size());
+        if (model.live(ref_event[i])) {
+          const util::Tick at = near();
+          engine.rearm_at(refs[i], at, [] {});
+          model.move(ref_event[i], at);
+        }
+      } else if (r < 40 && !refs.empty()) {
+        const auto i = rng.uniform_below(refs.size());
+        engine.cancel(refs[i]);
+        model.remove(ref_event[i]);
+      } else if (r < 60) {
+        // A re-rate: re-key up to three of the owner's keys and add one,
+        // each under a fresh seq, then one entry move.
+        for (std::uint64_t k = rng.uniform_below(4); k > 0 && !keys.empty();
+             --k) {
+          auto it = keys.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(
+                               rng.uniform_below(keys.size())));
+          const int id = std::get<2>(*it);
+          keys.erase(it);
+          model.remove(id);
+          const util::Tick at = near();
+          const std::uint64_t seq = engine.issue_seq();
+          ASSERT_EQ(seq, model.issue());
+          keys.emplace(at, seq, id);
+          model.add_keyed(id, at, seq);
+        }
+        const int id = next_event++;
+        const util::Tick at = near();
+        const std::uint64_t seq = engine.issue_seq();
+        ASSERT_EQ(seq, model.issue());
+        keys.emplace(at, seq, id);
+        model.add_keyed(id, at, seq);
+        sync(sync);
+      } else if (r < 70 && !keys.empty()) {
+        // Drop a key, the minimum more often than not; no seq is taken.
+        auto it = keys.begin();
+        if (rng.uniform_below(2) == 0) {
+          std::advance(it, static_cast<std::ptrdiff_t>(
+                               rng.uniform_below(keys.size())));
+        }
+        model.remove(std::get<2>(*it));
+        keys.erase(it);
+        sync(sync);
+      } else if (r < 75) {
+        const util::Tick deadline = engine.now() + rng.uniform_int(0, 3);
+        const std::size_t base = fired.size();
+        engine.run_until(deadline);
+        std::vector<int> expected;
+        while (!model.empty() && model.next_at() <= deadline) {
+          expected.push_back(model.pop());
+        }
+        model.advance_to(deadline);
+        ASSERT_EQ(std::vector<int>(fired.begin() +
+                                       static_cast<std::ptrdiff_t>(base),
+                                   fired.end()),
+                  expected);
+      } else {
+        step_both();
+      }
+    }
+    while (!model.empty() && !HasFatalFailure()) step_both();
+    EXPECT_FALSE(engine.step());
+    EXPECT_TRUE(keys.empty());
+    EXPECT_EQ(engine.executed(), fired.size());
+  }
 }
 
 }  // namespace

@@ -714,5 +714,40 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, FaultRetry,
                          ::testing::Values("taskvine", "work-queue",
                                            "dask.distributed"));
 
+// --- a library install that gives up ----------------------------------------
+
+class LibraryGiveup : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LibraryGiveup, RunEndsWithTheSerialResultOrTheRetryLimit) {
+  // Every killed fetch gives up at once, the library's environment fetch
+  // included. The attempts waiting for that library must fail through the
+  // retry budget, and the next function call on the worker installs the
+  // library again; before that, the library stayed "installing" for good
+  // and the run sat out max_sim_time.
+  const dag::TaskGraph graph = apps::build_workload(tiny_dv3(), 3);
+  exec::RunOptions options = txn_options(3);
+  options.mode = exec::ExecMode::kFunctionCalls;
+  options.faults.stochastic.transfer_kill_prob = 0.4;
+  options.fault_retry.max_transfer_retries = 1;
+  options.faults.seed = GetParam();
+  cluster::Cluster cluster(tiny_cluster(4));
+  const auto report =
+      vine::VineScheduler(vine::taskvine_policy(), vine::VineTunables{})
+          .run(graph, cluster, options);
+  EXPECT_LT(report.makespan, options.max_sim_time);
+  if (report.success) {
+    EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  } else {
+    EXPECT_NE(report.failure_reason.find(
+                  " exceeded " + std::to_string(options.max_task_retries) +
+                  " attempts"),
+              std::string::npos)
+        << report.failure_reason;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultSeeds, LibraryGiveup,
+                         ::testing::Range<std::uint64_t>(1, 7));
+
 }  // namespace
 }  // namespace hepvine

@@ -41,6 +41,25 @@ TEST(Histogram, WeightsQuantizedTo1024ths) {
                    std::round(h.bin_content(1) * 1024.0));
 }
 
+TEST(Histogram, UnitFillIsWeightOneFill) {
+  // fill(x) skips the quantizing round of fill(x, w): 1.0 is a multiple of
+  // 1/1024, so both must leave bit-identical histograms, edges included.
+  Histogram1D unit(16, -2.0, 6.0);
+  Histogram1D weighted(16, -2.0, 6.0);
+  sim::Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    const double x = rng.uniform(-3.0, 7.0);
+    unit.fill(x);
+    weighted.fill(x, 1.0);
+  }
+  for (const double x : {-2.0, 6.0, 5.999999999999999, -2.0000000000000004}) {
+    unit.fill(x);
+    weighted.fill(x, 1.0);
+  }
+  EXPECT_EQ(unit, weighted);
+  EXPECT_EQ(unit.entries(), 5004u);
+}
+
 TEST(Histogram, MergeAddsBinwise) {
   Histogram1D a(4, 0.0, 4.0);
   Histogram1D b(4, 0.0, 4.0);

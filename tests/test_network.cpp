@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "net/max_min.h"
 #include "sim/engine.h"
 
 namespace hepvine::net {
@@ -302,6 +305,69 @@ TEST_F(NetFixture, ArmedFaultFiresAtExactByteOffset) {
   EXPECT_EQ(net.flows_failed(), 1u);
 }
 
+TEST_F(NetFixture, FlowCompletionTiesKeepTheirEngineOrder) {
+  // A's completion lands on tick 1500 only once B's arrival re-rates it at
+  // tick 500. Events scheduled for that tick before the re-rate fire
+  // before it, events scheduled after fire after it, and same-tick events
+  // queued while the tick runs follow in schedule order. The order below
+  // is the one recorded when each flow completion was its own engine
+  // event.
+  const LinkId a = net.add_link("a", 1e9);
+  std::vector<std::string> order;
+  auto mark = [&](const char* what) {
+    return [&order, what] { order.emplace_back(what); };
+  };
+  engine.schedule_at(1500, [&] {
+    order.emplace_back("X");
+    engine.schedule_after(0, mark("Z"));
+  });
+  Tick a_done = -1;
+  net.start_flow({a}, 1'000'000, 0, [&](FlowId) {
+    a_done = engine.now();
+    order.emplace_back("A");
+    engine.schedule_after(0, mark("V"));
+  });
+  engine.schedule_at(400, [&] { engine.schedule_at(1500, mark("W")); });
+  engine.schedule_at(500, [&] {
+    net.start_flow({a}, 1'000'000'000, 0, [](FlowId) {});
+  });
+  engine.schedule_at(600, [&] { engine.schedule_at(1500, mark("Y")); });
+  engine.run();
+  EXPECT_EQ(a_done, 1500);
+  EXPECT_EQ(order, (std::vector<std::string>{"X", "W", "A", "Y", "Z", "V"}));
+}
+
+TEST_F(NetFixture, DroppedDueNowKeyRequeuesBetweenSameTickEvents) {
+  // Two armed faults fall due at once (their bytes have crossed), so one
+  // re-rate keys both failures at tick 1000 behind the events W and W2
+  // already queued for that tick. W queues Q and then cancels F1, whose
+  // key the network had queued; F2's key then sorts after W2 but before
+  // Q. The order is the one recorded when each failure was its own engine
+  // event.
+  const LinkId a = net.add_link("a", 1e9);
+  std::vector<std::string> order;
+  const FlowId f1 = net.start_flow({a}, 1'000'000'000, 0, [](FlowId) {});
+  const FlowId f2 = net.start_flow({a}, 1'000'000'000, 0, [](FlowId) {});
+  net.set_fail_listener([&](FlowId id) {
+    order.push_back(id == f2 ? "F2 failed" : "F1 failed");
+  });
+  engine.schedule_at(1000, [&] {
+    net.arm_flow_fault(f1, 1);
+    net.arm_flow_fault(f2, 1);
+    engine.schedule_after(0, [&] {
+      order.emplace_back("W");
+      engine.schedule_after(0, [&] { order.emplace_back("Q"); });
+      net.cancel_flow(f1);
+    });
+    engine.schedule_after(0, [&] { order.emplace_back("W2"); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"W", "W2", "F2 failed", "Q"}));
+  EXPECT_EQ(net.flows_failed(), 1u);
+  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_EQ(net.pending_flow_events(), 0u);
+}
+
 TEST_F(NetFixture, LinkOutageStallsFlowUntilRestored) {
   const LinkId a = net.add_link("a", 1e9);
   Tick done = -1;
@@ -392,6 +458,59 @@ TEST_F(NetFixture, PathLongerThanInlineCapacityIsRejected) {
 
 /// One run of flows over 1-, 2- and 3-link paths that share links: each
 /// flow's completion tick, every link's bytes, and the events fired.
+// ---------------------------------------------------------------------
+// The max-min certificate (max_min.h), on hand-made allocations.
+// ---------------------------------------------------------------------
+
+TEST(MaxMinCertificate, AcceptsTheWaterFill) {
+  // L0 (10) carries a and b, L1 (30) carries b, c and d, L2 (100) d.
+  // Pass one freezes a and b at L0's share 5; pass two c and d at 12.5.
+  const std::vector<double> capacity{10, 30, 100};
+  const std::vector<std::vector<std::int32_t>> paths{{0}, {0, 1}, {1}, {1, 2}};
+  EXPECT_EQ(
+      check_max_min(capacity, paths, std::vector<double>{5, 5, 12.5, 12.5}),
+      "");
+  // Ulp-level drift between flows frozen a pass apart on one bottleneck
+  // stays inside the 2^-20 margin.
+  EXPECT_EQ(check_max_min(capacity, paths,
+                          std::vector<double>{5, 5, 12.5, 12.500000000000002}),
+            "");
+}
+
+TEST(MaxMinCertificate, RejectsAFlowFrozenAPassLate) {
+  // a froze in pass two, at pass two's share: L0 carries 17.5 of 10.
+  const std::vector<double> capacity{10, 30, 100};
+  const std::vector<std::vector<std::int32_t>> paths{{0}, {0, 1}, {1}, {1, 2}};
+  const std::string violation = check_max_min(
+      capacity, paths, std::vector<double>{12.5, 5, 12.5, 12.5});
+  EXPECT_NE(violation.find("link 0"), std::string::npos) << violation;
+}
+
+TEST(MaxMinCertificate, RejectsAFlowWithoutABottleneck) {
+  const std::vector<double> capacity{10, 30, 100};
+  const std::vector<std::vector<std::int32_t>> paths{{0}, {0, 1}, {1}, {1, 2}};
+  // a below its share leaves L0 slack: a crosses no saturated link.
+  EXPECT_NE(check_max_min(capacity, paths,
+                          std::vector<double>{4, 5, 12.5, 12.5})
+                .find("flow 0"),
+            std::string::npos);
+  // a at 2 with b at 8 fills L0, but b out-rates a on a's only link.
+  EXPECT_NE(check_max_min(capacity, paths,
+                          std::vector<double>{2, 8, 11, 11})
+                .find("flow 0"),
+            std::string::npos);
+}
+
+TEST(MaxMinCertificate, OutagesAndUnboundedLinks) {
+  // A link at scale 0 saturates at zero load; an infinite link, or one
+  // whose capacity is inf * 0, never saturates and never overfills.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> capacity{0, inf, inf * 0, 8};
+  const std::vector<std::vector<std::int32_t>> paths{{0, 1}, {2, 3}, {3}};
+  EXPECT_EQ(check_max_min(capacity, paths, std::vector<double>{0, 4, 4}), "");
+  EXPECT_NE(check_max_min(capacity, paths, std::vector<double>{0, 4, 3}), "");
+}
+
 struct PathRun {
   std::vector<Tick> finished;
   std::vector<std::uint64_t> link_bytes;

@@ -36,7 +36,7 @@ const RuleInfo kRules[kRuleCount] = {
      "inputs do not drift with rounding order"},
     {Rule::kHandleGeneration, "VL008", "handle-generation",
      "engine.cancel() the stored EventRef (or check engine.is_pending()) "
-     "before re-arming it, or hand it to engine.rearm_at/after which "
+     "before re-arming it, or hand it to engine.rearm_at/after/keyed which "
      "re-keys it in place; only the engine checks a ref's generation, so "
      "reading .slot/.gen outside src/sim can touch a recycled slot"},
     {Rule::kFlatAliasing, "VL009", "flat-container-aliasing",
@@ -1449,7 +1449,7 @@ void rule_handle_generation(const FileCtx& ctx, const SymbolIndex& idx) {
   if (scalars.empty() && containers.empty()) return;
 
   auto is_rearm = [](const std::string& x) {
-    return x == "rearm_at" || x == "rearm_after";
+    return x == "rearm_at" || x == "rearm_after" || x == "rearm_keyed";
   };
 
   auto stmt_arms_without_handoff = [&](std::size_t from) {
@@ -1465,8 +1465,8 @@ void rule_handle_generation(const FileCtx& ctx, const SymbolIndex& idx) {
   };
 
   // True when the ref at q is the first argument of engine.cancel(),
-  // engine.is_pending() or engine.rearm_at/after(): the calls that check
-  // its generation.
+  // engine.is_pending() or engine.rearm_at/after/keyed(): the calls that
+  // check its generation.
   auto engine_checked = [&](std::size_t q) {
     int depth = 0;
     for (std::size_t b = q; b-- > 0;) {
