@@ -140,7 +140,8 @@ bool RunShell::token_valid(const AttemptToken& token) const {
   const auto& st = table_.at(token.task);
   return st.attempts == token.attempt &&
          (st.state == TaskState::kDispatched ||
-          st.state == TaskState::kRunning);
+          st.state == TaskState::kRunning) &&
+         attempts_[static_cast<std::size_t>(token.task)] != nullptr;
 }
 
 void RunShell::attempt_erase(TaskId t) {
@@ -193,12 +194,12 @@ void RunShell::fail_attempt(TaskId t) {
   if (st.state != TaskState::kDispatched && st.state != TaskState::kRunning) {
     return;
   }
+  // The attempt that spent the retry budget is erased before fail_run,
+  // which leaves `t` dispatched; that retires its token, so a later
+  // failure of it in the same event retrieves nothing.
+  if (!attempts_[static_cast<std::size_t>(t)]) return;
   const std::int32_t worker = st.worker;
   if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-  // The attempt that spent the retry budget failed the run and left `t`
-  // dispatched, so its token stays valid until the loop stops; a second
-  // failure of it in the same event writes only its line.
-  if (!attempts_[static_cast<std::size_t>(t)]) return;
   hooks_.release_attempt(t);
   record_attempt_span(t, worker, /*failed=*/true);
   attempt_erase(t);

@@ -7,12 +7,9 @@ namespace {
 /// The materializing sink: every column, appended in generation order.
 class ChunkBuilder {
  public:
-  static constexpr CollectionReads kAllColumns{true, true, true, true, true};
-  static constexpr EventReads kReads{true, kAllColumns, kAllColumns};
-
   explicit ChunkBuilder(EventChunk& chunk) : chunk_(chunk) {}
 
-  void met(const LazyPt& pt) { chunk_.met_pt.push_back(pt.value()); }
+  void met(const Particle& m) { chunk_.met_pt.push_back(m.pt()); }
   void jet(const Particle& p) { push(chunk_.jets, p); }
   void photon(const Particle& p) { push(chunk_.photons, p); }
   void end_event() {
@@ -24,11 +21,11 @@ class ChunkBuilder {
 
  private:
   static void push(ParticleColumns& cols, const Particle& p) {
-    cols.pt.push_back(p.pt.value());
-    cols.eta.push_back(p.eta);
-    cols.phi.push_back(p.phi);
-    cols.mass.push_back(p.mass);
-    cols.quality.push_back(p.quality);
+    cols.pt.push_back(p.pt());
+    cols.eta.push_back(p.eta());
+    cols.phi.push_back(p.phi());
+    cols.mass.push_back(p.mass());
+    cols.quality.push_back(p.quality());
   }
 
   EventChunk& chunk_;

@@ -1,21 +1,24 @@
 // Synthetic NanoEvents-style columnar event data.
 //
 // The paper's datasets are CMS ROOT files we cannot ship; instead every
-// chunk's content is generated deterministically from its seed (derived
-// from dataset name + file + chunk indices), so any re-execution — on any
-// worker, after any failure — reproduces identical physics. Layout is
-// columnar (structure-of-arrays), mirroring how uproot presents ROOT
-// branches to Coffea.
+// chunk's content is a pure function of its seed (derived from dataset
+// name + file + chunk indices), so any re-execution — on any worker, after
+// any failure — reproduces identical physics. Layout is columnar
+// (structure-of-arrays), mirroring how uproot presents ROOT branches to
+// Coffea.
 //
-// One generator, generate_events, owns the draw sequence and streams
-// particles to a sink. The sink declares at compile time which columns it
-// reads, and only those columns' transforms run — the way NanoEvents reads
-// only the branches a processor touches. generate_chunk is the sink that
-// reads every column and materializes the chunk.
+// Content is random-access, in the style of counter-based generators
+// (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"): every raw
+// draw is draw(key, event, slot), a pure function of the chunk's key, the
+// event index and a slot of the fixed per-event layout in `slots`. Nothing
+// is drawn in sequence, so a draw nobody reads costs nothing.
+// generate_events hands a sink lazy handles — the way NanoEvents reads
+// only the branches a processor touches, a column's transform runs only
+// when the sink asks for that column. generate_chunk asks for every column
+// and materializes the chunk.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "dag/value.h"
@@ -52,170 +55,194 @@ struct EventChunk {
   ParticleColumns photons;
 };
 
-/// Which columns of one particle collection a sink reads.
-struct CollectionReads {
-  bool pt = false;
-  bool eta = false;
-  bool phi = false;
-  bool mass = false;
-  bool quality = false;
+/// The per-event slot layout. A particle owns kParticle consecutive slots,
+/// one per Column; each block starts where the one above it ends.
+///
+///   slot  0       MET
+///   slot  1       njets
+///   slots 2-31    background jets, 5 per jet
+///   slot  32      Higgs Bernoulli; 33-34 its mass; 35-44 its two jets
+///   slot  45      tri-photon Bernoulli; 46-47 its mass, or 46 nphotons;
+///                 48-62 its three photons, or the prompt photons
+namespace slots {
+inline constexpr std::uint32_t kStride = 64;
+inline constexpr std::uint32_t kParticle = 5;
+inline constexpr std::uint32_t kMet = 0;
+inline constexpr std::uint32_t kNJets = 1;
+inline constexpr std::uint32_t kJets = 2;
+inline constexpr std::uint32_t kHiggs = kJets + 6 * kParticle;
+inline constexpr std::uint32_t kPhotons = kHiggs + 3 + 2 * kParticle;
+static_assert(kPhotons + 3 + 3 * kParticle <= kStride,
+              "the layout outgrew its stride");
+}  // namespace slots
 
-  [[nodiscard]] constexpr bool any() const noexcept {
-    return pt || eta || phi || mass || quality;
-  }
-};
-
-/// Which columns of an EventChunk a sink reads.
-struct EventReads {
-  bool met_pt = false;
-  CollectionReads jets;
-  CollectionReads photons;
-};
-
-/// A transverse momentum whose log() has not run yet: floor + Exp(slope)
-/// from the raw uniform draw `u`, truncated to float for platform-stable
-/// content. value() is bit-identical to the materialized column.
-struct LazyPt {
-  double u = 0.0;
-  double floor_gev = 0.0;
-  double slope_gev = 0.0;
-
-  [[nodiscard]] float value() const noexcept {
-    return static_cast<float>(floor_gev +
-                              sim::Rng::exponential_from(u, slope_gev));
-  }
-};
-
-/// One generated particle as a sink receives it. Columns the sink does
-/// not read are left at zero, and so is a signal particle's pT floor when
-/// the sink does not read pt.
-struct Particle {
-  LazyPt pt;
-  float eta = 0.0f;
-  float phi = 0.0f;
-  float mass = 0.0f;
-  float quality = 0.0f;
-};
-
-namespace detail {
-inline float uniform_column(bool read, double u, double lo, double hi) {
-  return read ? static_cast<float>(sim::Rng::uniform_from(u, lo, hi)) : 0.0f;
+/// The first input of every draw of the chunk generated from `seed`.
+[[nodiscard]] constexpr std::uint64_t chunk_key(std::uint64_t seed) noexcept {
+  return util::mix64(seed ^ 0x6576656e7473ULL);
 }
-}  // namespace detail
 
-/// Deterministically generate `events` collision events from `seed` and
-/// stream them to `sink`. Kinematics are simplified but structured: jets
-/// follow falling pT spectra; a fraction of events carry a Higgs-like
-/// dijet resonance at ~125 GeV; a rarer fraction carry a tri-photon
-/// cascade resonance.
+/// Raw draw `slot` of event `event`: output event * kStride + slot of the
+/// splitmix64 stream keyed by `key`.
+[[nodiscard]] constexpr std::uint64_t draw(std::uint64_t key,
+                                           std::uint64_t event,
+                                           std::uint32_t slot) noexcept {
+  return util::mix64(key + (event * slots::kStride + slot) *
+                               0x9e3779b97f4a7c15ULL);
+}
+
+/// A raw draw as a uniform double in [0, 1), the way sim::Rng maps its own.
+[[nodiscard]] constexpr double unit(std::uint64_t x) noexcept {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/// A raw draw as a uniform integer in [0, n), by the rejection-free
+/// multiply-shift of sim::Rng::uniform_below.
+[[nodiscard]] constexpr std::uint64_t below(std::uint64_t x,
+                                            std::uint64_t n) noexcept {
+  return static_cast<std::uint64_t>((static_cast<unsigned __int128>(x) * n) >>
+                                    64);
+}
+
+/// The columns of a particle, in the order of its slots.
+enum class Column : std::uint8_t { kPt, kEta, kPhi, kMass, kQuality };
+
+/// What one kind of particle looks like. pT is floor + Exp(pt_slope); eta
+/// is uniform in ±eta_max, phi in [0, 2π), quality in [quality_lo, 1) and
+/// mass in [mass_lo, mass_hi). A resonance's daughters replace the floor
+/// with their share of its Normal(mean, sigma) mass, drawn once per event;
+/// with share_is_mass they carry that share as their mass too.
+struct Species {
+  double pt_floor = 0.0;
+  double pt_slope = 0.0;
+  double eta_max = 0.0;
+  double quality_lo = 0.0;
+  double mass_lo = 0.0;
+  double mass_hi = 0.0;
+  double resonance_mean = 0.0;
+  double resonance_sigma = 0.0;
+  double daughters = 0.0;  // 0: not a resonance daughter
+  bool share_is_mass = false;
+};
+
+namespace species {
+// MET: a particle with only a pT.
+inline constexpr Species kMet{.pt_slope = 35.0};
+inline constexpr Species kQcdJet{.pt_floor = 20.0, .pt_slope = 45.0,
+                                 .eta_max = 2.5, .mass_lo = 5.0,
+                                 .mass_hi = 30.0};
+// ~3% of events: H->bb, two b-tagged jets near 125 GeV.
+inline constexpr Species kHiggsJet{.pt_slope = 20.0, .eta_max = 2.0,
+                                   .quality_lo = 0.85,
+                                   .resonance_mean = 125.0,
+                                   .resonance_sigma = 8.0, .daughters = 2.0,
+                                   .share_is_mass = true};
+// ~0.5% of events: the RS-TriPhoton cascade X -> gamma Y, Y -> gamma gamma,
+// three energetic isolated photons near 800 GeV.
+inline constexpr Species kCascadePhoton{.pt_slope = 15.0, .eta_max = 1.4,
+                                        .quality_lo = 0.9,
+                                        .resonance_mean = 800.0,
+                                        .resonance_sigma = 25.0,
+                                        .daughters = 3.0};
+inline constexpr Species kPromptPhoton{.pt_floor = 15.0, .pt_slope = 25.0,
+                                       .eta_max = 2.5};
+}  // namespace species
+
+/// One generated particle as a sink receives it: the particle of `species`
+/// whose slots start at `first_slot` of `event`, with a resonance
+/// daughter's two resonance draws at `resonance_slot`. Each column
+/// accessor runs that column's transform on its own draw, so a column the
+/// sink never asks for costs nothing. Values are truncated to float for
+/// platform-stable content and equal the materialized columns.
+struct Particle {
+  const Species* species = nullptr;
+  std::uint64_t key = 0;
+  std::uint64_t event = 0;
+  std::uint32_t first_slot = 0;
+  std::uint32_t resonance_slot = 0;
+  /// The columns asked for so far, one bit() per Column.
+  mutable std::uint8_t asked = 0;
+
+  [[nodiscard]] float pt() const noexcept {
+    return static_cast<float>(
+        floor() + sim::Rng::exponential_from(u(Column::kPt),
+                                             species->pt_slope));
+  }
+  [[nodiscard]] float eta() const noexcept {
+    return uniform(Column::kEta, -species->eta_max, species->eta_max);
+  }
+  [[nodiscard]] float phi() const noexcept {
+    return uniform(Column::kPhi, 0.0, 6.283185307179586);
+  }
+  [[nodiscard]] float mass() const noexcept {
+    asked |= bit(Column::kMass);
+    if (species->share_is_mass) return static_cast<float>(floor());
+    return uniform(Column::kMass, species->mass_lo, species->mass_hi);
+  }
+  [[nodiscard]] float quality() const noexcept {
+    return uniform(Column::kQuality, species->quality_lo, 1.0);
+  }
+  [[nodiscard]] static constexpr std::uint8_t bit(Column c) noexcept {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(c));
+  }
+
+ private:
+  [[nodiscard]] double u(Column c) const noexcept {
+    asked |= bit(c);
+    return unit(draw(key, event, first_slot + static_cast<std::uint32_t>(c)));
+  }
+  [[nodiscard]] float uniform(Column c, double lo, double hi) const noexcept {
+    return static_cast<float>(sim::Rng::uniform_from(u(c), lo, hi));
+  }
+  /// The pT floor: fixed, or this daughter's share of the resonance mass.
+  [[nodiscard]] double floor() const noexcept {
+    if (species->daughters == 0.0) return species->pt_floor;
+    return sim::Rng::normal_from(unit(draw(key, event, resonance_slot)),
+                                 unit(draw(key, event, resonance_slot + 1)),
+                                 species->resonance_mean,
+                                 species->resonance_sigma) /
+           species->daughters;
+  }
+};
+
+/// Generate `events` collision events of the chunk `seed` and hand them to
+/// `sink`. Kinematics are simplified but structured: jets follow falling
+/// pT spectra; a fraction of events carry a Higgs-like dijet resonance at
+/// ~125 GeV; a rarer fraction carry a tri-photon cascade resonance.
 ///
-/// Draw-order contract: every raw draw below is taken unconditionally, in
-/// its own statement, in the order written, whatever the sink reads — so
-/// the stream position after each event, and with it all later content,
-/// never depends on the sink. Per particle the order is quality, mass
-/// (when drawn), phi, eta, pt.
-///
-/// `Sink` provides `static constexpr EventReads kReads` and
-/// `end_event()`, called after each event's particles; plus
-/// `met(const LazyPt&)` if it reads met_pt, `jet(const Particle&)` if it
-/// reads any jet column, and `photon(const Particle&)` if it reads any
-/// photon column. Per event, met comes first, then jets, then photons.
+/// `Sink` provides `end_event()`, called after each event, and any of
+/// `met(const Particle&)` (only its pt() is defined), `jet(const
+/// Particle&)` and `photon(const Particle&)`; only the ones it defines are
+/// called. Per event, met comes first, then
+/// jets, then photons.
 template <typename Sink>
 void generate_events(std::uint64_t seed, std::size_t events, Sink& sink) {
-  constexpr EventReads kReads = Sink::kReads;
-  constexpr CollectionReads kJet = kReads.jets;
-  constexpr CollectionReads kPhoton = kReads.photons;
-  constexpr double kTwoPi = 6.283185307179586;
-  using detail::uniform_column;
-  using sim::Rng;
-
-  Rng rng(seed);
-  for (std::size_t e = 0; e < events; ++e) {
-    const double u_met = rng.uniform();
-    if constexpr (kReads.met_pt) sink.met(LazyPt{u_met, 0.0, 35.0});
-
-    // QCD background jets.
-    const std::int64_t njets = rng.uniform_int(2, 6);
-    for (std::int64_t j = 0; j < njets; ++j) {
-      const double u_quality = rng.uniform();
-      const double u_mass = rng.uniform();
-      const double u_phi = rng.uniform();
-      const double u_eta = rng.uniform();
-      const double u_pt = rng.uniform();
-      if constexpr (kJet.any()) {
-        sink.jet(Particle{LazyPt{u_pt, 20.0, 45.0},
-                          uniform_column(kJet.eta, u_eta, -2.5, 2.5),
-                          uniform_column(kJet.phi, u_phi, 0.0, kTwoPi),
-                          uniform_column(kJet.mass, u_mass, 5.0, 30.0),
-                          uniform_column(kJet.quality, u_quality, 0.0, 1.0)});
-      }
+  using namespace slots;
+  const std::uint64_t key = chunk_key(seed);
+  for (std::uint64_t e = 0; e < events; ++e) {
+    if constexpr (requires(const Particle& p) { sink.met(p); }) {
+      sink.met(Particle{&species::kMet, key, e, kMet});
     }
-
-    // ~3% of events carry a Higgs-like H->bb dijet: two b-tagged jets whose
-    // pair mass reconstructs near 125 GeV.
-    if (rng.bernoulli(0.03)) {
-      const double u_mh1 = rng.uniform();
-      const double u_mh2 = rng.uniform();
-      const double u_pt1 = rng.uniform();
-      const double u_pt2 = rng.uniform();
-      double half = 0.0;
-      if constexpr (kJet.pt || kJet.mass) {
-        half = Rng::normal_from(u_mh1, u_mh2, 125.0, 8.0) / 2.0;
+    if constexpr (requires(const Particle& p) { sink.jet(p); }) {
+      const std::uint64_t njets = 2 + below(draw(key, e, kNJets), 5);
+      for (std::uint32_t j = 0; j < njets; ++j) {
+        sink.jet(Particle{&species::kQcdJet, key, e, kJets + j * kParticle});
       }
-      for (const double u_pt : {u_pt1, u_pt2}) {
-        const double u_quality = rng.uniform();
-        const double u_phi = rng.uniform();
-        const double u_eta = rng.uniform();
-        if constexpr (kJet.any()) {
-          sink.jet(Particle{LazyPt{u_pt, half, 20.0},
-                            uniform_column(kJet.eta, u_eta, -2.0, 2.0),
-                            uniform_column(kJet.phi, u_phi, 0.0, kTwoPi),
-                            kJet.mass ? static_cast<float>(half) : 0.0f,
-                            uniform_column(kJet.quality, u_quality, 0.85,
-                                           1.0)});
+      if (unit(draw(key, e, kHiggs)) < 0.03) {
+        for (std::uint32_t j = 0; j < 2; ++j) {
+          sink.jet(Particle{&species::kHiggsJet, key, e,
+                            kHiggs + 3 + j * kParticle, kHiggs + 1});
         }
       }
     }
-
-    // Prompt photons: usually zero or one; 0.5% of events carry the
-    // RS-TriPhoton cascade (X -> gamma + Y, Y -> gamma gamma): three
-    // energetic isolated photons with a combined mass near 800 GeV.
-    if (rng.bernoulli(0.005)) {
-      const double u_mx1 = rng.uniform();
-      const double u_mx2 = rng.uniform();
-      double third = 0.0;
-      if constexpr (kPhoton.pt) {
-        third = Rng::normal_from(u_mx1, u_mx2, 800.0, 25.0) / 3.0;
-      }
-      for (int g = 0; g < 3; ++g) {
-        const double u_quality = rng.uniform();
-        const double u_phi = rng.uniform();
-        const double u_eta = rng.uniform();
-        const double u_pt = rng.uniform();
-        if constexpr (kPhoton.any()) {
-          sink.photon(Particle{LazyPt{u_pt, third, 15.0},
-                               uniform_column(kPhoton.eta, u_eta, -1.4, 1.4),
-                               uniform_column(kPhoton.phi, u_phi, 0.0, kTwoPi),
-                               0.0f,
-                               uniform_column(kPhoton.quality, u_quality, 0.9,
-                                              1.0)});
-        }
-      }
-    } else {
-      const std::int64_t nphotons = rng.uniform_int(0, 2);
-      for (std::int64_t g = 0; g < nphotons; ++g) {
-        const double u_quality = rng.uniform();
-        const double u_phi = rng.uniform();
-        const double u_eta = rng.uniform();
-        const double u_pt = rng.uniform();
-        if constexpr (kPhoton.any()) {
-          sink.photon(Particle{LazyPt{u_pt, 15.0, 25.0},
-                               uniform_column(kPhoton.eta, u_eta, -2.5, 2.5),
-                               uniform_column(kPhoton.phi, u_phi, 0.0, kTwoPi),
-                               0.0f,
-                               uniform_column(kPhoton.quality, u_quality, 0.0,
-                                              1.0)});
-        }
+    if constexpr (requires(const Particle& p) { sink.photon(p); }) {
+      // Usually zero to two prompt photons; sometimes the cascade.
+      const bool cascade = unit(draw(key, e, kPhotons)) < 0.005;
+      const std::uint64_t nphotons =
+          cascade ? 3 : below(draw(key, e, kPhotons + 1), 3);
+      for (std::uint32_t g = 0; g < nphotons; ++g) {
+        sink.photon(Particle{
+            cascade ? &species::kCascadePhoton : &species::kPromptPhoton, key,
+            e, kPhotons + 3 + g * kParticle, kPhotons + 1});
       }
     }
     sink.end_event();
@@ -223,7 +250,7 @@ void generate_events(std::uint64_t seed, std::size_t events, Sink& sink) {
 }
 
 /// Materialize `events` events from `seed`: generate_events with a sink
-/// that reads every column.
+/// that asks for every column.
 [[nodiscard]] EventChunk generate_chunk(std::uint64_t seed,
                                         std::size_t events);
 

@@ -20,7 +20,7 @@ void Histogram1D::fill(double x, double weight) {
   // floating point (up to ~2^42 entries), which makes histogram merging
   // exactly associative and commutative. Tests exploit this to assert
   // bit-identical results under any reduction tree shape.
-  add(x, std::round(weight * 1024.0) / 1024.0);
+  add(x, std::round(weight * 1024.0) / 1024.0, 1);
 }
 
 void Histogram1D::merge(const Histogram1D& other) {

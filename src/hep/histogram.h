@@ -25,7 +25,12 @@ class Histogram1D {
 
   /// Fill with unit weight: exactly what fill(x, 1.0) adds, since 1.0 is
   /// already a multiple of 1/1024, without the rounding call.
-  void fill(double x) { add(x, 1.0); }
+  void fill(double x) { add(x, 1.0, 1); }
+  /// `n` unit fills at once: bit-identical to n fill(x) calls, since unit
+  /// counts are exact integers below 2^53 in any order.
+  void fill_n(double x, std::uint64_t n) {
+    add(x, static_cast<double>(n), n);
+  }
   /// Fill with a weight. Weights are quantized to multiples of 1/1024 so
   /// that accumulation is exactly associative/commutative (see .cpp).
   void fill(double x, double weight);
@@ -55,10 +60,11 @@ class Histogram1D {
   friend bool operator==(const Histogram1D&, const Histogram1D&) = default;
 
  private:
-  /// Add an already quantized weight to x's bin. Sums of multiples of
-  /// 1/1024 are exact, so they do not depend on the order of the fills.
-  void add(double x, double weight) {
-    ++entries_;
+  /// Add an already quantized weight of `entries` fills to x's bin. Sums
+  /// of multiples of 1/1024 are exact, so they do not depend on the order
+  /// of the fills.
+  void add(double x, double weight, std::uint64_t entries) {
+    entries_ += entries;
     if (x < lo_) {
       // vine-lint: suppress(float-accum) — exact sum of 1/1024 multiples
       underflow_ += weight;

@@ -60,6 +60,31 @@ TEST(Histogram, UnitFillIsWeightOneFill) {
   EXPECT_EQ(unit.entries(), 5004u);
 }
 
+TEST(Histogram, FillNIsNUnitFills) {
+  // fill_n(x, n) must leave the histogram bit-identical to n fill(x)
+  // calls, on top of earlier fills and at the edges, and n = 0 is a no-op.
+  Histogram1D bulk(16, -2.0, 6.0);
+  Histogram1D unit(16, -2.0, 6.0);
+  sim::Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const double x = rng.uniform(-3.0, 7.0);
+    bulk.fill(x);
+    unit.fill(x);
+  }
+  for (const double x : {-2.5, -2.0, 0.3, 5.999999999999999, 6.0, 9.0}) {
+    const auto n = rng.uniform_below(700);
+    bulk.fill_n(x, n);
+    for (std::uint64_t i = 0; i < n; ++i) unit.fill(x);
+  }
+  bulk.fill_n(1.0, 0);
+  EXPECT_EQ(bulk, unit);
+  util::Hasher bulk_bits;
+  util::Hasher unit_bits;
+  bulk.add_to_digest(bulk_bits);
+  unit.add_to_digest(unit_bits);
+  EXPECT_EQ(bulk_bits.digest(), unit_bits.digest());
+}
+
 TEST(Histogram, MergeAddsBinwise) {
   Histogram1D a(4, 0.0, 4.0);
   Histogram1D b(4, 0.0, 4.0);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
 namespace hepvine::hep {
 namespace {
@@ -34,21 +38,27 @@ TEST(Dv3Processor, FindsHiggsPeakNear125) {
   const HistogramSet out = dv3_process(chunk);
   const Histogram1D* mass = out.find("dijet_mass");
   ASSERT_NE(mass, nullptr);
-  // Find the histogram's modal bin in the 80-200 GeV window; the
-  // injected H->bb resonance must put it near 125 GeV.
+  // The Higgs jets' pair mass comes from random eta and phi, so the
+  // resonance broadens the spectrum into a plateau over ~100-130 GeV
+  // rather than a narrow peak; a single 2 GeV bin's maximum wanders over
+  // the plateau from seed to seed. In 10 GeV windows, as
+  // examples/dv3_analysis reads it, the maximum must sit inside the
+  // analysis's Higgs window.
   const double width =
       (binning::kDijetHi - binning::kDijetLo) / binning::kDijetBins;
   double best_center = 0;
   double best = -1;
-  for (std::uint32_t b = 0; b < mass->bins(); ++b) {
-    const double center = binning::kDijetLo + width * (b + 0.5);
-    if (center < 80.0 || center > 200.0) continue;
-    if (mass->bin_content(b) > best) {
-      best = mass->bin_content(b);
+  for (std::uint32_t b = 0; b < mass->bins(); b += 5) {
+    double sum = 0;
+    for (std::uint32_t i = b; i < b + 5; ++i) sum += mass->bin_content(i);
+    const double center = binning::kDijetLo + width * (b + 2.5);
+    if (center > 60.0 && sum > best) {
+      best = sum;
       best_center = center;
     }
   }
-  EXPECT_NEAR(best_center, 125.0, 15.0);
+  EXPECT_GT(best_center, 100.0);
+  EXPECT_LT(best_center, 150.0);
 }
 
 TEST(Dv3Processor, DeterministicOnSameChunk) {
@@ -165,6 +175,61 @@ TEST(Processors, StreamFillsTheSignalRegions) {
   EXPECT_EQ(dv3.digest(), dv3_process(generate_chunk(1234, 200'000)).digest());
   EXPECT_EQ(tri.digest(),
             triphoton_process(generate_chunk(555, 400'000)).digest());
+}
+
+// The physics, not the bits: every histogram of both analyses, summed over
+// the chunks named in tests/data/physics_reference.txt, against that
+// committed reference from the generator this one replaced.
+TEST(PhysicsReference, HistogramsMatchTheReference) {
+  constexpr std::uint64_t kChunks = 200;
+  constexpr std::size_t kEventsPerChunk = 10'000;
+  std::map<std::string, HistogramSet> reference;
+  std::ifstream in(PHYSICS_REFERENCE);
+  ASSERT_TRUE(in) << PHYSICS_REFERENCE;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string analysis, name;
+    std::uint32_t bins = 0;
+    double lo = 0, hi = 0, underflow = 0, overflow = 0;
+    fields >> analysis >> name >> bins >> lo >> hi >> underflow >> overflow;
+    Histogram1D& h = reference[analysis].get(name, bins, lo, hi);
+    h.fill_n(lo - 1.0, static_cast<std::uint64_t>(underflow));
+    h.fill_n(hi, static_cast<std::uint64_t>(overflow));
+    const double width = (hi - lo) / bins;
+    for (std::uint32_t b = 0; b < bins; ++b) {
+      double count = 0;
+      fields >> count;
+      h.fill_n(lo + width * (b + 0.5), static_cast<std::uint64_t>(count));
+    }
+    ASSERT_TRUE(fields) << line.substr(0, 40);
+  }
+  ASSERT_EQ(reference.size(), 2u);
+
+  for (const Analysis analysis : {Analysis::kDv3, Analysis::kTriPhoton}) {
+    HistogramSet now;
+    for (std::uint64_t seed = 1; seed <= kChunks; ++seed) {
+      now.merge(run_analysis(analysis, seed, kEventsPerChunk));
+    }
+    const HistogramSet& ref =
+        reference[analysis == Analysis::kDv3 ? "dv3" : "triphoton"];
+    ASSERT_EQ(now.count(), ref.count());
+    for (const auto& [name, expected] : ref.histograms()) {
+      const Histogram1D* actual = now.find(name);
+      ASSERT_NE(actual, nullptr) << name;
+      // Between two samples of one distribution, chi2/dof has mean 1 and
+      // standard deviation sqrt(2/dof). The bound is five of those above
+      // the mean.
+      std::size_t dof = 0;
+      for (std::uint32_t b = 0; b < expected.bins(); ++b) {
+        dof += expected.bin_content(b) + actual->bin_content(b) > 0 ? 1 : 0;
+      }
+      ASSERT_GT(dof, 0u) << name;
+      EXPECT_LE(chi2_per_dof(expected, *actual),
+                1.0 + 5.0 * std::sqrt(2.0 / static_cast<double>(dof)))
+          << name << " over " << dof << " bins";
+    }
+  }
 }
 
 TEST(Processors, ProcessorNames) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "scheduler_test_util.h"
 #include "vine/replica_table.h"
@@ -189,6 +192,40 @@ TEST_F(VineEndToEnd, SingleNodeReductionOverflowsSmallDisks) {
   EXPECT_GT(report.worker_crashes, 0u);
   EXPECT_FALSE(report.success)
       << "a 360 GB single-node reduction cannot fit a 108 GB disk";
+}
+
+TEST_F(VineEndToEnd, EveryFailedAttemptRetrievesOneFailure) {
+  // The overflow case above ends on the retry limit. The attempt that
+  // spends the budget fails the run, and a later failure callback of it in
+  // the same event must not retrieve it again: per task, the txn log holds
+  // one RETRIEVED FAILURE line per failed attempt.
+  apps::WorkloadSpec workload = tiny_dv3(30);
+  workload.process_output_bytes = 12 * util::kGB;
+  workload.reduce_output_bytes = 12 * util::kGB;
+  workload.reduction = apps::ReductionShape::kSingleNode;
+  exec::RunOptions options = fast_options();
+  options.max_task_retries = 3;
+  options.max_sim_time = 2 * util::kHour;
+  options.observability.enabled = true;
+  const auto report = run(workload, options, 6);
+  ASSERT_FALSE(report.success);
+  ASSERT_NE(report.observation, nullptr);
+  std::map<std::string, std::size_t> failed_attempts;
+  for (const obs::AttemptSpan& s : report.profile.attempts()) {
+    if (s.failed) ++failed_attempts[std::to_string(s.task)];
+  }
+  std::map<std::string, std::size_t> failure_lines;
+  std::istringstream in(report.observation->txn().text());
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream f(line);
+    std::string tick, subject, task, verb, outcome;
+    f >> tick >> subject >> task >> verb >> outcome;
+    if (subject == "TASK" && verb == "RETRIEVED" && outcome == "FAILURE") {
+      ++failure_lines[task];
+    }
+  }
+  EXPECT_FALSE(failed_attempts.empty());
+  EXPECT_EQ(failure_lines, failed_attempts);
 }
 
 TEST_F(VineEndToEnd, TreeReductionOfSameWorkloadSucceeds) {
