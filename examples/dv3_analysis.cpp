@@ -5,7 +5,10 @@
 // serverless function calls, peer transfers, import hoisting), then prints
 // the physics: the reconstructed dijet mass spectrum with its Higgs peak,
 // and the run's systems-level report.
+#include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "apps/workloads.h"
 #include "cluster/calibration.h"
@@ -60,7 +63,9 @@ int main() {
   const hep::Histogram1D* mass = hists->find("dijet_mass");
   std::printf("b-tagged dijet invariant mass (%llu candidate pairs):\n",
               static_cast<unsigned long long>(mass->entries()));
+  // 10 GeV windows; bars are scaled to the fullest window shown.
   const double width = (mass->hi() - mass->lo()) / mass->bins();
+  std::vector<std::pair<double, double>> windows;  // (center, pairs)
   double peak_center = 0;
   double peak_value = 0;
   for (std::uint32_t b = 0; b < mass->bins(); b += 5) {
@@ -73,8 +78,12 @@ int main() {
       peak_value = sum;
       peak_center = center;
     }
-    if (center < 40 || center > 210) continue;
-    const int bar = static_cast<int>(sum / 120.0);
+    if (center >= 40 && center <= 210) windows.emplace_back(center, sum);
+  }
+  double fullest = 0;
+  for (const auto& [center, sum] : windows) fullest = std::max(fullest, sum);
+  for (const auto& [center, sum] : windows) {
+    const int bar = fullest > 0 ? static_cast<int>(50.0 * sum / fullest) : 0;
     std::printf("  %5.0f GeV |%-50.*s| %.0f\n", center, bar,
                 "##################################################", sum);
   }

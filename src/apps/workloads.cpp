@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "dag/builders.h"
 #include "data/dataset.h"
@@ -18,43 +19,41 @@ namespace hepvine::apps {
 
 namespace {
 
-/// Skim selection used by DV3-Huge preprocessing: keep events with either
-/// a b-tag candidate pair or significant MET.
-hep::EventChunk skim_chunk(const hep::EventChunk& in) {
-  hep::EventChunk out;
-  out.seed = in.seed;
-  out.jets.event_offsets.push_back(0);
-  out.photons.event_offsets.push_back(0);
-  for (std::size_t e = 0; e < in.events; ++e) {
-    std::uint32_t btags = 0;
-    for (std::uint32_t j = in.jets.begin_of(e); j < in.jets.end_of(e); ++j) {
-      if (in.jets.quality[j] > 0.85f) ++btags;
-    }
-    if (btags < 2 && in.met_pt[e] < 60.0f) continue;
-    out.met_pt.push_back(in.met_pt[e]);
-    for (std::uint32_t j = in.jets.begin_of(e); j < in.jets.end_of(e); ++j) {
-      out.jets.pt.push_back(in.jets.pt[j]);
-      out.jets.eta.push_back(in.jets.eta[j]);
-      out.jets.phi.push_back(in.jets.phi[j]);
-      out.jets.mass.push_back(in.jets.mass[j]);
-      out.jets.quality.push_back(in.jets.quality[j]);
-    }
-    for (std::uint32_t g = in.photons.begin_of(e); g < in.photons.end_of(e);
-         ++g) {
-      out.photons.pt.push_back(in.photons.pt[g]);
-      out.photons.eta.push_back(in.photons.eta[g]);
-      out.photons.phi.push_back(in.photons.phi[g]);
-      out.photons.mass.push_back(in.photons.mass[g]);
-      out.photons.quality.push_back(in.photons.quality[g]);
-    }
-    out.jets.event_offsets.push_back(
-        static_cast<std::uint32_t>(out.jets.count()));
-    out.photons.event_offsets.push_back(
-        static_cast<std::uint32_t>(out.photons.count()));
-    ++out.events;
+/// DV3-Huge's skim cut over the generated events. It asks for MET and jet
+/// b-tag quality only, holds the event's handles, and materializes an
+/// event when it ends kept.
+class SkimSink {
+ public:
+  explicit SkimSink(std::uint64_t seed) : builder_(out_, seed) {}
+
+  void met(const hep::Particle& m) { met_ = m; }
+  void jet(const hep::Particle& p) {
+    btags_ += p.quality() > 0.85f ? 1 : 0;
+    jets_.push_back(p);
   }
-  return out;
-}
+  void photon(const hep::Particle& p) { photons_.push_back(p); }
+  void end_event() {
+    if (btags_ >= 2 || met_.pt() >= 60.0f) {
+      builder_.met(met_);
+      for (const hep::Particle& p : jets_) builder_.jet(p);
+      for (const hep::Particle& p : photons_) builder_.photon(p);
+      builder_.end_event();
+    }
+    btags_ = 0;
+    jets_.clear();
+    photons_.clear();
+  }
+
+  hep::EventChunk take() { return std::move(out_); }
+
+ private:
+  hep::EventChunk out_;
+  hep::ChunkBuilder builder_;
+  hep::Particle met_;
+  std::uint32_t btags_ = 0;
+  std::vector<hep::Particle> jets_;
+  std::vector<hep::Particle> photons_;
+};
 
 /// Systematic-variation analysis: re-run the DV3 selection on a skim with a
 /// variation-dependent jet-pT threshold and fill variation-tagged
@@ -93,6 +92,12 @@ double lognormal_cpu(sim::Rng& rng, double median, double sigma) {
 }
 
 }  // namespace
+
+hep::EventChunk skim_events(std::uint64_t seed, std::size_t events) {
+  SkimSink sink(seed);
+  hep::generate_events(seed, events, sink);
+  return sink.take();
+}
 
 WorkloadSpec dv3_small() {
   WorkloadSpec spec;
@@ -223,9 +228,8 @@ dag::TaskGraph build_workload(const WorkloadSpec& spec, std::uint64_t seed) {
         const std::uint64_t events = chunk.events;
         process.fn = [chunk_seed,
                       events](const std::vector<dag::ValuePtr>&) {
-          const hep::EventChunk data = hep::generate_chunk(chunk_seed, events);
-          return std::make_shared<hep::EventChunkValue>(skim_chunk(data),
-                                                        64 * util::kKiB);
+          return std::make_shared<hep::EventChunkValue>(
+              skim_events(chunk_seed, events), 64 * util::kKiB);
         };
         const dag::TaskId skim = graph.add_task(std::move(process));
         for (std::uint32_t v = 0; v < spec.variations; ++v) {

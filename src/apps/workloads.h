@@ -78,6 +78,12 @@ struct WorkloadSpec {
 [[nodiscard]] WorkloadSpec with_events(WorkloadSpec spec,
                                        std::uint64_t events_per_chunk);
 
+/// DV3-Huge's preprocessing skim of the `events` events of chunk `seed`:
+/// the events with at least two b-tag candidates (quality > 0.85) or MET of
+/// 60 GeV and more, every column materialized.
+[[nodiscard]] hep::EventChunk skim_events(std::uint64_t seed,
+                                          std::size_t events);
+
 /// Build the executable task graph for a workload. Deterministic in
 /// (spec, seed): identical graphs, chunk seeds, and modeled costs.
 [[nodiscard]] dag::TaskGraph build_workload(const WorkloadSpec& spec,

@@ -1,49 +1,41 @@
 #include "hep/events.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace hepvine::hep {
 
-namespace {
-
-/// The materializing sink: every column, appended in generation order.
-class ChunkBuilder {
- public:
-  explicit ChunkBuilder(EventChunk& chunk) : chunk_(chunk) {}
-
-  void met(const Particle& m) { chunk_.met_pt.push_back(m.pt()); }
-  void jet(const Particle& p) { push(chunk_.jets, p); }
-  void photon(const Particle& p) { push(chunk_.photons, p); }
-  void end_event() {
-    chunk_.jets.event_offsets.push_back(
-        static_cast<std::uint32_t>(chunk_.jets.count()));
-    chunk_.photons.event_offsets.push_back(
-        static_cast<std::uint32_t>(chunk_.photons.count()));
-  }
-
- private:
-  static void push(ParticleColumns& cols, const Particle& p) {
-    cols.pt.push_back(p.pt());
-    cols.eta.push_back(p.eta());
-    cols.phi.push_back(p.phi());
-    cols.mass.push_back(p.mass());
-    cols.quality.push_back(p.quality());
-  }
-
-  EventChunk& chunk_;
-};
-
-}  // namespace
+float Particle::close_pair(Column c) const noexcept {
+  // The first daughter's slots come just before this particle's. With
+  // r = m² / (2 pT1 pT2), the massless pair mass squared
+  // 2 pT1 pT2 (cosh Δη − cos Δφ) is m² where cos Δφ = cosh Δη − r. Both
+  // pTs are at least m/2, so r ≤ 2 and |cos Δφ| ≤ 1 for |Δη| ≤ acosh(1 + r).
+  const Particle first{species->closes_pair_of, key, event,
+                       first_slot - slots::kParticle, floor};
+  const double m = floor * species->daughters;
+  const double r = m * m / (2.0 * first.pt() * pt());
+  // Eta: uniform over the acceptance within that Δη of the first's eta.
+  const double eta1 = first.eta();
+  const double deta_max = std::acosh(1.0 + r);
+  const float eta =
+      uniform(Column::kEta, std::max(-species->eta_max, eta1 - deta_max),
+              std::min(species->eta_max, eta1 + deta_max));
+  if (c == Column::kEta) return eta;
+  // Phi: the first's ± the opening angle, on the side the own phi draw
+  // picks.
+  const double dphi = std::acos(
+      std::clamp(std::cosh(static_cast<double>(eta) - eta1) - r, -1.0, 1.0));
+  const double side = uniform(Column::kPhi, 0.0, 2 * kPi) < kPi ? 1.0 : -1.0;
+  return static_cast<float>(
+      std::fmod(first.phi() + side * dphi + 2 * kPi, 2 * kPi));
+}
 
 EventChunk generate_chunk(std::uint64_t seed, std::size_t events) {
   EventChunk chunk;
-  chunk.seed = seed;
-  chunk.events = events;
   chunk.met_pt.reserve(events);
   chunk.jets.event_offsets.reserve(events + 1);
   chunk.photons.event_offsets.reserve(events + 1);
-  chunk.jets.event_offsets.push_back(0);
-  chunk.photons.event_offsets.push_back(0);
-
-  ChunkBuilder sink(chunk);
+  ChunkBuilder sink(chunk, seed);
   generate_events(seed, events, sink);
   return chunk;
 }

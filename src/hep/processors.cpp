@@ -163,11 +163,7 @@ class Dv3Sink {
   void end_event() {
     ++stages_[dv3_cuts::kAll];
     ++btag_jets_[nsel_];
-    if (nsel_ < 2) {
-      nsel_ = 0;
-      return;
-    }
-    ++stages_[dv3_cuts::kTwoBJets];
+    stages_[dv3_cuts::kTwoBJets] += nsel_ >= 2 ? 1 : 0;
     if (fill_pair_masses(selected_, nsel_, mass_)) {
       ++stages_[dv3_cuts::kHiggsWindow];
     }

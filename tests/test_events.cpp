@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <initializer_list>
+
+#include "hep/processors.h"
 
 namespace hepvine::hep {
 namespace {
@@ -42,10 +45,10 @@ TEST(Events, ContentIsPinned) {
   const Golden goldens[] = {
       {42, 0, {0xda5ecebf5b87bc1aULL, 0x2860799e2c349115ULL}},
       {1, 1, {0xf91971bf40abd1b8ULL, 0x6f82218b3e6a2384ULL}},
-      {7, 300, {0xc7b16e9581ef713cULL, 0x5273873eacba6887ULL}},
-      {11, 2000, {0xe34e5634a543330fULL, 0x75a4326a6fdab895ULL}},
-      {123, 50000, {0x568c09b6c41d65ccULL, 0x463fe6302762724fULL}},
-      {2024, 60000, {0x525635898a13f663ULL, 0x722caa7edaaae017ULL}},
+      {7, 300, {0xdab771562cdaed4fULL, 0x0d95ba0a7e5998d7ULL}},
+      {11, 2000, {0x9a17779254b28612ULL, 0x6edc32a37fe17f37ULL}},
+      {123, 50000, {0xbcdbde07c35b84e3ULL, 0x2e7189de902ed24eULL}},
+      {2024, 60000, {0x547f19692dd434c5ULL, 0x43eee84932425a22ULL}},
   };
   for (const Golden& g : goldens) {
     EXPECT_EQ(column_digest(generate_chunk(g.seed, g.events)), g.digest)
@@ -162,6 +165,33 @@ TEST(Events, KinematicsArePhysical) {
     EXPECT_GE(q, 0.0f);
     EXPECT_LE(q, 1.0f);
   }
+}
+
+TEST(Events, HiggsPairsReconstructTheResonanceMass) {
+  // A Higgs jet carries half the resonance mass as its mass (background
+  // jets stay below 30 GeV), and the pair's eta and phi put the pair's
+  // massless mass at the resonance mass.
+  const EventChunk c = generate_chunk(2024, 60'000);
+  std::size_t pairs = 0;
+  for (std::size_t e = 0; e < c.events; ++e) {
+    const std::uint32_t end = c.jets.end_of(e);
+    if (end - c.jets.begin_of(e) < 2 || !(c.jets.mass[end - 1] > 30.0f)) {
+      continue;
+    }
+    const std::uint32_t a = end - 2;
+    const std::uint32_t b = end - 1;
+    ASSERT_EQ(c.jets.mass[a], c.jets.mass[b]);
+    EXPECT_NEAR(dijet_mass(c.jets.pt[a], c.jets.eta[a], c.jets.phi[a],
+                           c.jets.pt[b], c.jets.eta[b], c.jets.phi[b]),
+                2.0 * c.jets.mass[a], 1e-3 * c.jets.mass[a]);
+    for (std::uint32_t j : {a, b}) {
+      EXPECT_LE(std::abs(c.jets.eta[j]), 2.0f);
+      EXPECT_GE(c.jets.phi[j], 0.0f);
+      EXPECT_LT(c.jets.phi[j], 6.2831855f);
+    }
+    ++pairs;
+  }
+  EXPECT_GT(pairs, 1'500u);  // ~3% of events
 }
 
 TEST(Events, ZeroEventsIsValid) {

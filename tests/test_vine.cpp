@@ -188,27 +188,16 @@ TEST_F(VineEndToEnd, SingleNodeReductionOverflowsSmallDisks) {
   exec::RunOptions options = fast_options();
   options.max_task_retries = 3;
   options.max_sim_time = 2 * util::kHour;
+  options.observability.enabled = true;
   const auto report = run(workload, options, 6);
   EXPECT_GT(report.worker_crashes, 0u);
   EXPECT_FALSE(report.success)
       << "a 360 GB single-node reduction cannot fit a 108 GB disk";
-}
 
-TEST_F(VineEndToEnd, EveryFailedAttemptRetrievesOneFailure) {
-  // The overflow case above ends on the retry limit. The attempt that
-  // spends the budget fails the run, and a later failure callback of it in
-  // the same event must not retrieve it again: per task, the txn log holds
-  // one RETRIEVED FAILURE line per failed attempt.
-  apps::WorkloadSpec workload = tiny_dv3(30);
-  workload.process_output_bytes = 12 * util::kGB;
-  workload.reduce_output_bytes = 12 * util::kGB;
-  workload.reduction = apps::ReductionShape::kSingleNode;
-  exec::RunOptions options = fast_options();
-  options.max_task_retries = 3;
-  options.max_sim_time = 2 * util::kHour;
-  options.observability.enabled = true;
-  const auto report = run(workload, options, 6);
-  ASSERT_FALSE(report.success);
+  // The run ends on the retry limit. The attempt that spends the budget
+  // fails the run, and a later failure callback of it in the same event
+  // must not retrieve it again: per task, the txn log holds one RETRIEVED
+  // FAILURE line per failed attempt.
   ASSERT_NE(report.observation, nullptr);
   std::map<std::string, std::size_t> failed_attempts;
   for (const obs::AttemptSpan& s : report.profile.attempts()) {

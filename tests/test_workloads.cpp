@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/evaluate.h"
+#include "hep/events.h"
 #include "hep/histogram.h"
 
 namespace hepvine::apps {
@@ -121,6 +122,45 @@ TEST(Workloads, HugeVariationsProduceVariationTaggedHistograms) {
   for (std::uint32_t v = 0; v < 4; ++v) {
     EXPECT_NE(set.find("dijet_mass_v" + std::to_string(v)), nullptr);
   }
+}
+
+TEST(Workloads, SkimKeepsExactlyTheSelectedMaterializedEvents) {
+  // skim_events asks for MET and b-tag quality before it keeps an event.
+  // What it keeps must equal the cut applied to the materialized chunk,
+  // every column of every kept event included.
+  const auto same_particles = [](const hep::ParticleColumns& a,
+                                 std::size_t ea,
+                                 const hep::ParticleColumns& b,
+                                 std::size_t eb) {
+    ASSERT_EQ(a.end_of(ea) - a.begin_of(ea), b.end_of(eb) - b.begin_of(eb));
+    for (std::uint32_t i = a.begin_of(ea), j = b.begin_of(eb);
+         i < a.end_of(ea); ++i, ++j) {
+      EXPECT_EQ(a.pt[i], b.pt[j]);
+      EXPECT_EQ(a.eta[i], b.eta[j]);
+      EXPECT_EQ(a.phi[i], b.phi[j]);
+      EXPECT_EQ(a.mass[i], b.mass[j]);
+      EXPECT_EQ(a.quality[i], b.quality[j]);
+    }
+  };
+  const hep::EventChunk all = hep::generate_chunk(77, 20'000);
+  const hep::EventChunk skim = skim_events(77, 20'000);
+  EXPECT_EQ(skim.seed, 77u);
+  std::size_t kept = 0;
+  for (std::size_t e = 0; e < all.events; ++e) {
+    std::uint32_t btags = 0;
+    for (std::uint32_t j = all.jets.begin_of(e); j < all.jets.end_of(e); ++j) {
+      btags += all.jets.quality[j] > 0.85f ? 1 : 0;
+    }
+    if (btags < 2 && all.met_pt[e] < 60.0f) continue;
+    ASSERT_LT(kept, skim.events);
+    EXPECT_EQ(skim.met_pt[kept], all.met_pt[e]);
+    same_particles(all.jets, e, skim.jets, kept);
+    same_particles(all.photons, e, skim.photons, kept);
+    ++kept;
+  }
+  EXPECT_EQ(skim.events, kept);
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, all.events);
 }
 
 TEST(Workloads, TriphotonFinalHistogramSeesResonance) {
